@@ -23,7 +23,7 @@
 //	# housekeeping: drop duplicate records from a checkpoint journal
 //	colab-fleet -compact sweep.ndjson
 //
-// Cells stream to stdout as NDJSON (the colab-serve line format) in the
+// Cells stream to stdout as NDJSON (fleet.Cell, the colab-serve line) in the
 // sweep's deterministic cross-product order; -o additionally writes the
 // final result set as CSV. Workers exit gracefully on SIGTERM, draining
 // in-flight shards.
@@ -47,6 +47,7 @@ import (
 
 	colab "colab"
 	"colab/internal/cpu"
+	"colab/internal/fleet"
 )
 
 func main() {
@@ -224,31 +225,19 @@ func runCoordinator(ctx context.Context, stdout, stderr io.Writer, addr string, 
 	return runSweep(ctx, stdout, output, append(opts, colab.WithFleet(f)))
 }
 
-// cellLine is the NDJSON stream format, shared with colab-serve.
-type cellLine struct {
-	Workload string  `json:"workload"`
-	Machine  string  `json:"machine"`
-	Policy   string  `json:"policy"`
-	Seed     uint64  `json:"seed"`
-	HANTT    float64 `json:"h_antt"`
-	HSTP     float64 `json:"h_stp"`
-	CellKey  string  `json:"cell_key"`
-	Cached   bool    `json:"cached"`
-}
-
 // runSweep executes the session (fleet-backed or local, depending on
 // opts), streaming cells to stdout as NDJSON and writing CSV to output.
 func runSweep(ctx context.Context, stdout io.Writer, output string, opts []colab.ExperimentOption) error {
 	enc := json.NewEncoder(stdout)
 	opts = append(opts, colab.WithObserver(func(c colab.ExperimentResult) {
-		enc.Encode(cellLine{
+		enc.Encode(fleet.Cell{
 			Workload: c.Run.Workload,
 			Machine:  c.Run.Machine,
 			Policy:   c.Run.Policy,
 			Seed:     c.Run.Seed,
 			HANTT:    c.Score.HANTT,
 			HSTP:     c.Score.HSTP,
-			CellKey:  c.Key.String(),
+			Key:      c.Key.String(),
 			Cached:   c.Cached,
 		})
 		if f, ok := stdout.(interface{ Sync() error }); ok {

@@ -24,7 +24,7 @@
 //
 // Endpoints:
 //
-//	GET/POST /run      stream one NDJSON object per cell (see cellLine);
+//	GET/POST /run      stream one NDJSON object per cell (fleet.Cell);
 //	                   cells carry the spec's @class= label, and with
 //	                   ?classes=1 the stream ends with the per-class
 //	                   grouping (one classLine per class x policy)
@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -47,9 +48,9 @@ import (
 	"time"
 
 	colab "colab"
-	"colab/internal/cpu"
+	"colab/internal/experiment"
+	"colab/internal/fleet"
 	"colab/internal/mathx"
-	"colab/internal/workload"
 )
 
 func main() {
@@ -122,22 +123,6 @@ func newServer(opts serverOptions) *server {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// cellLine is one streamed result: the cell's sweep coordinates, its
-// scores, its canonical content address, and whether the cache (or a
-// checkpoint journal) answered it. Class carries the workload spec's
-// @class= label (empty for unclassified scenarios).
-type cellLine struct {
-	Workload string  `json:"workload"`
-	Class    string  `json:"class,omitempty"`
-	Machine  string  `json:"machine"`
-	Policy   string  `json:"policy"`
-	Seed     uint64  `json:"seed"`
-	HANTT    float64 `json:"h_antt"`
-	HSTP     float64 `json:"h_stp"`
-	CellKey  string  `json:"cell_key"`
-	Cached   bool    `json:"cached"`
-}
-
 // classLine is one row of the ?classes=1 trailer: the ClassTable grouping
 // of the streamed cells, geomeaned per (class, policy) in first-seen
 // stream order.
@@ -150,10 +135,10 @@ type classLine struct {
 }
 
 // classLines folds the streamed cells into the per-class grouping.
-func classLines(cells []cellLine) []classLine {
+func classLines(cells []fleet.Cell) []classLine {
 	type key struct{ class, policy string }
 	var out []classLine
-	groups := make(map[key][]cellLine)
+	groups := make(map[key][]fleet.Cell)
 	var order []key
 	for _, c := range cells {
 		class := c.Class
@@ -195,75 +180,68 @@ func splitList(values []string) []string {
 	return out
 }
 
-// optionsFromQuery translates the request's query parameters into
-// session options, plus the resolved workload-name -> @class= label map
-// the NDJSON stream annotates cells with. Unknown machine names and
-// malformed numbers are caught here; workload and policy spellings are
-// validated by Run itself.
-func (s *server) optionsFromQuery(q map[string][]string) ([]colab.ExperimentOption, map[string]string, error) {
-	opts := []colab.ExperimentOption{colab.WithCellCache(s.cache)}
-	workloads := splitList(q["workload"])
-	if len(workloads) == 0 {
-		return nil, nil, fmt.Errorf("at least one workload parameter is required (a registered name or a scenario-grammar spec)")
+// batchFromQuery decodes the request's query parameters into the sweep
+// spec a fleet worker decodes from JSON — with colab.Experiment's
+// defaults: machine 2B2S, the paper policies, seed 1 — and builds its
+// batch through the same Spec.Batch, which resolves the workload, machine
+// and policy spellings. It also reports whether the class trailer was
+// asked for.
+func batchFromQuery(q url.Values) (b *experiment.Batch, classes bool, err error) {
+	fail := func(format string, args ...any) (*experiment.Batch, bool, error) {
+		return nil, false, fmt.Errorf(format, args...)
 	}
-	classOf := make(map[string]string)
-	for _, w := range workloads {
-		// Unresolvable workloads fall through: Run reports them with the
-		// registered inventories.
-		if spec, err := workload.ResolveSpec(w); err == nil {
-			if terms := spec.TraceFiles(); len(terms) != 0 {
-				return nil, nil, fmt.Errorf("workload %q replays the local trace file of term %q; the service resolves workloads by name, so inline the times with @arrive=trace(...)", w, terms[0])
-			}
-			classOf[spec.Name] = string(spec.Class)
+	spec := fleet.Spec{
+		Workloads: splitList(q["workload"]),
+		Machines:  splitList(q["machine"]),
+		Policies:  splitList(q["policy"]),
+	}
+	if len(spec.Workloads) == 0 {
+		return fail("at least one workload parameter is required (a registered name or a scenario-grammar spec)")
+	}
+	if len(spec.Machines) == 0 {
+		spec.Machines = []string{colab.Config2B2S.Name}
+	}
+	if len(spec.Policies) == 0 {
+		spec.Policies = colab.PaperPolicies()
+	}
+	for _, v := range splitList(q["seed"]) {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return fail("seed %q is not an unsigned integer", v)
+		}
+		spec.Seeds = append(spec.Seeds, n)
+	}
+	if len(spec.Seeds) == 0 {
+		spec.Seeds = []uint64{1}
+	}
+	// The single-valued parameters refuse repeats: ?workers=1&workers=2
+	// is an error, not 12 workers.
+	one := make(map[string]string, 4)
+	for _, name := range []string{"workers", "shard_index", "shard_count", "classes"} {
+		if len(q[name]) > 1 {
+			return fail("parameter %s is repeated; give it once", name)
+		}
+		one[name] = strings.TrimSpace(q.Get(name))
+	}
+	if v := one["workers"]; v != "" {
+		if spec.Workers, err = strconv.Atoi(v); err != nil || spec.Workers < 1 {
+			return fail("workers %q is not a positive integer", v)
 		}
 	}
-	opts = append(opts, colab.WithWorkloads(workloads...))
-	if names := splitList(q["machine"]); len(names) > 0 {
-		var cfgs []colab.Config
-		for _, name := range names {
-			cfg, ok := cpu.ConfigByName(name)
-			if !ok {
-				known := make([]string, 0, 4)
-				for _, c := range cpu.NamedConfigs() {
-					known = append(known, c.Name)
-				}
-				return nil, nil, fmt.Errorf("unknown machine %q (known: %s)", name, strings.Join(known, ", "))
-			}
-			cfgs = append(cfgs, cfg)
-		}
-		opts = append(opts, colab.WithMachines(cfgs...))
-	}
-	if policies := splitList(q["policy"]); len(policies) > 0 {
-		opts = append(opts, colab.WithPolicies(policies...))
-	}
-	if raw := splitList(q["seed"]); len(raw) > 0 {
-		var seeds []uint64
-		for _, v := range raw {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("seed %q is not an unsigned integer", v)
-			}
-			seeds = append(seeds, n)
-		}
-		opts = append(opts, colab.WithSeeds(seeds...))
-	}
-	if v := strings.TrimSpace(strings.Join(q["workers"], "")); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return nil, nil, fmt.Errorf("workers %q is not a positive integer", v)
-		}
-		opts = append(opts, colab.WithWorkers(n))
-	}
-	idxRaw, cntRaw := q["shard_index"], q["shard_count"]
-	if len(idxRaw) > 0 || len(cntRaw) > 0 {
-		idx, err1 := strconv.Atoi(strings.Join(idxRaw, ""))
-		cnt, err2 := strconv.Atoi(strings.Join(cntRaw, ""))
+	var shardIndex, shardCount int
+	if one["shard_index"] != "" || one["shard_count"] != "" {
+		var err1, err2 error
+		shardIndex, err1 = strconv.Atoi(one["shard_index"])
+		shardCount, err2 = strconv.Atoi(one["shard_count"])
 		if err1 != nil || err2 != nil {
-			return nil, nil, fmt.Errorf("shard_index and shard_count must be set together as integers")
+			return fail("shard_index and shard_count must be set together as integers")
 		}
-		opts = append(opts, colab.WithShard(idx, cnt))
 	}
-	return opts, classOf, nil
+	if b, err = spec.Batch(shardIndex, shardCount); err != nil {
+		return nil, false, err
+	}
+	c := one["classes"]
+	return b, c != "" && c != "0" && c != "false", nil
 }
 
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -294,66 +272,36 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	opts, classOf, err := s.optionsFromQuery(r.Form)
+	b, wantClasses, err := batchFromQuery(r.Form)
 	if err != nil {
 		http.Error(w, "colab-serve: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	wantClasses := false
-	if v := strings.TrimSpace(strings.Join(r.Form["classes"], "")); v != "" && v != "0" && v != "false" {
-		wantClasses = true
+	b.Cache = s.cache
+	classOf := make(map[string]string, len(b.Scenarios))
+	for _, sc := range b.Scenarios {
+		classOf[sc.Name] = string(sc.Class)
 	}
-
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	streamed := 0
-	var collected []cellLine
-	opts = append(opts, colab.WithObserver(func(c colab.ExperimentResult) {
-		if streamed == 0 {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-		}
-		streamed++
+	var collected []fleet.Cell
+	err = fleet.Stream(r.Context(), w, b, "colab-serve: ", func(c *fleet.Cell) error {
 		s.cellsServed.Add(1)
-		line := cellLine{
-			Workload: c.Run.Workload,
-			Class:    classOf[c.Run.Workload],
-			Machine:  c.Run.Machine,
-			Policy:   c.Run.Policy,
-			Seed:     c.Run.Seed,
-			HANTT:    c.Score.HANTT,
-			HSTP:     c.Score.HSTP,
-			CellKey:  c.Key.String(),
-			Cached:   c.Cached,
-		}
+		c.Class = classOf[c.Workload]
 		if wantClasses {
-			collected = append(collected, line)
+			collected = append(collected, *c)
 		}
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}))
-	if _, err := colab.NewExperiment(opts...).Run(r.Context()); err != nil {
-		if streamed == 0 {
-			// Nothing written yet: a bad spec (unknown workload or policy,
-			// invalid shard coordinates) is still a clean 400.
-			http.Error(w, "colab-serve: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Mid-stream failure: the status line is gone, so report in-band.
-		enc.Encode(map[string]string{"error": err.Error()})
+		return nil
+	})
+	if err != nil || !wantClasses {
 		return
 	}
-	if wantClasses {
-		// The class trailer: the ClassTable grouping of the cells just
-		// streamed, one NDJSON object per (class, policy) group.
-		for _, cl := range classLines(collected) {
-			enc.Encode(cl)
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+	// The class trailer: the ClassTable grouping of the cells just
+	// streamed, one NDJSON object per (class, policy) group.
+	enc := json.NewEncoder(w)
+	for _, cl := range classLines(collected) {
+		enc.Encode(cl)
+	}
+	if flusher, ok := w.(http.Flusher); ok {
+		flusher.Flush()
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	colab "colab"
+	"colab/internal/fleet"
 )
 
 type statsReply struct {
@@ -39,7 +40,7 @@ func getStats(t *testing.T, ts *httptest.Server) statsReply {
 	return s
 }
 
-func runCells(t *testing.T, ts *httptest.Server, query string) []cellLine {
+func runCells(t *testing.T, ts *httptest.Server, query string) []fleet.Cell {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/run?" + query)
 	if err != nil {
@@ -52,10 +53,10 @@ func runCells(t *testing.T, ts *httptest.Server, query string) []cellLine {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("content type %q, want application/x-ndjson", ct)
 	}
-	var cells []cellLine
+	var cells []fleet.Cell
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var c cellLine
+		var c fleet.Cell
 		if err := json.Unmarshal(sc.Bytes(), &c); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -88,14 +89,14 @@ func TestRunStreamsAndCaches(t *testing.T) {
 			t.Errorf("cell %d is (%s, seed %d), want (%s, seed %d)",
 				i, c.Policy, c.Seed, wantOrder[i].policy, wantOrder[i].seed)
 		}
-		if c.Workload != "Sync-1" || c.Machine == "" || c.CellKey == "" {
+		if c.Workload != "Sync-1" || c.Machine == "" || c.Key == "" {
 			t.Errorf("cell %d incomplete: %+v", i, c)
 		}
 		if c.Cached {
 			t.Errorf("cold-cache cell %d claims cached", i)
 		}
-		if _, err := colab.ParseCellKey(c.CellKey); err != nil {
-			t.Errorf("cell %d key %q does not parse: %v", i, c.CellKey, err)
+		if _, err := colab.ParseCellKey(c.Key); err != nil {
+			t.Errorf("cell %d key %q does not parse: %v", i, c.Key, err)
 		}
 	}
 
@@ -136,8 +137,8 @@ func TestCacheIsSpellingIndependent(t *testing.T) {
 	if len(a) != 1 || len(b) != 1 {
 		t.Fatalf("got %d and %d cells, want 1 each", len(a), len(b))
 	}
-	if a[0].CellKey != b[0].CellKey {
-		t.Fatalf("spellings produced distinct keys:\n%s\n%s", a[0].CellKey, b[0].CellKey)
+	if a[0].Key != b[0].Key {
+		t.Fatalf("spellings produced distinct keys:\n%s\n%s", a[0].Key, b[0].Key)
 	}
 	if !b[0].Cached {
 		t.Error("respelled request missed the cache")
@@ -159,10 +160,10 @@ func TestShardedRequests(t *testing.T) {
 	for idx := 0; idx < 2; idx++ {
 		cells := runCells(t, ts, base+"&shard_count=2&shard_index="+string(rune('0'+idx)))
 		for _, c := range cells {
-			if seen[c.CellKey] {
-				t.Errorf("cell %s served by two shards", c.CellKey)
+			if seen[c.Key] {
+				t.Errorf("cell %s served by two shards", c.Key)
 			}
-			seen[c.CellKey] = true
+			seen[c.Key] = true
 		}
 		total += len(cells)
 	}
@@ -174,22 +175,31 @@ func TestShardedRequests(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(newServer(serverOptions{}))
 	defer ts.Close()
-	for _, tc := range []struct{ name, query string }{
-		{"no workload", "policy=linux"},
-		{"unknown machine", "workload=Sync-1&machine=8B8S"},
-		{"bad seed", "workload=Sync-1&seed=minusone"},
-		{"unknown workload", "workload=no-such-benchmark:4"},
-		{"unknown policy", "workload=Sync-1&policy=no-such-policy"},
-		{"bad shard", "workload=Sync-1&shard_index=5&shard_count=2"},
-		{"bad workers", "workload=Sync-1&workers=0"},
+	// names, when set, must appear in the 400's body.
+	for _, tc := range []struct{ name, query, names string }{
+		{"no workload", "policy=linux", ""},
+		{"unknown machine", "workload=Sync-1&machine=8B8S", ""},
+		{"bad seed", "workload=Sync-1&seed=minusone", ""},
+		{"unknown workload", "workload=no-such-benchmark:4", ""},
+		{"unknown policy", "workload=Sync-1&policy=no-such-policy", ""},
+		{"bad shard", "workload=Sync-1&shard_index=5&shard_count=2", ""},
+		{"bad workers", "workload=Sync-1&workers=0", ""},
+		{"repeated workers", "workload=Sync-1&workers=1&workers=2", "workers"},
+		{"repeated shard_index", "workload=Sync-1&shard_index=0&shard_index=1&shard_count=2", "shard_index"},
+		{"repeated shard_count", "workload=Sync-1&shard_index=0&shard_count=2&shard_count=2", "shard_count"},
+		{"repeated classes", "workload=Sync-1&classes=0&classes=1", "classes"},
 	} {
 		resp, err := http.Get(ts.URL + "/run?" + tc.query)
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: /run?%s -> %s, want 400", tc.name, tc.query, resp.Status)
+		}
+		if tc.names != "" && !strings.Contains(string(body), tc.names) {
+			t.Errorf("%s: 400 body %q does not name %s", tc.name, body, tc.names)
 		}
 	}
 }
@@ -292,7 +302,7 @@ func TestRunClassColumnsAndGrouping(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/run -> %s", resp.Status)
 	}
-	var cells []cellLine
+	var cells []fleet.Cell
 	var groups []classLine
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
@@ -307,7 +317,7 @@ func TestRunClassColumnsAndGrouping(t *testing.T) {
 		if len(groups) > 0 {
 			t.Fatalf("cell line %q after the class trailer began", sc.Text())
 		}
-		var c cellLine
+		var c fleet.Cell
 		if err := json.Unmarshal(sc.Bytes(), &c); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}

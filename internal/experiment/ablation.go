@@ -14,8 +14,11 @@ import (
 // allocator and selector are decomposed and co-designed; the pipeline
 // registry lets us regenerate that evidence directly, by swapping one
 // stage of the canonical COLAB composition at a time and re-running the
-// mix. This subsumes the option-based ablation variants (colab-noscale,
-// ...) with compositions any API user can write.
+// mix, with compositions any API user can write. It complements rather
+// than replaces the option-switch variants (colab-noscale, colab-local,
+// colab-flat, colab-nopull; see Runner.Ablation): each of those turns off
+// one sub-feature inside a COLAB stage, which no whole-stage swap
+// reproduces, and the golden corpus pins them.
 
 // StageAblationVariant is one row of the stage-swap ablation: a canonical
 // COLAB pipeline with a single slot replaced (or added, for the governor
@@ -64,31 +67,20 @@ func (r *Runner) stageAblation(ctx context.Context, indexes []string, cfgs []cpu
 	if len(variants) == 0 || variants[0].Label != "full colab" {
 		return nil, fmt.Errorf("experiment: stage ablation needs the full-colab reference as its first variant")
 	}
-	var comps []workload.Composition
+	var specs []workload.Spec
 	for _, idx := range indexes {
 		comp, ok := workload.CompositionByIndex(idx)
 		if !ok {
 			return nil, fmt.Errorf("experiment: unknown composition %q", idx)
 		}
-		comps = append(comps, comp)
+		specs = append(specs, comp.Spec())
 	}
 	names := make([]string, len(variants))
 	for i, v := range variants {
 		names[i] = v.Composition
 	}
-	b := &Batch{
-		Workloads:        comps,
-		Configs:          cfgs,
-		Policies:         names,
-		Seeds:            []uint64{r.Seed},
-		Params:           r.Params,
-		Workers:          r.workers(),
-		Speedup:          r.Speedup,
-		TierSpeedup:      r.TierSpeedup,
-		TierSpeedupTiers: r.TierSpeedupTiers,
-		runners:          map[uint64]*Runner{r.Seed: r},
-	}
-	if _, err := b.Run(ctx); err != nil {
+	score, err := r.runBatch(ctx, specs, cfgs, names)
+	if err != nil {
 		return nil, err
 	}
 
@@ -99,20 +91,12 @@ func (r *Runner) stageAblation(ctx context.Context, indexes []string, cfgs []cpu
 	for _, cfg := range cfgs {
 		t.Header = append(t.Header, cfg.Name+" H_ANTT", cfg.Name+" H_STP")
 	}
-	ref := variants[0]
-	for _, v := range variants {
+	for vi, v := range variants {
 		row := []string{v.Label, v.Composition}
-		for _, cfg := range cfgs {
+		for ci := range cfgs {
 			var antt, stp []float64
-			for _, comp := range comps {
-				base, err := r.MixScore(comp, cfg, ref.Composition)
-				if err != nil {
-					return nil, err
-				}
-				got, err := r.MixScore(comp, cfg, v.Composition)
-				if err != nil {
-					return nil, err
-				}
+			for si := range specs {
+				base, got := score(si, ci, 0), score(si, ci, vi)
 				antt = append(antt, got.HANTT/base.HANTT)
 				stp = append(stp, got.HSTP/base.HSTP)
 			}

@@ -121,8 +121,7 @@ func (c *Cache) Lookup(key CellKey) (metrics.MixScore, bool) {
 	return el.Value.(*cacheEntry).score, true
 }
 
-// Store inserts a scored cell directly (journal replays warm the cache
-// through this).
+// Store inserts a scored cell directly.
 func (c *Cache) Store(key CellKey, score metrics.MixScore) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

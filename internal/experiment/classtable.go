@@ -22,46 +22,29 @@ func (r *Runner) ScenarioMatrix(specs []workload.Spec, cfgs []cpu.Config, kinds 
 }
 
 // ScenarioMatrixContext is ScenarioMatrix with cooperative cancellation.
-// Like RunMatrixContext, the fan-out goes through the Batch session
-// engine sharing this runner's memo caches, and Linux is always included
-// as the normalisation reference.
+// The fan-out goes through the runner's one matrix path (runBatch), and
+// Linux is always included as the normalisation reference.
 func (r *Runner) ScenarioMatrixContext(ctx context.Context, specs []workload.Spec, cfgs []cpu.Config, kinds []string) ([]Cell, error) {
-	seen := map[string]bool{}
-	var all []string
-	for _, k := range append([]string{SchedLinux}, kinds...) {
-		if seen[k] {
-			continue
+	// all is linux followed by kinds, deduplicated; at records each
+	// kind's position in it.
+	all := []string{SchedLinux}
+	at := map[string]int{SchedLinux: 0}
+	for _, k := range kinds {
+		if _, ok := at[k]; !ok {
+			at[k] = len(all)
+			all = append(all, k)
 		}
-		seen[k] = true
-		all = append(all, k)
 	}
-	b := &Batch{
-		Scenarios:        specs,
-		Configs:          cfgs,
-		Policies:         all,
-		Seeds:            []uint64{r.Seed},
-		Params:           r.Params,
-		Workers:          r.workers(),
-		Speedup:          r.Speedup,
-		TierSpeedup:      r.TierSpeedup,
-		TierSpeedupTiers: r.TierSpeedupTiers,
-		runners:          map[uint64]*Runner{r.Seed: r},
-	}
-	if _, err := b.Run(ctx); err != nil {
+	score, err := r.runBatch(ctx, specs, cfgs, all)
+	if err != nil {
 		return nil, err
 	}
 	var cells []Cell
-	for _, spec := range specs {
-		for _, cfg := range cfgs {
-			ref, err := r.ScenarioScore(spec, cfg, SchedLinux)
-			if err != nil {
-				return nil, err
-			}
+	for si, spec := range specs {
+		for ci, cfg := range cfgs {
+			ref := score(si, ci, 0)
 			for _, k := range kinds {
-				raw, err := r.ScenarioScore(spec, cfg, k)
-				if err != nil {
-					return nil, err
-				}
+				raw := score(si, ci, at[k])
 				cells = append(cells, Cell{
 					Workload: spec.Name,
 					Class:    spec.Class,

@@ -361,28 +361,48 @@ func TestCompactJournalEdges(t *testing.T) {
 	}
 }
 
-// WriteJournal materialises records into a journal OpenJournal replays
-// bit-identically — the mechanism coordinators use to ship checkpoint
-// state to replacement workers.
-func TestWriteJournalRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shipped.ndjson")
+// A file-less journal replays its records bit-identically — the
+// mechanism a fleet worker seeds a reassigned shard with — while a closed
+// file journal refuses Record instead of silently keeping the cell in
+// memory only.
+func TestMemJournalReplaysAndClosedFileJournalRefuses(t *testing.T) {
 	recs := []JournalRecord{
 		{Key: testKey(1).String(), HANTT: 1.0 / 3.0, HSTP: 2.0000000000000004},
 		{Key: testKey(2).String(), HANTT: 5, HSTP: 6},
 	}
-	if err := WriteJournal(path, recs); err != nil {
-		t.Fatal(err)
+	mem := NewJournal(recs)
+	if mem.Len() != 2 {
+		t.Fatalf("file-less journal holds %d cells, want 2", mem.Len())
 	}
+	got, ok := mem.Lookup(testKey(1))
+	if !ok || got.HANTT != 1.0/3.0 || got.HSTP != 2.0000000000000004 {
+		t.Errorf("file-less journal not bit-identical: %v", got)
+	}
+	if err := mem.Record(testKey(3), metrics.MixScore{HANTT: 7, HSTP: 8}); err != nil {
+		t.Fatalf("file-less Record: %v", err)
+	}
+	if got, ok := mem.Lookup(testKey(3)); !ok || got.HANTT != 7 {
+		t.Errorf("file-less journal lost a recorded cell: %v %v", got, ok)
+	}
+
+	path := filepath.Join(t.TempDir(), "ck.ndjson")
 	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	if j.Len() != 2 {
-		t.Fatalf("replayed %d cells, want 2", j.Len())
+	if err := j.Record(testKey(1), metrics.MixScore{HANTT: 1, HSTP: 1}); err != nil {
+		t.Fatal(err)
 	}
-	got, ok := j.Lookup(testKey(1))
-	if !ok || got.HANTT != 1.0/3.0 || got.HSTP != 2.0000000000000004 {
-		t.Errorf("shipped journal not bit-identical: %v", got)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record(testKey(2), metrics.MixScore{HANTT: 2, HSTP: 2}); err == nil {
+		t.Fatal("Record after Close on a file journal succeeded; the cell would not be durable")
+	}
+	if _, ok := j.Lookup(testKey(2)); ok {
+		t.Error("refused cell is visible to lookups")
+	}
+	if _, ok := j.Lookup(testKey(1)); !ok {
+		t.Error("closed journal stopped answering lookups")
 	}
 }

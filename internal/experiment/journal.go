@@ -37,10 +37,25 @@ type JournalRecord struct {
 // journal written by several sharded processes (one file per shard) can be
 // replayed per shard or concatenated. A Journal is safe for concurrent use
 // by one process; concurrent processes must use distinct files.
+//
+// NewJournal builds the file-less form: the same lookups over records
+// held in memory (a fleet worker replays a shipped checkpoint through
+// it), with Record keeping new cells in memory only.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	done map[string]metrics.MixScore
+	mu     sync.Mutex
+	f      *os.File // nil for a file-less journal
+	closed bool
+	done   map[string]metrics.MixScore
+}
+
+// NewJournal returns a file-less journal holding recs: lookups replay
+// them bit-identically, and Record adds cells in memory only.
+func NewJournal(recs []JournalRecord) *Journal {
+	done := make(map[string]metrics.MixScore, len(recs))
+	for _, r := range recs {
+		done[r.Key] = metrics.MixScore{HANTT: r.HANTT, HSTP: r.HSTP}
+	}
+	return &Journal{done: done}
 }
 
 // scanJournal walks the NDJSON journal bytes line by line, calling record
@@ -97,36 +112,6 @@ func OpenJournal(path string) (*Journal, error) {
 		return nil, fmt.Errorf("experiment: opening journal %s: %w", path, err)
 	}
 	return &Journal{f: f, done: done}, nil
-}
-
-// WriteJournal writes records as a fresh journal file at path (truncating
-// any previous content), fsynced before returning. The fleet layer uses
-// it to seed a replacement worker's checkpoint from the cells a failed
-// shard already streamed back.
-func WriteJournal(path string, recs []JournalRecord) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("experiment: writing journal %s: %w", path, err)
-	}
-	w := bufio.NewWriter(f)
-	for _, r := range recs {
-		line, err := json.Marshal(r)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("experiment: writing journal %s: %w", path, err)
-		}
-		w.Write(line)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("experiment: writing journal %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("experiment: syncing journal %s: %w", path, err)
-	}
-	return f.Close()
 }
 
 // CompactJournal rewrites the checkpoint journal at path dropping
@@ -201,12 +186,20 @@ func (j *Journal) Len() int {
 
 // Record appends one completed cell, fsyncing before returning so a kill
 // after Record never loses the cell. Re-recording a known key is a no-op:
-// replayed and cache-served cells flow through Record freely.
+// replayed and cache-served cells flow through Record freely. A closed
+// journal refuses new cells rather than keep them undurably.
 func (j *Journal) Record(key CellKey, score metrics.MixScore) error {
 	ks := key.String()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if _, ok := j.done[ks]; ok {
+		return nil
+	}
+	if j.closed {
+		return fmt.Errorf("experiment: journal record: journal is closed")
+	}
+	if j.f == nil {
+		j.done[ks] = score
 		return nil
 	}
 	line, err := json.Marshal(JournalRecord{Key: ks, HANTT: score.HANTT, HSTP: score.HSTP})
@@ -231,10 +224,12 @@ func (j *Journal) Record(key CellKey, score metrics.MixScore) error {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.closed {
+		return nil
+	}
+	j.closed = true
 	if j.f == nil {
 		return nil
 	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	return j.f.Close()
 }

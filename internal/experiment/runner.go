@@ -74,7 +74,10 @@ type Runner struct {
 
 	mu        sync.Mutex
 	baselines map[string]sim.Time
-	mixes     map[string]metrics.MixScore
+	// cache memoises the runner's scored cells (MixScore, ScenarioScore
+	// and the matrix methods' batches). Runners a Batch builds for itself
+	// have none: the batch's own Cache, if any, is their memo.
+	cache *Cache
 }
 
 // NewRunner returns a Runner using the standard trained speedup model.
@@ -87,7 +90,7 @@ func NewRunner(seed uint64) (*Runner, error) {
 		Speedup:   model.ThreadPredictor(),
 		Seed:      seed,
 		baselines: make(map[string]sim.Time),
-		mixes:     make(map[string]metrics.MixScore),
+		cache:     NewCache(),
 	}, nil
 }
 
@@ -169,22 +172,34 @@ func (r *Runner) baselineBig(comp workload.Composition, appIdx int, cfg cpu.Conf
 // baselines and every shard derives the same key independently.
 func (r *Runner) baselineBigCtx(ctx context.Context, spec workload.Spec, appIdx int, cfg cpu.Config) (sim.Time, error) {
 	n := cfg.NumCores()
-	key := BaselineKey(spec, appIdx, n, r.Seed, r.Params)
-	r.mu.Lock()
-	if v, ok := r.baselines[key]; ok {
-		r.mu.Unlock()
-		return v, nil
-	}
-	r.mu.Unlock()
-	w, err := specAlone(spec, appIdx, r.Seed)
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.runCtx(ctx, cpu.NewSymmetric(cpu.Big, n), SchedLinux, w, nil)
+	v, err := r.baseline(ctx, BaselineKey(spec, appIdx, n, r.Seed, r.Params), n, func() (*task.Workload, error) {
+		return specAlone(spec, appIdx, r.Seed)
+	})
 	if err != nil {
 		return 0, fmt.Errorf("experiment: baseline %s app %d: %w", spec.Name, appIdx, err)
 	}
-	v := res.Apps[0].Turnaround
+	return v, nil
+}
+
+// baseline is the one baseline memo: it returns the turnaround filed
+// under key, or runs the single-app workload alone builds on the
+// symmetric big machine of the given core count under linux and files it.
+func (r *Runner) baseline(ctx context.Context, key string, cores int, alone func() (*task.Workload, error)) (sim.Time, error) {
+	r.mu.Lock()
+	v, ok := r.baselines[key]
+	r.mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	w, err := alone()
+	if err != nil {
+		return 0, err
+	}
+	res, err := r.runCtx(ctx, cpu.NewSymmetric(cpu.Big, cores), SchedLinux, w, nil)
+	if err != nil {
+		return 0, err
+	}
+	v = res.Apps[0].Turnaround
 	r.mu.Lock()
 	r.baselines[key] = v
 	r.mu.Unlock()
@@ -197,7 +212,7 @@ func (r *Runner) baselineBigCtx(ctx context.Context, spec workload.Spec, appIdx 
 // MixScore returns the H_ANTT / H_STP of one (workload, config, scheduler)
 // cell, averaged over the two core orders, memoised.
 func (r *Runner) MixScore(comp workload.Composition, cfg cpu.Config, kind string) (metrics.MixScore, error) {
-	return r.specScore(context.Background(), comp.Spec(), cfg, kind, nil)
+	return r.ScenarioScore(comp.Spec(), cfg, kind)
 }
 
 // ScenarioScore is MixScore for a grammar/registry scenario spec: the
@@ -205,7 +220,11 @@ func (r *Runner) MixScore(comp workload.Composition, cfg cpu.Config, kind string
 // averaged over the two core orders, memoised. Open-system scenarios score
 // each app's turnaround from its own arrival time.
 func (r *Runner) ScenarioScore(spec workload.Spec, cfg cpu.Config, kind string) (metrics.MixScore, error) {
-	return r.specScore(context.Background(), spec, cfg, kind, nil)
+	ctx := context.Background()
+	score, _, err := r.cache.Do(ctx, NewCellKey(spec, kind, cfg, r.Seed, r.Params), func() (metrics.MixScore, error) {
+		return r.specScore(ctx, spec, cfg, kind, nil)
+	})
+	return score, err
 }
 
 // BaselineKey is the content address of one big-only-alone baseline: the
@@ -219,21 +238,11 @@ func BaselineKey(spec workload.Spec, appIdx, cores int, seed uint64, params kern
 	return fmt.Sprintf("%s|app=%d", k, appIdx)
 }
 
-// specScore computes (or returns memoised) one cell. A non-nil tracer
-// receives every scheduling event of the two mix runs (baseline runs are
-// not traced) and disables memoisation for the cell, so the events always
-// correspond to a real execution.
+// specScore simulates one cell: both core orders of the mix, scored
+// against the (memoised) baselines. It memoises nothing itself — callers
+// route it through a Cache. A non-nil tracer receives every scheduling
+// event of the two mix runs (baseline runs are not traced).
 func (r *Runner) specScore(ctx context.Context, spec workload.Spec, cfg cpu.Config, kind string, tracer func(bigFirst bool, ev kernel.TraceEvent)) (metrics.MixScore, error) {
-	key := NewCellKey(spec, kind, cfg, r.Seed, r.Params).String()
-	if tracer == nil {
-		r.mu.Lock()
-		if v, ok := r.mixes[key]; ok {
-			r.mu.Unlock()
-			return v, nil
-		}
-		r.mu.Unlock()
-	}
-
 	bases := make([]sim.Time, spec.NumApps())
 	for i := range bases {
 		b, err := r.baselineBigCtx(ctx, spec, i, cfg)
@@ -266,12 +275,32 @@ func (r *Runner) specScore(ctx context.Context, spec workload.Spec, cfg cpu.Conf
 		total.HANTT += score.HANTT / float64(len(orders))
 		total.HSTP += score.HSTP / float64(len(orders))
 	}
-	if tracer == nil {
-		r.mu.Lock()
-		r.mixes[key] = total
-		r.mu.Unlock()
-	}
 	return total, nil
+}
+
+// runBatch is the one matrix path: it runs specs x cfgs x kinds for the
+// runner's seed through the Batch engine, sharing the runner's
+// predictors, baselines and cell cache, and returns each cell's score by
+// its (spec, config, kind) indexes.
+func (r *Runner) runBatch(ctx context.Context, specs []workload.Spec, cfgs []cpu.Config, kinds []string) (func(s, c, k int) metrics.MixScore, error) {
+	b := &Batch{
+		Scenarios:        specs,
+		Configs:          cfgs,
+		Policies:         kinds,
+		Seeds:            []uint64{r.Seed},
+		Params:           r.Params,
+		Workers:          r.workers(),
+		Speedup:          r.Speedup,
+		TierSpeedup:      r.TierSpeedup,
+		TierSpeedupTiers: r.TierSpeedupTiers,
+		Cache:            r.cache,
+		runners:          map[uint64]*Runner{r.Seed: r},
+	}
+	cells, err := b.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return func(s, c, k int) metrics.MixScore { return cells[(s*len(cfgs)+c)*len(kinds)+k].Score }, nil
 }
 
 // Cell is one (workload, config, scheduler) outcome normalised to Linux.
@@ -291,57 +320,20 @@ func (r *Runner) RunMatrix(comps []workload.Composition, cfgs []cpu.Config, kind
 	return r.RunMatrixContext(context.Background(), comps, cfgs, kinds)
 }
 
-// RunMatrixContext is RunMatrix with cooperative cancellation. The fan-out
-// goes through the Batch session engine (sharing this runner's memo
-// caches); the normalised Cell assembly then reads the warmed cache.
+// RunMatrixContext is RunMatrix with cooperative cancellation: the
+// scenario matrix of the compositions' specs, with Class taken from the
+// compositions.
 func (r *Runner) RunMatrixContext(ctx context.Context, comps []workload.Composition, cfgs []cpu.Config, kinds []string) ([]Cell, error) {
-	// Linux is always included: it is the normalisation reference.
-	seen := map[string]bool{}
-	var all []string
-	for _, k := range append([]string{SchedLinux}, kinds...) {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		all = append(all, k)
+	specs := make([]workload.Spec, len(comps))
+	for i, c := range comps {
+		specs[i] = c.Spec()
 	}
-	b := &Batch{
-		Workloads:        comps,
-		Configs:          cfgs,
-		Policies:         all,
-		Seeds:            []uint64{r.Seed},
-		Params:           r.Params,
-		Workers:          r.workers(),
-		Speedup:          r.Speedup,
-		TierSpeedup:      r.TierSpeedup,
-		TierSpeedupTiers: r.TierSpeedupTiers,
-		runners:          map[uint64]*Runner{r.Seed: r},
-	}
-	if _, err := b.Run(ctx); err != nil {
+	cells, err := r.ScenarioMatrixContext(ctx, specs, cfgs, kinds)
+	if err != nil {
 		return nil, err
 	}
-	var cells []Cell
-	for _, c := range comps {
-		for _, cfg := range cfgs {
-			ref, err := r.MixScore(c, cfg, SchedLinux)
-			if err != nil {
-				return nil, err
-			}
-			for _, k := range kinds {
-				raw, err := r.MixScore(c, cfg, k)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, Cell{
-					Workload: c.Index,
-					Class:    c.Class,
-					Config:   cfg.Name,
-					Sched:    k,
-					Raw:      raw,
-					Norm:     metrics.Normalized(raw, ref),
-				})
-			}
-		}
+	for i := range cells {
+		cells[i].Class = comps[i/(len(cfgs)*len(kinds))].Class
 	}
 	return cells, nil
 }
@@ -357,28 +349,13 @@ type SingleScore struct {
 }
 
 // singleBaseline caches the big-only-alone turnaround of a single-program
-// workload.
+// workload. Its key stays outside CellKey: workload.SingleProgram seeds
+// its generator without Spec.BuildFor's salt, so it is not a Spec cell.
 func (r *Runner) singleBaseline(bench string, threads, cores int) (sim.Time, error) {
 	key := fmt.Sprintf("single|%s|%d|%d|%d", bench, threads, cores, r.Seed)
-	r.mu.Lock()
-	if v, ok := r.baselines[key]; ok {
-		r.mu.Unlock()
-		return v, nil
-	}
-	r.mu.Unlock()
-	w, err := workload.SingleProgram(bench, threads, r.Seed)
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.run(cpu.NewSymmetric(cpu.Big, cores), SchedLinux, w)
-	if err != nil {
-		return 0, err
-	}
-	v := res.Apps[0].Turnaround
-	r.mu.Lock()
-	r.baselines[key] = v
-	r.mu.Unlock()
-	return v, nil
+	return r.baseline(context.Background(), key, cores, func() (*task.Workload, error) {
+		return workload.SingleProgram(bench, threads, r.Seed)
+	})
 }
 
 // SingleProgram evaluates one benchmark alone on cfg under kind, averaged

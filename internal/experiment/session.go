@@ -46,8 +46,8 @@ type BatchCell struct {
 //
 // Results are deterministic and independent of Workers: cells come back in
 // cross-product order (seeds outermost, then workloads, configs, policies
-// innermost) and every cell's value is computed by the same memoised
-// single-cell path the legacy Runner uses.
+// innermost) and every cell's value is computed by the same single-cell
+// path Runner.MixScore uses.
 type Batch struct {
 	// Workloads are Table 4 compositions to run (closed-system; kept as
 	// the typed composition surface).
@@ -102,7 +102,8 @@ type Batch struct {
 	// Journal, when set, checkpoints the sweep: completed cells are
 	// recorded (fsynced) as they land, and cells already on record are
 	// replayed instead of recomputed, so a killed sweep resumes where it
-	// died with byte-identical final output.
+	// died with byte-identical final output. Replayed cells stay in the
+	// journal; they never enter Cache.
 	Journal *Journal
 	// Cache, when set, is the content-addressed cell store consulted
 	// before and filled after every cell computation; overlapping batches
@@ -110,7 +111,7 @@ type Batch struct {
 	Cache *Cache
 
 	// runners pre-seeds per-seed runners so callers (Runner.RunMatrix) can
-	// share memo caches with the batch.
+	// share their baselines with the batch.
 	runners map[uint64]*Runner
 }
 
@@ -164,7 +165,8 @@ func anyNeedsSpeedup(policies []string) bool {
 	return false
 }
 
-// runnerFor returns (building if needed) the memoising runner for one seed.
+// runnerFor returns (building if needed) the runner for one seed; it
+// memoises baselines, while cells are memoised only by b.Cache.
 func (b *Batch) runnerFor(seed uint64, speedup func(*task.Thread) float64) *Runner {
 	if r, ok := b.runners[seed]; ok {
 		return r
@@ -176,7 +178,6 @@ func (b *Batch) runnerFor(seed uint64, speedup func(*task.Thread) float64) *Runn
 		Seed:             seed,
 		Params:           b.Params,
 		baselines:        make(map[string]sim.Time),
-		mixes:            make(map[string]metrics.MixScore),
 	}
 	if b.runners == nil {
 		b.runners = make(map[uint64]*Runner)
@@ -286,12 +287,7 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 					err    error
 				)
 				if b.Journal != nil {
-					if v, ok := b.Journal.Lookup(j.ck); ok {
-						score, cached = v, true
-						if b.Cache != nil {
-							b.Cache.Store(j.ck, v)
-						}
-					}
+					score, cached = b.Journal.Lookup(j.ck)
 				}
 				if !cached {
 					compute := func() (metrics.MixScore, error) {

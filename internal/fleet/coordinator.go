@@ -264,27 +264,60 @@ type runState struct {
 	aborted   bool
 }
 
-// ingest accepts the k-th streamed cell of a shard attempt. It validates
-// the cell against the plan, drops duplicates from retried shards after
-// checking they are bit-identical to the first ingestion, and streams
-// newly completed prefix cells to the observer in global cross-product
-// order. Safe for concurrent attempts.
+// newRunState prepares the assembly of a sweep planned over shards.
+func newRunState(planned []experiment.PlannedCell, shards int, obs func(int, Cell)) *runState {
+	st := &runState{
+		planned: planned,
+		keys:    make([]string, len(planned)),
+		seq:     make([][]int, shards),
+		results: make([]Cell, len(planned)),
+		filled:  make([]bool, len(planned)),
+		obs:     obs,
+	}
+	for i, p := range planned {
+		st.keys[i] = p.CellKey.String()
+		st.seq[p.Shard] = append(st.seq[p.Shard], i)
+	}
+	return st
+}
+
+// ingestLine decodes one NDJSON line of a shard attempt's stream and
+// accepts it as the shard's k-th cell. It validates the cell against the
+// plan, drops duplicates from retried shards after checking they are
+// bit-identical to the first ingestion, and streams newly completed
+// prefix cells to the observer in global cross-product order. Every
+// rejection names the worker and the shard. Safe for concurrent attempts.
+func (st *runState) ingestLine(worker string, shard, k int, line []byte) error {
+	var sl streamLine
+	if err := json.Unmarshal(line, &sl); err != nil {
+		return fmt.Errorf("fleet: worker %s shard %d sent a malformed line: %q", worker, shard, line)
+	}
+	if sl.Error != "" {
+		return fmt.Errorf("fleet: worker %s failed shard %d: %s", worker, shard, sl.Error)
+	}
+	if err := st.ingest(shard, k, sl.Cell); err != nil {
+		return fmt.Errorf("fleet: worker %s shard %d: %w", worker, shard, err)
+	}
+	return nil
+}
+
+// ingest is ingestLine's check-and-store step for one decoded cell.
 func (st *runState) ingest(shard, k int, cell Cell) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.aborted {
-		return fmt.Errorf("fleet: run aborted")
+		return fmt.Errorf("run aborted")
 	}
 	if k >= len(st.seq[shard]) {
-		return fmt.Errorf("fleet: shard %d streamed %d cells beyond its %d-cell plan", shard, k+1, len(st.seq[shard]))
+		return fmt.Errorf("streamed %d cells beyond its %d-cell plan", k+1, len(st.seq[shard]))
 	}
 	g := st.seq[shard][k]
 	want := st.planned[g]
 	if cell.Key != st.keys[g] {
-		return fmt.Errorf("fleet: shard %d cell %d has key %q, plan expects %q (worker ran a different spec?)", shard, k, cell.Key, st.keys[g])
+		return fmt.Errorf("cell %d has key %q, plan expects %q (worker ran a different spec?)", k, cell.Key, st.keys[g])
 	}
 	if cell.Workload != want.Key.Workload || cell.Machine != want.Key.Config || cell.Policy != want.Key.Policy || cell.Seed != want.Key.Seed {
-		return fmt.Errorf("fleet: shard %d cell %d coordinates %s/%s/%s/%d do not match the plan", shard, k, cell.Workload, cell.Machine, cell.Policy, cell.Seed)
+		return fmt.Errorf("cell %d coordinates %s/%s/%s/%d do not match the plan", k, cell.Workload, cell.Machine, cell.Policy, cell.Seed)
 	}
 	if st.filled[g] {
 		// A duplicate from a retried shard. Scores are content-addressed,
@@ -292,7 +325,7 @@ func (st *runState) ingest(shard, k int, cell Cell) error {
 		// to paper over it.
 		prev := st.results[g]
 		if prev.HANTT != cell.HANTT || prev.HSTP != cell.HSTP {
-			return fmt.Errorf("fleet: duplicate of cell %s diverged: (%v,%v) vs (%v,%v)", cell.Key, prev.HANTT, prev.HSTP, cell.HANTT, cell.HSTP)
+			return fmt.Errorf("duplicate of cell %s diverged: (%v,%v) vs (%v,%v)", cell.Key, prev.HANTT, prev.HSTP, cell.HANTT, cell.HSTP)
 		}
 		return nil
 	}
@@ -374,27 +407,16 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, ce
 		}
 		shards = c.liveCount()
 	}
-	b, err := spec.batch(0, shards)
+	b, err := spec.Batch(0, shards)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	planned, err := b.Plan()
 	if err != nil {
 		return nil, err
 	}
 
-	st := &runState{
-		planned: planned,
-		keys:    make([]string, len(planned)),
-		seq:     make([][]int, shards),
-		results: make([]Cell, len(planned)),
-		filled:  make([]bool, len(planned)),
-		obs:     obs,
-	}
-	for i, p := range planned {
-		st.keys[i] = p.CellKey.String()
-		st.seq[p.Shard] = append(st.seq[p.Shard], i)
-	}
+	st := newRunState(planned, shards, obs)
 
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
@@ -542,14 +564,7 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, spec Spec,
 		if len(line) == 0 {
 			continue
 		}
-		var sl streamLine
-		if err := json.Unmarshal(line, &sl); err != nil {
-			return fmt.Errorf("fleet: worker %s shard %d sent a malformed line: %q", workerURL, shard, line)
-		}
-		if sl.Error != "" {
-			return fmt.Errorf("fleet: worker %s failed shard %d: %s", workerURL, shard, sl.Error)
-		}
-		if err := st.ingest(shard, k, sl.Cell); err != nil {
+		if err := st.ingestLine(workerURL, shard, k, line); err != nil {
 			return err
 		}
 		k++

@@ -36,7 +36,7 @@ func testSpec() Spec {
 // reference every fleet assembly is compared against.
 func localCells(t *testing.T, spec Spec) []experiment.BatchCell {
 	t.Helper()
-	b, err := spec.batch(0, 0)
+	b, err := spec.Batch(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +195,21 @@ func TestFleetWorkerKilledMidShardIsReassigned(t *testing.T) {
 	seeded := tf.workers[0].Stats().JournalSeeded + tf.workers[1].Stats().JournalSeeded
 	if seeded != 2 {
 		t.Errorf("replacement worker was seeded %d journal records, want the 2 cells streamed before the kill", seeded)
+	}
+	// ...and replayed the shipped cells instead of simulating them again.
+	// A replayed cell never reaches the worker's cache, so the survivor's
+	// cache saw at most one full shard (its own, or the killed attempt at
+	// this one) plus the reassigned shard's unshipped cells. Recomputing
+	// the shipped cells would push it past that bound.
+	const perShard = 4 // testSpec's 8 cells dealt over 2 shards
+	for i, w := range tf.workers {
+		st := w.Stats()
+		if st.JournalSeeded == 0 {
+			continue
+		}
+		if lookups := st.Cache.Hits + st.Cache.Misses; lookups > 2*perShard-2 {
+			t.Errorf("survivor %d made %d cache lookups, want <= %d: the 2 shipped cells were computed again", i, lookups, 2*perShard-2)
+		}
 	}
 }
 

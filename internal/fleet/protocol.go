@@ -17,7 +17,11 @@
 package fleet
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"strings"
 
 	"colab/internal/cpu"
 	"colab/internal/experiment"
@@ -51,36 +55,42 @@ type Spec struct {
 }
 
 // resolve materialises the spec's axes through the process-wide
-// registries. Both the coordinator (to plan) and every worker (to run)
-// resolve the same wire spec, so they agree on the plan by construction.
+// registries. The coordinator (to plan), every worker (to run) and
+// colab-serve (to answer a query) resolve specs the same way, so they
+// agree on the plan by construction. Errors carry no prefix; each front
+// end adds its own.
 func (s Spec) resolve() (specs []workload.Spec, cfgs []cpu.Config, err error) {
 	if len(s.Workloads) == 0 || len(s.Machines) == 0 || len(s.Policies) == 0 || len(s.Seeds) == 0 {
-		return nil, nil, fmt.Errorf("fleet: spec needs at least one workload, machine, policy and seed")
+		return nil, nil, fmt.Errorf("spec needs at least one workload, machine, policy and seed")
 	}
 	for _, w := range s.Workloads {
 		spec, err := workload.ResolveSpec(w)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: %w", err)
+			return nil, nil, err
 		}
 		if terms := spec.TraceFiles(); len(terms) != 0 {
-			return nil, nil, fmt.Errorf("fleet: workload %q replays the local trace file of term %q — trace files do not travel the wire, inline the times with @arrive=trace(...)", w, terms[0])
+			return nil, nil, fmt.Errorf("workload %q replays the local trace file of term %q; sweeps resolve workloads by name, so inline the times with @arrive=trace(...)", w, terms[0])
 		}
 		specs = append(specs, spec)
 	}
 	for _, name := range s.Machines {
 		cfg, ok := cpu.ConfigByName(name)
 		if !ok {
-			return nil, nil, fmt.Errorf("fleet: unknown machine %q (fleet sweeps use registered machine names)", name)
+			known := make([]string, 0, 4)
+			for _, c := range cpu.NamedConfigs() {
+				known = append(known, c.Name)
+			}
+			return nil, nil, fmt.Errorf("unknown machine %q (known: %s)", name, strings.Join(known, ", "))
 		}
 		cfgs = append(cfgs, cfg)
 	}
 	return specs, cfgs, nil
 }
 
-// batch builds the experiment batch both sides derive the plan from. Only
-// the shard coordinates differ between the coordinator's planning batch
-// (ShardCount = fleet width, no index) and a worker's execution batch.
-func (s Spec) batch(shardIndex, shardCount int) (*experiment.Batch, error) {
+// Batch builds the experiment batch of the spec's shard shardIndex of
+// shardCount. The coordinator plans from it (ShardCount = fleet width),
+// and the worker and colab-serve run it.
+func (s Spec) Batch(shardIndex, shardCount int) (*experiment.Batch, error) {
 	specs, cfgs, err := s.resolve()
 	if err != nil {
 		return nil, err
@@ -97,13 +107,17 @@ func (s Spec) batch(shardIndex, shardCount int) (*experiment.Batch, error) {
 	}, nil
 }
 
-// Cell is the wire form of one scored cell: the sweep coordinates, the
-// auto-baselined scores, the canonical content address, and whether the
-// worker answered it from its cache or a shipped journal rather than
-// simulating. Scores travel as JSON numbers in shortest-round-trip form,
-// so an ingested cell is bit-identical to the worker's computed one.
+// Cell is the one NDJSON line type of every /run stream — a fleet
+// worker's, colab-serve's, and colab-fleet's stdout: the sweep
+// coordinates, the scenario's @class= label (set by colab-serve only,
+// omitted when empty), the auto-baselined scores, the canonical content
+// address, and whether the cell was answered from a cache or a
+// checkpoint journal rather than simulated. Scores travel as JSON numbers
+// in shortest-round-trip form, so a decoded cell is bit-identical to the
+// computed one.
 type Cell struct {
 	Workload string  `json:"workload"`
+	Class    string  `json:"class,omitempty"`
 	Machine  string  `json:"machine"`
 	Policy   string  `json:"policy"`
 	Seed     uint64  `json:"seed"`
@@ -125,11 +139,77 @@ type runRequest struct {
 	Journal    []experiment.JournalRecord `json:"journal,omitempty"`
 }
 
-// streamLine is one NDJSON line of a worker's /run response: a cell, or a
-// terminal in-band error when the run failed after streaming began.
+// streamLine decodes one line of a /run stream: a Cell, or the terminal
+// {"error": ...} line Stream writes when a run fails after streaming
+// began.
 type streamLine struct {
 	Cell
 	Error string `json:"error,omitempty"`
+}
+
+// Stream runs b and writes its cells to rw as NDJSON, one Cell per line
+// in the batch's deterministic order, flushed as each lands. The 200
+// header goes out with the first cell, so a run that fails before any
+// cell is a clean 400 (its message prefixed with prefix), and one that
+// fails later ends the stream with an in-band {"error": ...} line. Every
+// cell passes through each (when non-nil) before it is written: each may
+// amend the line, and an error from it stops the run with nothing more
+// written, leaving the caller to end the response. Stream returns the
+// run's error, or the one that stopped it.
+func Stream(ctx context.Context, rw http.ResponseWriter, b *experiment.Batch, prefix string, each func(*Cell) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	enc := json.NewEncoder(rw)
+	flusher, _ := rw.(http.Flusher)
+	var (
+		streamed int
+		stopped  error
+	)
+	b.Observer = func(bc experiment.BatchCell) {
+		if stopped != nil {
+			return
+		}
+		c := Cell{
+			Workload: bc.Key.Workload,
+			Machine:  bc.Key.Config,
+			Policy:   bc.Key.Policy,
+			Seed:     bc.Key.Seed,
+			HANTT:    bc.Score.HANTT,
+			HSTP:     bc.Score.HSTP,
+			Key:      bc.CellKey.String(),
+			Cached:   bc.Cached,
+		}
+		if each != nil {
+			if stopped = each(&c); stopped != nil {
+				cancel()
+				return
+			}
+		}
+		if streamed == 0 {
+			rw.Header().Set("Content-Type", "application/x-ndjson")
+			rw.WriteHeader(http.StatusOK)
+		}
+		streamed++
+		if stopped = enc.Encode(c); stopped != nil {
+			cancel() // the client hung up; stop computing for nobody
+			return
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+	_, err := b.Run(ctx)
+	if stopped != nil {
+		return stopped
+	}
+	if err != nil {
+		if streamed == 0 {
+			http.Error(rw, prefix+err.Error(), http.StatusBadRequest)
+		} else {
+			enc.Encode(map[string]string{"error": err.Error()})
+		}
+	}
+	return err
 }
 
 // registration is the body of a worker's POST to the coordinator's

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"sync/atomic"
 	"time"
 
@@ -80,8 +79,8 @@ func (w *Worker) handleStats(rw http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(rw).Encode(w.Stats())
 }
 
-// handleRun executes one shard. Spec errors before any cell is streamed
-// are clean 400s; failures mid-stream surface as a terminal in-band
+// handleRun executes one shard through Stream: spec errors and failures
+// before the first cell are clean 400s, later failures a terminal in-band
 // {"error": ...} line. An injected fault (the test double of a process
 // kill) aborts the connection without any terminal line, which the
 // coordinator must treat exactly like a worker death.
@@ -96,101 +95,37 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.shardsRun.Add(1)
-	b, err := req.Spec.batch(req.ShardIndex, req.ShardCount)
+	b, err := req.Spec.Batch(req.ShardIndex, req.ShardCount)
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
+		http.Error(rw, "fleet: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	b.Cache = w.cache
-
 	// A reassigned shard arrives with the coordinator's copy of its
-	// checkpoint journal: materialise it as a scratch journal file so the
-	// session replays those cells instead of recomputing them. The file is
-	// per-request scratch — the coordinator's in-memory copy, not the
-	// worker, is the durable record.
+	// checkpoint journal: replay it from memory so those cells are not
+	// recomputed. The records belong to this request only — they never
+	// enter the shared cache, where another coordinator's sweep would
+	// read them.
 	if len(req.Journal) > 0 {
-		tmp, err := os.CreateTemp("", "colab-fleet-journal-*.ndjson")
-		if err != nil {
-			http.Error(rw, "fleet: journal scratch: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		path := tmp.Name()
-		tmp.Close()
-		defer os.Remove(path)
-		if err := experiment.WriteJournal(path, req.Journal); err != nil {
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		j, err := experiment.OpenJournal(path)
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		defer j.Close()
-		b.Journal = j
+		b.Journal = experiment.NewJournal(req.Journal)
 		w.journalSeeded.Add(uint64(len(req.Journal)))
 	}
-
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	enc := json.NewEncoder(rw)
-	flusher, _ := rw.(http.Flusher)
-	var (
-		streamed int
-		injected error
-	)
-	b.Observer = func(c experiment.BatchCell) {
-		if injected != nil {
-			return
-		}
+	var streamed int
+	var injected error
+	Stream(r.Context(), rw, b, "fleet: ", func(*Cell) error {
 		if w.FaultInjector != nil {
-			if err := w.FaultInjector(req.ShardIndex, streamed); err != nil {
-				injected = err
-				cancel()
-				return
+			if injected = w.FaultInjector(req.ShardIndex, streamed); injected != nil {
+				return injected
 			}
-		}
-		if streamed == 0 {
-			rw.Header().Set("Content-Type", "application/x-ndjson")
-			rw.WriteHeader(http.StatusOK)
 		}
 		streamed++
 		w.cellsStreamed.Add(1)
-		if err := enc.Encode(streamLine{Cell: cellFromBatch(c)}); err != nil {
-			// The coordinator hung up; stop computing for nobody.
-			cancel()
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	_, err = b.Run(ctx)
+		return nil
+	})
 	if injected != nil {
 		// Die the way a SIGKILLed process dies: connection cut, no
 		// terminal line, no clean chunked EOF.
 		panic(http.ErrAbortHandler)
-	}
-	if err != nil {
-		if streamed == 0 {
-			http.Error(rw, "fleet: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		enc.Encode(streamLine{Error: err.Error()})
-	}
-}
-
-// cellFromBatch renders one session cell in wire form.
-func cellFromBatch(c experiment.BatchCell) Cell {
-	return Cell{
-		Workload: c.Key.Workload,
-		Machine:  c.Key.Config,
-		Policy:   c.Key.Policy,
-		Seed:     c.Key.Seed,
-		HANTT:    c.Score.HANTT,
-		HSTP:     c.Score.HSTP,
-		Key:      c.CellKey.String(),
-		Cached:   c.Cached,
 	}
 }
 
