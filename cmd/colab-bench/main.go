@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	colab-bench              # everything
+//	colab-bench              # the default set (all but -replication, -detail, -classes)
 //	colab-bench -fig 5       # one figure
 //	colab-bench -summary     # just the closing aggregate
 //	colab-bench -ablation    # stage-swap + design-choice ablations
@@ -13,6 +13,7 @@
 //	colab-bench -trigear     # six policies on the 2B2M2S machine
 //	colab-bench -oppsweep    # COLAB across the 2B2M2S frequency ladders
 //	colab-bench -numa        # migration-cost sensitivity on the 2x2B2S machine
+//	colab-bench -fig 4 -numa # several selections all run, in a fixed order
 //
 // Ctrl-C cancels: context-aware jobs (-delta, -csv) abort mid-matrix, the
 // job loop stops before the next job, and a second Ctrl-C kills outright.
@@ -138,40 +139,33 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		tableJob("detail", r.DetailTable),
 	}
 
-	var names []string
-	switch {
-	case *fig != 0:
-		names = []string{fmt.Sprintf("fig%d", *fig)}
-	case *summary:
-		names = []string{"summary"}
-	case *ablation:
-		names = []string{"ablation"}
-	case *delta:
-		names = []string{"delta"}
-	case *energy:
-		names = []string{"energy"}
-	case *trigear:
-		names = []string{"trigear"}
-	case *oppsweep:
-		names = []string{"oppsweep"}
-	case *numa:
-		names = []string{"numa"}
-	case *replication:
-		names = []string{"replication"}
-	case *classes:
-		names = []string{"classes"}
-	case *detail:
-		names = []string{"detail"}
-	case *tables:
-		names = []string{"table2", "table3", "table4"}
-	default:
-		for _, j := range all {
-			// replication is opt-in (5x the matrix cost); detail is opt-in
-			// (104 rows of output); classes is opt-in (its own suite sweep).
-			if j.name != "replication" && j.name != "detail" && j.name != "classes" {
-				names = append(names, j.name)
-			}
+	// Every selected job runs, in job order; with no selection, the
+	// default set runs.
+	selected := map[string]bool{}
+	for name, on := range map[string]bool{
+		"summary": *summary, "ablation": *ablation, "delta": *delta, "energy": *energy,
+		"trigear": *trigear, "oppsweep": *oppsweep, "numa": *numa, "replication": *replication,
+		"classes": *classes, "detail": *detail,
+		"table2": *tables, "table3": *tables, "table4": *tables,
+		fmt.Sprintf("fig%d", *fig): *fig != 0,
+	} {
+		if on {
+			selected[name] = true
 		}
+	}
+	byDefault := len(selected) == 0
+	var jobs []job
+	for _, j := range all {
+		// replication is opt-in (5x the matrix cost); detail is opt-in
+		// (104 rows of output); classes is opt-in (its own suite sweep).
+		optIn := j.name == "replication" || j.name == "detail" || j.name == "classes"
+		if selected[j.name] || byDefault && !optIn {
+			jobs = append(jobs, j)
+		}
+		delete(selected, j.name)
+	}
+	if len(selected) > 0 { // only -fig can name a job that does not exist
+		return fmt.Errorf("nothing selected (unknown figure %d)", *fig)
 	}
 
 	if *csvPath != "" {
@@ -193,25 +187,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "colab-bench: wrote %s\n", *csvPath)
 	}
 
-	ran := 0
-	for _, n := range names {
+	for _, j := range jobs {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("cancelled before %s: %w", n, err)
+			return fmt.Errorf("cancelled before %s: %w", j.name, err)
 		}
-		for _, j := range all {
-			if j.name != n {
-				continue
-			}
-			out, err := j.run()
-			if err != nil {
-				return fmt.Errorf("%s: %w", j.name, err)
-			}
-			fmt.Fprintln(stdout, out)
-			ran++
+		out, err := j.run()
+		if err != nil {
+			return fmt.Errorf("%s: %w", j.name, err)
 		}
-	}
-	if ran == 0 {
-		return fmt.Errorf("nothing selected (unknown figure?)")
+		fmt.Fprintln(stdout, out)
 	}
 	fmt.Fprintf(stderr, "colab-bench: done in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil

@@ -35,6 +35,19 @@ func TestRunTriGear(t *testing.T) {
 	}
 }
 
+// Every selected job runs, in job order, whatever order the flags come in.
+func TestRunSeveralSelections(t *testing.T) {
+	var out, errb strings.Builder
+	if err := run(context.Background(), []string{"-numa", "-tables"}, &out, &errb); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
+	}
+	s := out.String()
+	tables, numa := strings.Index(s, "Table 4"), strings.Index(s, "NUMA migration-cost sweep")
+	if tables < 0 || numa < 0 || tables > numa {
+		t.Errorf("want tables 2-4 then the NUMA sweep, got:\n%s", s)
+	}
+}
+
 func TestRunUnknownFigure(t *testing.T) {
 	var out, errb strings.Builder
 	if err := run(context.Background(), []string{"-fig", "99"}, &out, &errb); err == nil || !strings.Contains(err.Error(), "nothing selected") {

@@ -151,8 +151,8 @@ func (e *Experiment) fleetSpec() (fleet.Spec, error) {
 	}, nil
 }
 
-// runFleet executes the sweep on e.fleet and reassembles the shards into
-// the session's cross-product order.
+// runFleet executes the sweep on e.fleet, which returns the cells in the
+// session's cross-product order.
 func (e *Experiment) runFleet(ctx context.Context) (*ExperimentResults, error) {
 	spec, err := e.fleetSpec()
 	if err != nil {
@@ -167,20 +167,17 @@ func (e *Experiment) runFleet(ctx context.Context) (*ExperimentResults, error) {
 			}
 		}
 	}
-	shards, err := e.fleet.Run(ctx, spec, obs)
+	cells, err := e.fleet.Run(ctx, spec, obs)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*ExperimentResults, len(shards))
-	for i, cells := range shards {
-		parts[i] = &ExperimentResults{Cells: make([]ExperimentResult, len(cells))}
-		for j, c := range cells {
-			if parts[i].Cells[j], err = resultFromFleetCell(c); err != nil {
-				return nil, err
-			}
+	res := &ExperimentResults{Cells: make([]ExperimentResult, len(cells))}
+	for i, c := range cells {
+		if res.Cells[i], err = resultFromFleetCell(c); err != nil {
+			return nil, err
 		}
 	}
-	return e.MergeShards(parts...)
+	return res, nil
 }
 
 // resultFromFleetCell converts one wire cell back into the session form.

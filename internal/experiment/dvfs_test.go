@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func runTriGear(t *testing.T, r *Runner, kind string) *kernel.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.run(cpu.Config2B2M2S, kind, w)
+	res, err := r.runPolicy(context.Background(), cpu.Config2B2M2S, kind, w, nil)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", kind, cpu.Config2B2M2S.Name, err)
 	}
@@ -69,7 +70,7 @@ func TestCOLABDVFSFallsBackOffPalette(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.run(cpu.Config2B2S, kind, w)
+		res, err := r.runPolicy(context.Background(), cpu.Config2B2S, kind, w, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"colab/internal/cpu"
@@ -28,11 +29,11 @@ func (r *Runner) EnergyTable() (*Table, error) {
 				if !ok {
 					return nil, fmt.Errorf("experiment: unknown workload %s", idx)
 				}
-				w, err := comp.Build(r.Seed)
+				w, err := comp.Spec().BuildFor(r.Seed, cfg.AggregateCapacity())
 				if err != nil {
 					return nil, err
 				}
-				res, err := r.run(cfg, kind, w)
+				res, err := r.runPolicy(context.Background(), cfg, kind, w, nil)
 				if err != nil {
 					return nil, err
 				}

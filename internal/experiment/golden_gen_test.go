@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -65,7 +66,7 @@ func goldenPaperLines(t *testing.T) []string {
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
-		res, err := r.run(cpu.Config2B4S, kind, w)
+		res, err := r.runPolicy(context.Background(), cpu.Config2B4S, kind, w, nil)
 		if err != nil {
 			t.Fatalf("energy run %s: %v", kind, err)
 		}

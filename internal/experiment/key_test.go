@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -116,4 +117,40 @@ func TestBaselineKeySharedAcrossArrivalVariants(t *testing.T) {
 	if !strings.Contains(closed, "|app=0") {
 		t.Errorf("baseline key misses app suffix: %s", closed)
 	}
+}
+
+// FuzzParseCellKey feeds arbitrary strings to the parser that decodes keys
+// arriving from outside the process (fleet wire cells, journals, serve
+// cache lookups). The parser must never panic, every accepted key must
+// survive a String round trip unchanged, and every rejection must quote
+// the input.
+func FuzzParseCellKey(f *testing.F) {
+	for _, name := range []string{"Sync-2", "ferret:4+bodytrack:8", "Sync-2@seed=7",
+		"ferret:4@arrive=poisson(5ms)", "ferret*3@arrive=uniform(0ns,40ms)"} {
+		spec, err := workload.ResolveSpec(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(NewCellKey(spec, SchedCOLAB, cpu.Config2B2S, 3, kernel.Params{}).String())
+	}
+	f.Add(CellKey{Scenario: "a|b%7C", Policy: "p%", Machine: "m", Seed: 9, Params: "00"}.String())
+	f.Add("only|three|fields")
+	f.Add("a|b|c|notanumber|e")
+	f.Add("a%7c|b%2|c|1|%")
+	f.Fuzz(func(t *testing.T, s string) {
+		k, err := ParseCellKey(s)
+		if err != nil {
+			if !strings.Contains(err.Error(), strconv.Quote(s)) {
+				t.Errorf("rejection of %q does not quote it: %v", s, err)
+			}
+			return
+		}
+		back, err := ParseCellKey(k.String())
+		if err != nil {
+			t.Fatalf("accepted %q, but its rendering %q does not parse: %v", s, k.String(), err)
+		}
+		if back != k {
+			t.Errorf("round trip of %q changed the key: %+v -> %+v", s, k, back)
+		}
+	})
 }

@@ -1,12 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"colab/internal/cpu"
-	"colab/internal/kernel"
 	"colab/internal/metrics"
-	"colab/internal/sim"
 	"colab/internal/workload"
 )
 
@@ -32,32 +31,28 @@ func (r *Runner) NUMASweepTable() (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiment: unknown workload %s", idx)
 	}
-	// Baselines are solo runs on a big core: no migrations happen, so the
-	// flat palette keeps them identical across every cost row.
-	flat := cfg.Flat()
-	bases := make([]sim.Time, len(comp.Parts))
-	for i := range comp.Parts {
-		b, err := r.baselineBig(comp, i, flat)
-		if err != nil {
-			return nil, err
-		}
-		bases[i] = b
+	ctx := context.Background()
+	spec := comp.Spec()
+	// Baselines are solo runs on a big core: no migrations happen, so they
+	// are identical across every cost row.
+	bases, err := r.specBaselines(ctx, spec, cfg)
+	if err != nil {
+		return nil, err
 	}
 	type cell struct {
 		score metrics.MixScore
-		migs  int
 		hops  int
 	}
 	eval := func(c cpu.Config, kind string) (cell, error) {
-		w, err := comp.Build(r.Seed)
+		w, err := spec.BuildFor(r.Seed, c.AggregateCapacity())
 		if err != nil {
 			return cell{}, err
 		}
-		res, err := r.run(c, kind, w)
+		res, err := r.runPolicy(ctx, c, kind, w, nil)
 		if err != nil {
 			return cell{}, fmt.Errorf("experiment: NUMA sweep %s under %s: %w", c.Name, kind, err)
 		}
-		score, err := metrics.Score(res, func(i int, _ kernel.AppResult) sim.Time { return bases[i] })
+		sc, err := score(res, bases)
 		if err != nil {
 			return cell{}, err
 		}
@@ -65,7 +60,7 @@ func (r *Runner) NUMASweepTable() (*Table, error) {
 		for _, th := range res.Threads {
 			hops += th.CrossDomainHops
 		}
-		return cell{score, res.TotalMigrations, hops}, nil
+		return cell{sc, hops}, nil
 	}
 	t := &Table{
 		Title: fmt.Sprintf("NUMA migration-cost sweep: %s on %s", idx, cfg.Name),

@@ -52,12 +52,12 @@ func TestPipelineCompositionsMatchGoldenCorpus(t *testing.T) {
 		back[comp] = name
 	}
 
-	var mixes []workload.Composition
+	var mixes []workload.Spec
 	for _, idx := range []string{"Sync-2", "NSync-2", "Comm-2", "Comp-2", "Rand-7"} {
-		mixes = append(mixes, compByIndex(t, idx))
+		mixes = append(mixes, compByIndex(t, idx).Spec())
 	}
 	b := &Batch{
-		Workloads: mixes,
+		Scenarios: mixes,
 		Configs:   cpu.EvaluatedConfigs(),
 		Policies:  composites,
 		Seeds:     []uint64{1},
@@ -99,7 +99,7 @@ func TestHybridPipelineRunsEndToEnd(t *testing.T) {
 		t.Fatalf("hybrid composition rejected: %v", err)
 	}
 	b := &Batch{
-		Workloads: []workload.Composition{compByIndex(t, "Sync-2")},
+		Scenarios: []workload.Spec{compByIndex(t, "Sync-2").Spec()},
 		Configs:   []cpu.Config{cpu.Config2B2S},
 		Policies:  []string{SchedCOLAB, SchedWASH, hybrid},
 		Seeds:     []uint64{1},

@@ -22,23 +22,17 @@ type planCell struct {
 }
 
 // planCells enumerates the full cross-product in deterministic order
-// (seeds outermost, then workloads, configs, policies innermost) and
+// (seeds outermost, then scenarios, configs, policies innermost) and
 // annotates every cell with its owning shard. Shard assignment works in
 // baseline-sharing groups: all cells of one (seed, closed canonical
 // scenario) share their big-only-alone baselines, so they travel together
 // and no baseline is ever computed by two shards. Groups are numbered in
 // first-appearance order and dealt round-robin.
 func (b *Batch) planCells() []planCell {
-	specs := make([]workload.Spec, 0, len(b.Workloads)+len(b.Scenarios))
-	for _, comp := range b.Workloads {
-		specs = append(specs, comp.Spec())
-	}
-	specs = append(specs, b.Scenarios...)
-
 	groups := make(map[string]int)
 	var cells []planCell
 	for _, seed := range b.Seeds {
-		for _, spec := range specs {
+		for _, spec := range b.Scenarios {
 			group := fmt.Sprintf("%d|%s", seed, spec.Closed().Canonical())
 			gi, ok := groups[group]
 			if !ok {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -22,36 +23,33 @@ func ReplicationTable(seeds []uint64) (*Table, error) {
 	}
 	reps := []string{"Sync-2", "Comm-2", "Rand-7"}
 	cfg := cpu.Config2B2S
-	t := &Table{
-		Title:  fmt.Sprintf("Replication: H_ANTT vs Linux over %d seeds on %s (mean +/- std)", len(seeds), cfg.Name),
-		Header: []string{"workload", "wash", "colab"},
-	}
+	kinds := []string{SchedLinux, SchedWASH, SchedCOLAB}
+	b := &Batch{Configs: []cpu.Config{cfg}, Policies: kinds, Seeds: seeds}
 	for _, idx := range reps {
 		comp, ok := workload.CompositionByIndex(idx)
 		if !ok {
 			return nil, fmt.Errorf("experiment: unknown workload %s", idx)
 		}
-		vals := map[string][]float64{}
-		for _, seed := range seeds {
-			r, err := NewRunner(seed)
-			if err != nil {
-				return nil, err
-			}
-			ref, err := r.MixScore(comp, cfg, SchedLinux)
-			if err != nil {
-				return nil, err
-			}
-			for _, kind := range []string{SchedWASH, SchedCOLAB} {
-				s, err := r.MixScore(comp, cfg, kind)
-				if err != nil {
-					return nil, err
-				}
-				vals[kind] = append(vals[kind], s.HANTT/ref.HANTT)
-			}
+		b.Scenarios = append(b.Scenarios, comp.Spec())
+	}
+	cells, err := b.Run(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{
+		Title:  fmt.Sprintf("Replication: H_ANTT vs Linux over %d seeds on %s (mean +/- std)", len(seeds), cfg.Name),
+		Header: []string{"workload", "wash", "colab"},
+	}
+	for w, idx := range reps {
+		var wash, colab []float64
+		for s := range seeds {
+			row := cells[(s*len(reps)+w)*len(kinds):] // linux, wash, colab
+			wash = append(wash, row[1].Score.HANTT/row[0].Score.HANTT)
+			colab = append(colab, row[2].Score.HANTT/row[0].Score.HANTT)
 		}
 		t.AddRow(idx,
-			fmt.Sprintf("%.3f +/- %.3f", mathx.Mean(vals[SchedWASH]), mathx.Std(vals[SchedWASH])),
-			fmt.Sprintf("%.3f +/- %.3f", mathx.Mean(vals[SchedCOLAB]), mathx.Std(vals[SchedCOLAB])))
+			fmt.Sprintf("%.3f +/- %.3f", mathx.Mean(wash), mathx.Std(wash)),
+			fmt.Sprintf("%.3f +/- %.3f", mathx.Mean(colab), mathx.Std(colab)))
 	}
 	return t, nil
 }

@@ -112,18 +112,9 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// run executes one workload on one machine variant.
-func (r *Runner) run(cfg cpu.Config, kind string, w *task.Workload) (*kernel.Result, error) {
-	return r.runCtx(context.Background(), cfg, kind, w, nil)
-}
-
-// runCtx is run with cooperative cancellation and an optional per-event
-// tracer.
-func (r *Runner) runCtx(ctx context.Context, cfg cpu.Config, kind string, w *task.Workload, tracer func(kernel.TraceEvent)) (*kernel.Result, error) {
-	s, err := r.NewScheduler(kind)
-	if err != nil {
-		return nil, err
-	}
+// run is the one place a kernel.Machine is built and run: w on cfg under
+// s, with every scheduling event sent to tracer when it is non-nil.
+func (r *Runner) run(ctx context.Context, cfg cpu.Config, s kernel.Scheduler, w *task.Workload, tracer func(kernel.TraceEvent)) (*kernel.Result, error) {
 	m, err := kernel.NewMachine(cfg, s, w, r.Params)
 	if err != nil {
 		return nil, err
@@ -132,6 +123,15 @@ func (r *Runner) runCtx(ctx context.Context, cfg cpu.Config, kind string, w *tas
 		m.SetTracer(tracer)
 	}
 	return m.RunContext(ctx)
+}
+
+// runPolicy is run under the registered policy kind.
+func (r *Runner) runPolicy(ctx context.Context, cfg cpu.Config, kind string, w *task.Workload, tracer func(kernel.TraceEvent)) (*kernel.Result, error) {
+	s, err := r.NewScheduler(kind)
+	if err != nil {
+		return nil, err
+	}
+	return r.run(ctx, cfg, s, w, tracer)
 }
 
 // ---------------------------------------------------------------------------
@@ -158,27 +158,25 @@ func specAlone(spec workload.Spec, appIdx int, seed uint64) (*task.Workload, err
 	return &task.Workload{Name: spec.Name + "/" + app.Name, Apps: []*task.App{app}}, nil
 }
 
-// baselineBig is baselineBigCtx for Table 4 compositions (the trigear and
-// OPP-sweep tables read baselines directly).
-func (r *Runner) baselineBig(comp workload.Composition, appIdx int, cfg cpu.Config) (sim.Time, error) {
-	return r.baselineBigCtx(context.Background(), comp.Spec(), appIdx, cfg)
-}
-
-// baselineBigCtx returns (cached) the turnaround of scenario app appIdx
+// specBaselines returns (cached) the turnaround of every app of spec
 // running alone on an all-big machine with the same core count as cfg.
-// The cache key is the CellKey of the baseline run itself — the closed
+// Each cache key is the CellKey of the baseline run itself — the closed
 // canonical form of the scenario under linux on the symmetric big machine
 // — plus the app index, so arrival variants of one mix share their
-// baselines and every shard derives the same key independently.
-func (r *Runner) baselineBigCtx(ctx context.Context, spec workload.Spec, appIdx int, cfg cpu.Config) (sim.Time, error) {
+// baselines and every shard derives the same keys independently.
+func (r *Runner) specBaselines(ctx context.Context, spec workload.Spec, cfg cpu.Config) ([]sim.Time, error) {
 	n := cfg.NumCores()
-	v, err := r.baseline(ctx, BaselineKey(spec, appIdx, n, r.Seed, r.Params), n, func() (*task.Workload, error) {
-		return specAlone(spec, appIdx, r.Seed)
-	})
-	if err != nil {
-		return 0, fmt.Errorf("experiment: baseline %s app %d: %w", spec.Name, appIdx, err)
+	bases := make([]sim.Time, spec.NumApps())
+	for i := range bases {
+		v, err := r.baseline(ctx, BaselineKey(spec, i, n, r.Seed, r.Params), n, func() (*task.Workload, error) {
+			return specAlone(spec, i, r.Seed)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiment: baseline %s app %d: %w", spec.Name, i, err)
+		}
+		bases[i] = v
 	}
-	return v, nil
+	return bases, nil
 }
 
 // baseline is the one baseline memo: it returns the turnaround filed
@@ -195,7 +193,7 @@ func (r *Runner) baseline(ctx context.Context, key string, cores int, alone func
 	if err != nil {
 		return 0, err
 	}
-	res, err := r.runCtx(ctx, cpu.NewSymmetric(cpu.Big, cores), SchedLinux, w, nil)
+	res, err := r.runPolicy(ctx, cpu.NewSymmetric(cpu.Big, cores), SchedLinux, w, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -222,7 +220,7 @@ func (r *Runner) MixScore(comp workload.Composition, cfg cpu.Config, kind string
 func (r *Runner) ScenarioScore(spec workload.Spec, cfg cpu.Config, kind string) (metrics.MixScore, error) {
 	ctx := context.Background()
 	score, _, err := r.cache.Do(ctx, NewCellKey(spec, kind, cfg, r.Seed, r.Params), func() (metrics.MixScore, error) {
-		return r.specScore(ctx, spec, cfg, kind, nil)
+		return r.specScore(ctx, spec, cfg, kind, nil, nil)
 	})
 	return score, err
 }
@@ -238,21 +236,24 @@ func BaselineKey(spec workload.Spec, appIdx, cores int, seed uint64, params kern
 	return fmt.Sprintf("%s|app=%d", k, appIdx)
 }
 
-// specScore simulates one cell: both core orders of the mix, scored
-// against the (memoised) baselines. It memoises nothing itself — callers
-// route it through a Cache. A non-nil tracer receives every scheduling
-// event of the two mix runs (baseline runs are not traced).
-func (r *Runner) specScore(ctx context.Context, spec workload.Spec, cfg cpu.Config, kind string, tracer func(bigFirst bool, ev kernel.TraceEvent)) (metrics.MixScore, error) {
-	bases := make([]sim.Time, spec.NumApps())
-	for i := range bases {
-		b, err := r.baselineBigCtx(ctx, spec, i, cfg)
-		if err != nil {
-			return metrics.MixScore{}, err
-		}
-		bases[i] = b
+// score is the one scoring of a mix result: H_ANTT / H_STP of res
+// against each app's big-only-alone baseline.
+func score(res *kernel.Result, bases []sim.Time) (metrics.MixScore, error) {
+	return metrics.Score(res, func(i int, _ kernel.AppResult) sim.Time { return bases[i] })
+}
+
+// specScore simulates one cell: both core orders of the mix (§5.1),
+// scored against the (memoised) baselines. It memoises nothing itself —
+// callers route it through a Cache. A non-nil tracer receives every
+// scheduling event of the two mix runs (baseline runs are not traced); a
+// non-nil onRun receives each mix run's result.
+func (r *Runner) specScore(ctx context.Context, spec workload.Spec, cfg cpu.Config, kind string, tracer func(bigFirst bool, ev kernel.TraceEvent), onRun func(bigFirst bool, res *kernel.Result)) (metrics.MixScore, error) {
+	bases, err := r.specBaselines(ctx, spec, cfg)
+	if err != nil {
+		return metrics.MixScore{}, err
 	}
 	var total metrics.MixScore
-	orders := []bool{true, false} // big-first, little-first (§5.1)
+	orders := []bool{true, false} // big-first, little-first
 	for _, bigFirst := range orders {
 		variant := cfg.Ordered(bigFirst)
 		w, err := spec.BuildFor(r.Seed, variant.AggregateCapacity())
@@ -264,16 +265,19 @@ func (r *Runner) specScore(ctx context.Context, spec workload.Spec, cfg cpu.Conf
 			bf := bigFirst
 			tr = func(ev kernel.TraceEvent) { tracer(bf, ev) }
 		}
-		res, err := r.runCtx(ctx, variant, kind, w, tr)
+		res, err := r.runPolicy(ctx, variant, kind, w, tr)
 		if err != nil {
 			return metrics.MixScore{}, fmt.Errorf("experiment: %s on %s under %s: %w", spec.Name, variant.Name, kind, err)
 		}
-		score, err := metrics.Score(res, func(i int, _ kernel.AppResult) sim.Time { return bases[i] })
+		s, err := score(res, bases)
 		if err != nil {
 			return metrics.MixScore{}, err
 		}
-		total.HANTT += score.HANTT / float64(len(orders))
-		total.HSTP += score.HSTP / float64(len(orders))
+		if onRun != nil {
+			onRun(bigFirst, res)
+		}
+		total.HANTT += s.HANTT / float64(len(orders))
+		total.HSTP += s.HSTP / float64(len(orders))
 	}
 	return total, nil
 }
@@ -373,7 +377,7 @@ func (r *Runner) SingleProgram(bench string, threads int, cfg cpu.Config, kind s
 		if err != nil {
 			return SingleScore{}, err
 		}
-		res, err := r.run(variant, kind, w)
+		res, err := r.runPolicy(context.Background(), variant, kind, w, nil)
 		if err != nil {
 			return SingleScore{}, fmt.Errorf("experiment: single %s on %s under %s: %w", bench, variant.Name, kind, err)
 		}

@@ -41,22 +41,18 @@ type BatchCell struct {
 }
 
 // Batch is the context-aware batch executor underneath colab.Experiment:
-// it fans the Workloads x Configs x Policies x Seeds cross-product out over
+// it fans the Scenarios x Configs x Policies x Seeds cross-product out over
 // a worker pool, collecting and caching big-only baselines automatically.
 //
 // Results are deterministic and independent of Workers: cells come back in
-// cross-product order (seeds outermost, then workloads, configs, policies
+// cross-product order (seeds outermost, then scenarios, configs, policies
 // innermost) and every cell's value is computed by the same single-cell
 // path Runner.MixScore uses.
 type Batch struct {
-	// Workloads are Table 4 compositions to run (closed-system; kept as
-	// the typed composition surface).
-	Workloads []workload.Composition
-	// Scenarios are grammar/registry scenario specs to run; they join
-	// Workloads in the cross-product. A converted composition
-	// (Composition.Spec) and the composition itself run byte-identically,
-	// and open-system specs (with arrival processes) score each app from
-	// its own arrival time. At least one workload or scenario is required.
+	// Scenarios are grammar/registry scenario specs to run (at least
+	// one); a Table 4 composition runs as its Composition.Spec.
+	// Open-system specs (with arrival processes) score each app from its
+	// own arrival time.
 	Scenarios []workload.Spec
 	// Configs are the machine shapes to run on (at least one).
 	Configs []cpu.Config
@@ -116,7 +112,7 @@ type Batch struct {
 }
 
 func (b *Batch) validate() error {
-	if len(b.Workloads) == 0 && len(b.Scenarios) == 0 {
+	if len(b.Scenarios) == 0 {
 		return fmt.Errorf("experiment: batch has no workloads")
 	}
 	if len(b.Configs) == 0 {
@@ -295,7 +291,7 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 						if b.Tracer != nil {
 							tracer = func(bigFirst bool, ev kernel.TraceEvent) { b.Tracer(j.key, bigFirst, ev) }
 						}
-						return j.rn.specScore(runCtx, j.spec, j.cfg, j.key.Policy, tracer)
+						return j.rn.specScore(runCtx, j.spec, j.cfg, j.key.Policy, tracer, nil)
 					}
 					if b.Cache != nil {
 						score, cached, err = b.Cache.Do(runCtx, j.ck, compute)

@@ -54,12 +54,12 @@ func TestBatchMatchesGoldenCorpus(t *testing.T) {
 		}
 	}
 
-	var mixes []workload.Composition
+	var mixes []workload.Spec
 	for _, idx := range []string{"Sync-2", "NSync-2", "Comm-2", "Comp-2", "Rand-7"} {
-		mixes = append(mixes, compByIndex(t, idx))
+		mixes = append(mixes, compByIndex(t, idx).Spec())
 	}
 	main := &Batch{
-		Workloads: mixes,
+		Scenarios: mixes,
 		Configs:   cpu.EvaluatedConfigs(),
 		Policies:  []string{SchedLinux, SchedWASH, SchedCOLAB, SchedGTS, SchedEAS},
 		Seeds:     []uint64{1},
@@ -71,7 +71,7 @@ func TestBatchMatchesGoldenCorpus(t *testing.T) {
 	collect(cells)
 
 	ablations := &Batch{
-		Workloads: []workload.Composition{compByIndex(t, "Sync-2")},
+		Scenarios: []workload.Spec{compByIndex(t, "Sync-2").Spec()},
 		Configs:   []cpu.Config{cpu.Config2B2S},
 		Policies: []string{SchedCOLABNoScale, SchedCOLABLocal, SchedCOLABFlat,
 			SchedCOLABNoPull, SchedCOLABOracle},
@@ -100,14 +100,14 @@ func TestBatchValidation(t *testing.T) {
 	comp := compByIndex(t, "Sync-1")
 	base := func() *Batch {
 		return &Batch{
-			Workloads: []workload.Composition{comp},
+			Scenarios: []workload.Spec{comp.Spec()},
 			Configs:   []cpu.Config{cpu.Config2B2S},
 			Policies:  []string{SchedLinux},
 			Seeds:     []uint64{1},
 		}
 	}
 	for name, breakIt := range map[string]func(*Batch){
-		"no workloads": func(b *Batch) { b.Workloads = nil },
+		"no workloads": func(b *Batch) { b.Scenarios = nil },
 		"no configs":   func(b *Batch) { b.Configs = nil },
 		"no policies":  func(b *Batch) { b.Policies = nil },
 		"no seeds":     func(b *Batch) { b.Seeds = nil },
@@ -132,7 +132,7 @@ func TestBatchValidation(t *testing.T) {
 func TestBatchTracerKeysCells(t *testing.T) {
 	comp := compByIndex(t, "Comp-1")
 	plain := &Batch{
-		Workloads: []workload.Composition{comp},
+		Scenarios: []workload.Spec{comp.Spec()},
 		Configs:   []cpu.Config{cpu.Config2B2S},
 		Policies:  []string{SchedLinux},
 		Seeds:     []uint64{1},
@@ -144,7 +144,7 @@ func TestBatchTracerKeysCells(t *testing.T) {
 	events := 0
 	orders := map[bool]int{}
 	traced := &Batch{
-		Workloads: []workload.Composition{comp},
+		Scenarios: []workload.Spec{comp.Spec()},
 		Configs:   []cpu.Config{cpu.Config2B2S},
 		Policies:  []string{SchedLinux},
 		Seeds:     []uint64{1},
@@ -188,7 +188,7 @@ func TestBatchDistinguishesSameNamedConfigs(t *testing.T) {
 		t.Fatalf("test premise broken: names differ (%s vs %s)", stock.Name, boosted.Name)
 	}
 	b := &Batch{
-		Workloads: []workload.Composition{comp},
+		Scenarios: []workload.Spec{comp.Spec()},
 		Configs:   []cpu.Config{stock, boosted},
 		Policies:  []string{SchedLinux},
 		Seeds:     []uint64{1},

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"colab/internal/cpu"
@@ -60,54 +61,27 @@ func (r *Runner) TriGearTable() (*Table, error) {
 		Header: []string{"sched", "H_ANTT", "H_STP", "energy", "EDP", "f@nom"},
 	}
 	type cell struct {
-		score metrics.MixScore
-		e     float64
-		edp   float64
-		fnom  float64
+		score        metrics.MixScore
+		e, edp, fnom float64
 	}
 	perSched := map[string]struct {
 		antt, stp, e, edp, fnom []float64
 	}{}
+	ctx := context.Background()
 	for _, idx := range TriGearWorkloads() {
 		comp, ok := workload.CompositionByIndex(idx)
 		if !ok {
 			return nil, fmt.Errorf("experiment: unknown workload %s", idx)
 		}
-		bases := make([]sim.Time, len(comp.Parts))
-		for i := range comp.Parts {
-			b, err := r.baselineBig(comp, i, cfg)
-			if err != nil {
-				return nil, err
-			}
-			bases[i] = b
-		}
-		// One simulation per core order per scheduler: the scores average
-		// both orders (as the paper does) and the energy columns read the
-		// big-first Result directly.
-		eval := func(kind string) (cell, error) {
-			var c cell
-			orders := []bool{true, false}
-			for _, bigFirst := range orders {
-				w, err := comp.Build(r.Seed)
-				if err != nil {
-					return cell{}, err
-				}
-				res, err := r.run(cfg.Ordered(bigFirst), kind, w)
-				if err != nil {
-					return cell{}, fmt.Errorf("experiment: %s on %s under %s: %w", idx, cfg.Name, kind, err)
-				}
-				score, err := metrics.Score(res, func(i int, _ kernel.AppResult) sim.Time { return bases[i] })
-				if err != nil {
-					return cell{}, err
-				}
-				c.score.HANTT += score.HANTT / float64(len(orders))
-				c.score.HSTP += score.HSTP / float64(len(orders))
+		// The scores average both core orders (as the paper does); the
+		// energy columns read the big-first run.
+		eval := func(kind string) (c cell, err error) {
+			c.score, err = r.specScore(ctx, comp.Spec(), cfg, kind, nil, func(bigFirst bool, res *kernel.Result) {
 				if bigFirst {
-					c.e, c.edp = res.TotalEnergyJ(), res.EnergyDelayProduct()
-					c.fnom = nominalResidency(res)
+					c.e, c.edp, c.fnom = res.TotalEnergyJ(), res.EnergyDelayProduct(), nominalResidency(res)
 				}
-			}
-			return c, nil
+			})
+			return c, err
 		}
 		ref, err := eval(SchedLinux)
 		if err != nil {
@@ -176,13 +150,11 @@ func (r *Runner) OPPSweepTable() (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiment: unknown workload %s", idx)
 	}
-	bases := make([]sim.Time, len(comp.Parts))
-	for i := range comp.Parts {
-		b, err := r.baselineBig(comp, i, cfg)
-		if err != nil {
-			return nil, err
-		}
-		bases[i] = b
+	ctx := context.Background()
+	spec := comp.Spec()
+	bases, err := r.specBaselines(ctx, spec, cfg)
+	if err != nil {
+		return nil, err
 	}
 	maxOPPs := 0
 	for _, tier := range cfg.Tiers() {
@@ -205,23 +177,19 @@ func (r *Runner) OPPSweepTable() (*Table, error) {
 		if pin >= 0 {
 			s = fixedOPPSched{s, pin}
 		}
-		w, err := comp.Build(r.Seed)
+		w, err := spec.BuildFor(r.Seed, cfg.AggregateCapacity())
 		if err != nil {
 			return row{}, err
 		}
-		m, err := kernel.NewMachine(cfg, s, w, r.Params)
-		if err != nil {
-			return row{}, err
-		}
-		res, err := m.Run()
+		res, err := r.run(ctx, cfg, s, w, nil)
 		if err != nil {
 			return row{}, fmt.Errorf("experiment: OPP sweep %s: %w", name, err)
 		}
-		score, err := metrics.Score(res, func(i int, _ kernel.AppResult) sim.Time { return bases[i] })
+		sc, err := score(res, bases)
 		if err != nil {
 			return row{}, err
 		}
-		return row{name, score, res.TotalEnergyJ(), res.EnergyDelayProduct(), nominalResidency(res)}, nil
+		return row{name, sc, res.TotalEnergyJ(), res.EnergyDelayProduct(), nominalResidency(res)}, nil
 	}
 	var rows []row
 	for opp := 0; opp < maxOPPs; opp++ {

@@ -373,14 +373,13 @@ type attemptResult struct {
 	err       error
 }
 
-// Run executes one sweep across the fleet and returns the per-shard cell
-// slices (shard s's cells in s's own cross-product order — exactly what a
-// WithShard(s, n) session returns, ready for MergeShards). A non-nil obs
-// receives every cell of the full sweep exactly once, tagged with its
-// global cross-product index, in that order (delivery is gated on all
-// predecessors, as with the in-process observer). Only one Run may be
-// active per Coordinator.
-func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, cell Cell)) ([][]Cell, error) {
+// Run executes one sweep across the fleet and returns every cell of it in
+// the plan's cross-product order — the order an unsharded in-process run
+// returns. A non-nil obs receives every cell of the full sweep exactly
+// once, tagged with its global cross-product index, in that order
+// (delivery is gated on all predecessors, as with the in-process
+// observer). Only one Run may be active per Coordinator.
+func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, cell Cell)) ([]Cell, error) {
 	c.mu.Lock()
 	if c.running {
 		c.mu.Unlock()
@@ -495,14 +494,7 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, ce
 		}
 	}
 
-	out := make([][]Cell, shards)
-	for s := 0; s < shards; s++ {
-		out[s] = make([]Cell, len(st.seq[s]))
-		for k, g := range st.seq[s] {
-			out[s][k] = st.results[g]
-		}
-	}
-	return out, nil
+	return st.results, nil
 }
 
 // attempt runs one dispatch of one shard to one worker, with a liveness

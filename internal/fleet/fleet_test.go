@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -105,7 +106,7 @@ func runAndCheck(t *testing.T, tf *testFleet, spec Spec) []Cell {
 		streamed []Cell
 		indices  []int
 	)
-	shards, err := tf.coord.Run(context.Background(), spec, func(i int, c Cell) {
+	cells, err := tf.coord.Run(context.Background(), spec, func(i int, c Cell) {
 		mu.Lock()
 		streamed = append(streamed, c)
 		indices = append(indices, i)
@@ -117,12 +118,8 @@ func runAndCheck(t *testing.T, tf *testFleet, spec Spec) []Cell {
 	if len(streamed) != len(ref) {
 		t.Fatalf("observer saw %d cells, local run has %d", len(streamed), len(ref))
 	}
-	total := 0
-	for _, s := range shards {
-		total += len(s)
-	}
-	if total != len(ref) {
-		t.Fatalf("shards hold %d cells, local run has %d", total, len(ref))
+	if !reflect.DeepEqual(cells, streamed) {
+		t.Fatalf("Run returned cells that differ from the streamed ones:\n  returned %+v\n  streamed %+v", cells, streamed)
 	}
 	for i, c := range streamed {
 		if indices[i] != i {
@@ -259,16 +256,12 @@ func TestFleetLateWorkerRescuesRun(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		RegisterAndHeartbeat(ctx, nil, tf.url, rts.URL, 50*time.Millisecond)
 	}()
-	shards, err := tf.coord.Run(context.Background(), spec, nil)
+	cells, err := tf.coord.Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, s := range shards {
-		total += len(s)
-	}
-	if total != len(ref) {
-		t.Fatalf("rescued run assembled %d cells, want %d", total, len(ref))
+	if len(cells) != len(ref) {
+		t.Fatalf("rescued run assembled %d cells, want %d", len(cells), len(ref))
 	}
 	if resc.Stats().ShardsRun == 0 {
 		t.Error("late worker never ran a shard")

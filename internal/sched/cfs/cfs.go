@@ -11,11 +11,11 @@
 // and SelectorStage in stages.go) over the pipeline's shared RunQueues.
 // The original monolithic implementation kept each core's timeline in a
 // red-black tree; the golden corpus proved the stage decomposition
-// bit-identical, and BenchmarkSelectorLinearVsRbtree showed the linear
-// shared queues faster (and allocation-free) at every realistic per-queue
-// depth, so the monolith was collapsed onto the stages (docs/TUNING.md
-// records the numbers). The rbtree timeline survives only as the benchmark
-// baseline in selectorbench_test.go.
+// bit-identical, and a benchmark against the tree showed the linear shared
+// queues faster (and allocation-free) at every realistic per-queue depth,
+// so the monolith was collapsed onto the stages (docs/TUNING.md records
+// the numbers). selectorbench_test.go checks the queues against a
+// reference timeline and times them in BenchmarkRunQueueDispatch.
 package cfs
 
 import (

@@ -2,157 +2,129 @@ package cfs_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"colab/internal/kernel"
 	"colab/internal/mathx"
-	"colab/internal/rbtree"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
 
-// The evidence behind the selector collapse (docs/TUNING.md): the original
-// CFS monolith kept each core's timeline in a red-black tree, while the
-// pipeline's shared RunQueues use an insertion-ordered slice scanned
-// linearly. This file holds the rbtree timeline as a benchmark baseline —
-// re-implemented here, since the monolith was collapsed onto the pipeline
-// stages — and races the two on the dispatch cycle (pop the leftmost
-// allowed thread, run, push it back) at per-queue depths bracketing what a
+// The original CFS monolith kept each core's timeline in a red-black tree;
+// the pipeline's shared RunQueues keep an insertion-ordered slice scanned
+// linearly (docs/TUNING.md records why). This file checks that the linear
+// queues still order threads exactly as the CFS timeline does, and
+// benchmarks their dispatch cycle at per-queue depths bracketing what a
 // saturated 128-core machine actually sees.
 
-// rbEntry mirrors kernel.RunQueues' (vruntime, push order) timeline key.
-type rbEntry struct {
+// refEntry is one thread on the reference timeline, keyed like CFS by
+// vruntime at push time with push order breaking ties.
+type refEntry struct {
 	t   *task.Thread
 	vr  sim.Time
 	seq uint64
 }
 
-func rbLess(a, b rbEntry) bool {
-	if a.vr != b.vr {
-		return a.vr < b.vr
-	}
-	return a.seq < b.seq
-}
-
-// rbQueue is one core's timeline as the CFS monolith kept it: a red-black
-// tree plus a node index for O(log n) removal.
-type rbQueue struct {
-	tree  *rbtree.Tree[rbEntry]
-	nodes map[*task.Thread]*rbtree.Node[rbEntry]
+// refTimeline is the reference model: one core's timeline as a slice kept
+// sorted by (vruntime at push, push order), so the leftmost allowed entry
+// is the CFS pick and the rightmost allowed entry the CFS steal.
+type refTimeline struct {
+	es    []refEntry
 	seq   uint64
 	minVR sim.Time
 }
 
-func newRBQueue() *rbQueue {
-	return &rbQueue{tree: rbtree.New(rbLess), nodes: make(map[*task.Thread]*rbtree.Node[rbEntry])}
+func (r *refTimeline) push(t *task.Thread) {
+	r.seq++
+	e := refEntry{t: t, vr: t.VRuntime, seq: r.seq}
+	i := sort.Search(len(r.es), func(i int) bool {
+		return r.es[i].vr > e.vr || (r.es[i].vr == e.vr && r.es[i].seq > e.seq)
+	})
+	r.es = append(r.es, refEntry{})
+	copy(r.es[i+1:], r.es[i:])
+	r.es[i] = e
 }
 
-func (rq *rbQueue) push(t *task.Thread) {
-	rq.seq++
-	rq.nodes[t] = rq.tree.Insert(rbEntry{t: t, vr: t.VRuntime, seq: rq.seq})
+func (r *refTimeline) remove(i int) *task.Thread {
+	t := r.es[i].t
+	r.es = append(r.es[:i], r.es[i+1:]...)
+	return t
 }
 
 // popMinAllowed removes and returns the leftmost thread allowed on dest.
-func (rq *rbQueue) popMinAllowed(dest int) *task.Thread {
-	for n := rq.tree.Min(); n != nil; n = rq.tree.Next(n) {
-		if !n.Value.t.AllowedOn(dest) {
-			continue
+func (r *refTimeline) popMinAllowed(dest int) *task.Thread {
+	for i, e := range r.es {
+		if e.t.AllowedOn(dest) {
+			r.minVR = max(r.minVR, e.vr)
+			return r.remove(i)
 		}
-		t := n.Value.t
-		if n.Value.vr > rq.minVR {
-			rq.minVR = n.Value.vr
-		}
-		rq.tree.Delete(n)
-		delete(rq.nodes, t)
-		return t
 	}
 	return nil
 }
 
 // stealMaxAllowed removes and returns the rightmost thread allowed on dest.
-func (rq *rbQueue) stealMaxAllowed(dest int) *task.Thread {
-	for n := rq.tree.Max(); n != nil; n = rq.tree.Prev(n) {
-		if !n.Value.t.AllowedOn(dest) {
-			continue
+func (r *refTimeline) stealMaxAllowed(dest int) *task.Thread {
+	for i := len(r.es) - 1; i >= 0; i-- {
+		if r.es[i].t.AllowedOn(dest) {
+			return r.remove(i)
 		}
-		t := n.Value.t
-		rq.tree.Delete(n)
-		delete(rq.nodes, t)
-		return t
 	}
 	return nil
 }
 
-// The two timelines must agree on pop and steal order under random mixed
-// traffic, or the benchmark would be racing different semantics.
+// The linear queues must agree with the reference timeline on pop and
+// steal order, and on the vruntime floor, under random mixed traffic with
+// many vruntime ties.
 func TestLinearAndRbtreeTimelinesAgree(t *testing.T) {
 	rng := mathx.NewRNG(7)
 	lin := kernel.NewRunQueues(1)
-	rb := newRBQueue()
-	var live []*task.Thread
+	ref := &refTimeline{}
 	for id := 0; id < 2000; id++ {
 		switch op := rng.IntN(4); {
-		case op <= 1 || len(live) == 0: // push a fresh thread
+		case op <= 1 || len(ref.es) == 0: // push a fresh thread
 			th := &task.Thread{ID: id, VRuntime: sim.Time(rng.IntN(50))}
 			th.Affinity = task.MaskAll()
 			if rng.IntN(8) == 0 {
 				th.Affinity = task.MaskOf([]int{1}) // not allowed on core 0
 			}
 			lin.Push(0, th)
-			rb.push(th)
-			live = append(live, th)
+			ref.push(th)
 		case op == 2:
-			a, b := lin.PopMinAllowed(0, 0), rb.popMinAllowed(0)
-			if a != b {
-				t.Fatalf("PopMin diverged: linear %v, rbtree %v", a, b)
+			if a, b := lin.PopMinAllowed(0, 0), ref.popMinAllowed(0); a != b {
+				t.Fatalf("op %d: PopMin diverged: linear %d, reference %d", id, tid(a), tid(b))
 			}
-			live = drop(live, a)
 		default:
-			a, b := lin.StealMaxAllowed(0, 0), rb.stealMaxAllowed(0)
-			if a != b {
-				t.Fatalf("StealMax diverged: linear %v, rbtree %v", a, b)
+			if a, b := lin.StealMaxAllowed(0, 0), ref.stealMaxAllowed(0); a != b {
+				t.Fatalf("op %d: StealMax diverged: linear %d, reference %d", id, tid(a), tid(b))
 			}
-			live = drop(live, a)
 		}
-	}
-	if got := rb.tree.Validate(); got != "" {
-		t.Fatalf("rbtree invariant broken: %s", got)
+		if lin.Len(0) != len(ref.es) || lin.MinVR(0) != ref.minVR {
+			t.Fatalf("op %d: linear holds %d (floor %d), reference %d (floor %d)",
+				id, lin.Len(0), lin.MinVR(0), len(ref.es), ref.minVR)
+		}
 	}
 }
 
-func drop(live []*task.Thread, t *task.Thread) []*task.Thread {
+// tid names a popped thread by ID, -1 for none.
+func tid(t *task.Thread) int {
 	if t == nil {
-		return live
+		return -1
 	}
-	// Also drain the counterpart structures' bookkeeping for pinned threads
-	// left behind: nothing to do, both keep them queued identically.
-	for i, x := range live {
-		if x == t {
-			return append(live[:i], live[i+1:]...)
-		}
-	}
-	return live
+	return t.ID
 }
 
-// BenchmarkSelectorLinearVsRbtree races one dispatch cycle (pop leftmost
-// allowed + push back with advanced vruntime) on both timeline
-// representations across per-queue depths. A saturated 128-core machine
-// with ~512 runnable threads holds ~4 threads per queue; depth 64+ only
-// occurs when a single queue absorbs an entire machine's backlog.
-func BenchmarkSelectorLinearVsRbtree(b *testing.B) {
-	depths := []int{4, 16, 64, 256}
-	mkThreads := func(n int) []*task.Thread {
-		ths := make([]*task.Thread, n)
-		for i := range ths {
-			ths[i] = &task.Thread{ID: i, VRuntime: sim.Time(i * 1000), Affinity: task.MaskAll()}
-		}
-		return ths
-	}
-	for _, depth := range depths {
-		b.Run(fmt.Sprintf("linear/depth=%d", depth), func(b *testing.B) {
+// BenchmarkRunQueueDispatch times one dispatch cycle of the linear run
+// queues (pop leftmost allowed, advance vruntime, push back) across
+// per-queue depths. A saturated 128-core machine with ~512 runnable
+// threads holds ~4 threads per queue; depth 64+ only occurs when a single
+// queue absorbs an entire machine's backlog.
+func BenchmarkRunQueueDispatch(b *testing.B) {
+	for _, depth := range []int{4, 16, 64, 256} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			q := kernel.NewRunQueues(1)
-			for _, th := range mkThreads(depth) {
-				q.Push(0, th)
+			for i := 0; i < depth; i++ {
+				q.Push(0, &task.Thread{ID: i, VRuntime: sim.Time(i * 1000), Affinity: task.MaskAll()})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -160,19 +132,6 @@ func BenchmarkSelectorLinearVsRbtree(b *testing.B) {
 				t := q.PopMinAllowed(0, 0)
 				t.VRuntime += sim.Time(1000 * depth)
 				q.Push(0, t)
-			}
-		})
-		b.Run(fmt.Sprintf("rbtree/depth=%d", depth), func(b *testing.B) {
-			q := newRBQueue()
-			for _, th := range mkThreads(depth) {
-				q.push(th)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := q.popMinAllowed(0)
-				t.VRuntime += sim.Time(1000 * depth)
-				q.push(t)
 			}
 		})
 	}
