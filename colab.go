@@ -322,7 +322,10 @@ func NewWASH(model *SpeedupModel) Scheduler {
 	return mustPolicy(policy.WASH, predictorContext(model))
 }
 
-// COLABOptions tunes the COLAB policy (zero value = paper configuration).
+// COLABOptions selects COLAB's speedup predictors, its DVFS governor and
+// the ablation switches; the zero value is the paper configuration with a
+// neutral predictor. The labeler interval, thresholds and CFS slice layer
+// are fixed at the paper's values.
 type COLABOptions = colabsched.Options
 
 // NewCOLAB returns the COLAB policy driven by the given speedup model; nil
@@ -331,8 +334,8 @@ func NewCOLAB(model *SpeedupModel) Scheduler {
 	return mustPolicy(policy.COLAB, predictorContext(model))
 }
 
-// NewCOLABWithOptions returns a COLAB policy with explicit options (for
-// ablations and tuning studies).
+// NewCOLABWithOptions returns a COLAB policy with explicit options (custom
+// predictors, the governor, ablations).
 func NewCOLABWithOptions(o COLABOptions) Scheduler { return colabsched.New(o) }
 
 // NewCOLABDVFS returns the COLAB policy with its native label-driven DVFS
@@ -409,7 +412,7 @@ func Score(res *Result, baselines []Time) (MixScore, error) {
 	return metrics.Score(res, func(i int, _ kernel.AppResult) Time { return baselines[i] })
 }
 
-// Durations for workload authors and option tuning.
+// Durations for workload authors.
 const (
 	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond

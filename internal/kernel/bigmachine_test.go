@@ -58,10 +58,10 @@ func bigOpenWorkload() *task.Workload {
 func TestBigMachineTraceDeterministic(t *testing.T) {
 	mkPolicies := func() map[string]kernel.Scheduler {
 		return map[string]kernel.Scheduler{
-			"linux": cfs.New(cfs.Options{}),
-			"wash":  wash.New(wash.Options{}),
-			"gts":   gts.New(gts.Options{}),
-			"eas":   eas.New(eas.Options{}),
+			"linux": cfs.New(),
+			"wash":  wash.New(nil),
+			"gts":   gts.New(),
+			"eas":   eas.New(),
 			"colab": colabsched.New(colabsched.Options{}),
 		}
 	}

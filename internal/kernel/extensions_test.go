@@ -20,7 +20,7 @@ func TestTraceCapturesLifecycle(t *testing.T) {
 	prog1 := task.Program{task.Compute{Work: 0.1e6}, task.Lock{ID: 1}, task.Unlock{ID: 1}}
 	app := mkApp(0, "tr", []cpu.WorkProfile{slowProfile, slowProfile}, []task.Program{prog0, prog1})
 	w := &task.Workload{Name: "tr", Apps: []*task.App{app}}
-	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 2), cfs.New(cfs.Options{}), w, kernel.Params{})
+	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 2), cfs.New(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +69,8 @@ func TestEnergyAccounting(t *testing.T) {
 		app := mkApp(0, "e", []cpu.WorkProfile{slowProfile}, []task.Program{{task.Compute{Work: 100e6}}})
 		return &task.Workload{Name: "e", Apps: []*task.App{app}}
 	}
-	little := runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(cfs.Options{}), mk())
-	big := runOn(t, cpu.NewSymmetric(cpu.Big, 1), cfs.New(cfs.Options{}), mk())
+	little := runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(), mk())
+	big := runOn(t, cpu.NewSymmetric(cpu.Big, 1), cfs.New(), mk())
 	if little.TotalEnergyJ() <= 0 || big.TotalEnergyJ() <= 0 {
 		t.Fatalf("no energy accounted")
 	}
@@ -94,7 +94,7 @@ func TestEnergyAccounting(t *testing.T) {
 func TestCustomPowerModel(t *testing.T) {
 	app := mkApp(0, "p", []cpu.WorkProfile{slowProfile}, []task.Program{{task.Compute{Work: 10e6}}})
 	w := &task.Workload{Name: "p", Apps: []*task.App{app}}
-	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 1), cfs.New(cfs.Options{}), w,
+	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 1), cfs.New(), w,
 		kernel.Params{Power: cpu.PowerModel{LittleBusyW: 100, LittleIdleW: 1, BigBusyW: 1, BigIdleW: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestPhaseOpSwitchesProfile(t *testing.T) {
 	}
 	app := mkApp(0, "ph", []cpu.WorkProfile{hot}, []task.Program{prog})
 	w := &task.Workload{Name: "ph", Apps: []*task.App{app}}
-	res := runOn(t, cpu.NewSymmetric(cpu.Big, 1), cfs.New(cfs.Options{}), w)
+	res := runOn(t, cpu.NewSymmetric(cpu.Big, 1), cfs.New(), w)
 	want := 20e6/hot.TrueSpeedup() + 20e6/cold.TrueSpeedup()
 	got := float64(res.EndTime)
 	if got < want*0.98 || got > want*1.05 {
@@ -134,7 +134,7 @@ func TestUnlockWithoutOwnershipPanics(t *testing.T) {
 	prog := task.Program{task.Unlock{ID: 5}}
 	app := mkApp(0, "bad", []cpu.WorkProfile{slowProfile}, []task.Program{prog})
 	w := &task.Workload{Name: "bad", Apps: []*task.App{app}}
-	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 1), cfs.New(cfs.Options{}), w, kernel.Params{})
+	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 1), cfs.New(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestBarrierWithOneParty(t *testing.T) {
 	prog := task.Program{task.Barrier{ID: 1, Parties: 1}, task.Compute{Work: 1e6}}
 	app := mkApp(0, "b1", []cpu.WorkProfile{slowProfile}, []task.Program{prog})
 	w := &task.Workload{Name: "b1", Apps: []*task.App{app}}
-	res := runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(cfs.Options{}), w)
+	res := runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(), w)
 	if res.Threads[0].BlockedTime != 0 {
 		t.Fatalf("single-party barrier must not block")
 	}
@@ -160,7 +160,7 @@ func TestSleepOpBlocksWithoutBlame(t *testing.T) {
 	prog := task.Program{task.Compute{Work: 1e6}, task.Sleep{Duration: 5 * sim.Millisecond}, task.Compute{Work: 1e6}}
 	app := mkApp(0, "sl", []cpu.WorkProfile{slowProfile}, []task.Program{prog})
 	w := &task.Workload{Name: "sl", Apps: []*task.App{app}}
-	res := runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(cfs.Options{}), w)
+	res := runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(), w)
 	if res.Threads[0].BlockedTime < 5*sim.Millisecond {
 		t.Fatalf("sleep not accounted: %v", res.Threads[0].BlockedTime)
 	}
@@ -187,7 +187,7 @@ func TestMigrationCostCharged(t *testing.T) {
 		app := mkApp(0, "mig", profs, progs)
 		return &task.Workload{Name: "mig", Apps: []*task.App{app}}
 	}
-	cheap, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 2), cfs.New(cfs.Options{}), mk(),
+	cheap, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 2), cfs.New(), mk(),
 		kernel.Params{MigrationCost: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestMigrationCostCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dear, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 2), cfs.New(cfs.Options{}), mk(),
+	dear, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 2), cfs.New(), mk(),
 		kernel.Params{MigrationCost: 2 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -313,9 +313,9 @@ func randomWorkload(rng *mathx.RNG) *task.Workload {
 
 func schedFactories() []func() kernel.Scheduler {
 	return []func() kernel.Scheduler{
-		func() kernel.Scheduler { return cfs.New(cfs.Options{}) },
-		func() kernel.Scheduler { return wash.New(wash.Options{}) },
+		func() kernel.Scheduler { return cfs.New() },
+		func() kernel.Scheduler { return wash.New(nil) },
 		func() kernel.Scheduler { return colab.New(colab.Options{}) },
-		func() kernel.Scheduler { return gts.New(gts.Options{}) },
+		func() kernel.Scheduler { return gts.New() },
 	}
 }

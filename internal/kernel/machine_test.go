@@ -51,7 +51,7 @@ func TestSingleThreadComputeOnLittle(t *testing.T) {
 	const work = 10e6 // 10ms of little-core work
 	app := mkApp(0, "solo", []cpu.WorkProfile{fastProfile}, []task.Program{{task.Compute{Work: work}}})
 	w := &task.Workload{Name: "solo", Apps: []*task.App{app}}
-	res := runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(cfs.Options{}), w)
+	res := runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(), w)
 	got := res.Apps[0].Turnaround
 	// One work unit = 1ns on little; allow switch cost and rounding slack.
 	if got < 10*sim.Millisecond || got > 10*sim.Millisecond+sim.Millisecond {
@@ -65,8 +65,8 @@ func TestSingleThreadComputeFasterOnBig(t *testing.T) {
 		app := mkApp(0, "solo", []cpu.WorkProfile{fastProfile}, []task.Program{{task.Compute{Work: work}}})
 		return &task.Workload{Name: "solo", Apps: []*task.App{app}}
 	}
-	little := runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(cfs.Options{}), mk())
-	big := runOn(t, cpu.NewSymmetric(cpu.Big, 1), cfs.New(cfs.Options{}), mk())
+	little := runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(), mk())
+	big := runOn(t, cpu.NewSymmetric(cpu.Big, 1), cfs.New(), mk())
 	ratio := float64(little.Apps[0].Turnaround) / float64(big.Apps[0].Turnaround)
 	want := fastProfile.TrueSpeedup()
 	if ratio < want*0.95 || ratio > want*1.05 {
@@ -82,7 +82,7 @@ func TestLockContentionAssignsBlame(t *testing.T) {
 	prog1 := task.Program{task.Compute{Work: 0.1e6}, task.Lock{ID: 1}, task.Unlock{ID: 1}, task.Compute{Work: 1e6}}
 	app := mkApp(0, "locky", []cpu.WorkProfile{slowProfile, slowProfile}, []task.Program{prog0, prog1})
 	w := &task.Workload{Name: "locky", Apps: []*task.App{app}}
-	res := runOn(t, cpu.NewSymmetric(cpu.Little, 2), cfs.New(cfs.Options{}), w)
+	res := runOn(t, cpu.NewSymmetric(cpu.Little, 2), cfs.New(), w)
 
 	blame := res.Threads[0].BlockBlame
 	blocked := res.Threads[1].BlockedTime
@@ -107,7 +107,7 @@ func TestBarrierReleasesAllAndBlamesLastArriver(t *testing.T) {
 	}
 	app := mkApp(0, "barrier", []cpu.WorkProfile{slowProfile, slowProfile, slowProfile}, progs)
 	w := &task.Workload{Name: "barrier", Apps: []*task.App{app}}
-	res := runOn(t, cpu.NewSymmetric(cpu.Little, 3), cfs.New(cfs.Options{}), w)
+	res := runOn(t, cpu.NewSymmetric(cpu.Little, 3), cfs.New(), w)
 	if res.Threads[0].BlockBlame <= res.Threads[1].BlockBlame {
 		t.Fatalf("slow arriver blame %v not greater than fast thread blame %v",
 			res.Threads[0].BlockBlame, res.Threads[1].BlockBlame)
@@ -127,7 +127,7 @@ func TestBoundedQueueProducerConsumer(t *testing.T) {
 	app := mkApp(0, "pipe", []cpu.WorkProfile{slowProfile, slowProfile}, []task.Program{prod, cons},
 		task.QueueSpec{ID: 3, Capacity: 2})
 	w := &task.Workload{Name: "pipe", Apps: []*task.App{app}}
-	res := runOn(t, cpu.NewSymmetric(cpu.Little, 2), cfs.New(cfs.Options{}), w)
+	res := runOn(t, cpu.NewSymmetric(cpu.Little, 2), cfs.New(), w)
 	// Consumer is slower, so the producer must have blocked on the full
 	// queue and been blamed by the consumer's Get.
 	if res.Threads[0].BlockedTime == 0 {
@@ -145,7 +145,7 @@ func TestDeadlockIsDetected(t *testing.T) {
 	prog1 := task.Program{task.Compute{Work: 0.1e6}, task.Lock{ID: 1}, task.Unlock{ID: 1}}
 	app := mkApp(0, "dead", []cpu.WorkProfile{slowProfile, slowProfile}, []task.Program{prog0, prog1})
 	w := &task.Workload{Name: "dead", Apps: []*task.App{app}}
-	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 2), cfs.New(cfs.Options{}), w, kernel.Params{})
+	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 2), cfs.New(), w, kernel.Params{})
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
@@ -157,8 +157,8 @@ func TestDeadlockIsDetected(t *testing.T) {
 func TestWorkloadReuseRejected(t *testing.T) {
 	app := mkApp(0, "solo", []cpu.WorkProfile{fastProfile}, []task.Program{{task.Compute{Work: 1e6}}})
 	w := &task.Workload{Name: "solo", Apps: []*task.App{app}}
-	runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(cfs.Options{}), w)
-	if _, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 1), cfs.New(cfs.Options{}), w, kernel.Params{}); err == nil {
+	runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(), w)
+	if _, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 1), cfs.New(), w, kernel.Params{}); err == nil {
 		t.Fatalf("reusing a finished workload must be rejected")
 	}
 }
@@ -173,10 +173,10 @@ func TestAllSchedulersCompleteMixes(t *testing.T) {
 		}
 		for _, cfg := range cpu.EvaluatedConfigs() {
 			for _, mkSched := range []func() kernel.Scheduler{
-				func() kernel.Scheduler { return cfs.New(cfs.Options{}) },
-				func() kernel.Scheduler { return wash.New(wash.Options{}) },
+				func() kernel.Scheduler { return cfs.New() },
+				func() kernel.Scheduler { return wash.New(nil) },
 				func() kernel.Scheduler { return colab.New(colab.Options{}) },
-				func() kernel.Scheduler { return gts.New(gts.Options{}) },
+				func() kernel.Scheduler { return gts.New() },
 			} {
 				s := mkSched()
 				w, err := comp.Build(99)
@@ -220,7 +220,7 @@ func TestWorkConservation(t *testing.T) {
 	}
 	app := mkApp(0, "par", profs, progs)
 	w := &task.Workload{Name: "par", Apps: []*task.App{app}}
-	res := runOn(t, cpu.NewSymmetric(cpu.Little, 4), cfs.New(cfs.Options{}), w)
+	res := runOn(t, cpu.NewSymmetric(cpu.Little, 4), cfs.New(), w)
 	for _, c := range res.Cores {
 		// 8x20ms over 4 cores = 40ms/core; idle should be a rounding sliver.
 		if c.IdleTime > 2*sim.Millisecond {

@@ -27,7 +27,7 @@ func TestOpenSystemAdmissionTiming(t *testing.T) {
 	w := openPair(arrival)
 	var admits []kernel.TraceEvent
 	var firstLateDispatch sim.Time = -1
-	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 1), cfs.New(cfs.Options{}), w, kernel.Params{})
+	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 1), cfs.New(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestOpenSystemAdmissionTiming(t *testing.T) {
 func TestOpenSystemArrivalAfterQuiescence(t *testing.T) {
 	const arrival = 500 * sim.Millisecond // far beyond the early app's ~10ms
 	w := openPair(arrival)
-	res := runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(cfs.Options{}), w)
+	res := runOn(t, cpu.NewSymmetric(cpu.Little, 1), cfs.New(), w)
 	for _, a := range res.Apps {
 		if a.Turnaround <= 0 {
 			t.Fatalf("app %s unfinished: %+v", a.Name, a)
@@ -93,7 +93,7 @@ func TestOpenSystemArrivalAfterQuiescence(t *testing.T) {
 // Negative arrivals are rejected at machine construction.
 func TestNegativeArrivalRejected(t *testing.T) {
 	w := openPair(-sim.Millisecond)
-	if _, err := kernel.NewMachine(cpu.Config2B2S, cfs.New(cfs.Options{}), w, kernel.Params{}); err == nil {
+	if _, err := kernel.NewMachine(cpu.Config2B2S, cfs.New(), w, kernel.Params{}); err == nil {
 		t.Fatal("negative arrival must error")
 	}
 }

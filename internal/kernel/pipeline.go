@@ -73,8 +73,8 @@ type Governor interface {
 // ---------------------------------------------------------------------------
 // Shared per-thread hints.
 
-// Neutral hint defaults, matching the per-policy defaults the monolithic
-// schedulers used for threads they had not yet observed.
+// Neutral hint defaults: what stages assume for threads no labeler has
+// observed yet.
 const (
 	// NeutralPred is the speedup prediction assumed before the first
 	// labeling pass.
@@ -155,7 +155,7 @@ type rqEntry struct {
 // RunQueues is the pipeline's shared per-core ready-queue state: the
 // allocator pushes, the selector pops. Entries keep insertion order (the
 // order COLAB-style criticality scans walk) while (vruntime, push-sequence)
-// gives CFS-style timeline ordering for PopMin/StealMax.
+// gives CFS-style timeline ordering for PopMinAllowed/StealMaxAllowed.
 type RunQueues struct {
 	qs    [][]rqEntry
 	seqs  []uint64
@@ -209,57 +209,12 @@ func (q *RunQueues) removeAt(core, i int) *task.Thread {
 	return t
 }
 
-// PopMin removes and returns the thread with the smallest (vruntime, push
-// order) on core that satisfies allow — the CFS leftmost — advancing the
-// queue's vruntime floor. A nil allow admits everything; selectors pass the
-// picking core's affinity check so that a hybrid pipeline whose allocator
-// queues affinity-blind (COLAB treats queues as bags and enforces affinity
-// at selection) never dispatches a thread onto a forbidden core. It returns
-// nil when no queued thread qualifies.
-func (q *RunQueues) PopMin(core int, allow func(*task.Thread) bool) *task.Thread {
-	es := q.qs[core]
-	best := -1
-	for i, e := range es {
-		if allow != nil && !allow(e.t) {
-			continue
-		}
-		if best < 0 || entryLess(e, es[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	if es[best].vr > q.minVR[core] {
-		q.minVR[core] = es[best].vr
-	}
-	return q.removeAt(core, best)
-}
-
-// StealMax removes and returns the thread with the largest (vruntime, push
-// order) on core that satisfies allow — the CFS rightmost steal — or nil.
-// (Walking the timeline right-to-left until allow passes selects exactly
-// the maximum over the allowed entries, so one linear scan suffices.)
-func (q *RunQueues) StealMax(core int, allow func(*task.Thread) bool) *task.Thread {
-	es := q.qs[core]
-	best := -1
-	for i, e := range es {
-		if !allow(e.t) {
-			continue
-		}
-		if best < 0 || entryLess(es[best], e) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return q.removeAt(core, best)
-}
-
-// PopMinAllowed is PopMin with the filter fixed to "may run on core dest":
-// the selector hot path, closure-free so steady-state dispatch does not
-// allocate a predicate per pick.
+// PopMinAllowed removes and returns the thread with the smallest
+// (vruntime, push order) on core that may run on core dest — the CFS
+// leftmost — advancing the queue's vruntime floor, or nil when no queued
+// thread qualifies. The affinity filter keeps a hybrid pipeline whose
+// allocator queues affinity-blind (COLAB treats queues as bags and enforces
+// affinity at selection) from dispatching a thread onto a forbidden core.
 func (q *RunQueues) PopMinAllowed(core, dest int) *task.Thread {
 	es := q.qs[core]
 	best := -1
@@ -280,8 +235,9 @@ func (q *RunQueues) PopMinAllowed(core, dest int) *task.Thread {
 	return q.removeAt(core, best)
 }
 
-// StealMaxAllowed is StealMax with the filter fixed to "may run on core
-// dest": the idle-balance hot path, closure-free like PopMinAllowed.
+// StealMaxAllowed removes and returns the thread with the largest
+// (vruntime, push order) on core that may run on core dest — the CFS
+// rightmost idle-balance steal — or nil. The vruntime floor is untouched.
 func (q *RunQueues) StealMaxAllowed(core, dest int) *task.Thread {
 	es := q.qs[core]
 	best := -1
@@ -340,23 +296,12 @@ func (q *RunQueues) Each(core int, fn func(*task.Thread)) {
 // Pipeline context and driver.
 
 // PipelineContext is the shared state a pipeline's stages operate on. The
-// driver builds one per Start; monolithic policies that embed stages build
-// their own through NewPipelineContext.
+// driver builds one per Start.
 type PipelineContext struct {
-	m       *Machine
-	queues  *RunQueues
-	hints   *HintBoard
-	requeue func(*task.Thread)
-}
-
-// NewPipelineContext wires a context for stages embedded outside the
-// generic driver. queues may be nil when the embedding policy owns its own
-// queue structure; requeue may be nil when no labeler steers affinity.
-func NewPipelineContext(m *Machine, q *RunQueues, h *HintBoard, requeue func(*task.Thread)) *PipelineContext {
-	if h == nil {
-		h = NewHintBoard()
-	}
-	return &PipelineContext{m: m, queues: q, hints: h, requeue: requeue}
+	m      *Machine
+	queues *RunQueues
+	hints  *HintBoard
+	alloc  Allocator // re-places threads on Requeue
 }
 
 // Machine returns the machine under simulation.
@@ -373,8 +318,9 @@ func (pc *PipelineContext) Hints() *HintBoard { return pc.hints }
 // allocator and the chosen core is kicked — the effect sched_setaffinity
 // has on a waiting task.
 func (pc *PipelineContext) Requeue(t *task.Thread) {
-	if pc.requeue != nil {
-		pc.requeue(t)
+	if core := pc.queues.QueuedOn(t); core >= 0 && !t.AllowedOn(core) {
+		pc.queues.Remove(t)
+		pc.m.Kick(pc.alloc.Enqueue(t, false))
 	}
 }
 
@@ -432,17 +378,9 @@ func (p *Pipeline) Context() *PipelineContext { return p.pc }
 
 // Start implements Scheduler: it builds the shared state and starts the
 // stages in slot order (labeler first, so its periodic pass is scheduled
-// ahead of any same-time machine events, exactly as the monolithic
-// policies' Start did).
+// ahead of any same-time machine events).
 func (p *Pipeline) Start(m *Machine) {
-	q := NewRunQueues(len(m.Cores()))
-	pc := NewPipelineContext(m, q, NewHintBoard(), nil)
-	pc.requeue = func(t *task.Thread) {
-		if core := q.QueuedOn(t); core >= 0 && !t.AllowedOn(core) {
-			q.Remove(t)
-			m.Kick(p.alloc.Enqueue(t, false))
-		}
-	}
+	pc := &PipelineContext{m: m, queues: NewRunQueues(len(m.Cores())), hints: NewHintBoard(), alloc: p.alloc}
 	p.pc = pc
 	if p.lab != nil {
 		p.lab.Start(pc)

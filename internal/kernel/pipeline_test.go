@@ -17,12 +17,13 @@ func rqThread(id int, vr sim.Time) *task.Thread {
 	return t
 }
 
-// RunQueues must reproduce the CFS timeline semantics: PopMin returns by
-// (vruntime, push order), advances the monotone floor, and StealMax walks
-// the timeline from the right honouring the allow filter.
+// RunQueues must reproduce the CFS timeline semantics: PopMinAllowed
+// returns by (vruntime, push order), advances the monotone floor, and
+// StealMaxAllowed walks the timeline from the right honouring affinity.
 func TestRunQueuesTimelineSemantics(t *testing.T) {
 	q := kernel.NewRunQueues(2)
 	a, b, c := rqThread(0, 30), rqThread(1, 10), rqThread(2, 10)
+	a.Affinity = task.MaskOf([]int{0}) // a may not be stolen onto core 1
 	q.Push(0, a)
 	q.Push(0, b)
 	q.Push(0, c)
@@ -33,15 +34,16 @@ func TestRunQueuesTimelineSemantics(t *testing.T) {
 		t.Fatalf("QueuedOn = %d", got)
 	}
 	// b and c tie on vruntime: push order (b first) must break the tie.
-	if got := q.PopMin(0, nil); got != b {
-		t.Fatalf("PopMin = %v, want b", got)
+	if got := q.PopMinAllowed(0, 0); got != b {
+		t.Fatalf("PopMinAllowed = %v, want b", got)
 	}
 	if got := q.MinVR(0); got != 10 {
 		t.Fatalf("MinVR = %v, want 10 after popping vr=10", got)
 	}
-	// StealMax from the right: a (vr=30) first, but a filter can skip it.
-	if got := q.StealMax(0, func(th *task.Thread) bool { return th != a }); got != c {
-		t.Fatalf("StealMax = %v, want c", got)
+	// StealMaxAllowed from the right: a (vr=30) first, but its affinity
+	// keeps it off core 1.
+	if got := q.StealMaxAllowed(0, 1); got != c {
+		t.Fatalf("StealMaxAllowed = %v, want c", got)
 	}
 	if got := q.MinVR(0); got != 10 {
 		t.Fatalf("steals must not advance the floor: MinVR = %v", got)
@@ -52,7 +54,7 @@ func TestRunQueuesTimelineSemantics(t *testing.T) {
 	if q.Remove(a) {
 		t.Fatal("double Remove must report false")
 	}
-	if got := q.PopMin(0, nil); got != nil {
+	if got := q.PopMinAllowed(0, 0); got != nil {
 		t.Fatalf("drained queue returned %v", got)
 	}
 }
@@ -71,8 +73,7 @@ func TestRunQueuesDoubleEnqueuePanics(t *testing.T) {
 	q.Push(1, th)
 }
 
-// The hint board hands out neutral defaults matching the monolithic
-// policies' pre-observation assumptions, and Each iterates in insertion
+// The hint board hands out the neutral pre-observation defaults, and Each iterates in insertion
 // order (the COLAB criticality-scan order).
 func TestHintDefaultsAndEachOrder(t *testing.T) {
 	b := kernel.NewHintBoard()
@@ -131,7 +132,7 @@ func TestPipelineHybridHonoursAffinity(t *testing.T) {
 	pinned.Affinity = task.MaskOf([]int{2, 3}) // 2B2S big-first: cores 2,3 are little
 	w := &task.Workload{Name: "pin", Apps: []*task.App{app}}
 	sched, err := kernel.NewPipeline("hybrid-affinity",
-		nil, colabsched.NewAllocator(colabsched.Options{}), cfs.NewSelector(cfs.Options{}), nil)
+		nil, colabsched.NewAllocator(colabsched.Options{}), cfs.NewSelector(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func twoAppResult(t *testing.T) *kernel.Result {
 	a := mkApp(0, "first", []cpu.WorkProfile{slowProfile}, []task.Program{{task.Compute{Work: 10e6}}})
 	b := mkApp(1, "second", []cpu.WorkProfile{slowProfile}, []task.Program{{task.Compute{Work: 30e6}}})
 	w := &task.Workload{Name: "two", Apps: []*task.App{a, b}}
-	return runOn(t, cpu.NewSymmetric(cpu.Little, 2), cfs.New(cfs.Options{}), w)
+	return runOn(t, cpu.NewSymmetric(cpu.Little, 2), cfs.New(), w)
 }
 
 func TestResultAccessors(t *testing.T) {
@@ -77,14 +77,14 @@ func TestWriteTracer(t *testing.T) {
 func TestMachineValidation(t *testing.T) {
 	app := mkApp(0, "x", []cpu.WorkProfile{slowProfile}, []task.Program{{task.Compute{Work: 1}}})
 	w := &task.Workload{Name: "x", Apps: []*task.App{app}}
-	if _, err := kernel.NewMachine(cpu.Config{Name: "none"}, cfs.New(cfs.Options{}), w, kernel.Params{}); err == nil {
+	if _, err := kernel.NewMachine(cpu.Config{Name: "none"}, cfs.New(), w, kernel.Params{}); err == nil {
 		t.Errorf("empty config must be rejected")
 	}
-	if _, err := kernel.NewMachine(cpu.Config2B2S, cfs.New(cfs.Options{}), &task.Workload{Name: "e"}, kernel.Params{}); err == nil {
+	if _, err := kernel.NewMachine(cpu.Config2B2S, cfs.New(), &task.Workload{Name: "e"}, kernel.Params{}); err == nil {
 		t.Errorf("empty workload must be rejected")
 	}
 	empty := &task.Workload{Name: "e", Apps: []*task.App{{ID: 0, Name: "nothreads"}}}
-	if _, err := kernel.NewMachine(cpu.Config2B2S, cfs.New(cfs.Options{}), empty, kernel.Params{}); err == nil {
+	if _, err := kernel.NewMachine(cpu.Config2B2S, cfs.New(), empty, kernel.Params{}); err == nil {
 		t.Errorf("threadless app must be rejected")
 	}
 }
@@ -92,7 +92,7 @@ func TestMachineValidation(t *testing.T) {
 func TestKickIsSafe(t *testing.T) {
 	app := mkApp(0, "k", []cpu.WorkProfile{slowProfile}, []task.Program{{task.Compute{Work: 1e6}}})
 	w := &task.Workload{Name: "k", Apps: []*task.App{app}}
-	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 2), cfs.New(cfs.Options{}), w, kernel.Params{})
+	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 2), cfs.New(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func longApp() *task.Workload {
 }
 
 func TestRunContextCancelledBeforeStart(t *testing.T) {
-	m, err := kernel.NewMachine(cpu.Config2B2S, cfs.New(cfs.Options{}), longApp(), kernel.Params{})
+	m, err := kernel.NewMachine(cpu.Config2B2S, cfs.New(), longApp(), kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 }
 
 func TestRunContextCancelledMidRun(t *testing.T) {
-	m, err := kernel.NewMachine(cpu.Config2B2S, cfs.New(cfs.Options{}), longApp(), kernel.Params{})
+	m, err := kernel.NewMachine(cpu.Config2B2S, cfs.New(), longApp(), kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRunContextCancelledMidRun(t *testing.T) {
 
 func TestRunContextBackgroundMatchesRun(t *testing.T) {
 	run := func(viaCtx bool) *kernel.Result {
-		m, err := kernel.NewMachine(cpu.Config2B2S, cfs.New(cfs.Options{}), longApp(), kernel.Params{})
+		m, err := kernel.NewMachine(cpu.Config2B2S, cfs.New(), longApp(), kernel.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ func soloWorkload(name string, prof cpu.WorkProfile, work float64) *task.Workloa
 
 func TestTierCoreLayout(t *testing.T) {
 	w := soloWorkload("layout", fastProfile, 1e6)
-	m, err := kernel.NewMachine(cpu.Config2B2M2S, cfs.New(cfs.Options{}), w, kernel.Params{})
+	m, err := kernel.NewMachine(cpu.Config2B2M2S, cfs.New(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +56,9 @@ func TestTierCoreLayout(t *testing.T) {
 func TestMediumTierRatesBetweenAnchors(t *testing.T) {
 	const work = 20e6
 	mk := func() *task.Workload { return soloWorkload("rate", fastProfile, work) }
-	little := runOn(t, oneCoreTier(cpu.TierLittle), cfs.New(cfs.Options{}), mk()).Apps[0].Turnaround
-	medium := runOn(t, oneCoreTier(cpu.TierMedium), cfs.New(cfs.Options{}), mk()).Apps[0].Turnaround
-	big := runOn(t, oneCoreTier(cpu.TierBig), cfs.New(cfs.Options{}), mk()).Apps[0].Turnaround
+	little := runOn(t, oneCoreTier(cpu.TierLittle), cfs.New(), mk()).Apps[0].Turnaround
+	medium := runOn(t, oneCoreTier(cpu.TierMedium), cfs.New(), mk()).Apps[0].Turnaround
+	big := runOn(t, oneCoreTier(cpu.TierBig), cfs.New(), mk()).Apps[0].Turnaround
 	if !(big < medium && medium < little) {
 		t.Fatalf("turnarounds not tier-ordered: big=%v medium=%v little=%v", big, medium, little)
 	}
@@ -70,7 +70,7 @@ func TestMediumTierRatesBetweenAnchors(t *testing.T) {
 
 // fixedOPP wraps CFS with a governor pinning every dispatch to one OPP.
 type fixedOPP struct {
-	*cfs.Policy
+	kernel.Scheduler
 	opp int
 }
 
@@ -81,7 +81,7 @@ func TestDVFSGovernorScalesRateAndEnergy(t *testing.T) {
 	run := func(opp int) *kernel.Result {
 		w := soloWorkload("dvfs", fastProfile, work)
 		m, err := kernel.NewMachine(oneCoreTier(cpu.TierMedium),
-			&fixedOPP{Policy: cfs.New(cfs.Options{}), opp: opp}, w, kernel.Params{})
+			&fixedOPP{Scheduler: cfs.New(), opp: opp}, w, kernel.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestDVFSGovernorScalesRateAndEnergy(t *testing.T) {
 func TestFixedFrequencyTiersSkipGovernor(t *testing.T) {
 	// A governor on a fixed-frequency (paper) machine must never fire.
 	w := soloWorkload("fixed", fastProfile, 1e6)
-	pol := &fixedOPP{Policy: cfs.New(cfs.Options{}), opp: 0}
+	pol := &fixedOPP{Scheduler: cfs.New(), opp: 0}
 	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Big, 1), pol, w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
@@ -132,13 +132,13 @@ func TestFixedFrequencyTiersSkipGovernor(t *testing.T) {
 func TestInvalidTierConfigRejected(t *testing.T) {
 	w := soloWorkload("bad", fastProfile, 1e6)
 	bad := cpu.Config{Name: "bad", Kinds: []cpu.Kind{0, 5}, TierSet: cpu.TriGearTiers()}
-	if _, err := kernel.NewMachine(bad, cfs.New(cfs.Options{}), w, kernel.Params{}); err == nil {
+	if _, err := kernel.NewMachine(bad, cfs.New(), w, kernel.Params{}); err == nil {
 		t.Fatal("out-of-range tier index accepted")
 	}
 	desc := cpu.Config{Name: "desc", Kinds: []cpu.Kind{0, 1},
 		TierSet: []cpu.Tier{cpu.TierBig, cpu.TierLittle}} // capacity not ascending
 	w2 := soloWorkload("bad2", fastProfile, 1e6)
-	if _, err := kernel.NewMachine(desc, cfs.New(cfs.Options{}), w2, kernel.Params{}); err == nil {
+	if _, err := kernel.NewMachine(desc, cfs.New(), w2, kernel.Params{}); err == nil {
 		t.Fatal("descending tier palette accepted")
 	}
 }

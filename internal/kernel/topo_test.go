@@ -50,9 +50,9 @@ func numaWorkload() *task.Workload {
 
 func numaPolicies() map[string]func() kernel.Scheduler {
 	return map[string]func() kernel.Scheduler{
-		"linux": func() kernel.Scheduler { return cfs.New(cfs.Options{}) },
-		"wash":  func() kernel.Scheduler { return wash.New(wash.Options{}) },
-		"gts":   func() kernel.Scheduler { return gts.New(gts.Options{}) },
+		"linux": func() kernel.Scheduler { return cfs.New() },
+		"wash":  func() kernel.Scheduler { return wash.New(nil) },
+		"gts":   func() kernel.Scheduler { return gts.New() },
 		"colab": func() kernel.Scheduler { return colabsched.New(colabsched.Options{}) },
 	}
 }
@@ -129,7 +129,7 @@ func TestMigrationPenaltyCharged(t *testing.T) {
 			progs = append(progs, task.Program{task.Compute{Work: 40e6}})
 		}
 		w := &task.Workload{Name: "cross", Apps: []*task.App{mkApp(0, "cross", profiles, progs)}}
-		m, err := kernel.NewMachine(cfg, cfs.New(cfs.Options{}), w, kernel.Params{})
+		m, err := kernel.NewMachine(cfg, cfs.New(), w, kernel.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestMigrationPenaltyCharged(t *testing.T) {
 // domains and threads inherit the app's home.
 func TestHomeDomainPlacement(t *testing.T) {
 	w := numaWorkload()
-	m, err := kernel.NewMachine(cpu.Config2x2B2S, cfs.New(cfs.Options{}), w, kernel.Params{})
+	m, err := kernel.NewMachine(cpu.Config2x2B2S, cfs.New(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestHomeDomainPlacement(t *testing.T) {
 
 // TestMachineTopologyAccessors covers the queries stages build on.
 func TestMachineTopologyAccessors(t *testing.T) {
-	m, err := kernel.NewMachine(cpu.Config2x2B2S, cfs.New(cfs.Options{}), numaWorkload(), kernel.Params{})
+	m, err := kernel.NewMachine(cpu.Config2x2B2S, cfs.New(), numaWorkload(), kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestMachineTopologyAccessors(t *testing.T) {
 	}
 
 	// Flat machine: accessors answer the single implicit domain.
-	fm, err := kernel.NewMachine(cpu.Config4B4S, cfs.New(cfs.Options{}), numaWorkload(), kernel.Params{})
+	fm, err := kernel.NewMachine(cpu.Config4B4S, cfs.New(), numaWorkload(), kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func runSingleOn(bench string, threads int, cfg cpu.Config, opt CollectOptions) 
 	if err != nil {
 		return nil, err
 	}
-	m, err := kernel.NewMachine(cfg, cfs.New(cfs.Options{}), w, kernel.Params{})
+	m, err := kernel.NewMachine(cfg, cfs.New(), w, kernel.Params{})
 	if err != nil {
 		return nil, fmt.Errorf("perfmodel: training run %s on %s: %w", bench, cfg.Name, err)
 	}

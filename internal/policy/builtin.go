@@ -47,19 +47,19 @@ func NeedsSpeedup(name string) bool {
 
 func init() {
 	MustRegister(Linux, func(Context) (kernel.Scheduler, error) {
-		return cfs.New(cfs.Options{}), nil
+		return cfs.New(), nil
 	})
 	MustRegister(WASH, func(ctx Context) (kernel.Scheduler, error) {
-		return wash.New(wash.Options{Speedup: ctx.Speedup}), nil
+		return wash.New(ctx.Speedup), nil
 	})
 	MustRegister(COLAB, func(ctx Context) (kernel.Scheduler, error) {
 		return colab.New(colab.Options{Speedup: ctx.Speedup}), nil
 	})
 	MustRegister(GTS, func(Context) (kernel.Scheduler, error) {
-		return gts.New(gts.Options{}), nil
+		return gts.New(), nil
 	})
 	MustRegister(EAS, func(Context) (kernel.Scheduler, error) {
-		return eas.New(eas.Options{}), nil
+		return eas.New(), nil
 	})
 	MustRegister(COLABDVFS, func(ctx Context) (kernel.Scheduler, error) {
 		o := colab.Options{Speedup: ctx.Speedup, Governor: true}
@@ -103,32 +103,32 @@ func init() {
 // letting compositions like "colab.labeler+wash.selector" read naturally.
 func registerBuiltinStages() {
 	cfsAllocator := func(Context) (kernel.Stage, error) {
-		return cfs.NewAllocator(cfs.Options{}), nil
+		return cfs.NewAllocator(), nil
 	}
 	cfsSelector := func(Context) (kernel.Stage, error) {
-		return cfs.NewSelector(cfs.Options{}), nil
+		return cfs.NewSelector(), nil
 	}
 	for _, name := range []string{Linux, WASH, GTS} {
 		MustRegisterStage(SlotAllocator, name, cfsAllocator)
 		MustRegisterStage(SlotSelector, name, cfsSelector)
 	}
 	MustRegisterStage(SlotLabeler, WASH, func(ctx Context) (kernel.Stage, error) {
-		return wash.NewLabeler(wash.Options{Speedup: ctx.Speedup}), nil
+		return wash.NewLabeler(ctx.Speedup), nil
 	})
 	MustRegisterStage(SlotLabeler, GTS, func(Context) (kernel.Stage, error) {
-		return gts.NewLabeler(gts.Options{}), nil
+		return gts.NewLabeler(), nil
 	})
 	MustRegisterStage(SlotLabeler, EAS, func(Context) (kernel.Stage, error) {
-		return eas.NewLabeler(eas.Options{}), nil
+		return eas.NewLabeler(), nil
 	})
 	MustRegisterStage(SlotAllocator, EAS, func(Context) (kernel.Stage, error) {
-		return eas.NewAllocator(eas.Options{}), nil
+		return eas.NewAllocator(), nil
 	})
 	MustRegisterStage(SlotSelector, EAS, func(Context) (kernel.Stage, error) {
-		return eas.NewSelector(eas.Options{}), nil
+		return eas.NewSelector(), nil
 	})
 	MustRegisterStage(SlotGovernor, EAS, func(Context) (kernel.Stage, error) {
-		return eas.NewGovernor(eas.Options{}), nil
+		return eas.NewGovernor(), nil
 	})
 	// Plain colab.labeler keeps the "colab" policy's semantics exactly:
 	// upper-tier scaling interpolates the big-anchor prediction, never the
@@ -146,11 +146,11 @@ func registerBuiltinStages() {
 			TierSpeedupTiers: ctx.TierSpeedupTiers,
 		}), nil
 	})
-	MustRegisterStage(SlotAllocator, COLAB, func(ctx Context) (kernel.Stage, error) {
-		return colab.NewAllocator(colab.Options{Speedup: ctx.Speedup}), nil
+	MustRegisterStage(SlotAllocator, COLAB, func(Context) (kernel.Stage, error) {
+		return colab.NewAllocator(colab.Options{}), nil
 	})
-	MustRegisterStage(SlotSelector, COLAB, func(ctx Context) (kernel.Stage, error) {
-		return colab.NewSelector(colab.Options{Speedup: ctx.Speedup}), nil
+	MustRegisterStage(SlotSelector, COLAB, func(Context) (kernel.Stage, error) {
+		return colab.NewSelector(colab.Options{}), nil
 	})
 	// The registry's colab.governor is built active (Options.Governor on):
 	// composing it into a pipeline means asking for label-driven DVFS.

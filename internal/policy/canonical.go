@@ -28,15 +28,9 @@ func Canonical(name string) string {
 	if whole || !IsComposition(name) {
 		return name
 	}
-	comp, err := parseComposition(name)
+	comp, err := parsePipeline(name)
 	if err != nil {
 		return name
-	}
-	if _, ok := comp[SlotAllocator]; !ok {
-		comp[SlotAllocator] = DefaultStageFamily
-	}
-	if _, ok := comp[SlotSelector]; !ok {
-		comp[SlotSelector] = DefaultStageFamily
 	}
 	parts := make([]string, 0, len(comp))
 	for _, slot := range Slots() {

@@ -74,13 +74,13 @@ func TestUnknownNameListsRegistry(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	if err := Register("", func(Context) (kernel.Scheduler, error) { return cfs.New(cfs.Options{}), nil }); err == nil {
+	if err := Register("", func(Context) (kernel.Scheduler, error) { return cfs.New(), nil }); err == nil {
 		t.Error("empty name must error")
 	}
 	if err := Register("nilfactory", nil); err == nil {
 		t.Error("nil factory must error")
 	}
-	if err := Register(Linux, func(Context) (kernel.Scheduler, error) { return cfs.New(cfs.Options{}), nil }); err == nil {
+	if err := Register(Linux, func(Context) (kernel.Scheduler, error) { return cfs.New(), nil }); err == nil {
 		t.Error("collision with a builtin must error")
 	}
 }
@@ -90,7 +90,7 @@ func TestRegisterCustomRoundtrip(t *testing.T) {
 	called := 0
 	if err := Register(name, func(ctx Context) (kernel.Scheduler, error) {
 		called++
-		return cfs.New(cfs.Options{}), nil
+		return cfs.New(), nil
 	}); err != nil {
 		t.Fatal(err)
 	}

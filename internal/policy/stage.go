@@ -197,17 +197,27 @@ func checkComposition(name string) error {
 	return nil
 }
 
-// newComposition builds a pipeline scheduler from a composition name.
-func newComposition(name string, ctx Context) (kernel.Scheduler, error) {
+// parsePipeline is parseComposition with the omitted allocator/selector
+// slots filled with DefaultStageFamily: the stages a composition name
+// actually runs.
+func parsePipeline(name string) (map[Slot]string, error) {
 	comp, err := parseComposition(name)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := comp[SlotAllocator]; !ok {
-		comp[SlotAllocator] = DefaultStageFamily
+	for _, slot := range []Slot{SlotAllocator, SlotSelector} {
+		if _, ok := comp[slot]; !ok {
+			comp[slot] = DefaultStageFamily
+		}
 	}
-	if _, ok := comp[SlotSelector]; !ok {
-		comp[SlotSelector] = DefaultStageFamily
+	return comp, nil
+}
+
+// newComposition builds a pipeline scheduler from a composition name.
+func newComposition(name string, ctx Context) (kernel.Scheduler, error) {
+	comp, err := parsePipeline(name)
+	if err != nil {
+		return nil, err
 	}
 	var (
 		lab   kernel.Labeler

@@ -98,7 +98,7 @@ func TestPolicyNameShadowsComposition(t *testing.T) {
 	built := 0
 	MustRegister(name, func(Context) (kernel.Scheduler, error) {
 		built++
-		return cfs.New(cfs.Options{}), nil
+		return cfs.New(), nil
 	})
 	if err := Check(name); err != nil {
 		t.Fatalf("registered name must check clean: %v", err)
@@ -175,7 +175,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("conc-%d", i)
 			if err := Register("policy-"+name, func(Context) (kernel.Scheduler, error) {
-				return cfs.New(cfs.Options{}), nil
+				return cfs.New(), nil
 			}); err != nil {
 				t.Errorf("Register: %v", err)
 			}

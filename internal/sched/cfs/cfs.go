@@ -8,13 +8,11 @@
 // masks every labeling interval and leave allocation/selection to CFS.
 //
 // The policy is the composition of its two pipeline stages (AllocatorStage
-// and SelectorStage in stages.go) over the pipeline's shared RunQueues.
-// The original monolithic implementation kept each core's timeline in a
-// red-black tree; the golden corpus proved the stage decomposition
-// bit-identical, and a benchmark against the tree showed the linear shared
-// queues faster (and allocation-free) at every realistic per-queue depth,
-// so the monolith was collapsed onto the stages (docs/TUNING.md records
-// the numbers). selectorbench_test.go checks the queues against a
+// and SelectorStage in stages.go) over the pipeline's shared RunQueues,
+// running on the fixed Linux latency defaults below. The queues are linear
+// rather than red-black trees because the linear scan is faster (and
+// allocation-free) at every realistic per-queue depth (docs/TUNING.md
+// records the numbers). selectorbench_test.go checks the queues against a
 // reference timeline and times them in BenchmarkRunQueueDispatch.
 package cfs
 
@@ -23,55 +21,28 @@ import (
 	"colab/internal/sim"
 )
 
-// Options tune the CFS latency targets (Linux defaults scaled to the
-// simulated machine).
-type Options struct {
+// The CFS latency targets: the Linux defaults, shared by every policy built
+// on CFS slices (COLAB's selector reads them from here).
+const (
 	// TargetLatency is the scheduling period every runnable thread should
-	// run once within (Linux sched_latency_ns, default 6 ms).
-	TargetLatency sim.Time
-	// MinGranularity floors the per-thread slice (default 750 us).
-	MinGranularity sim.Time
-	// WakeupGranularity guards wake-up preemption (default 1 ms).
-	WakeupGranularity sim.Time
-	// SleeperCredit caps how much vruntime credit a waking sleeper gets
-	// (default TargetLatency/2, as in place_entity).
-	SleeperCredit sim.Time
-}
+	// run once within (Linux sched_latency_ns).
+	TargetLatency = 6 * sim.Millisecond
+	// MinGranularity floors the per-thread slice (sched_min_granularity_ns).
+	MinGranularity = 750 * sim.Microsecond
+	// WakeupGranularity guards wake-up preemption
+	// (sched_wakeup_granularity_ns).
+	WakeupGranularity = sim.Millisecond
+	// sleeperCredit caps how much vruntime credit a waking sleeper gets
+	// (half the target latency, as in place_entity).
+	sleeperCredit = TargetLatency / 2
+)
 
-func (o Options) withDefaults() Options {
-	if o.TargetLatency == 0 {
-		o.TargetLatency = 6 * sim.Millisecond
-	}
-	if o.MinGranularity == 0 {
-		o.MinGranularity = 750 * sim.Microsecond
-	}
-	if o.WakeupGranularity == 0 {
-		o.WakeupGranularity = sim.Millisecond
-	}
-	if o.SleeperCredit == 0 {
-		o.SleeperCredit = o.TargetLatency / 2
-	}
-	return o
-}
-
-// Policy is the CFS scheduling policy: the allocator and selector stages
-// composed into a pipeline named "linux".
-type Policy struct {
-	kernel.Scheduler
-	opts Options
-}
-
-// New returns a CFS policy.
-func New(opts Options) *Policy {
-	opts = opts.withDefaults()
-	s, err := kernel.NewPipeline("linux", nil, NewAllocator(opts), NewSelector(opts), nil)
+// New returns the CFS policy: the allocator and selector stages composed
+// into a pipeline named "linux".
+func New() kernel.Scheduler {
+	s, err := kernel.NewPipeline("linux", nil, NewAllocator(), NewSelector(), nil)
 	if err != nil {
 		panic(err) // both mandatory stages are supplied above
 	}
-	return &Policy{Scheduler: s, opts: opts}
+	return s
 }
-
-// Options returns the effective options.
-func (p *Policy) Options() Options { return p.opts }
-
-var _ kernel.Scheduler = (*Policy)(nil)

@@ -24,9 +24,9 @@ func app(id int, progs []task.Program, prof cpu.WorkProfile) *task.App {
 
 func cpuBound(work float64) task.Program { return task.Program{task.Compute{Work: work}} }
 
-func run(t *testing.T, cfg cpu.Config, w *task.Workload, opts cfs.Options) *kernel.Result {
+func run(t *testing.T, cfg cpu.Config, w *task.Workload) *kernel.Result {
 	t.Helper()
-	m, err := kernel.NewMachine(cfg, cfs.New(opts), w, kernel.Params{})
+	m, err := kernel.NewMachine(cfg, cfs.New(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func run(t *testing.T, cfg cpu.Config, w *task.Workload, opts cfs.Options) *kern
 func TestFairnessOnSharedCore(t *testing.T) {
 	a := app(0, []task.Program{cpuBound(50e6), cpuBound(50e6)}, plain)
 	w := &task.Workload{Name: "fair", Apps: []*task.App{a}}
-	res := run(t, cpu.NewSymmetric(cpu.Little, 1), w, cfs.Options{})
+	res := run(t, cpu.NewSymmetric(cpu.Little, 1), w)
 	e0, e1 := res.Threads[0].SumExec, res.Threads[1].SumExec
 	// Both finish 50ms of work; completion order may skew the tail, but at
 	// the first thread's completion both should be near 50% of the core.
@@ -57,7 +57,7 @@ func TestFairnessOnSharedCore(t *testing.T) {
 func TestLeastLoadedPlacementSpreads(t *testing.T) {
 	a := app(0, []task.Program{cpuBound(30e6), cpuBound(30e6), cpuBound(30e6), cpuBound(30e6)}, plain)
 	w := &task.Workload{Name: "spread", Apps: []*task.App{a}}
-	res := run(t, cpu.NewSymmetric(cpu.Little, 4), w, cfs.Options{})
+	res := run(t, cpu.NewSymmetric(cpu.Little, 4), w)
 	if res.EndTime > 32*sim.Millisecond {
 		t.Fatalf("threads did not spread: end %v", res.EndTime)
 	}
@@ -74,7 +74,7 @@ func TestAffinityRespected(t *testing.T) {
 	a.Threads[0].Affinity = task.MaskOf([]int{1})
 	a.Threads[1].Affinity = task.MaskOf([]int{1})
 	w := &task.Workload{Name: "aff", Apps: []*task.App{a}}
-	res := run(t, cpu.NewSymmetric(cpu.Little, 2), w, cfs.Options{})
+	res := run(t, cpu.NewSymmetric(cpu.Little, 2), w)
 	if res.Cores[0].BusyTime > sim.Millisecond {
 		t.Fatalf("core 0 ran pinned-away threads: busy %v", res.Cores[0].BusyTime)
 	}
@@ -94,7 +94,7 @@ func TestSliceShrinksWithLoad(t *testing.T) {
 	}
 	a := app(0, progs, plain)
 	w := &task.Workload{Name: "slices", Apps: []*task.App{a}}
-	res := run(t, cpu.NewSymmetric(cpu.Little, 1), w, cfs.Options{})
+	res := run(t, cpu.NewSymmetric(cpu.Little, 1), w)
 	if res.TotalSwitches < 30 {
 		t.Fatalf("too few context switches for 6-way sharing: %d", res.TotalSwitches)
 	}
@@ -107,7 +107,7 @@ func TestWakeupPreemption(t *testing.T) {
 	hog := cpuBound(100e6)
 	a := app(0, []task.Program{sleeper, hog}, plain)
 	w := &task.Workload{Name: "wake", Apps: []*task.App{a}}
-	res := run(t, cpu.NewSymmetric(cpu.Little, 1), w, cfs.Options{})
+	res := run(t, cpu.NewSymmetric(cpu.Little, 1), w)
 	if res.TotalPreemptions == 0 {
 		t.Fatalf("woken sleeper never preempted the hog")
 	}
@@ -129,7 +129,7 @@ func TestIdleSteal(t *testing.T) {
 	b := app(0, []task.Program{cpuBound(40e6), cpuBound(40e6), cpuBound(40e6)}, plain)
 	w := &task.Workload{Name: "steal", Apps: []*task.App{b}}
 	_ = a
-	res := run(t, cpu.NewSymmetric(cpu.Little, 2), w, cfs.Options{})
+	res := run(t, cpu.NewSymmetric(cpu.Little, 2), w)
 	// Perfect schedule: 60ms (120ms of work over 2 cores). Without stealing
 	// one core would idle after 40ms and the other run 80ms.
 	if res.EndTime > 70*sim.Millisecond {
@@ -138,15 +138,8 @@ func TestIdleSteal(t *testing.T) {
 }
 
 func TestNameAndDefaults(t *testing.T) {
-	p := cfs.New(cfs.Options{})
+	p := cfs.New()
 	if p.Name() != "linux" {
 		t.Fatalf("name = %q", p.Name())
-	}
-	o := p.Options()
-	if o.TargetLatency != 6*sim.Millisecond || o.MinGranularity != 750*sim.Microsecond {
-		t.Fatalf("defaults not applied: %+v", o)
-	}
-	if o.SleeperCredit != 3*sim.Millisecond {
-		t.Fatalf("sleeper credit = %v", o.SleeperCredit)
 	}
 }

@@ -9,25 +9,20 @@ import (
 // The CFS stage decomposition: the least-loaded wake-up placement becomes
 // the pipeline allocator and the vruntime-timeline selection (leftmost pop,
 // rightmost idle-balance steal, granularity-guarded preemption) becomes the
-// pipeline selector, both operating on the pipeline's shared RunQueues
-// instead of the monolithic Policy's red-black trees. (vruntime, push
-// order) scans over the shared queues reproduce the tree's timeline
-// ordering exactly — the golden corpus holds the two implementations to
-// bit-identical schedules. CFS has no labeler and no governor.
+// pipeline selector, both operating on the pipeline's shared RunQueues,
+// whose (vruntime, push order) scans give the CFS timeline ordering. CFS
+// has no labeler and no governor.
 
 // AllocatorStage is the CFS core-allocation stage: least-loaded placement
 // among allowed cores (asymmetry-blind) with sleeper vruntime credit on
 // wake-up. Registered as "linux.allocator"; WASH and GTS alias it, since
 // below their affinity masks allocation is plain CFS.
 type AllocatorStage struct {
-	opts Options
-	pc   *kernel.PipelineContext
+	pc *kernel.PipelineContext
 }
 
 // NewAllocator returns the CFS allocator stage.
-func NewAllocator(opts Options) *AllocatorStage {
-	return &AllocatorStage{opts: opts.withDefaults()}
-}
+func NewAllocator() *AllocatorStage { return &AllocatorStage{} }
 
 // Name implements kernel.Stage.
 func (a *AllocatorStage) Name() string { return "linux.allocator" }
@@ -75,7 +70,7 @@ func (a *AllocatorStage) Place(t *task.Thread, core int, wakeup bool) {
 	q := a.pc.Queues()
 	floor := q.MinVR(core)
 	if wakeup {
-		floor -= a.opts.SleeperCredit
+		floor -= sleeperCredit
 	}
 	if t.VRuntime < floor {
 		t.VRuntime = floor
@@ -92,16 +87,13 @@ func (a *AllocatorStage) LeastLoadedAllowed(t *task.Thread) int { return a.least
 // from the busiest queue, plus the CFS slice/preemption rules. Registered
 // as "linux.selector"; WASH and GTS alias it.
 type SelectorStage struct {
-	opts    Options
 	pc      *kernel.PipelineContext
 	allIDs  []int
 	scratch []int // reused steal-order buffer (hot path: no per-call alloc)
 }
 
 // NewSelector returns the CFS selector stage.
-func NewSelector(opts Options) *SelectorStage {
-	return &SelectorStage{opts: opts.withDefaults()}
-}
+func NewSelector() *SelectorStage { return &SelectorStage{} }
 
 // Name implements kernel.Stage.
 func (s *SelectorStage) Name() string { return "linux.selector" }
@@ -195,9 +187,9 @@ func (s *SelectorStage) nrRunning(c *kernel.Core) int {
 // TimeSlice implements kernel.Selector: target latency divided by the
 // number of runnable threads, floored at the minimum granularity.
 func (s *SelectorStage) TimeSlice(c *kernel.Core, t *task.Thread) sim.Time {
-	slice := s.opts.TargetLatency / sim.Time(s.nrRunning(c))
-	if slice < s.opts.MinGranularity {
-		slice = s.opts.MinGranularity
+	slice := TargetLatency / sim.Time(s.nrRunning(c))
+	if slice < MinGranularity {
+		slice = MinGranularity
 	}
 	return slice
 }
@@ -212,7 +204,7 @@ func (s *SelectorStage) WakeupPreempt(c *kernel.Core, t *task.Thread) bool {
 	if cur == nil {
 		return false
 	}
-	return cur.VRuntime-t.VRuntime > s.opts.WakeupGranularity
+	return cur.VRuntime-t.VRuntime > WakeupGranularity
 }
 
 var (

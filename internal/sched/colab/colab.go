@@ -39,6 +39,7 @@ package colab
 import (
 	"colab/internal/cpu"
 	"colab/internal/kernel"
+	"colab/internal/sched/cfs"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
@@ -73,16 +74,31 @@ func (l Label) String() string {
 	}
 }
 
-// Options configure COLAB. The ablation switches disable individual design
-// choices for the ablation benches DESIGN.md §4 calls out.
+// The fixed parameters of the paper's COLAB configuration. The slice layer
+// under the selector is CFS's (cfs.TargetLatency, cfs.MinGranularity,
+// cfs.WakeupGranularity).
+const (
+	// interval is the labeling period (paper: 10 ms).
+	interval = 10 * sim.Millisecond
+	// highSpeedupZ sets the high-speedup threshold at mean + z*std of the
+	// current ready-thread speedup distribution.
+	highSpeedupZ float64 = 0.5
+	// blameDecay is the EWMA retention of per-interval blocking blame.
+	blameDecay float64 = 0.5
+	// fairnessWindow bounds how far (in scaled vruntime) blame priority may
+	// push a thread ahead of its fair share before selection reverts to
+	// pure vruntime order.
+	fairnessWindow = 4 * cfs.TargetLatency
+	// governorHold is the minimum residency at an operating point before
+	// the governor lowers a core's frequency by one step (upshifts are
+	// immediate).
+	governorHold = 2 * sim.Millisecond
+)
+
+// Options configure COLAB: the speedup predictors, the DVFS governor and
+// the ablation switches DESIGN.md §4 calls out. The zero value is the
+// paper's COLAB with a neutral predictor.
 type Options struct {
-	// TargetLatency / MinGranularity / WakeupGranularity mirror the CFS
-	// latency parameters the slice computation is built on.
-	TargetLatency     sim.Time
-	MinGranularity    sim.Time
-	WakeupGranularity sim.Time
-	// Interval is the labeling period (paper: 10 ms).
-	Interval sim.Time
 	// Speedup predicts a thread's big-vs-little speedup (trained model).
 	Speedup func(*task.Thread) float64
 	// TierSpeedup, when set, predicts a thread's tier-vs-base speedup
@@ -103,22 +119,9 @@ type Options struct {
 	// running low-speedup non-critical threads are capped at the ladder's
 	// middle step, and middle-band threads run one step below nominal (see
 	// governor.go for the full decision rules). Downshifts are hysteretic
-	// (one ladder step per GovernorHold); fixed-frequency machines (the
+	// (one ladder step per 2 ms hold); fixed-frequency machines (the
 	// paper's setup) never invoke it.
 	Governor bool
-	// GovernorHold is the minimum residency at an operating point before
-	// the governor lowers a core's frequency by one step (upshifts are
-	// immediate).
-	GovernorHold sim.Time
-	// HighSpeedupZ sets the high-speedup threshold at mean + z*std of the
-	// current ready-thread speedup distribution.
-	HighSpeedupZ float64
-	// BlameDecay is the EWMA retention of per-interval blocking blame.
-	BlameDecay float64
-	// FairnessWindow bounds how far (in scaled vruntime) blame priority may
-	// push a thread ahead of its fair share before selection reverts to
-	// pure vruntime order.
-	FairnessWindow sim.Time
 
 	// Ablation switches (all false for the paper's COLAB).
 	DisableScaleSlice bool // drop the equal-progress vruntime scaling
@@ -128,32 +131,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.TargetLatency == 0 {
-		o.TargetLatency = 6 * sim.Millisecond
-	}
-	if o.MinGranularity == 0 {
-		o.MinGranularity = 750 * sim.Microsecond
-	}
-	if o.WakeupGranularity == 0 {
-		o.WakeupGranularity = sim.Millisecond
-	}
-	if o.Interval == 0 {
-		o.Interval = 10 * sim.Millisecond
-	}
 	if o.Speedup == nil {
-		o.Speedup = func(*task.Thread) float64 { return 1.5 }
-	}
-	if o.HighSpeedupZ == 0 {
-		o.HighSpeedupZ = 0.5
-	}
-	if o.BlameDecay == 0 {
-		o.BlameDecay = 0.5
-	}
-	if o.FairnessWindow == 0 {
-		o.FairnessWindow = 4 * o.TargetLatency
-	}
-	if o.GovernorHold == 0 {
-		o.GovernorHold = 2 * sim.Millisecond
+		o.Speedup = func(*task.Thread) float64 { return kernel.NeutralPred }
 	}
 	return o
 }
@@ -164,19 +143,19 @@ type Policy struct {
 	kernel.Scheduler
 	opts Options
 	lab  *LabelerStage
+	sel  *SelectorStage
 	gov  *GovernorStage
 }
 
 // New returns a COLAB policy.
 func New(opts Options) *Policy {
 	opts = opts.withDefaults()
-	lab := NewLabeler(opts)
-	gov := NewGovernor(opts)
-	sched, err := kernel.NewPipeline("colab", lab, NewAllocator(opts), NewSelector(opts), gov)
+	lab, sel, gov := NewLabeler(opts), NewSelector(opts), NewGovernor(opts)
+	sched, err := kernel.NewPipeline("colab", lab, NewAllocator(opts), sel, gov)
 	if err != nil {
 		panic(err) // both mandatory stages are supplied above
 	}
-	return &Policy{Scheduler: sched, opts: opts, lab: lab, gov: gov}
+	return &Policy{Scheduler: sched, opts: opts, lab: lab, sel: sel, gov: gov}
 }
 
 // Name implements kernel.Scheduler.

@@ -169,7 +169,7 @@ func TestMotivatingExampleBeatsCFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml, err := kernel.NewMachine(cfg, cfs.New(cfs.Options{}), build(), kernel.Params{})
+	ml, err := kernel.NewMachine(cfg, cfs.New(), build(), kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,9 @@ func TestFairnessWindowPreventsStarvation(t *testing.T) {
 	cfg := cpu.Config2B2S
 
 	run := func(window sim.Time) sim.Time {
-		o := oracleOpts()
-		o.FairnessWindow = window
-		m, err := kernel.NewMachine(cfg, colab.New(o), build(), kernel.Params{})
+		p := colab.New(oracleOpts())
+		p.SetFairnessWindow(window)
+		m, err := kernel.NewMachine(cfg, p, build(), kernel.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ import (
 // Two guards keep the governor honest: a thread that released futex
 // waiters since the last labeling pass is boosted regardless of its label
 // (criticality moves faster than the 10 ms labeler in sync-heavy mixes),
-// and downshifts walk the ladder one step per GovernorHold so a single
+// and downshifts walk the ladder one step per governorHold so a single
 // mislabelled interval cannot park a core low. Upshifts apply immediately —
 // a bottleneck must never wait on the governor.
 //
@@ -57,16 +57,20 @@ func OPPForLabel(l Label, numOPPs int) int {
 // stage in that inert state; the "colab.governor" registry stage is built
 // active).
 type GovernorStage struct {
-	opts Options
+	active bool
+	// hold is the downshift residency (governorHold; behaviour tests vary
+	// it).
+	hold sim.Time
 	pc   *kernel.PipelineContext
 	// govSince[coreID] is when the governor last changed that core's
 	// operating point (downshift hysteresis).
 	govSince []sim.Time
 }
 
-// NewGovernor returns the COLAB governor stage.
+// NewGovernor returns the COLAB governor stage, active when
+// opts.Governor is set.
 func NewGovernor(opts Options) *GovernorStage {
-	return &GovernorStage{opts: opts.withDefaults()}
+	return &GovernorStage{active: opts.Governor, hold: governorHold}
 }
 
 // Name implements kernel.Stage.
@@ -80,13 +84,13 @@ func (g *GovernorStage) Start(pc *kernel.PipelineContext) {
 
 // SelectOPP implements kernel.Governor.
 func (g *GovernorStage) SelectOPP(c *kernel.Core, t *task.Thread) int {
-	if !g.opts.Governor {
+	if !g.active {
 		return c.NumOPPs() - 1
 	}
 	cur := c.OPP()
 	h := g.pc.Hints().Get(t)
 	want := OPPForLabel(Label(h.Label), c.NumOPPs())
-	// Blame is only folded into labels every Interval, but criticality moves
+	// Blame is only folded into labels every interval, but criticality moves
 	// faster than that in sync-heavy mixes: a thread that released waiters
 	// since the last labeling pass holds a contended resource right now and
 	// must not run derated, whatever its label says.
@@ -99,7 +103,7 @@ func (g *GovernorStage) SelectOPP(c *kernel.Core, t *task.Thread) int {
 		g.govSince[c.ID] = now
 		return want
 	case want < cur:
-		if now-g.govSince[c.ID] < g.opts.GovernorHold {
+		if now-g.govSince[c.ID] < g.hold {
 			return cur // hysteresis: hold before stepping down
 		}
 		g.govSince[c.ID] = now

@@ -58,11 +58,27 @@ func TestGovernorDisabledPinsNominal(t *testing.T) {
 	}
 }
 
-func governorOpts(hold sim.Time) colab.Options {
+func governorOpts() colab.Options {
 	o := oracleOpts()
 	o.Governor = true
-	o.GovernorHold = hold
 	return o
+}
+
+// runWithHold runs the hot/cold mix on 2B2M2S under the active governor
+// with its downshift hold overridden.
+func runWithHold(t *testing.T, hold sim.Time) *kernel.Result {
+	t.Helper()
+	p := colab.New(governorOpts())
+	p.SetGovernorHold(hold)
+	m, err := kernel.NewMachine(cpu.Config2B2M2S, p, mixWorkload(120e6), kernel.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // mixWorkload builds a hot/cold thread mix that gives the labeler a real
@@ -81,7 +97,7 @@ func mixWorkload(work float64) *task.Workload {
 // hot/cold mix the capped cold threads leave low-OPP busy residency behind,
 // and per-OPP residency always sums to the core's busy time.
 func TestGovernorCapsAndAccountsResidency(t *testing.T) {
-	res := runColab(t, cpu.Config2B2M2S, mixWorkload(120e6), governorOpts(0))
+	res := runColab(t, cpu.Config2B2M2S, mixWorkload(120e6), governorOpts())
 	var nominal, total sim.Time
 	for _, c := range res.Cores {
 		var sum sim.Time
@@ -105,7 +121,7 @@ func TestGovernorCapsAndAccountsResidency(t *testing.T) {
 // (cores boot at nominal and may only stay or boost), so all busy time lands
 // on the nominal point even under the governor.
 func TestGovernorHoldBlocksDownshift(t *testing.T) {
-	res := runColab(t, cpu.Config2B2M2S, mixWorkload(120e6), governorOpts(sim.Time(1e15)))
+	res := runWithHold(t, sim.Time(1e15))
 	for _, c := range res.Cores {
 		for i, b := range c.BusyByOPP {
 			if i != len(c.BusyByOPP)-1 && b != 0 {
@@ -120,7 +136,7 @@ func TestGovernorHoldBlocksDownshift(t *testing.T) {
 // period).
 func TestGovernorHoldThrottlesDownshifts(t *testing.T) {
 	subNominal := func(hold sim.Time) sim.Time {
-		res := runColab(t, cpu.Config2B2M2S, mixWorkload(120e6), governorOpts(hold))
+		res := runWithHold(t, hold)
 		var sub sim.Time
 		for _, c := range res.Cores {
 			for i, b := range c.BusyByOPP {

@@ -7,6 +7,7 @@ import (
 	"colab/internal/cpu"
 	"colab/internal/kernel"
 	"colab/internal/mathx"
+	"colab/internal/sched/cfs"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
@@ -48,7 +49,7 @@ func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 	l.threads = make(map[*task.Thread]struct{})
 	l.useTierPred = l.opts.TierSpeedup != nil &&
 		(l.opts.TierSpeedupTiers == nil || paletteMatches(l.opts.TierSpeedupTiers, pc.Machine().Tiers()))
-	pc.Machine().Engine().After(l.opts.Interval, l.label)
+	pc.Machine().Engine().After(interval, l.label)
 }
 
 // Admit implements kernel.Labeler. The fresh thread keeps the board's
@@ -67,7 +68,7 @@ func (l *LabelerStage) label() {
 	if m.Done() {
 		return
 	}
-	defer m.Engine().After(l.opts.Interval, l.label)
+	defer m.Engine().After(interval, l.label)
 	if len(l.threads) == 0 {
 		return
 	}
@@ -96,7 +97,7 @@ func (l *LabelerStage) label() {
 		}
 		intervalBlame := float64(t.BlockBlame - h.LastBlame)
 		h.LastBlame = t.BlockBlame
-		h.Crit = l.opts.BlameDecay*h.Crit + (1-l.opts.BlameDecay)*intervalBlame
+		h.Crit = blameDecay*h.Crit + (1-blameDecay)*intervalBlame
 		t.IntervalCounters = cpu.Vec{}
 		preds = append(preds, h.Pred)
 		blames = append(blames, h.Crit)
@@ -105,7 +106,7 @@ func (l *LabelerStage) label() {
 	bMean := mathx.Mean(blames)
 	// Degenerate distributions (all threads alike) must not label everyone
 	// big: require a real margin above the mean.
-	highThresh := pMean + mathx.Clamp(l.opts.HighSpeedupZ*pStd, 0.02*pMean, 1)
+	highThresh := pMean + mathx.Clamp(highSpeedupZ*pStd, 0.02*pMean, 1)
 	lowThresh := pMean
 	top := m.TopTier()
 	for _, t := range threads {
@@ -269,7 +270,10 @@ func (a *AllocatorStage) rr(ids []int, ctr *int) int {
 // on a lower-tier core. It also owns COLAB's scale-slice fairness hooks.
 type SelectorStage struct {
 	opts Options
-	pc   *kernel.PipelineContext
+	// fairnessWindow is the blame-priority bound (the fairnessWindow
+	// constant; behaviour tests vary it).
+	fairnessWindow sim.Time
+	pc             *kernel.PipelineContext
 
 	// stealOrder[k] lists, for a core of tier k, the other tiers to scan
 	// in selection order: the core's own tier first, then the remaining
@@ -279,7 +283,7 @@ type SelectorStage struct {
 
 // NewSelector returns the COLAB selector stage.
 func NewSelector(opts Options) *SelectorStage {
-	return &SelectorStage{opts: opts.withDefaults()}
+	return &SelectorStage{opts: opts.withDefaults(), fairnessWindow: fairnessWindow}
 }
 
 // Name implements kernel.Stage.
@@ -378,7 +382,7 @@ func (s *SelectorStage) scanMaxBlame(ids []int, c *kernel.Core) *task.Thread {
 // lower vruntime.
 //
 // Blame priority only applies within a vruntime fairness window: a thread
-// that is more than FairnessWindow of (scaled) runtime ahead of a candidate
+// that is more than fairnessWindow of (scaled) runtime ahead of a candidate
 // loses to it regardless of blame. This is the selector's side of "keeping
 // the whole workload in equal progress without penalizing any individual
 // application" (§3.1): in overloaded systems unbounded blame priority would
@@ -386,7 +390,7 @@ func (s *SelectorStage) scanMaxBlame(ids []int, c *kernel.Core) *task.Thread {
 func (s *SelectorStage) moreCritical(a, b *task.Thread) bool {
 	ha, hb := s.pc.Hints().Get(a), s.pc.Hints().Get(b)
 	dv := a.VRuntime - b.VRuntime
-	if dv > s.opts.FairnessWindow || dv < -s.opts.FairnessWindow {
+	if dv > s.fairnessWindow || dv < -s.fairnessWindow {
 		return dv < 0
 	}
 	if ha.Crit != hb.Crit {
@@ -445,15 +449,15 @@ func (s *SelectorStage) tierScale(c *kernel.Core, t *task.Thread) float64 {
 // proportionally more often.
 func (s *SelectorStage) TimeSlice(c *kernel.Core, t *task.Thread) sim.Time {
 	nr := s.pc.Queues().Len(c.ID) + 1
-	slice := s.opts.TargetLatency / sim.Time(nr)
-	if slice < s.opts.MinGranularity {
-		slice = s.opts.MinGranularity
+	slice := cfs.TargetLatency / sim.Time(nr)
+	if slice < cfs.MinGranularity {
+		slice = cfs.MinGranularity
 	}
 	if c.Kind > 0 && !s.opts.DisableScaleSlice {
 		if sc := s.tierScale(c, t); sc > 1 {
 			slice = sim.Time(float64(slice) / sc)
 		}
-		if min := s.opts.MinGranularity / 2; slice < min {
+		if min := cfs.MinGranularity / 2; slice < min {
 			slice = min
 		}
 	}
@@ -480,10 +484,10 @@ func (s *SelectorStage) WakeupPreempt(c *kernel.Core, t *task.Thread) bool {
 		return false
 	}
 	vdiff := cur.VRuntime - t.VRuntime
-	if vdiff > s.opts.WakeupGranularity {
+	if vdiff > cfs.WakeupGranularity {
 		return true
 	}
-	return s.pc.Hints().Get(t).Crit > s.pc.Hints().Get(cur).Crit && vdiff > s.opts.WakeupGranularity/4
+	return s.pc.Hints().Get(t).Crit > s.pc.Hints().Get(cur).Crit && vdiff > cfs.WakeupGranularity/4
 }
 
 var (

@@ -32,49 +32,28 @@ import (
 	"colab/internal/task"
 )
 
-// Options configure the EAS policy.
-type Options struct {
-	CFS cfs.Options
-	// Interval is the utilisation-sampling period.
-	Interval sim.Time
-	// LittleCapacity is the utilisation above which a thread no longer
+// The EAS placement and governor parameters.
+const (
+	// interval is the utilisation-sampling period.
+	interval = 10 * sim.Millisecond
+	// littleCapacity is the utilisation above which a thread no longer
 	// "fits" a base-tier core and is up-placed (EAS's fits_capacity rule,
 	// expressed as a runnable-time fraction). Middle tiers interpolate
 	// their fit threshold between this value and 1 by relative capacity.
-	LittleCapacity float64
-	// LoadDecay is the EWMA retention of per-interval utilisation.
-	LoadDecay float64
-	// FreqHeadroom is the schedutil-style margin the DVFS governor keeps
-	// above the tracked utilisation when picking an operating point
-	// (mainline uses 1.25).
-	FreqHeadroom float64
-	// Power drives the energy cost comparison between clusters.
-	Power cpu.PowerModel
-}
-
-func (o Options) withDefaults() Options {
-	if o.Interval == 0 {
-		o.Interval = 10 * sim.Millisecond
-	}
-	if o.LittleCapacity == 0 {
-		o.LittleCapacity = 0.8
-	}
-	if o.LoadDecay == 0 {
-		o.LoadDecay = 0.5
-	}
-	if o.FreqHeadroom == 0 {
-		o.FreqHeadroom = 1.25
-	}
-	if o.Power == (cpu.PowerModel{}) {
-		o.Power = cpu.DefaultPower
-	}
-	return o
-}
+	// It is typed so 1-littleCapacity equals the float64 subtraction
+	// (0.19999999999999996); an untyped 0.8 would fold to exactly 0.2.
+	littleCapacity float64 = 0.8
+	// loadDecay is the EWMA retention of per-interval utilisation.
+	loadDecay float64 = 0.5
+	// freqHeadroom is the schedutil margin the DVFS governor keeps above
+	// the tracked utilisation when picking an operating point (mainline
+	// uses 1.25).
+	freqHeadroom float64 = 1.25
+)
 
 // New returns the EAS policy: the canonical four-stage composition.
-func New(opts Options) kernel.Scheduler {
-	opts = opts.withDefaults()
-	s, err := kernel.NewPipeline("eas", NewLabeler(opts), NewAllocator(opts), NewSelector(opts), NewGovernor(opts))
+func New() kernel.Scheduler {
+	s, err := kernel.NewPipeline("eas", NewLabeler(), NewAllocator(), NewSelector(), NewGovernor())
 	if err != nil {
 		panic(err) // both mandatory stages are supplied above
 	}
@@ -88,9 +67,9 @@ func utilOf(pc *kernel.PipelineContext, t *task.Thread) float64 {
 }
 
 // fitThresholds computes, per tier, the utilisation up to which a thread
-// fits that tier: LittleCapacity on the base tier, 1 on the top, linear
+// fits that tier: littleCapacity on the base tier, 1 on the top, linear
 // interpolation by relative capacity in between.
-func fitThresholds(tiers []cpu.Tier, littleCapacity float64) []float64 {
+func fitThresholds(tiers []cpu.Tier) []float64 {
 	out := make([]float64, len(tiers))
 	capLo := tiers[0].Capacity
 	capHi := tiers[len(tiers)-1].Capacity
@@ -118,20 +97,17 @@ type info struct {
 	lastRdy  sim.Time
 }
 
-// LabelerStage samples every thread's runnable-time fraction each Interval
+// LabelerStage samples every thread's runnable-time fraction each interval
 // and publishes the EWMA as Hint.Util — the signal the EAS allocator and
 // governor (and any hybrid pipeline) consume.
 type LabelerStage struct {
-	opts    Options
 	pc      *kernel.PipelineContext
 	threads map[*task.Thread]*info
 	lastAt  sim.Time
 }
 
 // NewLabeler returns the EAS utilisation-sampling labeler stage.
-func NewLabeler(opts Options) *LabelerStage {
-	return &LabelerStage{opts: opts.withDefaults()}
-}
+func NewLabeler() *LabelerStage { return &LabelerStage{} }
 
 // Name implements kernel.Stage.
 func (l *LabelerStage) Name() string { return "eas.labeler" }
@@ -141,7 +117,7 @@ func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 	l.pc = pc
 	l.threads = make(map[*task.Thread]*info)
 	l.lastAt = 0
-	pc.Machine().Engine().After(l.opts.Interval, l.sample)
+	pc.Machine().Engine().After(interval, l.sample)
 }
 
 // Admit implements kernel.Labeler. New threads keep the modest default
@@ -161,7 +137,7 @@ func (l *LabelerStage) sample() {
 	if m.Done() {
 		return
 	}
-	defer m.Engine().After(l.opts.Interval, l.sample)
+	defer m.Engine().After(interval, l.sample)
 	now := m.Now()
 	wall := float64(now - l.lastAt)
 	l.lastAt = now
@@ -176,7 +152,7 @@ func (l *LabelerStage) sample() {
 			inst = 1
 		}
 		h := l.pc.Hints().Get(t)
-		h.Util = l.opts.LoadDecay*h.Util + (1-l.opts.LoadDecay)*inst
+		h.Util = loadDecay*h.Util + (1-loadDecay)*inst
 	}
 }
 
@@ -190,15 +166,13 @@ func (l *LabelerStage) sample() {
 // allowed core. Below core choice the placement rules are plain CFS.
 type AllocatorStage struct {
 	*cfs.AllocatorStage
-	opts      Options
 	pc        *kernel.PipelineContext
 	fitThresh []float64
 }
 
 // NewAllocator returns the EAS allocator stage.
-func NewAllocator(opts Options) *AllocatorStage {
-	opts = opts.withDefaults()
-	return &AllocatorStage{AllocatorStage: cfs.NewAllocator(opts.CFS), opts: opts}
+func NewAllocator() *AllocatorStage {
+	return &AllocatorStage{AllocatorStage: cfs.NewAllocator()}
 }
 
 // Name implements kernel.Stage.
@@ -208,7 +182,7 @@ func (a *AllocatorStage) Name() string { return "eas.allocator" }
 func (a *AllocatorStage) Start(pc *kernel.PipelineContext) {
 	a.AllocatorStage.Start(pc)
 	a.pc = pc
-	a.fitThresh = fitThresholds(pc.Machine().Tiers(), a.opts.LittleCapacity)
+	a.fitThresh = fitThresholds(pc.Machine().Tiers())
 }
 
 // Enqueue implements kernel.Allocator.
@@ -266,9 +240,8 @@ type SelectorStage struct {
 }
 
 // NewSelector returns the EAS selector stage.
-func NewSelector(opts Options) *SelectorStage {
-	opts = opts.withDefaults()
-	return &SelectorStage{SelectorStage: cfs.NewSelector(opts.CFS)}
+func NewSelector() *SelectorStage {
+	return &SelectorStage{SelectorStage: cfs.NewSelector()}
 }
 
 // Name implements kernel.Stage.
@@ -314,14 +287,11 @@ func (s *SelectorStage) PickNext(c *kernel.Core) *task.Thread {
 // operating point whose frequency covers the incoming thread's utilisation
 // plus headroom at the tier's nominal capacity.
 type GovernorStage struct {
-	opts Options
-	pc   *kernel.PipelineContext
+	pc *kernel.PipelineContext
 }
 
 // NewGovernor returns the EAS governor stage.
-func NewGovernor(opts Options) *GovernorStage {
-	return &GovernorStage{opts: opts.withDefaults()}
-}
+func NewGovernor() *GovernorStage { return &GovernorStage{} }
 
 // Name implements kernel.Stage.
 func (g *GovernorStage) Name() string { return "eas.governor" }
@@ -331,7 +301,7 @@ func (g *GovernorStage) Start(pc *kernel.PipelineContext) { g.pc = pc }
 
 // SelectOPP implements kernel.Governor.
 func (g *GovernorStage) SelectOPP(c *kernel.Core, t *task.Thread) int {
-	target := utilOf(g.pc, t) * g.opts.FreqHeadroom * float64(c.Tier.FreqMHz)
+	target := utilOf(g.pc, t) * freqHeadroom * float64(c.Tier.FreqMHz)
 	ladder := c.Tier.Ladder()
 	for i, f := range ladder {
 		if float64(f) >= target {

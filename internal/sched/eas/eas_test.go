@@ -24,7 +24,7 @@ func mkApp(n int, work float64) *task.App {
 
 func runEAS(t *testing.T, cfg cpu.Config, w *task.Workload) *kernel.Result {
 	t.Helper()
-	m, err := kernel.NewMachine(cfg, eas.New(eas.Options{}), w, kernel.Params{})
+	m, err := kernel.NewMachine(cfg, eas.New(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +79,15 @@ func TestSavesEnergyVsCFSOnLightLoad(t *testing.T) {
 		}
 		return res.TotalEnergyJ()
 	}
-	easJ := run(eas.New(eas.Options{}))
-	cfsJ := run(cfs.New(cfs.Options{}))
+	easJ := run(eas.New())
+	cfsJ := run(cfs.New())
 	if easJ >= cfsJ {
 		t.Fatalf("EAS energy %v J not below CFS %v J on light load", easJ, cfsJ)
 	}
 }
 
 func TestName(t *testing.T) {
-	if eas.New(eas.Options{}).Name() != "eas" {
+	if eas.New().Name() != "eas" {
 		t.Fatal("name")
 	}
 }

@@ -52,8 +52,8 @@ func TestTriGearGovernorSavesEnergy(t *testing.T) {
 		}
 		return res
 	}
-	easRes := run(eas.New(eas.Options{}))
-	cfsRes := run(cfs.New(cfs.Options{}))
+	easRes := run(eas.New())
+	cfsRes := run(cfs.New())
 	if easRes.TotalEnergyJ() >= cfsRes.TotalEnergyJ() {
 		t.Errorf("EAS energy %.4f J not below CFS %.4f J on bursty tri-gear load",
 			easRes.TotalEnergyJ(), cfsRes.TotalEnergyJ())

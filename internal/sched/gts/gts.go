@@ -22,40 +22,22 @@ import (
 	"colab/internal/task"
 )
 
-// Options configure the GTS policy.
-type Options struct {
-	CFS cfs.Options
-	// Interval is the load-sampling period.
-	Interval sim.Time
-	// UpThreshold and DownThreshold bound the hysteresis band on the
+// The GTS load-tracking parameters.
+const (
+	// interval is the load-sampling period.
+	interval = 10 * sim.Millisecond
+	// upThreshold and downThreshold bound the hysteresis band on the
 	// runnable-fraction load average.
-	UpThreshold   float64
-	DownThreshold float64
-	// LoadDecay is the EWMA retention of the per-interval load.
-	LoadDecay float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Interval == 0 {
-		o.Interval = 10 * sim.Millisecond
-	}
-	if o.UpThreshold == 0 {
-		o.UpThreshold = 0.75
-	}
-	if o.DownThreshold == 0 {
-		o.DownThreshold = 0.35
-	}
-	if o.LoadDecay == 0 {
-		o.LoadDecay = 0.5
-	}
-	return o
-}
+	upThreshold   float64 = 0.75
+	downThreshold float64 = 0.35
+	// loadDecay is the EWMA retention of the per-interval load.
+	loadDecay float64 = 0.5
+)
 
 // New returns the GTS policy: the GTS load-ladder labeler stage over CFS
 // allocation and selection.
-func New(opts Options) kernel.Scheduler {
-	opts = opts.withDefaults()
-	s, err := kernel.NewPipeline("gts", NewLabeler(opts), cfs.NewAllocator(opts.CFS), cfs.NewSelector(opts.CFS), nil)
+func New() kernel.Scheduler {
+	s, err := kernel.NewPipeline("gts", NewLabeler(), cfs.NewAllocator(), cfs.NewSelector(), nil)
 	if err != nil {
 		panic(err) // both mandatory stages are supplied above
 	}
@@ -73,7 +55,6 @@ type info struct {
 // It publishes each thread's ladder rung (TargetTier) and load (Util) as
 // hints for downstream stages in hybrid pipelines.
 type LabelerStage struct {
-	opts    Options
 	pc      *kernel.PipelineContext
 	threads map[*task.Thread]*info
 	lastAt  sim.Time
@@ -86,9 +67,7 @@ type LabelerStage struct {
 }
 
 // NewLabeler returns the GTS labeler stage.
-func NewLabeler(opts Options) *LabelerStage {
-	return &LabelerStage{opts: opts.withDefaults()}
-}
+func NewLabeler() *LabelerStage { return &LabelerStage{} }
 
 // Name implements kernel.Stage.
 func (l *LabelerStage) Name() string { return "gts.labeler" }
@@ -109,7 +88,7 @@ func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 			l.tierMask[tier] = l.nearestMask(tier)
 		}
 	}
-	m.Engine().After(l.opts.Interval, l.sample)
+	m.Engine().After(interval, l.sample)
 }
 
 // nearestMask finds the mask of the nearest populated tier, preferring
@@ -144,7 +123,7 @@ func (l *LabelerStage) sample() {
 	if m.Done() {
 		return
 	}
-	defer m.Engine().After(l.opts.Interval, l.sample)
+	defer m.Engine().After(interval, l.sample)
 	now := m.Now()
 	wall := float64(now - l.lastAt)
 	l.lastAt = now
@@ -168,11 +147,11 @@ func (l *LabelerStage) sample() {
 		if inst > 1 {
 			inst = 1
 		}
-		in.load = l.opts.LoadDecay*in.load + (1-l.opts.LoadDecay)*inst
+		in.load = loadDecay*in.load + (1-loadDecay)*inst
 		switch {
-		case in.tier < l.topTier && in.load > l.opts.UpThreshold:
+		case in.tier < l.topTier && in.load > upThreshold:
 			in.tier++
-		case in.tier > 0 && in.load < l.opts.DownThreshold:
+		case in.tier > 0 && in.load < downThreshold:
 			in.tier--
 		}
 		h := l.pc.Hints().Get(t)

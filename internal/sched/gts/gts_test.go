@@ -14,7 +14,7 @@ var plain = cpu.WorkProfile{ILP: 0.6, BranchRate: 0.1, MemIntensity: 0.2}
 
 func runGTS(t *testing.T, cfg cpu.Config, w *task.Workload) *kernel.Result {
 	t.Helper()
-	m, err := kernel.NewMachine(cfg, gts.New(gts.Options{}), w, kernel.Params{})
+	m, err := kernel.NewMachine(cfg, gts.New(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestLoadBasedSteering(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if gts.New(gts.Options{}).Name() != "gts" {
+	if gts.New().Name() != "gts" {
 		t.Fatal("name")
 	}
 }

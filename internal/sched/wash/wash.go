@@ -24,53 +24,25 @@ import (
 	"colab/internal/task"
 )
 
-// Options configure the WASH policy.
-type Options struct {
-	CFS cfs.Options
-	// Interval is the labeling period (paper: 10 ms).
-	Interval sim.Time
-	// Speedup predicts a thread's big-vs-little speedup (trained model).
-	Speedup func(*task.Thread) float64
+// The WASH heuristic's fixed parameters.
+const (
+	// interval is the labeling period (the paper's 10 ms).
+	interval = 10 * sim.Millisecond
 	// Score weights: z(speedup), z(blocking), big-share fairness penalty.
-	SpeedupWeight float64
-	BlockWeight   float64
-	FairWeight    float64
-	// BlameDecay is the EWMA retention of per-interval blocking blame.
-	BlameDecay float64
-	// Band is the score dead-zone inside which threads keep full affinity.
-	Band float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Interval == 0 {
-		o.Interval = 10 * sim.Millisecond
-	}
-	if o.Speedup == nil {
-		o.Speedup = func(*task.Thread) float64 { return 1.5 }
-	}
-	if o.SpeedupWeight == 0 {
-		o.SpeedupWeight = 1.0
-	}
-	if o.BlockWeight == 0 {
-		o.BlockWeight = 1.0
-	}
-	if o.FairWeight == 0 {
-		o.FairWeight = 0.5
-	}
-	if o.BlameDecay == 0 {
-		o.BlameDecay = 0.5
-	}
-	if o.Band == 0 {
-		o.Band = 0.4
-	}
-	return o
-}
+	speedupWeight float64 = 1.0
+	blockWeight   float64 = 1.0
+	fairWeight    float64 = 0.5
+	// blameDecay is the EWMA retention of per-interval blocking blame.
+	blameDecay float64 = 0.5
+	// band is the score dead-zone inside which threads keep full affinity.
+	band float64 = 0.4
+)
 
 // New returns the WASH policy: the WASH labeler stage over CFS allocation
-// and selection.
-func New(opts Options) kernel.Scheduler {
-	opts = opts.withDefaults()
-	s, err := kernel.NewPipeline("wash", NewLabeler(opts), cfs.NewAllocator(opts.CFS), cfs.NewSelector(opts.CFS), nil)
+// and selection. speedup predicts a thread's big-vs-little speedup (the
+// trained model); nil selects a neutral predictor.
+func New(speedup func(*task.Thread) float64) kernel.Scheduler {
+	s, err := kernel.NewPipeline("wash", NewLabeler(speedup), cfs.NewAllocator(), cfs.NewSelector(), nil)
 	if err != nil {
 		panic(err) // both mandatory stages are supplied above
 	}
@@ -89,7 +61,7 @@ type info struct {
 // scheduler. It publishes each thread's predicted speedup and blame EWMA as
 // hints for downstream stages in hybrid pipelines.
 type LabelerStage struct {
-	opts    Options
+	speedup func(*task.Thread) float64
 	pc      *kernel.PipelineContext
 	threads map[*task.Thread]*info
 
@@ -108,9 +80,13 @@ type LabelerStage struct {
 	domTierMasks [][]task.Mask // [domain][tier] = tier ∩ domain cores
 }
 
-// NewLabeler returns the WASH labeler stage.
-func NewLabeler(opts Options) *LabelerStage {
-	return &LabelerStage{opts: opts.withDefaults()}
+// NewLabeler returns the WASH labeler stage driven by the speedup
+// predictor; nil selects a neutral one.
+func NewLabeler(speedup func(*task.Thread) float64) *LabelerStage {
+	if speedup == nil {
+		speedup = func(*task.Thread) float64 { return kernel.NeutralPred }
+	}
+	return &LabelerStage{speedup: speedup}
 }
 
 // Name implements kernel.Stage.
@@ -148,12 +124,12 @@ func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 			}
 		}
 	}
-	m.Engine().After(l.opts.Interval, l.label)
+	m.Engine().After(interval, l.label)
 }
 
 // Admit implements kernel.Labeler.
 func (l *LabelerStage) Admit(t *task.Thread) {
-	l.threads[t] = &info{pred: 1.5}
+	l.threads[t] = &info{pred: kernel.NeutralPred}
 }
 
 // ThreadDone implements kernel.Labeler.
@@ -167,7 +143,7 @@ func (l *LabelerStage) label() {
 	if m.Done() {
 		return
 	}
-	defer m.Engine().After(l.opts.Interval, l.label)
+	defer m.Engine().After(interval, l.label)
 	if len(l.threads) == 0 {
 		return
 	}
@@ -182,10 +158,10 @@ func (l *LabelerStage) label() {
 	blames := make([]float64, 0, len(threads))
 	for _, t := range threads {
 		in := l.threads[t]
-		in.pred = l.opts.Speedup(t)
+		in.pred = l.speedup(t)
 		intervalBlame := float64(t.BlockBlame - in.lastBlame)
 		in.lastBlame = t.BlockBlame
-		in.blameEWMA = l.opts.BlameDecay*in.blameEWMA + (1-l.opts.BlameDecay)*intervalBlame
+		in.blameEWMA = blameDecay*in.blameEWMA + (1-blameDecay)*intervalBlame
 		t.IntervalCounters = cpu.Vec{}
 		h := l.pc.Hints().Get(t)
 		h.Pred, h.Crit, h.LastBlame = in.pred, in.blameEWMA, in.lastBlame
@@ -198,11 +174,11 @@ func (l *LabelerStage) label() {
 	bottleneck := make([]bool, len(threads))
 	for i, t := range threads {
 		in := l.threads[t]
-		score := l.opts.SpeedupWeight*zscore(in.pred, pMean, pStd) +
-			l.opts.BlockWeight*zscore(in.blameEWMA, bMean, bStd)
+		score := speedupWeight*zscore(in.pred, pMean, pStd) +
+			blockWeight*zscore(in.blameEWMA, bMean, bStd)
 		if t.SumExec > 0 {
 			bigShare := float64(t.SumExecBig) / float64(t.SumExec)
-			score -= l.opts.FairWeight * (2*bigShare - 1)
+			score -= fairWeight * (2*bigShare - 1)
 		}
 		scores[i] = score
 		// WASH's characteristic behaviour: every thread that looks like a
@@ -220,9 +196,9 @@ func (l *LabelerStage) label() {
 		// underlying Linux scheduler).
 		var mask task.Mask
 		switch {
-		case scores[i] > l.opts.Band || bottleneck[i]:
+		case scores[i] > band || bottleneck[i]:
 			mask = l.bigMask
-		case scores[i] < -l.opts.Band:
+		case scores[i] < -band:
 			mask = l.littleMask
 		default:
 			mask = task.MaskAll()
@@ -250,7 +226,7 @@ func (l *LabelerStage) setMask(t *task.Thread, mask task.Mask) {
 func (l *LabelerStage) applyRanked(threads []*task.Thread, scores []float64, bottleneck []bool) {
 	ranked := make([]int, 0, len(threads))
 	for i := range threads {
-		if bottleneck[i] || scores[i] > l.opts.Band || scores[i] < -l.opts.Band {
+		if bottleneck[i] || scores[i] > band || scores[i] < -band {
 			ranked = append(ranked, i)
 		} else {
 			l.setMask(threads[i], task.MaskAll())

@@ -16,9 +16,10 @@ var (
 	insensitive = cpu.WorkProfile{ILP: 0.1, BranchRate: 0.05, MemIntensity: 0.95}
 )
 
-func runWASH(t *testing.T, cfg cpu.Config, w *task.Workload, o wash.Options) *kernel.Result {
+// runWASH runs w under WASH driven by the ground-truth speedup oracle.
+func runWASH(t *testing.T, cfg cpu.Config, w *task.Workload) *kernel.Result {
 	t.Helper()
-	m, err := kernel.NewMachine(cfg, wash.New(o), w, kernel.Params{})
+	m, err := kernel.NewMachine(cfg, wash.New(perfmodel.Oracle()), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestAffinitySteersBySpeedup(t *testing.T) {
 	mkThread(a, "cold1", insensitive, task.Program{task.Compute{Work: 150e6}})
 	mkThread(a, "cold2", insensitive, task.Program{task.Compute{Work: 150e6}})
 	w := &task.Workload{Name: "m", Apps: []*task.App{a}}
-	res := runWASH(t, cpu.Config2B2S, w, wash.Options{Speedup: perfmodel.Oracle()})
+	res := runWASH(t, cpu.Config2B2S, w)
 	share := func(i int) float64 {
 		return float64(res.Threads[i].SumExecBig) / float64(res.Threads[i].SumExec)
 	}
@@ -69,7 +70,7 @@ func TestBottleneckPushedToBig(t *testing.T) {
 	mkThread(a, "w2", insensitive, waiter)
 	mkThread(a, "w3", sensitive, task.Program{task.Compute{Work: 100e6}})
 	w := &task.Workload{Name: "locky", Apps: []*task.App{a}}
-	res := runWASH(t, cpu.Config2B2S, w, wash.Options{Speedup: perfmodel.Oracle()})
+	res := runWASH(t, cpu.Config2B2S, w)
 	holderRes := res.Threads[0]
 	if holderRes.BlockBlame == 0 {
 		t.Fatalf("holder accrued no blame")
@@ -87,7 +88,7 @@ func TestHomogeneousThreadsStayUnpinned(t *testing.T) {
 		mkThread(a, "t", sensitive, task.Program{task.Compute{Work: 60e6}})
 	}
 	w := &task.Workload{Name: "flat", Apps: []*task.App{a}}
-	res := runWASH(t, cpu.Config2B2S, w, wash.Options{Speedup: perfmodel.Oracle()})
+	res := runWASH(t, cpu.Config2B2S, w)
 	// All four equal threads on 4 cores: every core should be busy most of
 	// the makespan (no artificial little-pinning stalls).
 	for _, c := range res.Cores {
@@ -99,7 +100,7 @@ func TestHomogeneousThreadsStayUnpinned(t *testing.T) {
 }
 
 func TestNameAndDefaults(t *testing.T) {
-	p := wash.New(wash.Options{})
+	p := wash.New(nil)
 	if p.Name() != "wash" {
 		t.Fatalf("name = %q", p.Name())
 	}
@@ -111,7 +112,7 @@ func TestSymmetricMachine(t *testing.T) {
 	mkThread(a, "t0", sensitive, task.Program{task.Compute{Work: 20e6}})
 	mkThread(a, "t1", insensitive, task.Program{task.Compute{Work: 20e6}})
 	w := &task.Workload{Name: "sym", Apps: []*task.App{a}}
-	res := runWASH(t, cpu.NewSymmetric(cpu.Big, 2), w, wash.Options{Speedup: perfmodel.Oracle()})
+	res := runWASH(t, cpu.NewSymmetric(cpu.Big, 2), w)
 	if res.EndTime <= 0 || res.EndTime > 40*sim.Millisecond {
 		t.Fatalf("symmetric run misbehaved: %v", res.EndTime)
 	}

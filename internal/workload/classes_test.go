@@ -25,7 +25,7 @@ func runUnderCFS(t *testing.T, idx string) *kernel.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := kernel.NewMachine(cpu.Config4B4S, cfs.New(cfs.Options{}), w, kernel.Params{})
+	m, err := kernel.NewMachine(cpu.Config4B4S, cfs.New(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestEveryBenchmarkRunsOnEveryConfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := kernel.NewMachine(cfg, cfs.New(cfs.Options{}), w, kernel.Params{})
+			m, err := kernel.NewMachine(cfg, cfs.New(), w, kernel.Params{})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", b.Name, cfg.Name, err)
 			}

@@ -128,11 +128,11 @@ type Pipeline struct {
 func (p Pipeline) Scheduler() (Scheduler, error) {
 	alloc := p.Allocator
 	if alloc == nil {
-		alloc = cfs.NewAllocator(cfs.Options{})
+		alloc = cfs.NewAllocator()
 	}
 	sel := p.Selector
 	if sel == nil {
-		sel = cfs.NewSelector(cfs.Options{})
+		sel = cfs.NewSelector()
 	}
 	return kernel.NewPipeline(p.Name, p.Labeler, alloc, sel, p.Governor)
 }
