@@ -185,31 +185,64 @@ func BenchmarkAblationOracleModel(b *testing.B)   { benchAblation(b, experiment.
 func BenchmarkAblationGTS(b *testing.B)           { benchAblation(b, experiment.SchedGTS) }
 
 // BenchmarkSimulationThroughput measures raw simulator speed: one Sync-2
-// mix on 2B2S under COLAB, reporting simulated events per wall second.
+// mix on 2B2S under COLAB, reporting simulated events per run. Workload
+// generation happens outside the timed region.
 func BenchmarkSimulationThroughput(b *testing.B) {
 	model, err := colab.TrainSpeedupModel()
 	if err != nil {
 		b.Fatal(err)
 	}
+	events := benchKernel(b, "Sync-2", colab.Config2B2S, func() colab.Scheduler { return colab.NewCOLAB(model) })
+	if b.N > 0 {
+		b.ReportMetric(float64(events)/float64(b.N), "events/run")
+	}
+}
+
+// benchKernel runs b.N simulations of mix on cfg under fresh schedulers and
+// returns the events fired. A workload instance is single-use, so each
+// iteration builds one with the timer stopped: only the simulation is
+// timed.
+func benchKernel(b *testing.B, mix string, cfg colab.Config, sched func() colab.Scheduler) uint64 {
+	b.Helper()
 	b.ReportAllocs()
 	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, err := colab.BuildWorkload("Sync-2", uint64(i+1))
+		b.StopTimer()
+		w, err := colab.BuildWorkload(mix, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := colab.Run(colab.Config2B2S, colab.NewCOLAB(model), w)
+		s := sched()
+		b.StartTimer()
+		res, err := colab.Run(cfg, s, w)
 		if err != nil {
 			b.Fatal(err)
 		}
 		events += res.Events
 	}
 	b.StopTimer()
-	if b.N > 0 {
-		b.ReportMetric(float64(events)/float64(b.N), "events/run")
+	return events
+}
+
+// bigMix is the 128-thread four-program mix of the big-machine kernel
+// benchmarks.
+const bigMix = "ferret:32+bodytrack:32+radix:32+fft:32"
+
+// benchKernelEvents reports simulated events per timed wall second of
+// bigMix on cfg.
+func benchKernelEvents(b *testing.B, cfg colab.Config, sched func(*colab.SpeedupModel) colab.Scheduler) {
+	model, err := colab.TrainSpeedupModel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	events := benchKernel(b, bigMix, cfg, func() colab.Scheduler { return sched(model) })
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(events)/s, "events/sec")
 	}
 }
+
+func benchCOLAB(m *colab.SpeedupModel) colab.Scheduler { return colab.NewCOLAB(m) }
 
 // BenchmarkKernelEvents128 measures big-machine kernel throughput: a
 // 128-thread four-program mix saturating the 128-core tri-gear palette
@@ -217,28 +250,7 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 // headline number for the mask-set affinity representation — every queue
 // scan and dispatch touches masks wider than one word.
 func BenchmarkKernelEvents128(b *testing.B) {
-	model, err := colab.TrainSpeedupModel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	var events uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, err := colab.BuildWorkload("ferret:32+bodytrack:32+radix:32+fft:32", uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := colab.Run(colab.Config32B32M64S, colab.NewCOLAB(model), w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Events
-	}
-	b.StopTimer()
-	if s := b.Elapsed().Seconds(); s > 0 {
-		b.ReportMetric(float64(events)/s, "events/sec")
-	}
+	benchKernelEvents(b, colab.Config32B32M64S, benchCOLAB)
 }
 
 // BenchmarkKernelEventsNUMA measures kernel throughput with an active
@@ -246,26 +258,19 @@ func BenchmarkKernelEvents128(b *testing.B) {
 // under COLAB, so every dispatch runs the home-domain allocator, the
 // domain-ranked steal comparator and the migration-penalty charge.
 func BenchmarkKernelEventsNUMA(b *testing.B) {
-	model, err := colab.TrainSpeedupModel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	var events uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, err := colab.BuildWorkload("ferret:32+bodytrack:32+radix:32+fft:32", uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := colab.Run(colab.Config2x32B32M64S, colab.NewCOLAB(model), w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Events
-	}
-	b.StopTimer()
-	if s := b.Elapsed().Seconds(); s > 0 {
-		b.ReportMetric(float64(events)/s, "events/sec")
-	}
+	benchKernelEvents(b, colab.Config2x32B32M64S, benchCOLAB)
+}
+
+// BenchmarkKernelEventsNUMAFlat is BenchmarkKernelEventsNUMA on the flat
+// twin of the palette (same cores, no topology): the gap between the two
+// is the cost of topology awareness.
+func BenchmarkKernelEventsNUMAFlat(b *testing.B) {
+	benchKernelEvents(b, colab.Config2x32B32M64S.Flat(), benchCOLAB)
+}
+
+// BenchmarkKernelEventsNUMALinux is the linux (CFS) arm on the NUMA
+// palette: least-loaded placement and the idle-balance steal over 256
+// queues.
+func BenchmarkKernelEventsNUMALinux(b *testing.B) {
+	benchKernelEvents(b, colab.Config2x32B32M64S, func(*colab.SpeedupModel) colab.Scheduler { return colab.NewLinux() })
 }

@@ -19,11 +19,17 @@ import (
 //  5. Done threads have a finish time and no residual work.
 //  6. Accounting totals are non-negative and blocked threads have a wait
 //     start no later than now.
+//  7. The occupancy index holds exactly the cores with a Current thread.
+//  8. Under a pipeline scheduler, the run queues' non-empty index holds
+//     exactly the non-empty queues and Total is the sum of their lengths.
 func (m *Machine) CheckInvariants() []string {
 	var violations []string
 	seen := make(map[*task.Thread]int)
 	for _, c := range m.cores {
 		t := c.Current
+		if m.busy.has(c.ID) != (t != nil) {
+			violations = append(violations, fmt.Sprintf("cpu%d occupancy bit %v, current %v", c.ID, m.busy.has(c.ID), t))
+		}
 		if t == nil {
 			continue
 		}
@@ -66,6 +72,25 @@ func (m *Machine) CheckInvariants() []string {
 	}
 	if alive != m.live {
 		violations = append(violations, fmt.Sprintf("live count %d, but %d threads not done", m.live, alive))
+	}
+	if m.queues != nil {
+		violations = append(violations, m.queues.checkIndex()...)
+	}
+	return violations
+}
+
+// checkIndex verifies the non-empty index and Total against the queues.
+func (q *RunQueues) checkIndex() []string {
+	var violations []string
+	total := 0
+	for i := range q.qs {
+		total += q.Len(i)
+		if q.nonEmpty.has(i) != (q.Len(i) > 0) {
+			violations = append(violations, fmt.Sprintf("queue %d non-empty bit %v, length %d", i, q.nonEmpty.has(i), q.Len(i)))
+		}
+	}
+	if q.Total() != total {
+		violations = append(violations, fmt.Sprintf("queue total %d, lengths sum to %d", q.Total(), total))
 	}
 	return violations
 }

@@ -36,6 +36,17 @@ type Machine struct {
 	topTier  int     // index of the highest-capacity tier in the palette
 	governor DVFSGovernor
 
+	// Occupancy index, maintained by setCurrent: bit i of busy is set iff
+	// cores[i].Current != nil. tierSets[k] holds tier k's cores and
+	// allSet every core; they bound the busy/idle walks.
+	busy     coreSet
+	tierSets []coreSet
+	allSet   coreSet
+
+	// queues is the pipeline scheduler's run-queue state (nil for other
+	// schedulers), registered at Start for CheckInvariants.
+	queues *RunQueues
+
 	// Topology (all derived from config.Topo in NewMachine). Every
 	// topology-aware branch gates on topoActive, so a flat or zero-penalty
 	// topology runs the exact pre-topology code path.
@@ -74,9 +85,17 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 		topTier:  cfg.NumTiers() - 1,
 	}
 	m.governor, _ = sched.(DVFSGovernor)
+	n := cfg.NumCores()
 	m.tierIDs = make([][]int, cfg.NumTiers())
+	m.tierSets = make([]coreSet, cfg.NumTiers())
 	for tier := range m.tierIDs {
 		m.tierIDs[tier] = cfg.TierIndices(tier)
+		m.tierSets[tier] = coreSetOf(n, m.tierIDs[tier])
+	}
+	m.busy = newCoreSet(n)
+	m.allSet = newCoreSet(n)
+	for i := 0; i < n; i++ {
+		m.allSet.add(i)
 	}
 	for i, kind := range cfg.Kinds {
 		tier := cfg.Tier(i)
@@ -226,6 +245,34 @@ func (m *Machine) MigrationPenalty(from, to int) sim.Time {
 	return sim.Time(float64(hops) * m.migPenaltyNS[to])
 }
 
+// NextBusy returns the smallest core >= from of the given tier (-1: any
+// tier) that a thread occupies, or -1. Walking it from 0 visits the
+// occupied cores in ascending core order at a cost of the occupied count,
+// not the core count.
+func (m *Machine) NextBusy(tier, from int) int { return m.busy.next(from, 0, m.tierSet(tier)) }
+
+// NextIdle returns the smallest idle core >= from of the given tier (-1:
+// any tier), or -1.
+func (m *Machine) NextIdle(tier, from int) int { return m.busy.next(from, ^uint64(0), m.tierSet(tier)) }
+
+func (m *Machine) tierSet(tier int) coreSet {
+	if tier < 0 {
+		return m.allSet
+	}
+	return m.tierSets[tier]
+}
+
+// setCurrent is the one writer of Core.Current: it keeps the occupancy
+// index in step with the core.
+func (m *Machine) setCurrent(c *Core, t *task.Thread) {
+	c.Current = t
+	if t == nil {
+		m.busy.remove(c.ID)
+	} else {
+		m.busy.add(c.ID)
+	}
+}
+
 // Workload returns the workload under simulation.
 func (m *Machine) Workload() *task.Workload { return m.workload }
 
@@ -243,10 +290,8 @@ func (m *Machine) Kick(core int) {
 
 // KickIdle re-runs selection on every idle core.
 func (m *Machine) KickIdle() {
-	for _, c := range m.cores {
-		if c.Current == nil {
-			m.resched(c)
-		}
+	for id := m.NextIdle(-1, 0); id >= 0; id = m.NextIdle(-1, id+1) {
+		m.resched(m.cores[id])
 	}
 }
 
@@ -515,9 +560,9 @@ func (m *Machine) makeReady(t *task.Thread, wakeup bool) {
 	}
 	// Work conservation: any idle core the thread may run on gets a chance
 	// to pick it (or anything else) up.
-	for _, c := range m.cores {
-		if c != tc && c.Current == nil && t.AllowedOn(c.ID) {
-			m.resched(c)
+	for id := m.NextIdle(-1, 0); id >= 0; id = m.NextIdle(-1, id+1) {
+		if id != target && t.AllowedOn(id) {
+			m.resched(m.cores[id])
 		}
 	}
 }
@@ -543,7 +588,7 @@ func (m *Machine) preemptCore(c *Core) {
 		return
 	}
 	m.stopBurst(c)
-	c.Current = nil
+	m.setCurrent(c, nil)
 	t.State = task.Ready
 	t.Preemptions++
 	m.emitT(TracePreempt, c.ID, t)
@@ -588,7 +633,7 @@ func (m *Machine) schedule(c *Core) {
 			panic(fmt.Sprintf("kernel: %s.PickNext(%v) returned stale running thread %v", m.sched.Name(), c, t))
 		}
 		m.stopBurst(vc)
-		vc.Current = nil
+		m.setCurrent(vc, nil)
 		t.Preemptions++
 		m.resched(vc)
 	case task.Ready:
@@ -620,7 +665,7 @@ func (m *Machine) schedule(c *Core) {
 		m.emitT(TraceMigrate, c.ID, t)
 	}
 	m.emitT(TraceDispatch, c.ID, t)
-	c.Current = t
+	m.setCurrent(c, t)
 	c.lastThread = t
 	t.State = task.Running
 	t.CoreID = c.ID
@@ -702,17 +747,17 @@ func (m *Machine) onBurstEnd(c *Core) {
 	}
 	switch m.advance(t) {
 	case statusDone:
-		c.Current = nil
+		m.setCurrent(c, nil)
 		m.finishThread(t)
 		m.resched(c)
 	case statusBlocked:
-		c.Current = nil
+		m.setCurrent(c, nil)
 		m.resched(c)
 	case statusCompute:
 		now := m.eng.Now()
 		if now >= c.sliceEnd {
 			// Slice expired: rotate through the policy.
-			c.Current = nil
+			m.setCurrent(c, nil)
 			t.State = task.Ready
 			m.emitT(TraceRotate, c.ID, t)
 			m.makeReady(t, false)

@@ -155,21 +155,24 @@ type rqEntry struct {
 // RunQueues is the pipeline's shared per-core ready-queue state: the
 // allocator pushes, the selector pops. Entries keep insertion order (the
 // order COLAB-style criticality scans walk) while (vruntime, push-sequence)
-// gives CFS-style timeline ordering for PopMinAllowed/StealMaxAllowed.
+// gives CFS-style timeline ordering for PopMinAllowed/StealMaxAllowed. An
+// index of the non-empty queues lets steal scans visit only queued work.
 type RunQueues struct {
-	qs    [][]rqEntry
-	seqs  []uint64
-	minVR []sim.Time
-	where map[*task.Thread]int
+	qs       [][]rqEntry
+	seqs     []uint64
+	minVR    []sim.Time
+	where    map[*task.Thread]int
+	nonEmpty coreSet // bit i set iff qs[i] is non-empty
 }
 
 // NewRunQueues returns empty queues for n cores.
 func NewRunQueues(n int) *RunQueues {
 	return &RunQueues{
-		qs:    make([][]rqEntry, n),
-		seqs:  make([]uint64, n),
-		minVR: make([]sim.Time, n),
-		where: make(map[*task.Thread]int, 16),
+		qs:       make([][]rqEntry, n),
+		seqs:     make([]uint64, n),
+		minVR:    make([]sim.Time, n),
+		where:    make(map[*task.Thread]int, 16),
+		nonEmpty: newCoreSet(n),
 	}
 }
 
@@ -178,6 +181,20 @@ func (q *RunQueues) NumQueues() int { return len(q.qs) }
 
 // Len returns the number of threads queued (not running) on core.
 func (q *RunQueues) Len(core int) int { return len(q.qs[core]) }
+
+// Total returns the number of threads queued on all cores.
+func (q *RunQueues) Total() int { return len(q.where) }
+
+// NextNonEmpty returns the smallest core >= from whose queue holds a
+// thread, or -1. Walking
+//
+//	for i := q.NextNonEmpty(0); i >= 0; i = q.NextNonEmpty(i + 1)
+//
+// visits the non-empty queues in ascending core order at a cost of the
+// queued work, not the core count.
+func (q *RunQueues) NextNonEmpty(from int) int {
+	return q.nonEmpty.next(from, 0, q.nonEmpty) // the set is its own bound
+}
 
 // MinVR returns the monotone vruntime floor of core's queue (the largest
 // vruntime ever popped from its timeline; CFS placement rules build on it).
@@ -192,6 +209,7 @@ func (q *RunQueues) Push(core int, t *task.Thread) {
 	q.seqs[core]++
 	q.qs[core] = append(q.qs[core], rqEntry{t: t, vr: t.VRuntime, seq: q.seqs[core]})
 	q.where[t] = core
+	q.nonEmpty.add(core)
 }
 
 func entryLess(a, b rqEntry) bool {
@@ -205,6 +223,9 @@ func (q *RunQueues) removeAt(core, i int) *task.Thread {
 	es := q.qs[core]
 	t := es[i].t
 	q.qs[core] = append(es[:i], es[i+1:]...)
+	if len(es) == 1 {
+		q.nonEmpty.remove(core)
+	}
 	delete(q.where, t)
 	return t
 }
@@ -382,6 +403,7 @@ func (p *Pipeline) Context() *PipelineContext { return p.pc }
 func (p *Pipeline) Start(m *Machine) {
 	pc := &PipelineContext{m: m, queues: NewRunQueues(len(m.Cores())), hints: NewHintBoard(), alloc: p.alloc}
 	p.pc = pc
+	m.queues = pc.queues
 	if p.lab != nil {
 		p.lab.Start(pc)
 	}

@@ -88,7 +88,6 @@ func (a *AllocatorStage) LeastLoadedAllowed(t *task.Thread) int { return a.least
 // as "linux.selector"; WASH and GTS alias it.
 type SelectorStage struct {
 	pc      *kernel.PipelineContext
-	allIDs  []int
 	scratch []int // reused steal-order buffer (hot path: no per-call alloc)
 }
 
@@ -99,13 +98,7 @@ func NewSelector() *SelectorStage { return &SelectorStage{} }
 func (s *SelectorStage) Name() string { return "linux.selector" }
 
 // Start implements kernel.Stage.
-func (s *SelectorStage) Start(pc *kernel.PipelineContext) {
-	s.pc = pc
-	s.allIDs = s.allIDs[:0]
-	for i := 0; i < pc.Queues().NumQueues(); i++ {
-		s.allIDs = append(s.allIDs, i)
-	}
-}
+func (s *SelectorStage) Start(pc *kernel.PipelineContext) { s.pc = pc }
 
 // PickNext implements kernel.Selector: the local timeline first, else the
 // idle-balance steal over every other queue.
@@ -113,7 +106,7 @@ func (s *SelectorStage) PickNext(c *kernel.Core) *task.Thread {
 	if t := s.PopLocal(c.ID); t != nil {
 		return t
 	}
-	return s.StealInto(c.ID, s.allIDs)
+	return s.StealInto(c.ID, -1)
 }
 
 // PopLocal removes and returns the leftmost thread of core's own queue
@@ -127,21 +120,23 @@ func (s *SelectorStage) PopLocal(core int) *task.Thread {
 }
 
 // StealInto steals the least-entitled thread runnable on core from the
-// busiest of the given source queues, nil when nothing is stealable. On an
-// active topology the idle balance is LLC-aware: nearer domains are
-// searched first (cheapest migration), busiest-first within one distance
-// band. Exported for selector stages with custom stealing rules (EAS).
-func (s *SelectorStage) StealInto(core int, from []int) *task.Thread {
+// busiest other queue of the given tier (-1: every tier), nil when nothing
+// is stealable. On an active topology the idle balance is LLC-aware:
+// nearer domains are searched first (cheapest migration), busiest-first
+// within one distance band. Exported for selector stages with custom
+// stealing rules (EAS).
+func (s *SelectorStage) StealInto(core, tier int) *task.Thread {
 	q := s.pc.Queues()
 	m := s.pc.Machine()
+	cores := m.Cores()
 	topoActive := m.TopoActive()
 	order := s.scratch[:0]
-	for _, i := range from {
-		if i != core && q.Len(i) > 0 {
+	for i := q.NextNonEmpty(0); i >= 0; i = q.NextNonEmpty(i + 1) {
+		if i != core && (tier < 0 || int(cores[i].Kind) == tier) {
 			order = append(order, i)
 		}
 	}
-	// Stable insertion sort so queues of equal rank keep their from-order
+	// Stable insertion sort so queues of equal rank keep their core order
 	// (identical to sort.Slice on the small slices it small-sorts) without
 	// allocating a comparator per call. Flat machines rank busiest-first;
 	// an active topology ranks nearest-domain-first, then busiest.

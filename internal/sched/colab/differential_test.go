@@ -1,0 +1,340 @@
+package colab
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"colab/internal/cpu"
+	"colab/internal/kernel"
+	"colab/internal/mathx"
+	"colab/internal/perfmodel"
+	"colab/internal/sched/cfs"
+	"colab/internal/sched/eas"
+	"colab/internal/sched/gts"
+	"colab/internal/sched/wash"
+	"colab/internal/task"
+	"colab/internal/workload"
+)
+
+// The differential arm of the selector tests: every optimised selector runs
+// next to a reference stage that keeps the plain full-scan search (every
+// core of every tier, in core order), and both must produce identical
+// Results and traces on generated workloads. The reference stages sit here,
+// next to COLAB's unexported criticality order; the CFS family's stages
+// (linux, wash, gts and eas) only need the exported API.
+
+// refSelector is COLAB's thread selector with the full-scan searches: one
+// scan of the tier's core list per tier in steal order, and a pull over
+// every lower-tier core.
+type refSelector struct{ *SelectorStage }
+
+func (s refSelector) PickNext(c *kernel.Core) *task.Thread {
+	if t := s.takeMaxBlame(c.ID, c.ID); t != nil {
+		return t
+	}
+	if s.opts.LocalOnlySelector {
+		return nil
+	}
+	m := s.pc.Machine()
+	for _, tier := range s.stealOrder[int(c.Kind)] {
+		if best := s.scanMaxBlame(m.TierCoreIDs(tier), c); best != nil {
+			s.pc.Queues().Remove(best)
+			return best
+		}
+	}
+	if int(c.Kind) > 0 && !s.opts.DisablePull {
+		return s.pullFromLower(c)
+	}
+	return nil
+}
+
+func (s refSelector) scanMaxBlame(ids []int, c *kernel.Core) *task.Thread {
+	qs := s.pc.Queues()
+	var best *task.Thread
+	for _, id := range ids {
+		if id == c.ID {
+			continue
+		}
+		for i, n := 0, qs.Len(id); i < n; i++ {
+			t := qs.Thread(id, i)
+			if t.AllowedOn(c.ID) && (best == nil || s.moreCritical(t, best)) {
+				best = t
+			}
+		}
+	}
+	return best
+}
+
+func (s refSelector) pullFromLower(c *kernel.Core) *task.Thread {
+	var best *task.Thread
+	m := s.pc.Machine()
+	for tier := 0; tier < int(c.Kind); tier++ {
+		for _, id := range m.TierCoreIDs(tier) {
+			t := m.Cores()[id].Current
+			if t == nil || t.State != task.Running || !t.AllowedOn(c.ID) {
+				continue
+			}
+			if best == nil || s.moreCritical(t, best) {
+				best = t
+			}
+		}
+	}
+	return best
+}
+
+// refCFSSelector is the CFS selector whose idle-balance steal ranks an
+// explicit list of source queues, probing every listed queue's length.
+type refCFSSelector struct {
+	*cfs.SelectorStage
+	pc  *kernel.PipelineContext
+	all []int // every core, in core order
+}
+
+func newRefCFSSelector() *refCFSSelector { return &refCFSSelector{SelectorStage: cfs.NewSelector()} }
+
+func (s *refCFSSelector) Start(pc *kernel.PipelineContext) {
+	s.SelectorStage.Start(pc)
+	s.pc = pc
+	s.all = nil
+	for i := 0; i < pc.Queues().NumQueues(); i++ {
+		s.all = append(s.all, i)
+	}
+}
+
+func (s *refCFSSelector) PickNext(c *kernel.Core) *task.Thread {
+	if t := s.PopLocal(c.ID); t != nil {
+		return t
+	}
+	return s.stealFrom(c.ID, s.all)
+}
+
+func (s *refCFSSelector) stealFrom(core int, from []int) *task.Thread {
+	q, m := s.pc.Queues(), s.pc.Machine()
+	rank := func(a, b int) bool { // a strictly ahead of b
+		if m.TopoActive() {
+			da := m.DomainDistance(m.DomainOf(core), m.DomainOf(a))
+			db := m.DomainDistance(m.DomainOf(core), m.DomainOf(b))
+			if da != db {
+				return da < db
+			}
+		}
+		return q.Len(a) > q.Len(b)
+	}
+	var order []int
+	for _, i := range from {
+		if i != core && q.Len(i) > 0 {
+			order = append(order, i)
+		}
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && rank(order[j], order[j-1]); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	for _, i := range order {
+		if t := q.StealMaxAllowed(i, core); t != nil {
+			return t
+		}
+	}
+	return nil
+}
+
+// refEASSelector is EAS's selector over the reference steal: own tier,
+// then (when no cheaper core idles) the lower tiers top-down.
+type refEASSelector struct{ *refCFSSelector }
+
+func (s refEASSelector) PickNext(c *kernel.Core) *task.Thread {
+	if c.Kind == 0 {
+		return s.refCFSSelector.PickNext(c)
+	}
+	m := s.pc.Machine()
+	if t := s.PopLocal(c.ID); t != nil {
+		return t
+	}
+	if t := s.stealFrom(c.ID, m.TierCoreIDs(int(c.Kind))); t != nil {
+		return t
+	}
+	for tier := 0; tier < int(c.Kind); tier++ {
+		for _, id := range m.TierCoreIDs(tier) {
+			if m.Cores()[id].IsIdle() {
+				return nil
+			}
+		}
+	}
+	for tier := int(c.Kind) - 1; tier >= 0; tier-- {
+		if t := s.stealFrom(c.ID, m.TierCoreIDs(tier)); t != nil {
+			return t
+		}
+	}
+	return nil
+}
+
+// diffPolicy builds one policy twice: optimised and over the reference
+// selector, under the same name.
+type diffPolicy struct {
+	name      string
+	optimised func() kernel.Scheduler
+	reference func() kernel.Scheduler
+}
+
+func diffPolicies(speedup func(*task.Thread) float64) []diffPolicy {
+	pipeline := func(name string, lab kernel.Labeler, alloc kernel.Allocator, sel kernel.Selector, gov kernel.Governor) kernel.Scheduler {
+		s, err := kernel.NewPipeline(name, lab, alloc, sel, gov)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+	colabVariant := func(name string, o Options) diffPolicy {
+		o.Speedup = speedup
+		return diffPolicy{
+			name:      name,
+			optimised: func() kernel.Scheduler { return New(o) },
+			reference: func() kernel.Scheduler {
+				p := New(o)
+				ref := refSelector{NewSelector(o)}
+				p.Scheduler = pipeline(p.Scheduler.Name(), p.lab, NewAllocator(o), ref, p.gov)
+				return p
+			},
+		}
+	}
+	return []diffPolicy{
+		colabVariant("colab", Options{}),
+		colabVariant("colab-noscale", Options{DisableScaleSlice: true}),
+		colabVariant("colab-local", Options{LocalOnlySelector: true}),
+		colabVariant("colab-flat", Options{FlatAllocator: true}),
+		colabVariant("colab-nopull", Options{DisablePull: true}),
+		{"linux", cfs.New, func() kernel.Scheduler {
+			return pipeline("linux", nil, cfs.NewAllocator(), newRefCFSSelector(), nil)
+		}},
+		{"wash", func() kernel.Scheduler { return wash.New(speedup) }, func() kernel.Scheduler {
+			return pipeline("wash", wash.NewLabeler(speedup), cfs.NewAllocator(), newRefCFSSelector(), nil)
+		}},
+		{"gts", gts.New, func() kernel.Scheduler {
+			return pipeline("gts", gts.NewLabeler(), cfs.NewAllocator(), newRefCFSSelector(), nil)
+		}},
+		{"eas", eas.New, func() kernel.Scheduler {
+			sel := refEASSelector{newRefCFSSelector()}
+			return pipeline("eas", eas.NewLabeler(), eas.NewAllocator(), sel, eas.NewGovernor())
+		}},
+	}
+}
+
+// diffMachines covers both core orders on the paper's shape and the
+// tri-gear shape, the 128-core palette and the NUMA palette with its flat
+// twin. The named palettes list big cores first, so a pull over lower
+// tiers (little, then medium) runs against core order there.
+func diffMachines() []cpu.Config {
+	numaFlat := cpu.Config2x32B32M64S.Flat()
+	numaFlat.Name += "-flat"
+	return []cpu.Config{
+		cpu.Config2B2S,
+		cpu.NewConfig(2, 2, false),
+		cpu.Config2B2M2S,
+		cpu.NewTieredConfig(cpu.TriGearTiers(), []int{4, 2, 2}, false),
+		cpu.Config32B32M64S,
+		cpu.Config2x32B32M64S,
+		numaFlat,
+	}
+}
+
+// diffBenchmarks are the generator's programs: data-parallel, pipelined
+// and lock-heavy, all valid at any thread count. fluidanimate's very high
+// sync rate would cost millions of events per run on the big palettes.
+var diffBenchmarks = []string{"blackscholes", "bodytrack", "dedup", "ferret", "radix", "fft", "ocean_cp", "swaptions", "lu_ncb"}
+
+// genMix draws a 2-4 program mix: 4-20 threads on the paper-sized
+// machines (as in Table 4), an eighth to five eighths of a thread per core
+// on the big palettes (where COLAB's tier-targeted allocation still
+// queues work on the upper tiers). Every other mix admits its last program late (an open
+// arrival), so queues refill while cores idle.
+func genMix(rng *mathx.RNG, cores int) string {
+	n := 2 + rng.IntN(3)
+	threads := 4 + rng.IntN(17)
+	if cores > 8 {
+		threads = cores/8 + rng.IntN(cores/2)
+	}
+	terms := make([]string, n)
+	for i := range terms {
+		terms[i] = fmt.Sprintf("%s:%d", diffBenchmarks[rng.IntN(len(diffBenchmarks))], max(1, threads/n))
+	}
+	if rng.IntN(2) == 0 {
+		terms[n-1] += "@arrive=2ms"
+	}
+	return strings.Join(terms, "+")
+}
+
+// diffRun simulates w and returns the result with a fingerprint of the
+// full scheduling trace; the kernel's invariants are checked throughout.
+func diffRun(t *testing.T, cfg cpu.Config, s kernel.Scheduler, w *task.Workload) (*kernel.Result, string) {
+	t.Helper()
+	m, err := kernel.NewMachine(cfg, s, w, kernel.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf []byte
+	m.SetTracer(func(e kernel.TraceEvent) {
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(e.At))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Core))
+		buf = append(append(append(buf, e.Kind...), 0), e.Thread...)
+		h.Write(append(buf, 0))
+	})
+	var steps int
+	m.Engine().PostStep = func() {
+		if steps++; steps%211 == 0 {
+			if v := m.CheckInvariants(); len(v) > 0 {
+				t.Fatalf("%s on %s: invariants: %v", s.Name(), cfg.Name, v)
+			}
+		}
+	}
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestDifferentialSelectors runs every optimised selector against its
+// full-scan reference: identical Results and trace fingerprints on
+// generated mixes over every machine shape.
+func TestDifferentialSelectors(t *testing.T) {
+	model, err := perfmodel.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := diffPolicies(model.ThreadPredictor())
+	for mi, cfg := range diffMachines() {
+		rng := mathx.NewRNG(uint64(100 + mi))
+		mixes := 1
+		if cfg.NumCores() <= 8 {
+			mixes = 4 // paper-sized runs take milliseconds
+		}
+		for k := 0; k < mixes*len(policies); k++ {
+			p := policies[k%len(policies)]
+			mix := genMix(rng, cfg.NumCores())
+			seed := rng.Uint64()
+			spec, err := workload.ResolveSpec(mix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			build := func() *task.Workload {
+				w, err := spec.BuildFor(seed, cfg.AggregateCapacity())
+				if err != nil {
+					t.Fatalf("%s: %v", mix, err)
+				}
+				return w
+			}
+			got, gotTrace := diffRun(t, cfg, p.optimised(), build())
+			want, wantTrace := diffRun(t, cfg, p.reference(), build())
+			if !reflect.DeepEqual(got, want) || gotTrace != wantTrace {
+				t.Errorf("%s on %s, %s seed %d: optimised selector diverges from the full-scan reference (events %d vs %d, end %v vs %v, trace %.12s vs %.12s)",
+					p.name, cfg.Name, mix, seed, got.Events, want.Events, got.EndTime, want.EndTime, gotTrace, wantTrace)
+			}
+		}
+	}
+}

