@@ -93,8 +93,9 @@ func (c Counter) Name() string {
 // Vec is one sampled counter vector.
 type Vec [NumCounters]float64
 
-// Add accumulates o into v.
-func (v *Vec) Add(o Vec) {
+// Add accumulates o into v. It takes o by pointer: the kernel adds every
+// accrual's sample to two vectors.
+func (v *Vec) Add(o *Vec) {
 	for i := range v {
 		v[i] += o[i]
 	}
@@ -125,35 +126,15 @@ func (v Vec) NormalizeByInsts() Vec {
 	return out
 }
 
-// SampleCounters synthesises the counters a default-palette core of kind k
-// would report; it is SampleCountersOn over the anchor tiers. Multi-tier
-// callers use SampleCountersOn directly.
-func SampleCounters(rng *mathx.RNG, p WorkProfile, k Kind, work, cycles, waitCycles float64) Vec {
-	t := TierBig
-	if k == Little {
-		t = TierLittle
-	}
-	return SampleCountersOn(rng, p, t, work, cycles, waitCycles)
-}
-
-// l2MissMult is the tier's L2 miss-rate multiplier relative to the big
+// L2MissMult is the tier's L2 miss-rate multiplier relative to the big
 // anchor's 2 MiB cache: miss rates grow with the logarithm of the capacity
 // deficit, calibrated so the little anchor's 512 KiB cache misses 1.8x more
 // and the big anchor exactly 1.0x. Middle tiers land in between according to
 // their actual L2 size, so a medium core's memory-system counters are no
 // longer big-like. Tiers without a declared L2 fall back to out-of-order
-// strength interpolation between the same endpoints.
-func l2MissMult(t Tier) float64 {
-	switch t.L2KB {
-	case TierBig.L2KB:
-		// Anchor fast paths: this runs on every execution burst, and the
-		// paper's two-tier configs (the bulk of the 312-experiment matrix)
-		// only ever see the anchors — skip the logarithms there. The
-		// returned constants equal what the formula below yields exactly.
-		return 1.0
-	case TierLittle.L2KB:
-		return 1.8
-	}
+// strength interpolation between the same endpoints. A core's tier is
+// fixed, so callers compute this once per core.
+func (t Tier) L2MissMult() float64 {
 	if t.L2KB <= 0 {
 		return 1.8 - 0.8*mathx.Clamp(t.Uarch, 0, 1)
 	}
@@ -163,22 +144,41 @@ func l2MissMult(t Tier) float64 {
 	return mathx.Clamp(m, 1.0, 2.5)
 }
 
-// SampleCountersOn synthesises the counters a core of tier t would report
-// for a thread with hidden profile p retiring `work` work units over
-// `cycles` core cycles, with waitCycles spent quiesced. Noise makes repeated
-// samples realistic without hiding the signal (counter readings on real PMUs
-// are deterministic, but phase drift within an interval is not). The
-// memory-system counters scale with the tier's cache sizes; the anchor tiers
-// reproduce the two-tier model bit-for-bit.
-func SampleCountersOn(rng *mathx.RNG, p WorkProfile, t Tier, work, cycles, waitCycles float64) Vec {
+// CounterProfile is a WorkProfile prepared for counter synthesis: the
+// clamped profile and its instructions per work unit. A thread's profile
+// changes only at a task.Phase op, while its counters are sampled on every
+// accrual, so the kernel prepares the profile once per change.
+type CounterProfile struct {
+	p           WorkProfile // clamped
+	instPerWork float64
+}
+
+// PrepareCounters returns p prepared for Sample.
+func PrepareCounters(p WorkProfile) CounterProfile {
 	p = p.Clamp()
-	var v Vec
+	return CounterProfile{p: p, instPerWork: p.InstPerWorkUnit()}
+}
+
+// Sample synthesises the counters a core with L2 miss multiplier l2Mult
+// (its tier's L2MissMult) would report for a thread with this profile
+// retiring `work` work units over `cycles` core cycles, with waitCycles
+// spent quiesced. Noise makes repeated samples realistic without hiding the
+// signal (counter readings on real PMUs are deterministic, but phase drift
+// within an interval is not). The memory-system counters scale with the
+// tier's cache sizes; the anchor tiers reproduce the two-tier model
+// bit-for-bit.
+//
+// The order of the RNG draws and of every floating-point operation is part
+// of the determinism contract: golden schedules depend on the exact bits.
+// A counter whose base is not positive is zero and takes no draw.
+func (cp *CounterProfile) Sample(rng *mathx.RNG, l2Mult, work, cycles, waitCycles float64) (v Vec) {
 	if work <= 0 {
 		v[CtrCycles] = cycles
 		v[CtrQuiesceCycles] = waitCycles
 		return v
 	}
-	insts := work * p.InstPerWorkUnit()
+	p := &cp.p
+	insts := work * cp.instPerWork
 	noise := func(base, amp float64) float64 {
 		if base <= 0 {
 			return 0
@@ -194,8 +194,8 @@ func SampleCountersOn(rng *mathx.RNG, p WorkProfile, t Tier, work, cycles, waitC
 	l1dMissRate := 0.002 + 0.055*p.MemIntensity
 	l1dMisses := (loads + stores) * l1dMissRate
 	l2MissRate := 0.05 + 0.45*p.MemIntensity
-	if m := l2MissMult(t); m != 1 { // smaller L2: more misses
-		l2MissRate = mathx.Clamp(l2MissRate*m, 0, 0.95)
+	if l2Mult != 1 { // smaller L2: more misses
+		l2MissRate = mathx.Clamp(l2MissRate*l2Mult, 0, 0.95)
 	}
 
 	v[CtrCommittedInsts] = noise(insts, 0.02)

@@ -88,8 +88,8 @@ func TestTrueSpeedupDirections(t *testing.T) {
 	}
 }
 
-// Property: speedups stay in the physical envelope and ExecRate is
-// consistent with TrueSpeedup.
+// Property: speedups stay in the physical envelope and the base tier
+// defines the work unit.
 func TestSpeedupEnvelopeProperty(t *testing.T) {
 	check := func(a, b, c, d, e, f float64) bool {
 		p := WorkProfile{ILP: a, BranchRate: b, MemIntensity: c, StoreRate: d, FPRate: e, CodeFootprint: f}.Clamp()
@@ -97,7 +97,7 @@ func TestSpeedupEnvelopeProperty(t *testing.T) {
 		if s < 1.05 || s > 2.85 {
 			return false
 		}
-		return p.ExecRate(Big) == s && p.ExecRate(Little) == 1.0
+		return p.SpeedupOn(TierLittle) == 1.0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestInstPerWorkUnitBounds(t *testing.T) {
 func TestSampleCountersStructure(t *testing.T) {
 	rng := mathx.NewRNG(1)
 	p := WorkProfile{ILP: 0.6, BranchRate: 0.12, MemIntensity: 0.4, StoreRate: 0.3, FPRate: 0.4, CodeFootprint: 0.3}
-	v := SampleCounters(rng, p, Big, 1e6, 2e6, 0)
+	v := sampleCounters(rng, p, Big, 1e6, 2e6, 0)
 	if v[CtrCommittedInsts] <= 0 {
 		t.Fatalf("no instructions")
 	}
@@ -134,7 +134,7 @@ func TestSampleCountersStructure(t *testing.T) {
 		t.Fatalf("more branches than instructions")
 	}
 	// Zero work: only cycle/quiesce counters may be set.
-	z := SampleCounters(rng, p, Big, 0, 100, 40)
+	z := sampleCounters(rng, p, Big, 0, 100, 40)
 	if z[CtrCommittedInsts] != 0 || z[CtrQuiesceCycles] != 40 || z[CtrCycles] != 100 {
 		t.Fatalf("zero-work sample wrong: %v", z)
 	}
@@ -144,8 +144,8 @@ func TestCountersReflectProfile(t *testing.T) {
 	rng := mathx.NewRNG(2)
 	memHeavy := WorkProfile{ILP: 0.2, MemIntensity: 0.9, StoreRate: 0.5}
 	cpuHeavy := WorkProfile{ILP: 0.9, MemIntensity: 0.05, FPRate: 0.7}
-	vm := SampleCounters(rng, memHeavy, Big, 1e7, 2e7, 0).NormalizeByInsts()
-	vc := SampleCounters(rng, cpuHeavy, Big, 1e7, 2e7, 0).NormalizeByInsts()
+	vm := sampleCounters(rng, memHeavy, Big, 1e7, 2e7, 0).NormalizeByInsts()
+	vc := sampleCounters(rng, cpuHeavy, Big, 1e7, 2e7, 0).NormalizeByInsts()
 	if vm[CtrDcacheMisses] <= vc[CtrDcacheMisses] {
 		t.Errorf("memory-heavy profile must miss more in L1D")
 	}
@@ -171,7 +171,7 @@ func TestNormalizeByInsts(t *testing.T) {
 func TestVecAddScale(t *testing.T) {
 	var a, b Vec
 	a[0], b[0] = 1, 2
-	a.Add(b)
+	a.Add(&b)
 	if a[0] != 3 {
 		t.Fatalf("Add = %v", a[0])
 	}

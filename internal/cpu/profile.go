@@ -78,18 +78,6 @@ func (p WorkProfile) TrueSpeedup() float64 {
 	return p.SpeedupOn(TierBig)
 }
 
-// ExecRate returns the work units retired per nanosecond on a default-
-// palette core of the given kind. Work is calibrated so a little core
-// retires exactly 1 unit/ns; a big core retires TrueSpeedup units/ns.
-// Segment durations in the workload DSL are therefore expressed directly as
-// "nanoseconds on a little core".
-func (p WorkProfile) ExecRate(k Kind) float64 {
-	if k == Big {
-		return p.TrueSpeedup()
-	}
-	return 1.0
-}
-
 // RelSpeedup converts a predicted big-vs-little speedup into the expected
 // speedup on tier t: 1.0 on the base tier, the prediction itself on the big
 // anchor, and the tier-weighted interpolation in between. Policies use it

@@ -27,6 +27,9 @@ type Core struct {
 	// busyByOPP accounts busy time per operating point for the energy
 	// model.
 	busyByOPP []sim.Time
+	// l2Mult is Tier.L2MissMult, which counter synthesis reads on every
+	// accrual.
+	l2Mult float64
 
 	// Burst state (kernel-internal).
 	burstEv    *sim.Event // pending burst-end event

@@ -319,3 +319,46 @@ func schedFactories() []func() kernel.Scheduler {
 		func() kernel.Scheduler { return gts.New() },
 	}
 }
+
+// Every task.Phase op must refresh the thread's prepared accrual state
+// (invariant 9): threads cycling through three profiles on the tri-gear
+// machine, with invariants checked after every event.
+func TestPhaseRefreshKeepsPreparedState(t *testing.T) {
+	profiles := []cpu.WorkProfile{
+		{ILP: 0.9, BranchRate: 0.1, MemIntensity: 0.05, FPRate: 0.6},
+		{ILP: 0.1, BranchRate: 0.05, MemIntensity: 0.95, StoreRate: 0.5},
+		{ILP: 0.5, BranchRate: 0.2, MemIntensity: 0.4, CodeFootprint: 0.7},
+	}
+	var progs []task.Program
+	var initial []cpu.WorkProfile
+	for i := 0; i < 8; i++ {
+		var prog task.Program
+		for ph := 0; ph < 6; ph++ {
+			prog = append(prog,
+				task.Phase{Profile: profiles[(i+ph)%len(profiles)]},
+				task.Compute{Work: float64(1+ph%3) * 2e6},
+				task.Barrier{ID: 1, Parties: 8})
+		}
+		progs = append(progs, prog)
+		initial = append(initial, profiles[(i+2)%len(profiles)])
+	}
+	for _, mk := range schedFactories() {
+		w := &task.Workload{Name: "phases", Apps: []*task.App{mkApp(0, "ph", initial, progs)}}
+		s := mk()
+		m, err := kernel.NewMachine(cpu.Config2B2M2S, s, w, kernel.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := m.CheckInvariants(); len(v) > 0 {
+			t.Fatalf("%s before start: %v", s.Name(), v)
+		}
+		m.Engine().PostStep = func() {
+			if v := m.CheckInvariants(); len(v) > 0 {
+				t.Fatalf("%s at %v: %v", s.Name(), m.Now(), v)
+			}
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 
+	"colab/internal/cpu"
 	"colab/internal/task"
 )
 
@@ -22,6 +23,8 @@ import (
 //  7. The occupancy index holds exactly the cores with a Current thread.
 //  8. Under a pipeline scheduler, the run queues' non-empty index holds
 //     exactly the non-empty queues and Total is the sum of their lengths.
+//  9. Every thread's prepared accrual state (counter profile and per-tier
+//     speedups) equals the state derived fresh from its current Profile.
 func (m *Machine) CheckInvariants() []string {
 	var violations []string
 	seen := make(map[*task.Thread]int)
@@ -47,6 +50,7 @@ func (m *Machine) CheckInvariants() []string {
 	alive := 0
 	now := m.eng.Now()
 	for _, t := range m.workload.Threads() {
+		violations = append(violations, m.checkPrepared(t)...)
 		switch t.State {
 		case task.Done:
 			if t.FinishTime <= 0 && now > 0 {
@@ -75,6 +79,21 @@ func (m *Machine) CheckInvariants() []string {
 	}
 	if m.queues != nil {
 		violations = append(violations, m.queues.checkIndex()...)
+	}
+	return violations
+}
+
+// checkPrepared compares t's prepared accrual state with a fresh derivation
+// from t.Profile; a mismatch means a profile change skipped prepare.
+func (m *Machine) checkPrepared(t *task.Thread) []string {
+	var violations []string
+	if m.ctrProf[t.ID] != cpu.PrepareCounters(t.Profile) {
+		violations = append(violations, fmt.Sprintf("%v counter profile is stale", t))
+	}
+	for k, tier := range m.tiers {
+		if got, want := m.speedup[t.ID*len(m.tiers)+k], t.Profile.SpeedupOn(tier); got != want {
+			violations = append(violations, fmt.Sprintf("%v prepared speedup on %s is %v, profile gives %v", t, tier.Name, got, want))
+		}
 	}
 	return violations
 }

@@ -32,9 +32,18 @@ type Machine struct {
 	done   bool
 	tracer func(TraceEvent)
 
-	tierIDs  [][]int // per tier index, core IDs in core order
-	topTier  int     // index of the highest-capacity tier in the palette
+	tiers    []cpu.Tier // the config's palette, ascending capacity
+	tierIDs  [][]int    // per tier index, core IDs in core order
+	topTier  int        // index of the highest-capacity tier in the palette
 	governor DVFSGovernor
+
+	// Prepared accrual state per thread ID, derived from t.Profile by
+	// prepare in NewMachine and again at every task.Phase op: the counter
+	// profile and the speedup on each tier (speedup[id*len(tiers)+tier]).
+	// Execution rates and counter samples read these instead of
+	// re-deriving them from the profile on every burst and accrual.
+	ctrProf []cpu.CounterProfile
+	speedup []float64
 
 	// Occupancy index, maintained by setCurrent: bit i of busy is set iff
 	// cores[i].Current != nil. tierSets[k] holds tier k's cores and
@@ -82,6 +91,7 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 		futexes:  newFutexTable(),
 		ctrRNG:   mathx.NewRNG(params.CounterNoiseSeed),
 		params:   params,
+		tiers:    cfg.Tiers(),
 		topTier:  cfg.NumTiers() - 1,
 	}
 	m.governor, _ = sched.(DVFSGovernor)
@@ -104,6 +114,7 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 			ID: i, Kind: kind, Tier: tier, Spec: cfg.Spec(i),
 			ladder:    ladder,
 			opp:       len(ladder) - 1, // boot at nominal
+			l2Mult:    tier.L2MissMult(),
 			busyByOPP: make([]sim.Time, len(ladder)),
 			wasIdle:   true,
 		}
@@ -136,6 +147,8 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 			m.migPenaltyNS[i] = tp.PenaltyCycles * 1000 / float64(c.Tier.FreqMHz)
 		}
 	}
+	m.ctrProf = make([]cpu.CounterProfile, w.NumThreads())
+	m.speedup = make([]float64, w.NumThreads()*len(m.tiers))
 	id := 0
 	for _, a := range w.Apps {
 		if len(a.Threads) == 0 {
@@ -150,6 +163,7 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 			}
 			t.ID = id
 			id++
+			m.prepare(t)
 			t.CoreID = -1
 			if t.Affinity.IsEmpty() {
 				t.Affinity = task.MaskAll()
@@ -158,6 +172,15 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 		}
 	}
 	return m, nil
+}
+
+// prepare derives t's accrual state from t.Profile.
+func (m *Machine) prepare(t *task.Thread) {
+	m.ctrProf[t.ID] = cpu.PrepareCounters(t.Profile)
+	row := m.speedup[t.ID*len(m.tiers):]
+	for k := range m.tiers {
+		row[k] = t.Profile.SpeedupOn(m.tiers[k])
+	}
 }
 
 // Engine exposes the event engine (policies schedule periodic labeling on it).
@@ -485,6 +508,7 @@ func (m *Machine) advance(t *task.Thread) threadStatus {
 			return statusBlocked
 		case task.Phase:
 			t.Profile = o.Profile.Clamp()
+			m.prepare(t)
 			t.PC++
 		default:
 			panic(fmt.Sprintf("kernel: unknown op %T in %v", op, t))
@@ -688,7 +712,7 @@ func (m *Machine) schedule(c *Core) {
 // execRate returns the work units per nanosecond thread t retires on core
 // c: the tier-relative speedup scaled by the active DVFS point.
 func (m *Machine) execRate(c *Core, t *task.Thread) float64 {
-	return t.Profile.SpeedupOn(c.Tier) * c.dvfsScale()
+	return m.speedup[t.ID*len(m.tiers)+int(c.Kind)] * c.dvfsScale()
 }
 
 // startBurst schedules the end of the next execution segment: the earlier
@@ -799,9 +823,9 @@ func (m *Machine) accrueExec(c *Core, t *task.Thread, d sim.Time) {
 	t.VRuntime += sim.Time(float64(d) * scale)
 	c.accrueBusy(d)
 	cycles := float64(d) * c.FreqGHz()
-	vec := cpu.SampleCountersOn(m.ctrRNG, t.Profile, c.Tier, work, cycles, 0)
-	t.TotalCounters.Add(vec)
-	t.IntervalCounters.Add(vec)
+	vec := m.ctrProf[t.ID].Sample(m.ctrRNG, c.l2Mult, work, cycles, 0)
+	t.TotalCounters.Add(&vec)
+	t.IntervalCounters.Add(&vec)
 }
 
 func (m *Machine) finishThread(t *task.Thread) {

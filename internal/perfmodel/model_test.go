@@ -9,6 +9,13 @@ import (
 	"colab/internal/task"
 )
 
+// sampleOn synthesises the counters a core of tier t reports for profile p
+// retiring work units over cycles core cycles.
+func sampleOn(rng *mathx.RNG, p cpu.WorkProfile, t cpu.Tier, work, cycles float64) cpu.Vec {
+	cp := cpu.PrepareCounters(p)
+	return cp.Sample(rng, t.L2MissMult(), work, cycles, 0)
+}
+
 // syntheticSamples builds training data directly from the counter model:
 // random profiles, counters sampled as a big core would report them, labels
 // set to the ground-truth speedup.
@@ -28,7 +35,7 @@ func syntheticSamples(n int, seed uint64) []Sample {
 		cycles := work * 2
 		out = append(out, Sample{
 			Bench:    "synthetic",
-			Counters: cpu.SampleCounters(rng, p, cpu.Big, work, cycles, 0),
+			Counters: sampleOn(rng, p, cpu.TierBig, work, cycles),
 			Speedup:  p.TrueSpeedup(),
 		})
 	}
@@ -107,8 +114,8 @@ func TestThreadPredictorPrefersIntervalCounters(t *testing.T) {
 	cold := cpu.WorkProfile{ILP: 0.05, MemIntensity: 0.95}
 	th := &task.Thread{Profile: hot}
 	// Total counters say memory-bound; interval counters say compute-bound.
-	th.TotalCounters = cpu.SampleCounters(rng, cold, cpu.Big, 1e8, 2e8, 0)
-	th.IntervalCounters = cpu.SampleCounters(rng, hot, cpu.Big, 1e7, 2e7, 0)
+	th.TotalCounters = sampleOn(rng, cold, cpu.TierBig, 1e8, 2e8)
+	th.IntervalCounters = sampleOn(rng, hot, cpu.TierBig, 1e7, 2e7)
 	wantHi := pred(th)
 	th.IntervalCounters = cpu.Vec{} // empty interval -> fall back to totals
 	wantLo := pred(th)

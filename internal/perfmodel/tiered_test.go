@@ -50,7 +50,7 @@ func TestTieredPredictionsOrderedAndClamped(t *testing.T) {
 		{ILP: 0.1, BranchRate: 0.05, MemIntensity: 0.95},              // memory-bound
 	}
 	for _, p := range profiles {
-		v := cpu.SampleCountersOn(rng, p, cpu.TierMedium, 1e7, 2e7, 0)
+		v := sampleOn(rng, p, cpu.TierMedium, 1e7, 2e7)
 		if got := tm.PredictTier(0, v); got != 1.0 {
 			t.Errorf("base tier prediction %v, want 1", got)
 		}

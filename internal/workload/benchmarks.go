@@ -127,7 +127,7 @@ func genBodytrack(b *Builder, n int) {
 	const frames = 22
 	rng := b.RNG()
 	if n == 1 {
-		var ops task.Program
+		ops := make(task.Program, 0, frames)
 		for f := 0; f < frames; f++ {
 			ops = append(ops, task.Compute{Work: rng.Jitter(34*ms, 0.1)})
 		}
@@ -137,7 +137,7 @@ func genBodytrack(b *Builder, n int) {
 	barA, barB := b.NewID(), b.NewID()
 	parallelShare := 30 * ms / float64(n)
 	// Main thread: serial stage, release workers, join.
-	var main task.Program
+	main := make(task.Program, 0, 4*frames)
 	for f := 0; f < frames; f++ {
 		main = append(main,
 			task.Compute{Work: rng.Jitter(4*ms, 0.15)}, // serial tracking step
@@ -148,7 +148,7 @@ func genBodytrack(b *Builder, n int) {
 	}
 	b.Thread("main", BranchyProfile(rng), main)
 	for i := 1; i < n; i++ {
-		var ops task.Program
+		ops := make(task.Program, 0, 3*frames)
 		for f := 0; f < frames; f++ {
 			ops = append(ops,
 				task.Barrier{ID: barA, Parties: n},
@@ -208,7 +208,7 @@ func genFreqmine(b *Builder, n int) {
 	const tasks = 110
 	rng := b.RNG()
 	if n == 1 {
-		var ops task.Program
+		ops := make(task.Program, 0, tasks)
 		for i := 0; i < tasks; i++ {
 			ops = append(ops, task.Compute{Work: rng.Jitter(2.6*ms, 0.5)})
 		}
@@ -218,7 +218,7 @@ func genFreqmine(b *Builder, n int) {
 	q := b.Queue(8)
 	workers := n - 1
 	// Master: grows the FP-tree (serial-ish) while feeding the queue.
-	var master task.Program
+	master := make(task.Program, 0, 2*tasks)
 	for i := 0; i < tasks; i++ {
 		master = append(master,
 			task.Compute{Work: rng.Jitter(0.5*ms, 0.4)},
@@ -228,7 +228,7 @@ func genFreqmine(b *Builder, n int) {
 	b.Thread("master", BranchyProfile(rng), master)
 	shares := splitShares(tasks, workers)
 	for i := 0; i < workers; i++ {
-		var ops task.Program
+		ops := make(task.Program, 0, 2*shares[i])
 		for k := 0; k < shares[i]; k++ {
 			ops = append(ops,
 				task.Get{ID: q},
@@ -252,7 +252,7 @@ func genSwaptions(b *Builder, n int) {
 			work *= 1.6 // bottleneck-by-imbalance
 			prof = MemoryProfile(rng)
 		}
-		var ops task.Program
+		ops := make(task.Program, 0, 4)
 		for k := 0; k < 4; k++ {
 			ops = append(ops, task.Compute{Work: rng.Jitter(work/4, 0.1)})
 		}
@@ -359,10 +359,14 @@ func genFFT(b *Builder, n int) {
 	bar := b.NewID()
 	rng := b.RNG()
 	const steps = 5
+	perHalf := 2 // Phase + Compute
+	if n > 1 {
+		perHalf++ // the barrier
+	}
 	for i := 0; i < n; i++ {
 		butterfly := ComputeProfile(rng)
 		transpose := MemoryProfile(rng)
-		var ops task.Program
+		ops := make(task.Program, 0, steps*2*perHalf)
 		for s := 0; s < steps; s++ {
 			ops = append(ops,
 				task.Phase{Profile: butterfly},

@@ -247,9 +247,16 @@ func (b *Builder) DataParallel(n int, o DataParallelOptions) {
 	for i := range locks {
 		locks[i] = b.NewID()
 	}
+	perPhase := 1
+	if o.LocksPer > 0 && n > 1 {
+		perPhase = 4*o.LocksPer + 1
+	}
+	if n > 1 {
+		perPhase++ // the barrier
+	}
 	for i := 0; i < n; i++ {
 		prof := o.Profile(b.rng)
-		var ops task.Program
+		ops := make(task.Program, 0, max(o.Phases, 0)*perPhase)
 		for ph := 0; ph < o.Phases; ph++ {
 			w := b.rng.Jitter(o.PhaseWork, o.Imbalance)
 			if o.Decay {
@@ -299,7 +306,7 @@ func (b *Builder) Pipeline(n int, stages []PipeStage, items, qcap int) {
 		for _, s := range stages {
 			total += s.WorkItem
 		}
-		var ops task.Program
+		ops := make(task.Program, 0, max(items, 0))
 		for it := 0; it < items; it++ {
 			ops = append(ops, task.Compute{Work: b.rng.Jitter(total, 0.2)})
 		}
@@ -331,9 +338,16 @@ func (b *Builder) Pipeline(n int, stages []PipeStage, items, qcap int) {
 	}
 	for s, spec := range eff {
 		shares := splitShares(items, counts[s])
+		perItem := 1
+		if s > 0 {
+			perItem++ // the Get
+		}
+		if s < len(eff)-1 {
+			perItem++ // the Put
+		}
 		for k := 0; k < counts[s]; k++ {
 			prof := spec.Profile(b.rng)
-			var ops task.Program
+			ops := make(task.Program, 0, max(shares[k], 0)*perItem)
 			for it := 0; it < shares[k]; it++ {
 				if s > 0 {
 					ops = append(ops, task.Get{ID: queues[s-1]})
