@@ -88,7 +88,7 @@ func TestPublicAPIErrorsAndConstructors(t *testing.T) {
 		t.Fatalf("configs = %d", got)
 	}
 	cfg := colab.NewConfig(3, 1, false)
-	if cfg.NumBig() != 3 || cfg.NumLittle() != 1 {
+	if len(cfg.TierIndices(int(colab.Big))) != 3 || len(cfg.TierIndices(int(colab.Little))) != 1 {
 		t.Fatalf("NewConfig shape wrong")
 	}
 	for _, s := range []colab.Scheduler{

@@ -71,7 +71,7 @@ func BenchmarkTable4Compositions(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, comp := range workload.Compositions() {
-			if _, err := comp.Build(uint64(i + 1)); err != nil {
+			if _, err := comp.Spec().Build(uint64(i + 1)); err != nil {
 				b.Fatal(err)
 			}
 		}

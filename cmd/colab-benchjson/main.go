@@ -5,19 +5,15 @@
 // gate: -trend diffs the current report against a baseline and fails on
 // regressions beyond -max-regress percent — gauged in ns/op, except for
 // benchmarks reporting a "/sec" throughput metric (such as events/sec),
-// which are higher-is-better and fail on throughput drops instead.
-//
-// -append maintains BENCH_history.json, a committed ring of the last
-// -history-size main-branch runs, so the trend baseline survives beyond
-// the CI artifact retention window; -trend accepts either a single report
-// or such a history document (it diffs against the newest run).
+// which are higher-is-better and fail on throughput drops instead. CI's
+// baseline is the BENCH_ci.json artifact of the previous successful main
+// run.
 //
 // Usage:
 //
 //	go test -bench=. -benchtime=1x -run='^$' ./... | colab-benchjson -out BENCH_ci.json
 //	colab-benchjson -in bench.txt -out BENCH_ci.json
-//	colab-benchjson -injson BENCH_ci.json -trend BENCH_history.json -max-regress 10
-//	colab-benchjson -injson BENCH_ci.json -append BENCH_history.json -commit "$GITHUB_SHA"
+//	colab-benchjson -injson BENCH_ci.json -trend prev/BENCH_ci.json -max-regress 10
 package main
 
 import (
@@ -31,7 +27,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"colab/internal/mathx"
 )
@@ -58,22 +53,6 @@ type Report struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-// HistoryEntry is one archived run in the BENCH_history.json ring.
-type HistoryEntry struct {
-	// Commit is the source revision the run measured (when known).
-	Commit string `json:"commit,omitempty"`
-	// Time is the UTC RFC 3339 instant the entry was appended.
-	Time   string  `json:"time,omitempty"`
-	Report *Report `json:"report"`
-}
-
-// History is the document layout of BENCH_history.json: a bounded ring of
-// main-branch runs, newest last. Committing it to the repository gives the
-// trend gate a baseline that outlives the CI artifact retention window.
-type History struct {
-	Runs []HistoryEntry `json:"runs"`
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "colab-benchjson: %v\n", err)
@@ -87,11 +66,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	in := fs.String("in", "", "bench output file (default: stdin)")
 	inJSON := fs.String("injson", "", "read an already-converted JSON report instead of bench text")
 	out := fs.String("out", "", "JSON destination (default: stdout)")
-	trend := fs.String("trend", "", "baseline to diff against (single report or BENCH_history.json); regressions fail the run")
+	trend := fs.String("trend", "", "baseline JSON report to diff against; regressions fail the run")
 	maxRegress := fs.Float64("max-regress", 10, "ns/op regression tolerance for -trend, in percent")
-	appendPath := fs.String("append", "", "append the report to this BENCH_history.json ring (committed long-horizon trend store)")
-	histSize := fs.Int("history-size", 30, "runs kept in the -append ring (oldest dropped first)")
-	commit := fs.String("commit", "", "source revision recorded with -append")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -118,8 +94,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// -out is honoured regardless of -trend/-append (a failed gate still
-	// leaves the converted artefact behind for inspection and upload).
+	// -out is honoured regardless of -trend (a failed gate still leaves
+	// the converted artefact behind for inspection and upload).
 	if *out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -129,25 +105,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	// Trend before append: with both flags aimed at the same history file,
-	// the baseline must be the pre-append newest run, not the run itself.
 	if *trend != "" {
-		prev, err := loadBaseline(*trend)
+		prev, err := loadReport(*trend)
 		if err != nil {
 			return err
 		}
-		if err := Trend(stdout, prev, rep, *maxRegress); err != nil {
-			return err
-		}
+		return Trend(stdout, prev, rep, *maxRegress)
 	}
-	if *appendPath != "" {
-		n, err := AppendHistory(*appendPath, rep, *histSize, *commit)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "appended run to %s (%d kept)\n", *appendPath, n)
-	}
-	if *trend != "" || *appendPath != "" || *out != "" {
+	if *out != "" {
 		return nil
 	}
 
@@ -158,62 +123,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	data = append(data, '\n')
 	_, err = stdout.Write(data)
 	return err
-}
-
-// loadBaseline reads a trend baseline: either a BENCH_history.json ring
-// (the newest run is the baseline) or a single BENCH_ci.json report.
-func loadBaseline(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var h History
-	if err := json.Unmarshal(data, &h); err == nil && len(h.Runs) > 0 {
-		rep := h.Runs[len(h.Runs)-1].Report
-		if rep == nil || len(rep.Benchmarks) == 0 {
-			return nil, fmt.Errorf("%s: newest history run holds no benchmarks", path)
-		}
-		return rep, nil
-	}
-	return loadReport(path)
-}
-
-// AppendHistory appends rep to the history ring at path (creating it when
-// missing), keeping at most size runs, and returns how many runs the ring
-// holds afterwards.
-func AppendHistory(path string, rep *Report, size int, commit string) (int, error) {
-	if size < 1 {
-		return 0, fmt.Errorf("history size %d; need at least 1", size)
-	}
-	h := &History{}
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(data, h); err != nil {
-			return 0, fmt.Errorf("parsing %s: %w", path, err)
-		}
-	case os.IsNotExist(err):
-		// First run: start an empty ring.
-	default:
-		return 0, err
-	}
-	h.Runs = append(h.Runs, HistoryEntry{
-		Commit: commit,
-		Time:   time.Now().UTC().Format(time.RFC3339),
-		Report: rep,
-	})
-	if len(h.Runs) > size {
-		h.Runs = h.Runs[len(h.Runs)-size:]
-	}
-	out, err := json.MarshalIndent(h, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return 0, err
-	}
-	return len(h.Runs), nil
 }
 
 // loadReport reads a previously written BENCH_ci.json document.

@@ -254,156 +254,46 @@ func TestTrendNormalisesThroughputSpeedShift(t *testing.T) {
 	}
 }
 
-func writeReportFile(t *testing.T, dir, name string, ns float64) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	data, err := json.MarshalIndent(mkReport(map[string]float64{"BenchmarkA": ns}), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// -append maintains a bounded ring: runs accumulate newest-last and the
-// oldest entries fall off once the ring is full.
-func TestAppendHistoryRing(t *testing.T) {
-	dir := t.TempDir()
-	hist := filepath.Join(dir, "BENCH_history.json")
-	for i, ns := range []float64{100, 110, 120} {
-		rep := mkReport(map[string]float64{"BenchmarkA": ns})
-		n, err := AppendHistory(hist, rep, 2, "commit-"+string(rune('a'+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := i + 1; i < 2 && n != want {
-			t.Fatalf("run %d: ring holds %d, want %d", i, n, want)
-		}
-	}
-	data, err := os.ReadFile(hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var h History
-	if err := json.Unmarshal(data, &h); err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Runs) != 2 {
-		t.Fatalf("ring holds %d runs, want 2 (size bound)", len(h.Runs))
-	}
-	if h.Runs[0].Commit != "commit-b" || h.Runs[1].Commit != "commit-c" {
-		t.Fatalf("oldest run not dropped: %+v", h.Runs)
-	}
-	if h.Runs[1].Report.Benchmarks[0].NsPerOp != 120 {
-		t.Fatalf("newest run ns = %v, want 120", h.Runs[1].Report.Benchmarks[0].NsPerOp)
-	}
-	if h.Runs[1].Time == "" {
-		t.Error("appended entry missing timestamp")
-	}
-	if _, err := AppendHistory(hist, mkReport(map[string]float64{"BenchmarkA": 1}), 0, ""); err == nil {
-		t.Error("size 0 must error")
-	}
-}
-
-// -trend against a history document diffs the newest archived run.
-func TestTrendAgainstHistory(t *testing.T) {
-	dir := t.TempDir()
-	hist := filepath.Join(dir, "BENCH_history.json")
-	for _, ns := range []float64{100, 200} {
-		if _, err := AppendHistory(hist, mkReport(map[string]float64{"BenchmarkA": ns}), 10, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var stdout, stderr bytes.Buffer
-	// Current run at 208 ns: +4% vs the newest history run (200), but +108%
-	// vs the oldest — passing proves the newest entry is the baseline.
-	cur := writeReportFile(t, dir, "cur.json", 208)
-	if err := run([]string{"-injson", cur, "-trend", hist}, strings.NewReader(""), &stdout, &stderr); err != nil {
-		t.Fatalf("trend vs history must use the newest run: %v\n%s", err, stdout.String())
-	}
-	bad := writeReportFile(t, dir, "bad.json", 300)
-	if err := run([]string{"-injson", bad, "-trend", hist}, strings.NewReader(""), &stdout, &stderr); err == nil {
-		t.Fatal("regression vs newest history run must fail")
-	}
-}
-
-// The -append flag round-trips through run(), creating the file on first
-// use.
-func TestRunAppendEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	hist := filepath.Join(dir, "BENCH_history.json")
-	cur := writeReportFile(t, dir, "cur.json", 100)
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-injson", cur, "-append", hist, "-commit", "abc123"}, strings.NewReader(""), &stdout, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stdout.String(), "appended run") {
-		t.Errorf("append not reported: %s", stdout.String())
-	}
-	rep, err := loadBaseline(hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Benchmarks) != 1 || rep.Benchmarks[0].NsPerOp != 100 {
-		t.Fatalf("baseline from fresh history = %+v", rep)
-	}
-}
-
-// -trend and -append against the same history file must gate against the
-// pre-append baseline — not the freshly appended run (which would always
-// pass) — and a failed gate must not archive the regressed run.
-func TestTrendThenAppendSameFile(t *testing.T) {
-	dir := t.TempDir()
-	hist := filepath.Join(dir, "BENCH_history.json")
-	if _, err := AppendHistory(hist, mkReport(map[string]float64{"BenchmarkA": 100}), 10, "base"); err != nil {
-		t.Fatal(err)
-	}
-	bad := writeReportFile(t, dir, "bad.json", 200)
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-injson", bad, "-trend", hist, "-append", hist}, strings.NewReader(""), &stdout, &stderr); err == nil {
-		t.Fatal("regression must fail the gate even with -append on the same file")
-	}
-	rep, err := loadBaseline(hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Benchmarks[0].NsPerOp != 100 {
-		t.Fatalf("failed gate must not archive the regressed run; baseline ns = %v", rep.Benchmarks[0].NsPerOp)
-	}
-	ok := writeReportFile(t, dir, "ok.json", 104)
-	if err := run([]string{"-injson", ok, "-trend", hist, "-append", hist}, strings.NewReader(""), &stdout, &stderr); err != nil {
-		t.Fatalf("within-tolerance run with trend+append: %v", err)
-	}
-	rep, err = loadBaseline(hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Benchmarks[0].NsPerOp != 104 {
-		t.Fatalf("passing run must be archived after the gate; baseline ns = %v", rep.Benchmarks[0].NsPerOp)
-	}
-}
-
-// -out must be honoured even when -trend/-append run in the same
-// invocation (the one-shot convert+gate+archive form).
-func TestOutWrittenAlongsideTrendAndAppend(t *testing.T) {
+// -out must be honoured even when -trend runs in the same invocation and
+// its gate fails: the converted artefact is left for inspection and
+// upload.
+func TestOutWrittenAlongsideTrend(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "bench.txt")
 	outPath := filepath.Join(dir, "BENCH_ci.json")
-	hist := filepath.Join(dir, "BENCH_history.json")
+	prev := filepath.Join(dir, "prev.json")
 	if err := os.WriteFile(in, []byte(sample), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-in", in, "-out", outPath, "-append", hist}, strings.NewReader(""), &stdout, &stderr); err != nil {
+	// The sample's BenchmarkSummaryAll takes 9e9 ns/op: +800% against this
+	// baseline.
+	data, err := json.Marshal(mkReport(map[string]float64{"BenchmarkSummaryAll": 1e9}))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := os.WriteFile(prev, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-in", in, "-out", outPath, "-trend", prev}, strings.NewReader(""), &stdout, &stderr); err == nil {
+		t.Fatal("regressed trend run must fail")
 	}
 	rep, err := loadReport(outPath)
 	if err != nil {
-		t.Fatalf("-out skipped when combined with -append: %v", err)
+		t.Fatalf("-out skipped when the -trend gate failed: %v", err)
 	}
 	if len(rep.Benchmarks) != 3 {
 		t.Fatalf("-out artefact holds %d benchmarks, want 3", len(rep.Benchmarks))
+	}
+}
+
+// The history ring is gone: its flags are unknown.
+func TestHistoryFlagsRejected(t *testing.T) {
+	for _, flag := range []string{"-append", "-history-size", "-commit"} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-in", "bench.txt", flag, "x"}, strings.NewReader(""), &stdout, &stderr)
+		if err == nil || !strings.Contains(stderr.String(), "flag provided but not defined: "+flag) {
+			t.Errorf("%s: err %v, stderr %q; want an unknown-flag error", flag, err, stderr.String())
+		}
 	}
 }

@@ -50,7 +50,7 @@ func TestExperimentDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // The session API must agree bit-for-bit with the legacy
-// internal/experiment.Runner single-cell path.
+// internal/experiment.Runner scenario matrix.
 func TestExperimentMatchesLegacyRunner(t *testing.T) {
 	exp := colab.NewExperiment(
 		colab.WithWorkloads("NSync-1"),
@@ -69,10 +69,18 @@ func TestExperimentMatchesLegacyRunner(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown composition NSync-1")
 	}
-	for _, cell := range res.Cells {
-		want, err := r.MixScore(comp, colab.Config2B4S, cell.Run.Policy)
-		if err != nil {
-			t.Fatal(err)
+	legacy, err := r.ScenarioMatrixContext(context.Background(), []workload.Spec{comp.Spec()},
+		[]colab.Config{colab.Config2B4S}, []string{"linux", "wash"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(legacy) != len(res.Cells) {
+		t.Fatalf("legacy matrix has %d cells, session %d", len(legacy), len(res.Cells))
+	}
+	for i, cell := range res.Cells {
+		want := legacy[i].Raw
+		if legacy[i].Sched != cell.Run.Policy {
+			t.Fatalf("cell %d: legacy policy %s, session %s", i, legacy[i].Sched, cell.Run.Policy)
 		}
 		if cell.Score.HANTT != want.HANTT || cell.Score.HSTP != want.HSTP {
 			t.Errorf("%s: session %v vs legacy %v", cell.Run.Policy, cell.Score, want)

@@ -101,13 +101,6 @@ func (v *Vec) Add(o *Vec) {
 	}
 }
 
-// Scale multiplies every counter by f.
-func (v *Vec) Scale(f float64) {
-	for i := range v {
-		v[i] *= f
-	}
-}
-
 // NormalizeByInsts returns the vector with every counter divided by
 // committed instructions (the paper normalises all counters to the number of
 // committed instructions before regression). The instruction counter itself

@@ -100,9 +100,6 @@ func (t Tier) Ladder() []int {
 	return t.OPPsMHz
 }
 
-// NominalOPP returns the index of the nominal (highest) operating point.
-func (t Tier) NominalOPP() int { return len(t.Ladder()) - 1 }
-
 // Validate reports structural problems with the tier definition.
 func (t Tier) Validate() error {
 	if t.FreqMHz <= 0 {
@@ -523,17 +520,6 @@ func (c Config) Ordered(bigFirst bool) Config {
 // NumCores returns the total core count.
 func (c Config) NumCores() int { return len(c.Kinds) }
 
-// NumInTier returns the number of cores with the given tier index.
-func (c Config) NumInTier(tier int) int {
-	n := 0
-	for _, k := range c.Kinds {
-		if int(k) == tier {
-			n++
-		}
-	}
-	return n
-}
-
 // AggregateCapacity returns the machine's total nominal work-rate: the
 // sum of every core's tier capacity, in base-tier (little-core) work
 // units per nanosecond. Load generators use it to translate a target
@@ -545,12 +531,6 @@ func (c Config) AggregateCapacity() float64 {
 	}
 	return total
 }
-
-// NumBig returns the number of cores in the top (highest-capacity) tier.
-func (c Config) NumBig() int { return c.NumInTier(c.NumTiers() - 1) }
-
-// NumLittle returns the number of cores in the base tier.
-func (c Config) NumLittle() int { return c.NumInTier(0) }
 
 // TierIndices returns the core indices belonging to the given tier, in
 // core order.
@@ -564,29 +544,11 @@ func (c Config) TierIndices(tier int) []int {
 	return out
 }
 
-// BigIndices returns the core indices of the top tier, in order.
-func (c Config) BigIndices() []int { return c.TierIndices(c.NumTiers() - 1) }
-
-// LittleIndices returns the core indices of the base tier, in order.
-func (c Config) LittleIndices() []int { return c.TierIndices(0) }
-
 // Spec returns the flattened core spec for core index i.
 func (c Config) Spec(i int) Spec {
 	t := c.Tier(i)
 	return Spec{Kind: c.Kinds[i], Name: t.Model, FreqMHz: t.FreqMHz,
 		L1IKB: t.L1IKB, L1DKB: t.L1DKB, L2KB: t.L2KB}
-}
-
-// AllBig returns the metric-baseline variant of c: the same number of cores,
-// all in the top tier. H_ANTT / H_STP / H_NTT normalise against runtimes
-// measured alone on a big-only system (§5.1 "Metrics").
-func (c Config) AllBig() Config {
-	top := Kind(c.NumTiers() - 1)
-	kinds := make([]Kind, len(c.Kinds))
-	for i := range kinds {
-		kinds[i] = top
-	}
-	return Config{Name: c.Name + "-allbig", Kinds: kinds, TierSet: c.TierSet, Topo: c.Topo}
 }
 
 // NewSymmetric builds an n-core machine of a single core kind from the

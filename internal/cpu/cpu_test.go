@@ -17,8 +17,8 @@ func TestConfigShapes(t *testing.T) {
 		{Config4B2S, 4, 2},
 		{Config4B4S, 4, 4},
 	} {
-		if tc.cfg.NumBig() != tc.big || tc.cfg.NumLittle() != tc.little {
-			t.Errorf("%s: %dB %dS", tc.cfg.Name, tc.cfg.NumBig(), tc.cfg.NumLittle())
+		if len(tc.cfg.TierIndices(int(Big))) != tc.big || len(tc.cfg.TierIndices(int(Little))) != tc.little {
+			t.Errorf("%s: %dB %dS", tc.cfg.Name, len(tc.cfg.TierIndices(int(Big))), len(tc.cfg.TierIndices(int(Little))))
 		}
 		if tc.cfg.NumCores() != tc.big+tc.little {
 			t.Errorf("%s: cores %d", tc.cfg.Name, tc.cfg.NumCores())
@@ -35,21 +35,22 @@ func TestConfigOrdering(t *testing.T) {
 	if lf.Kinds[0] != Little || lf.Kinds[3] != Big {
 		t.Fatalf("little-first kinds = %v", lf.Kinds)
 	}
-	if bi := bf.BigIndices(); len(bi) != 2 || bi[0] != 0 || bi[1] != 1 {
+	if bi := bf.TierIndices(int(Big)); len(bi) != 2 || bi[0] != 0 || bi[1] != 1 {
 		t.Fatalf("big indices = %v", bi)
 	}
-	if li := lf.LittleIndices(); len(li) != 2 || li[0] != 0 || li[1] != 1 {
+	if li := lf.TierIndices(int(Little)); len(li) != 2 || li[0] != 0 || li[1] != 1 {
 		t.Fatalf("little-first little indices = %v", li)
 	}
 }
 
 func TestAllBigAndSymmetric(t *testing.T) {
-	ab := Config2B4S.AllBig()
-	if ab.NumCores() != 6 || ab.NumLittle() != 0 {
+	// The all-big metric baseline of a 6-core machine (§5.1 "Metrics").
+	ab := NewSymmetric(Big, Config2B4S.NumCores())
+	if ab.NumCores() != 6 || len(ab.TierIndices(int(Big))) != 6 || len(ab.TierIndices(int(Little))) != 0 {
 		t.Fatalf("allbig = %v", ab.Kinds)
 	}
 	sym := NewSymmetric(Little, 3)
-	if sym.NumLittle() != 3 || sym.NumBig() != 0 {
+	if len(sym.TierIndices(int(Little))) != 3 || len(sym.TierIndices(int(Big))) != 0 {
 		t.Fatalf("symmetric = %v", sym.Kinds)
 	}
 	if Config2B2S.Spec(0).Kind != Big || Config2B2S.Spec(3).Kind != Little {
@@ -175,9 +176,9 @@ func TestVecAddScale(t *testing.T) {
 	if a[0] != 3 {
 		t.Fatalf("Add = %v", a[0])
 	}
-	a.Scale(2)
+	a.Add(&a)
 	if a[0] != 6 {
-		t.Fatalf("Scale = %v", a[0])
+		t.Fatalf("Add to itself = %v", a[0])
 	}
 }
 

@@ -26,16 +26,6 @@ var DefaultPower = PowerModel{
 	LittleIdleW: 0.03,
 }
 
-// CoreEnergyJ returns the energy in joules consumed by one default-palette
-// core of the given kind that was busy and idle for the given durations.
-func (p PowerModel) CoreEnergyJ(kind Kind, busy, idle sim.Time) float64 {
-	busyW, idleW := p.LittleBusyW, p.LittleIdleW
-	if kind == Big {
-		busyW, idleW = p.BigBusyW, p.BigIdleW
-	}
-	return busyW*busy.Seconds() + idleW*idle.Seconds()
-}
-
 // TierBusyW returns the tier's busy power at its nominal operating point:
 // the anchor values for the anchor tiers, linear interpolation in
 // out-of-order strength between them.

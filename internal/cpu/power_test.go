@@ -6,17 +6,25 @@ import (
 	"colab/internal/sim"
 )
 
+// coreEnergyJ is the energy of one default-palette core busy at its
+// nominal operating point for busy and idle for idle.
+func coreEnergyJ(p PowerModel, t Tier, busy, idle sim.Time) float64 {
+	byOPP := make([]sim.Time, len(t.Ladder()))
+	byOPP[len(byOPP)-1] = busy
+	return p.TierEnergyJ(t, byOPP, idle)
+}
+
 func TestCoreEnergyJ(t *testing.T) {
 	pm := PowerModel{BigBusyW: 2, BigIdleW: 0.5, LittleBusyW: 1, LittleIdleW: 0.1}
 	// 1 s busy + 2 s idle on big: 2*1 + 0.5*2 = 3 J.
-	if got := pm.CoreEnergyJ(Big, sim.Second, 2*sim.Second); got != 3 {
+	if got := coreEnergyJ(pm, TierBig, sim.Second, 2*sim.Second); got != 3 {
 		t.Fatalf("big energy = %v", got)
 	}
 	// Same on little: 1*1 + 0.1*2 = 1.2 J.
-	if got := pm.CoreEnergyJ(Little, sim.Second, 2*sim.Second); got != 1.2 {
+	if got := coreEnergyJ(pm, TierLittle, sim.Second, 2*sim.Second); got != 1.2 {
 		t.Fatalf("little energy = %v", got)
 	}
-	if pm.CoreEnergyJ(Big, 0, 0) != 0 {
+	if coreEnergyJ(pm, TierBig, 0, 0) != 0 {
 		t.Fatalf("zero time must cost zero energy")
 	}
 }
@@ -28,7 +36,7 @@ func TestDefaultPowerOrdering(t *testing.T) {
 		t.Fatalf("implausible default power model: %+v", p)
 	}
 	// For equal busy time, the big core must cost more.
-	if DefaultPower.CoreEnergyJ(Big, sim.Second, 0) <= DefaultPower.CoreEnergyJ(Little, sim.Second, 0) {
+	if coreEnergyJ(DefaultPower, TierBig, sim.Second, 0) <= coreEnergyJ(DefaultPower, TierLittle, sim.Second, 0) {
 		t.Fatalf("big core must draw more than little")
 	}
 }

@@ -83,8 +83,8 @@ func TestNewTieredConfigLayout(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.NumBig() != 2 || cfg.NumInTier(1) != 2 || cfg.NumLittle() != 2 {
-		t.Errorf("per-tier counts: big=%d mid=%d little=%d", cfg.NumBig(), cfg.NumInTier(1), cfg.NumLittle())
+	if len(cfg.TierIndices(2)) != 2 || len(cfg.TierIndices(1)) != 2 || len(cfg.TierIndices(0)) != 2 {
+		t.Errorf("per-tier counts: big=%d mid=%d little=%d", len(cfg.TierIndices(2)), len(cfg.TierIndices(1)), len(cfg.TierIndices(0)))
 	}
 
 	lf := NewTieredConfig(TriGearTiers(), []int{2, 2, 2}, false)
@@ -99,7 +99,7 @@ func TestNewTieredConfigLayout(t *testing.T) {
 func TestOrderedMatchesNewConfig(t *testing.T) {
 	for _, cfg := range EvaluatedConfigs() {
 		for _, bigFirst := range []bool{true, false} {
-			want := NewConfig(cfg.NumBig(), cfg.NumLittle(), bigFirst)
+			want := NewConfig(len(cfg.TierIndices(int(Big))), len(cfg.TierIndices(int(Little))), bigFirst)
 			got := cfg.Ordered(bigFirst)
 			if got.Name != want.Name {
 				t.Errorf("%s Ordered(%v) name %q, want %q", cfg.Name, bigFirst, got.Name, want.Name)

@@ -107,27 +107,6 @@ func (c *Cache) insert(ks string, score metrics.MixScore) {
 	c.evictOverflow()
 }
 
-// Lookup returns the cached score of a cell, without touching the hit or
-// miss counters (use Do for counted access). A found cell's recency is
-// refreshed.
-func (c *Cache) Lookup(key CellKey) (metrics.MixScore, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.cells[key.String()]
-	if !ok {
-		return metrics.MixScore{}, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).score, true
-}
-
-// Store inserts a scored cell directly.
-func (c *Cache) Store(key CellKey, score metrics.MixScore) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insert(key.String(), score)
-}
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

@@ -1,6 +1,6 @@
 package experiment
 
-// Class regrouping over grammar scenarios: ScenarioMatrix is RunMatrix
+// Class regrouping over grammar scenarios: ScenarioMatrixContext is RunMatrix
 // for specs, and ClassTable regenerates a Figure 8-style per-class
 // H_ANTT/H_STP table grouped by the @class= label each scenario declares
 // — by default over the standard suite (workload.StandardSuite).
@@ -14,16 +14,12 @@ import (
 	"colab/internal/workload"
 )
 
-// ScenarioMatrix evaluates the given scenario specs x configs x
-// schedulers in parallel and returns one Cell per combination, with
-// Cell.Workload the scenario name and Cell.Class its @class= label.
-func (r *Runner) ScenarioMatrix(specs []workload.Spec, cfgs []cpu.Config, kinds []string) ([]Cell, error) {
-	return r.ScenarioMatrixContext(context.Background(), specs, cfgs, kinds)
-}
-
-// ScenarioMatrixContext is ScenarioMatrix with cooperative cancellation.
-// The fan-out goes through the runner's one matrix path (runBatch), and
-// Linux is always included as the normalisation reference.
+// ScenarioMatrixContext evaluates the given scenario specs x configs x
+// schedulers in parallel, with cooperative cancellation, and returns one
+// Cell per combination, with Cell.Workload the scenario name and
+// Cell.Class its @class= label. The fan-out goes through the runner's one
+// matrix path (runBatch), and Linux is always included as the
+// normalisation reference.
 func (r *Runner) ScenarioMatrixContext(ctx context.Context, specs []workload.Spec, cfgs []cpu.Config, kinds []string) ([]Cell, error) {
 	// all is linux followed by kinds, deduplicated; at records each
 	// kind's position in it.

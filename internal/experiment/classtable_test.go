@@ -43,7 +43,7 @@ func TestClassTableStandardSuite(t *testing.T) {
 	}
 }
 
-// TestScenarioMatrixCells checks the Cell surface ScenarioMatrix exposes:
+// TestScenarioMatrixCells checks the Cell surface ScenarioMatrixContext exposes:
 // scenario names, @class= labels and Linux-normalised scores.
 func TestScenarioMatrixCells(t *testing.T) {
 	r := testRunner(t)
@@ -51,7 +51,7 @@ func TestScenarioMatrixCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := r.ScenarioMatrix([]workload.Spec{spec}, []cpu.Config{cpu.Config2B2S}, []string{SchedCOLAB})
+	cells, err := r.ScenarioMatrixContext(context.Background(), []workload.Spec{spec}, []cpu.Config{cpu.Config2B2S}, []string{SchedCOLAB})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func runTriGear(t *testing.T, r *Runner, kind string) *kernel.Result {
 	if !ok {
 		t.Fatal("Rand-7 missing")
 	}
-	w, err := comp.Build(r.Seed)
+	w, err := comp.Spec().Build(r.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCOLABDVFSFallsBackOffPalette(t *testing.T) {
 		t.Fatal("Rand-7 missing")
 	}
 	turnarounds := func(kind string) []float64 {
-		w, err := comp.Build(r.Seed)
+		w, err := comp.Spec().Build(r.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}

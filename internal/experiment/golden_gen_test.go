@@ -35,7 +35,7 @@ func goldenPaperLines(t *testing.T) []string {
 		}
 		for _, cfg := range cpu.EvaluatedConfigs() {
 			for _, kind := range kinds {
-				s, err := r.MixScore(comp, cfg, kind)
+				s, err := r.ScenarioScore(comp.Spec(), cfg, kind)
 				if err != nil {
 					t.Fatalf("mix %s %s %s: %v", idx, cfg.Name, kind, err)
 				}
@@ -45,7 +45,7 @@ func goldenPaperLines(t *testing.T) []string {
 	}
 	for _, abl := range []string{SchedCOLABNoScale, SchedCOLABLocal, SchedCOLABFlat, SchedCOLABNoPull, SchedCOLABOracle} {
 		comp, _ := workload.CompositionByIndex("Sync-2")
-		s, err := r.MixScore(comp, cpu.Config2B2S, abl)
+		s, err := r.ScenarioScore(comp.Spec(), cpu.Config2B2S, abl)
 		if err != nil {
 			t.Fatalf("ablation %s: %v", abl, err)
 		}
@@ -62,7 +62,7 @@ func goldenPaperLines(t *testing.T) []string {
 	}
 	for _, kind := range kinds {
 		comp, _ := workload.CompositionByIndex("Sync-2")
-		w, err := comp.Build(1)
+		w, err := comp.Spec().Build(1)
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}

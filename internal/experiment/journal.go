@@ -85,7 +85,8 @@ func scanJournal(path string, data []byte, record func(raw []byte, e JournalReco
 
 // OpenJournal opens (creating if missing) the checkpoint journal at path
 // and loads every completed cell. A truncated final line — the signature
-// of a kill mid-write — is tolerated and dropped; malformed interior lines
+// of a kill mid-write — is tolerated and dropped; a complete final record
+// without its newline is kept and terminated; malformed interior lines
 // mean the file is not a journal and error out.
 func OpenJournal(path string) (*Journal, error) {
 	data, err := os.ReadFile(path)
@@ -110,6 +111,15 @@ func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: opening journal %s: %w", path, err)
+	}
+	if kept := data[:len(data)-torn]; len(kept) > 0 && kept[len(kept)-1] != '\n' {
+		// A complete last record lost its newline (power loss just before
+		// it, or a journal another tool wrote): terminate it, or the next
+		// Record would land on the same line and make the file unreadable.
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("experiment: terminating last record of journal %s: %w", path, err)
+		}
 	}
 	return &Journal{f: f, done: done}, nil
 }

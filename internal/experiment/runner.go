@@ -74,8 +74,8 @@ type Runner struct {
 
 	mu        sync.Mutex
 	baselines map[string]sim.Time
-	// cache memoises the runner's scored cells (MixScore, ScenarioScore
-	// and the matrix methods' batches). Runners a Batch builds for itself
+	// cache memoises the runner's scored cells (the matrix methods'
+	// batches). Runners a Batch builds for itself
 	// have none: the batch's own Cache, if any, is their memo.
 	cache *Cache
 }
@@ -206,24 +206,6 @@ func (r *Runner) baseline(ctx context.Context, key string, cores int, alone func
 
 // ---------------------------------------------------------------------------
 // Mix experiments.
-
-// MixScore returns the H_ANTT / H_STP of one (workload, config, scheduler)
-// cell, averaged over the two core orders, memoised.
-func (r *Runner) MixScore(comp workload.Composition, cfg cpu.Config, kind string) (metrics.MixScore, error) {
-	return r.ScenarioScore(comp.Spec(), cfg, kind)
-}
-
-// ScenarioScore is MixScore for a grammar/registry scenario spec: the
-// auto-baselined H_ANTT / H_STP of one (scenario, config, scheduler) cell,
-// averaged over the two core orders, memoised. Open-system scenarios score
-// each app's turnaround from its own arrival time.
-func (r *Runner) ScenarioScore(spec workload.Spec, cfg cpu.Config, kind string) (metrics.MixScore, error) {
-	ctx := context.Background()
-	score, _, err := r.cache.Do(ctx, NewCellKey(spec, kind, cfg, r.Seed, r.Params), func() (metrics.MixScore, error) {
-		return r.specScore(ctx, spec, cfg, kind, nil, nil)
-	})
-	return score, err
-}
 
 // BaselineKey is the content address of one big-only-alone baseline: the
 // CellKey of the closed scenario under linux on the symmetric big machine,

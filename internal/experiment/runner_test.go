@@ -1,14 +1,30 @@
 package experiment
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
 
 	"colab/internal/cpu"
+	"colab/internal/metrics"
 	"colab/internal/perfmodel"
 	"colab/internal/workload"
 )
+
+// ScenarioScore returns the auto-baselined H_ANTT / H_STP of one
+// (scenario, config, scheduler) cell, averaged over the two core orders,
+// memoised in the runner's cache: the single-cell path (one Cache.Do
+// around specScore) that the golden corpus and the per-cell tests score
+// through. Open-system scenarios score each app's turnaround from its own
+// arrival time.
+func (r *Runner) ScenarioScore(spec workload.Spec, cfg cpu.Config, kind string) (metrics.MixScore, error) {
+	ctx := context.Background()
+	score, _, err := r.cache.Do(ctx, NewCellKey(spec, kind, cfg, r.Seed, r.Params), func() (metrics.MixScore, error) {
+		return r.specScore(ctx, spec, cfg, kind, nil, nil)
+	})
+	return score, err
+}
 
 func testRunner(t *testing.T) *Runner {
 	t.Helper()
@@ -39,7 +55,7 @@ func TestNewSchedulerKinds(t *testing.T) {
 func TestMixScoreMemoized(t *testing.T) {
 	r := testRunner(t)
 	comp, _ := workload.CompositionByIndex("Sync-1")
-	s1, err := r.MixScore(comp, cpu.Config2B2S, SchedLinux)
+	s1, err := r.ScenarioScore(comp.Spec(), cpu.Config2B2S, SchedLinux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +66,7 @@ func TestMixScoreMemoized(t *testing.T) {
 	if s1.HANTT < 1 {
 		t.Fatalf("H_ANTT %v < 1 against big-only baseline", s1.HANTT)
 	}
-	s2, err := r.MixScore(comp, cpu.Config2B2S, SchedLinux)
+	s2, err := r.ScenarioScore(comp.Spec(), cpu.Config2B2S, SchedLinux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +98,7 @@ func TestRunMatrixNormalisesToLinux(t *testing.T) {
 
 func TestAppAlonePreservesThePrograms(t *testing.T) {
 	comp, _ := workload.CompositionByIndex("Comp-1")
-	mix, err := comp.Build(9)
+	mix, err := comp.Spec().Build(9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +199,7 @@ func TestFigure4ShapeHolds(t *testing.T) {
 func TestOracleAblationRuns(t *testing.T) {
 	r := testRunner(t)
 	comp, _ := workload.CompositionByIndex("Sync-1")
-	s, err := r.MixScore(comp, cpu.Config2B2S, SchedCOLABOracle)
+	s, err := r.ScenarioScore(comp.Spec(), cpu.Config2B2S, SchedCOLABOracle)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ type BatchKey struct {
 
 // BatchCell is one scored cell. Score is the auto-baselined H_ANTT / H_STP
 // pair (big-only-alone baselines, averaged over big-first and little-first
-// core orders — exactly what Runner.MixScore computes).
+// core orders).
 type BatchCell struct {
 	Key   BatchKey
 	Score metrics.MixScore
@@ -46,8 +46,8 @@ type BatchCell struct {
 //
 // Results are deterministic and independent of Workers: cells come back in
 // cross-product order (seeds outermost, then scenarios, configs, policies
-// innermost) and every cell's value is computed by the same single-cell
-// path Runner.MixScore uses.
+// innermost) and every cell's value is computed by the one single-cell
+// path, Runner.specScore.
 type Batch struct {
 	// Scenarios are grammar/registry scenario specs to run (at least
 	// one); a Table 4 composition runs as its Composition.Spec.

@@ -22,7 +22,7 @@ func TestTriGearAllPolicies(t *testing.T) {
 		t.Fatal("Rand-7 missing")
 	}
 	for _, kind := range TriGearSchedulers() {
-		s, err := r.MixScore(comp, cpu.Config2B2M2S, kind)
+		s, err := r.ScenarioScore(comp.Spec(), cpu.Config2B2M2S, kind)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", kind, cpu.Config2B2M2S.Name, err)
 		}

@@ -58,10 +58,6 @@ func NewWorker(cache *experiment.Cache) *Worker {
 	return w
 }
 
-// Cache returns the worker's cell cache (for bounding via SetLimit or
-// inspecting stats).
-func (w *Worker) Cache() *experiment.Cache { return w.cache }
-
 // Stats snapshots the worker's counters.
 func (w *Worker) Stats() WorkerStats {
 	return WorkerStats{

@@ -243,31 +243,6 @@ func (m *Machine) DomainDistance(a, b int) int {
 	return m.dist[a][b]
 }
 
-// TopologyOf returns a core's socket and LLC domain indices.
-func (m *Machine) TopologyOf(core int) (socket, domain int) {
-	dom := m.domainOf[core]
-	t := m.config.Topology()
-	if dom < len(t.Domains) {
-		return t.Domains[dom].Socket, dom
-	}
-	return 0, dom
-}
-
-// MigrationPenalty returns the extra dispatch cost a thread last run on
-// core from pays to start on core to: the cold-cache penalty, in
-// destination-core nanoseconds, scaled by the LLC-domain hop distance.
-// Zero on flat machines, with penalty 0, and within one domain.
-func (m *Machine) MigrationPenalty(from, to int) sim.Time {
-	if !m.topoActive || from < 0 {
-		return 0
-	}
-	hops := m.dist[m.domainOf[from]][m.domainOf[to]]
-	if hops == 0 {
-		return 0
-	}
-	return sim.Time(float64(hops) * m.migPenaltyNS[to])
-}
-
 // NextBusy returns the smallest core >= from of the given tier (-1: any
 // tier) that a thread occupies, or -1. Walking it from 0 visits the
 // occupied cores in ascending core order at a cost of the occupied count,
@@ -308,13 +283,6 @@ func (m *Machine) Done() bool { return m.done }
 func (m *Machine) Kick(core int) {
 	if core >= 0 && core < len(m.cores) && m.cores[core].Current == nil {
 		m.resched(m.cores[core])
-	}
-}
-
-// KickIdle re-runs selection on every idle core.
-func (m *Machine) KickIdle() {
-	for id := m.NextIdle(-1, 0); id >= 0; id = m.NextIdle(-1, id+1) {
-		m.resched(m.cores[id])
 	}
 }
 

@@ -179,7 +179,7 @@ func TestAllSchedulersCompleteMixes(t *testing.T) {
 				func() kernel.Scheduler { return gts.New() },
 			} {
 				s := mkSched()
-				w, err := comp.Build(99)
+				w, err := comp.Spec().Build(99)
 				if err != nil {
 					t.Fatalf("%s build: %v", idx, err)
 				}

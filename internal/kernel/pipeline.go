@@ -393,10 +393,6 @@ func NewPipeline(name string, lab Labeler, alloc Allocator, sel Selector, gov Go
 // Name implements Scheduler.
 func (p *Pipeline) Name() string { return p.name }
 
-// Context returns the pipeline's shared state (nil before Start), for
-// diagnostics and tests.
-func (p *Pipeline) Context() *PipelineContext { return p.pc }
-
 // Start implements Scheduler: it builds the shared state and starts the
 // stages in slot order (labeler first, so its periodic pass is scheduled
 // ahead of any same-time machine events).

@@ -98,7 +98,6 @@ func TestKickIsSafe(t *testing.T) {
 	}
 	m.Kick(-1) // out of range: no-op
 	m.Kick(99)
-	m.KickIdle()
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

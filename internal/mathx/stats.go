@@ -67,49 +67,6 @@ func Median(xs []float64) float64 {
 	return (c[n/2-1] + c[n/2]) / 2
 }
 
-// MinMax returns the minimum and maximum of xs; (0, 0) for empty input.
-func MinMax(xs []float64) (mn, mx float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	mn, mx = xs[0], xs[0]
-	for _, v := range xs[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mn, mx
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks. The input is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	c := make([]float64, n)
-	copy(c, xs)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return c[lo]
-	}
-	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
-}
-
 // Correlation returns the Pearson correlation coefficient of two equal-length
 // samples, or 0 when undefined (degenerate variance or length mismatch).
 func Correlation(xs, ys []float64) float64 {

@@ -173,14 +173,6 @@ func (p *Policy) Name() string {
 // pins every core at nominal, reproducing fixed-frequency COLAB exactly.
 func (p *Policy) SelectOPP(c *kernel.Core, t *task.Thread) int { return p.gov.SelectOPP(c, t) }
 
-// Labels returns a snapshot of the current label of every live thread
-// (diagnostics and tests).
-func (p *Policy) Labels() map[*task.Thread]Label { return p.lab.Labels() }
-
-// TargetTiers returns a snapshot of every live thread's allocation target
-// tier (-1 = free), for diagnostics and tests.
-func (p *Policy) TargetTiers() map[*task.Thread]int { return p.lab.TargetTiers() }
-
 // paletteMatches reports whether the machine's palette is the one a tiered
 // predictor was trained for, on the fields prediction semantics depend on.
 func paletteMatches(trained, machine []cpu.Tier) bool {

@@ -128,25 +128,6 @@ func (l *LabelerStage) label() {
 	}
 }
 
-// Labels returns a snapshot of the current label of every live thread.
-func (l *LabelerStage) Labels() map[*task.Thread]Label {
-	out := make(map[*task.Thread]Label, len(l.threads))
-	for t := range l.threads {
-		out[t] = Label(l.pc.Hints().Get(t).Label)
-	}
-	return out
-}
-
-// TargetTiers returns a snapshot of every live thread's allocation target
-// tier (-1 = free).
-func (l *LabelerStage) TargetTiers() map[*task.Thread]int {
-	out := make(map[*task.Thread]int, len(l.threads))
-	for t := range l.threads {
-		out[t] = l.pc.Hints().Get(t).TargetTier
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Hierarchical round-robin core allocator (Alg. 1: _core_alloctor_).
 

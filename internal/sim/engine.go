@@ -34,9 +34,6 @@ func (t Time) String() string {
 // Seconds returns the time in seconds as a float.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Millis returns the time in milliseconds as a float.
-func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
 // Event is a scheduled callback. Events are single-shot; cancelling an event
 // that already fired is a no-op.
 //
@@ -51,9 +48,6 @@ type Event struct {
 	fn       func()
 	canceled bool
 }
-
-// At returns the time the event is (or was) scheduled for.
-func (e *Event) At() Time { return e.at }
 
 // entry is one slot of the event heap. The (at, seq) key is stored inline
 // so sifting compares slots without dereferencing the Event; seq breaks

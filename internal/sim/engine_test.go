@@ -128,9 +128,6 @@ func TestTimeString(t *testing.T) {
 	if s := (2 * Second).Seconds(); s != 2 {
 		t.Errorf("Seconds = %v", s)
 	}
-	if m := (3 * Millisecond).Millis(); m != 3 {
-		t.Errorf("Millis = %v", m)
-	}
 }
 
 // Property: N random events fire exactly once each, in non-decreasing time

@@ -51,35 +51,6 @@ func MaskOf(cores []int) Mask {
 	return m
 }
 
-// MaskUpTo builds the mask admitting cores 0..n-1 (clamped to the
-// cpu.MaxCores universe) — the bounded "every core of this machine" mask.
-func MaskUpTo(n int) Mask {
-	if n >= cpu.MaxCores {
-		return MaskAll()
-	}
-	var m Mask
-	if n <= 0 {
-		return m
-	}
-	full := n / 64
-	if full > 0 {
-		m.lo = ^uint64(0)
-	}
-	if full > 1 {
-		m.hi = make([]uint64, full-1)
-		for i := range m.hi {
-			m.hi[i] = ^uint64(0)
-		}
-	}
-	for c := full * 64; c < n; c++ {
-		m.Set(c)
-	}
-	return m
-}
-
-// IsAll reports whether the mask is the canonical every-core value.
-func (m Mask) IsAll() bool { return m.all }
-
 // IsEmpty reports whether the mask admits no core. The zero Mask is empty;
 // the kernel treats an empty affinity as "unset" and defaults it to MaskAll
 // at admission, exactly as it treated a zero uint64 mask.
@@ -196,19 +167,6 @@ func (m Mask) Or(o Mask) Mask {
 	return out
 }
 
-// Count returns the number of cores the mask admits (cpu.MaxCores for the
-// all mask).
-func (m Mask) Count() int {
-	if m.all {
-		return cpu.MaxCores
-	}
-	n := bits.OnesCount64(m.lo)
-	for _, w := range m.hi {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // Equal reports whether m and o admit exactly the same cores. Canonical
 // form makes this a structural word compare.
 func (m Mask) Equal(o Mask) bool {
@@ -248,17 +206,6 @@ func (m Mask) Iterate(yield func(int) bool) {
 			word &^= 1 << uint(b)
 		}
 	}
-}
-
-// Cores returns the admitted core indices in ascending order (diagnostics
-// and tests; allocates).
-func (m Mask) Cores() []int {
-	out := make([]int, 0, m.Count())
-	m.Iterate(func(c int) bool {
-		out = append(out, c)
-		return true
-	})
-	return out
 }
 
 // String renders the mask for traces and errors.

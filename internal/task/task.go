@@ -147,9 +147,6 @@ func (a *App) NumThreads() int { return len(a.Threads) }
 // Valid only after the app finished.
 func (a *App) TurnaroundTime() sim.Time { return a.FinishTime - a.StartTime }
 
-// Finished reports whether every thread of the app is done.
-func (a *App) Finished() bool { return a.finished == len(a.Threads) }
-
 // NoteThreadDone records one thread retiring; the kernel calls this.
 func (a *App) NoteThreadDone(now sim.Time) {
 	a.finished++
@@ -237,17 +234,6 @@ func (t *Thread) String() string {
 type Workload struct {
 	Name string
 	Apps []*App
-}
-
-// Open reports whether any app arrives after time zero (an open-system
-// workload).
-func (w *Workload) Open() bool {
-	for _, a := range w.Apps {
-		if a.Arrival > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // NumThreads returns the total thread count across apps.

@@ -69,16 +69,13 @@ func TestAppCompletionBookkeeping(t *testing.T) {
 	t1 := &Thread{App: app, Name: "a"}
 	t2 := &Thread{App: app, Name: "b"}
 	app.Threads = []*Thread{t1, t2}
-	if app.Finished() {
-		t.Fatalf("fresh app cannot be finished")
-	}
 	app.NoteThreadDone(100)
-	if app.Finished() {
-		t.Fatalf("one of two threads done != finished")
+	if app.FinishTime != 0 {
+		t.Fatalf("one of two threads done set finish time %v", app.FinishTime)
 	}
 	app.NoteThreadDone(250)
-	if !app.Finished() || app.FinishTime != 250 {
-		t.Fatalf("finish = %v %v", app.Finished(), app.FinishTime)
+	if app.FinishTime != 250 {
+		t.Fatalf("finish time = %v, want 250", app.FinishTime)
 	}
 	app.StartTime = 50
 	if app.TurnaroundTime() != 200 {

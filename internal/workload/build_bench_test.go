@@ -32,7 +32,7 @@ func TestNonPositiveCountsBuildEmptyPrograms(t *testing.T) {
 		b := NewAppBuilder(0, "neg", mathx.NewRNG(1))
 		b.DataParallel(n, DataParallelOptions{Phases: -2, LocksPer: 2, Profile: ComputeProfile})
 		b.Pipeline(n, []PipeStage{{Name: "a", WorkItem: ms, Profile: ComputeProfile}, {Name: "b", WorkItem: ms, Profile: MemoryProfile}}, -5, 2)
-		for _, th := range b.App().Threads {
+		for _, th := range b.app.Threads {
 			if len(th.Program) != 0 {
 				t.Errorf("n=%d thread %s: %d ops, want none", n, th.Name, len(th.Program))
 			}
@@ -47,7 +47,7 @@ func BenchmarkBuildCompositions(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, c := range comps {
-			if _, err := c.Build(1); err != nil {
+			if _, err := c.Spec().Build(1); err != nil {
 				b.Fatal(err)
 			}
 		}

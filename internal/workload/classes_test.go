@@ -21,7 +21,7 @@ func runUnderCFS(t *testing.T, idx string) *kernel.Result {
 	if !ok {
 		t.Fatalf("composition %s missing", idx)
 	}
-	w, err := comp.Build(11)
+	w, err := comp.Spec().Build(11)
 	if err != nil {
 		t.Fatal(err)
 	}

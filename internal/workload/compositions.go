@@ -1,12 +1,5 @@
 package workload
 
-import (
-	"fmt"
-
-	"colab/internal/mathx"
-	"colab/internal/task"
-)
-
 // Class groups workload compositions the way the paper's evaluation does.
 type Class string
 
@@ -43,29 +36,6 @@ func (c Composition) TotalThreads() int {
 
 // NumPrograms returns the number of benchmark instances.
 func (c Composition) NumPrograms() int { return len(c.Parts) }
-
-// Build instantiates the composition into a runnable workload. Each call
-// produces fresh threads; a workload cannot be re-run.
-func (c Composition) Build(seed uint64) (*task.Workload, error) {
-	rng := mathx.NewRNG(seed ^ 0xd1b54a32d192ed03)
-	w := &task.Workload{Name: c.Index}
-	for i, p := range c.Parts {
-		b, ok := ByName(p.Bench)
-		if !ok {
-			return nil, fmt.Errorf("workload: composition %s references unknown benchmark %q", c.Index, p.Bench)
-		}
-		app, err := b.Instantiate(i, p.Threads, rng)
-		if err != nil {
-			return nil, err
-		}
-		if app.NumThreads() != p.Threads {
-			return nil, fmt.Errorf("workload: %s/%s requested %d threads, generator produced %d (cap %d)",
-				c.Index, p.Bench, p.Threads, app.NumThreads(), b.MaxThreads)
-		}
-		w.Apps = append(w.Apps, app)
-	}
-	return w, nil
-}
 
 // Compositions returns the 26 multi-programmed workloads of Table 4. The
 // per-benchmark thread splits respect the 2-thread cap on water_nsquared,

@@ -230,9 +230,9 @@ func FuzzParseSpec(f *testing.F) {
 	for _, c := range Compositions() {
 		f.Add(c.Index)
 	}
-	for _, name := range Names() {
-		f.Add(name)
-		f.Add(name + ":4")
+	for _, b := range All() {
+		f.Add(b.Name)
+		f.Add(b.Name + ":4")
 	}
 	for _, s := range []string{
 		"ferret:4+bodytrack:8",

@@ -136,14 +136,6 @@ func RegisterScenario(name string, s Spec) error {
 	return nil
 }
 
-// MustRegisterScenario is RegisterScenario for init-time use; it panics on
-// error.
-func MustRegisterScenario(name string, s Spec) {
-	if err := RegisterScenario(name, s); err != nil {
-		panic(err)
-	}
-}
-
 // All returns the fifteen built-in benchmarks of Table 3 in paper order.
 // User registrations do not appear here: All is the fixed training and
 // figure-reproduction surface (perfmodel collects its symmetric runs over
@@ -171,15 +163,6 @@ func ByName(name string) (Benchmark, bool) {
 	defer regMu.RUnlock()
 	b, ok := benchByName[name]
 	return b, ok
-}
-
-// Names returns the built-in benchmark names in Table 3 order.
-func Names() []string {
-	var out []string
-	for _, b := range builtinBenchmarks() {
-		out = append(out, b.Name)
-	}
-	return out
 }
 
 // BenchmarkNames returns every registered benchmark name in sorted order

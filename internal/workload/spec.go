@@ -367,8 +367,8 @@ func (s Spec) applyLoad(w *task.Workload, seed uint64, capacity float64) error {
 }
 
 // Spec converts a Table 4 composition into its scenario form: one closed
-// term whose apps are the composition's parts. Spec(...).Build(seed) is
-// byte-identical to Composition.Build(seed).
+// term whose apps are the composition's parts; Build instantiates the parts
+// in order from one seeded stream.
 func (c Composition) Spec() Spec {
 	term := Term{Source: c.Index}
 	for _, p := range c.Parts {

@@ -5,9 +5,34 @@ import (
 	"strings"
 	"testing"
 
+	"colab/internal/mathx"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
+
+// compositionBuild is the reference build of a Table 4 composition: each
+// part instantiated from one seeded stream, in part order. The scenario
+// route (Composition.Spec().Build) must reproduce it bit for bit.
+func compositionBuild(c Composition, seed uint64) (*task.Workload, error) {
+	rng := mathx.NewRNG(seed ^ 0xd1b54a32d192ed03)
+	w := &task.Workload{Name: c.Index}
+	for i, p := range c.Parts {
+		b, ok := ByName(p.Bench)
+		if !ok {
+			return nil, fmt.Errorf("workload: composition %s references unknown benchmark %q", c.Index, p.Bench)
+		}
+		app, err := b.Instantiate(i, p.Threads, rng)
+		if err != nil {
+			return nil, err
+		}
+		if app.NumThreads() != p.Threads {
+			return nil, fmt.Errorf("workload: %s/%s requested %d threads, generator produced %d (cap %d)",
+				c.Index, p.Bench, p.Threads, app.NumThreads(), b.MaxThreads)
+		}
+		w.Apps = append(w.Apps, app)
+	}
+	return w, nil
+}
 
 // fingerprintWorkload renders every generation-relevant detail of a built
 // workload: app identity, queues, thread names, profiles, programs and
@@ -29,12 +54,12 @@ func fingerprintWorkload(w *task.Workload) string {
 
 // TestSpecReproducesCompositionBuilds is the tentpole identity: the
 // scenario route to every Table 4 composition builds the exact workload
-// Composition.Build does — programs, profiles, queues, app IDs, to the
+// compositionBuild does — programs, profiles, queues, app IDs, to the
 // last bit — at several seeds.
 func TestSpecReproducesCompositionBuilds(t *testing.T) {
 	for _, comp := range Compositions() {
 		for _, seed := range []uint64{1, 7, 42} {
-			want, err := comp.Build(seed)
+			want, err := compositionBuild(comp, seed)
 			if err != nil {
 				t.Fatalf("%s: composition build: %v", comp.Index, err)
 			}
@@ -53,7 +78,7 @@ func TestSpecReproducesCompositionBuilds(t *testing.T) {
 func TestGrammarReproducesCompositionBuilds(t *testing.T) {
 	for _, idx := range []string{"Sync-2", "Rand-7"} {
 		comp, _ := CompositionByIndex(idx)
-		want, err := comp.Build(3)
+		want, err := compositionBuild(comp, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +108,7 @@ func TestSeedOverrideIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp, _ := CompositionByIndex("Sync-2")
-	w2, err := comp.Build(7)
+	w2, err := comp.Spec().Build(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +138,7 @@ func TestArrivalsDoNotPerturbPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wo.Open() {
+	if wo.Apps[1].Arrival <= 0 {
 		t.Fatalf("poisson arrivals missing: %v", wo.Apps[1].Arrival)
 	}
 	if wo.Apps[0].Arrival != 0 {

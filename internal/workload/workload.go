@@ -18,7 +18,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"colab/internal/cpu"
 	"colab/internal/mathx"
@@ -126,9 +125,6 @@ func NewAppBuilder(appID int, name string, rng *mathx.RNG) *Builder {
 	app := &task.App{ID: appID, Name: name}
 	return &Builder{app: app, rng: rng.Fork(uint64(appID)*7919 + 13)}
 }
-
-// App returns the application under construction.
-func (b *Builder) App() *task.App { return b.app }
 
 // RNG returns the builder's deterministic random stream; generators draw
 // all jitter from it.
@@ -401,33 +397,6 @@ func splitShares(items, k int) []int {
 	}
 	for i := 0; i < items%k; i++ {
 		out[i]++
-	}
-	return out
-}
-
-// SortedThreadWork is a debugging helper: total per-thread work in the app,
-// descending. Used by characterisation tooling and tests.
-func SortedThreadWork(a *task.App) []float64 {
-	var out []float64
-	for _, t := range a.Threads {
-		out = append(out, t.Program.TotalWork())
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
-}
-
-// TierSpeedups returns each thread's true speedup on every tier of the
-// palette (rows follow a.Threads, columns the tiers). Characterisation
-// tooling uses it to show how a benchmark's core sensitivity spreads over a
-// multi-tier machine.
-func TierSpeedups(a *task.App, tiers []cpu.Tier) [][]float64 {
-	out := make([][]float64, len(a.Threads))
-	for i, t := range a.Threads {
-		row := make([]float64, len(tiers))
-		for j, tier := range tiers {
-			row[j] = t.Profile.SpeedupOn(tier)
-		}
-		out[i] = row
 	}
 	return out
 }

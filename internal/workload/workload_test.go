@@ -30,8 +30,8 @@ func TestAllBenchmarksListed(t *testing.T) {
 	if _, ok := ByName("nonexistent"); ok {
 		t.Errorf("unknown benchmark resolved")
 	}
-	if len(Names()) != 15 {
-		t.Errorf("Names() size")
+	if len(All()) != 15 {
+		t.Errorf("All() size")
 	}
 }
 
@@ -239,7 +239,7 @@ func TestCompositionBuild(t *testing.T) {
 	if !ok {
 		t.Fatal("Sync-4 missing")
 	}
-	w, err := comp.Build(123)
+	w, err := comp.Spec().Build(123)
 	if err != nil {
 		t.Fatal(err)
 	}
