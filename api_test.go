@@ -1,7 +1,6 @@
 package colab_test
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -93,7 +92,7 @@ func TestPublicAPIErrorsAndConstructors(t *testing.T) {
 	}
 	for _, s := range []colab.Scheduler{
 		colab.NewLinux(), colab.NewWASH(nil), colab.NewCOLAB(nil), colab.NewGTS(),
-		colab.NewCOLABWithOptions(colab.COLABOptions{DisablePull: true}),
+		colab.NewEAS(),
 	} {
 		if s.Name() == "" {
 			t.Fatalf("scheduler without a name")
@@ -131,58 +130,6 @@ func TestWorkConservationAcrossSchedulers(t *testing.T) {
 			want = total
 		} else if diff := total/want - 1; diff > 0.0001 || diff < -0.0001 {
 			t.Fatalf("retired work differs across schedulers: %v vs %v", total, want)
-		}
-	}
-}
-
-// NewCOLABWithOptions is the public options path to the registry's COLAB
-// variants: the zero COLABOptions and each ablation switch must schedule
-// exactly like the registered colab, colab-noscale, colab-local, colab-flat
-// and colab-nopull given the same predictor.
-func TestCOLABOptionsMatchRegistry(t *testing.T) {
-	model, err := colab.TrainSpeedupModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	speedup := model.ThreadPredictor()
-	run := func(s colab.Scheduler) *colab.Result {
-		t.Helper()
-		w, err := colab.BuildWorkload("Sync-2", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := colab.Run(colab.Config2B2S, s, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	cases := []struct {
-		name string
-		opts colab.COLABOptions
-	}{
-		{"colab", colab.COLABOptions{}},
-		{"colab-noscale", colab.COLABOptions{DisableScaleSlice: true}},
-		{"colab-local", colab.COLABOptions{LocalOnlySelector: true}},
-		{"colab-flat", colab.COLABOptions{FlatAllocator: true}},
-		{"colab-nopull", colab.COLABOptions{DisablePull: true}},
-	}
-	var plain *colab.Result
-	for _, c := range cases {
-		reg, err := colab.NewPolicy(c.name, colab.PolicyContext{Speedup: speedup})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.opts.Speedup = speedup
-		got, want := run(colab.NewCOLABWithOptions(c.opts)), run(reg)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: options path diverged from the registry (end %v vs %v, %d vs %d switches)",
-				c.name, got.EndTime, want.EndTime, got.TotalSwitches, want.TotalSwitches)
-		}
-		if plain == nil {
-			plain = got
-		} else if reflect.DeepEqual(got, plain) {
-			t.Errorf("%s: ablation switch left the schedule unchanged", c.name)
 		}
 	}
 }

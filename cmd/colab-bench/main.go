@@ -109,8 +109,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		tableJob("delta", func() (*experiment.Table, error) { return r.DeltaTable(ctx) }),
 		{name: "ablation", run: func() (string, error) {
 			// Stage-swap ablation (the pipeline-API regeneration of the
-			// paper's ablation argument) followed by the legacy
-			// option-switch variants.
+			// paper's ablation argument) followed by the design-choice
+			// stage variants.
 			stage, err := r.AblationTable(ctx)
 			if err != nil {
 				return "", err

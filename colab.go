@@ -53,7 +53,6 @@ import (
 	"colab/internal/metrics"
 	"colab/internal/perfmodel"
 	"colab/internal/policy"
-	colabsched "colab/internal/sched/colab"
 	"colab/internal/sim"
 	"colab/internal/task"
 	"colab/internal/topo"
@@ -295,7 +294,8 @@ func TrainTieredSpeedupModel(tiers []Tier) (*TieredSpeedupModel, error) {
 // standard tri-gear palette (TriGearTiers).
 func TrainTriGearSpeedupModel() (*TieredSpeedupModel, error) { return perfmodel.DefaultTriGear() }
 
-// mustPolicy builds a built-in policy whose factory cannot fail.
+// mustPolicy builds a built-in policy. Only colab-dvfs can fail, when its
+// default tiered model cannot train from the committed benchmarks.
 func mustPolicy(name string, ctx policy.Context) Scheduler {
 	s, err := policy.New(name, ctx)
 	if err != nil {
@@ -322,38 +322,22 @@ func NewWASH(model *SpeedupModel) Scheduler {
 	return mustPolicy(policy.WASH, predictorContext(model))
 }
 
-// COLABOptions selects COLAB's speedup predictors, its DVFS governor and
-// the ablation switches; the zero value is the paper configuration with a
-// neutral predictor. The labeler interval, thresholds and CFS slice layer
-// are fixed at the paper's values.
-type COLABOptions = colabsched.Options
-
 // NewCOLAB returns the COLAB policy driven by the given speedup model; nil
 // model selects a neutral predictor.
 func NewCOLAB(model *SpeedupModel) Scheduler {
 	return mustPolicy(policy.COLAB, predictorContext(model))
 }
 
-// NewCOLABWithOptions returns a COLAB policy with explicit options (custom
-// predictors, the governor, ablations).
-func NewCOLABWithOptions(o COLABOptions) Scheduler { return colabsched.New(o) }
-
-// NewCOLABDVFS returns the COLAB policy with its native label-driven DVFS
-// governor enabled and, when a tiered model is given, per-tier trained
-// speedup predictions instead of anchor interpolation. On fixed-frequency
-// machines (the paper's configs) the governor never engages and only the
-// prediction source differs.
+// NewCOLABDVFS returns the colab-dvfs policy: COLAB with its label-driven
+// DVFS governor and per-tier trained speedup predictions (nil tiered: the
+// default tri-gear model). On machines outside the model's palette
+// predictions interpolate; on fixed-frequency ones the governor is idle.
 func NewCOLABDVFS(model *SpeedupModel, tiered *TieredSpeedupModel) Scheduler {
-	o := colabsched.Options{Governor: true}
-	if model != nil {
-		o.Speedup = model.ThreadPredictor()
-	}
+	ctx := predictorContext(model)
 	if tiered != nil {
-		// The palette disables per-tier predictions on machines the model
-		// was not trained for (interpolation takes over there).
-		o.TierSpeedup, o.TierSpeedupTiers = tiered.TierPredictor(), tiered.Tiers
+		ctx.TierSpeedup, ctx.TierSpeedupTiers = tiered.TierPredictor(), tiered.Tiers
 	}
-	return colabsched.New(o)
+	return mustPolicy(policy.COLABDVFS, ctx)
 }
 
 // NewGTS returns the ARM Global Task Scheduling-like policy.

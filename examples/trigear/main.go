@@ -37,10 +37,15 @@ func main() {
 	}{
 		// Fixed frequency, middle tiers interpolated from the big anchor.
 		{"colab (interp, fixed-freq)", func() colab.Scheduler { return colab.NewCOLAB(model) }},
-		// Per-tier trained predictions, still fixed frequency.
+		// Per-tier trained predictions, still fixed frequency: the
+		// colab-dvfs labeler without the governor stage.
 		{"colab (tiered, fixed-freq)", func() colab.Scheduler {
-			o := colab.COLABOptions{Speedup: model.ThreadPredictor(), TierSpeedup: tiered.TierPredictor()}
-			return colab.NewCOLABWithOptions(o)
+			ctx := colab.PolicyContext{Speedup: model.ThreadPredictor(), TierSpeedup: tiered.TierPredictor()}
+			s, err := colab.NewPolicy("colab-dvfs.labeler+colab.allocator+colab.selector", ctx)
+			if err != nil {
+				log.Fatal(err)
+			}
+			return s
 		}},
 		// Per-tier predictions + the native label-driven governor.
 		{"colab-dvfs (tiered+governor)", func() colab.Scheduler { return colab.NewCOLABDVFS(model, tiered) }},

@@ -14,11 +14,11 @@ import (
 // allocator and selector are decomposed and co-designed; the pipeline
 // registry lets us regenerate that evidence directly, by swapping one
 // stage of the canonical COLAB composition at a time and re-running the
-// mix, with compositions any API user can write. It complements rather
-// than replaces the option-switch variants (colab-noscale, colab-local,
-// colab-flat, colab-nopull; see Runner.Ablation): each of those turns off
-// one sub-feature inside a COLAB stage, which no whole-stage swap
-// reproduces, and the golden corpus pins them.
+// mix, with compositions any API user can write. It complements the
+// design-choice variants (colab-noscale, colab-local, colab-flat,
+// colab-nopull; see Runner.Ablation): each of those swaps in a COLAB stage
+// variant with one sub-feature switched off, which no swap for another
+// policy's stage reproduces, and the golden corpus pins them.
 
 // StageAblationVariant is one row of the stage-swap ablation: a canonical
 // COLAB pipeline with a single slot replaced (or added, for the governor

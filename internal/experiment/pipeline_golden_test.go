@@ -4,22 +4,24 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"colab/internal/cpu"
+	"colab/internal/kernel"
 	"colab/internal/perfmodel"
 	"colab/internal/policy"
 	"colab/internal/workload"
 )
 
 // TestPipelineCompositionsMatchGoldenCorpus is the pipeline-API acceptance
-// oracle: the five canonical stage compositions, addressed through the
-// registry's composition grammar, must reproduce their monolithic policies
-// on every mix cell of the golden corpus to the last bit — the stage
-// decomposition is a refactoring of how schedulers are built, not of what
-// they do.
+// oracle: the built-ins' stage compositions, addressed through the
+// registry's composition grammar, must reproduce the golden corpus to the
+// last bit — the five paper and extension policies on every mix cell, the
+// five COLAB ablations on their Sync-2 2B2S cells. Every ablation must
+// also differ from plain COLAB there, or its switch would be dead.
 func TestPipelineCompositionsMatchGoldenCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus comparison is not -short")
@@ -40,49 +42,59 @@ func TestPipelineCompositionsMatchGoldenCorpus(t *testing.T) {
 		want[strings.TrimPrefix(key, "mix|")] = scores
 	}
 
-	monoliths := []string{SchedLinux, SchedWASH, SchedCOLAB, SchedGTS, SchedEAS}
-	var composites []string
-	back := make(map[string]string, len(monoliths)) // composition -> monolith name
-	for _, name := range monoliths {
-		comp, ok := policy.CanonicalComposition(name)
-		if !ok {
-			t.Fatalf("no canonical composition for %s", name)
+	// check runs the compositions of the named built-ins on specs x cfgs
+	// and compares every cell with the corpus, returning the scores by
+	// corpus key.
+	check := func(specs []workload.Spec, cfgs []cpu.Config, names []string) map[string]string {
+		back := make(map[string]string, len(names)) // composition -> built-in name
+		var composites []string
+		for _, name := range names {
+			comp, ok := policy.CanonicalComposition(name)
+			if !ok {
+				t.Fatalf("no canonical composition for %s", name)
+			}
+			composites = append(composites, comp)
+			back[comp] = name
 		}
-		composites = append(composites, comp)
-		back[comp] = name
+		b := &Batch{Scenarios: specs, Configs: cfgs, Policies: composites, Seeds: []uint64{1}}
+		cells, err := b.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ff := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+		got := make(map[string]string, len(cells))
+		for _, c := range cells {
+			key := fmt.Sprintf("%s|%s|%s", c.Key.Workload, c.Key.Config, back[c.Key.Policy])
+			scores, ok := want[key]
+			if !ok {
+				t.Fatalf("corpus has no cell %s", key)
+			}
+			got[key] = fmt.Sprintf("HANTT=%s HSTP=%s", ff(c.Score.HANTT), ff(c.Score.HSTP))
+			if got[key] != scores {
+				t.Errorf("pipeline %q drifted from the corpus on %s:\n  golden:   %s\n  pipeline: %s",
+					c.Key.Policy, key, scores, got[key])
+			}
+		}
+		if wantCells := len(specs) * len(cfgs) * len(names); len(got) != wantCells {
+			t.Fatalf("checked %d cells, want %d", len(got), wantCells)
+		}
+		return got
 	}
 
 	var mixes []workload.Spec
 	for _, idx := range []string{"Sync-2", "NSync-2", "Comm-2", "Comp-2", "Rand-7"} {
 		mixes = append(mixes, compByIndex(t, idx).Spec())
 	}
-	b := &Batch{
-		Scenarios: mixes,
-		Configs:   cpu.EvaluatedConfigs(),
-		Policies:  composites,
-		Seeds:     []uint64{1},
-	}
-	cells, err := b.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	checked := 0
-	for _, c := range cells {
-		key := fmt.Sprintf("%s|%s|%s", c.Key.Workload, c.Key.Config, back[c.Key.Policy])
-		scores, ok := want[key]
-		if !ok {
-			t.Fatalf("corpus has no cell %s", key)
+	paper := check(mixes, cpu.EvaluatedConfigs(), []string{SchedLinux, SchedWASH, SchedCOLAB, SchedGTS, SchedEAS})
+
+	ablations := []string{SchedCOLABNoScale, SchedCOLABLocal, SchedCOLABFlat, SchedCOLABNoPull, SchedCOLABOracle}
+	sync2 := []workload.Spec{compByIndex(t, "Sync-2").Spec()}
+	got := check(sync2, []cpu.Config{cpu.Config2B2S}, ablations)
+	plain := paper["Sync-2|2B2S|"+SchedCOLAB]
+	for _, name := range ablations {
+		if key := "Sync-2|2B2S|" + name; got[key] == plain {
+			t.Errorf("%s scores exactly like plain colab (%s): its stage variant changes nothing", name, plain)
 		}
-		got := fmt.Sprintf("HANTT=%s HSTP=%s", ff(c.Score.HANTT), ff(c.Score.HSTP))
-		if got != scores {
-			t.Errorf("pipeline %q drifted from monolith on %s:\n  golden:   %s\n  pipeline: %s",
-				c.Key.Policy, key, scores, got)
-		}
-		checked++
-	}
-	if wantCells := len(mixes) * len(cpu.EvaluatedConfigs()) * len(composites); checked != wantCells {
-		t.Fatalf("checked %d cells, want %d", checked, wantCells)
 	}
 }
 
@@ -121,12 +133,13 @@ func TestHybridPipelineRunsEndToEnd(t *testing.T) {
 	}
 }
 
-// Canonical identity must also hold under a tiered context: plain
-// colab.labeler ignores the per-tier model exactly like the "colab"
-// policy (per-tier predictions are the dvfs variant's feature), and the
-// colab-dvfs composition matches the colab-dvfs policy when the context
-// carries the same tiered predictor. The golden corpus cannot see this —
-// it runs with a nil TierSpeedup.
+// Canonical identity must also hold under a tiered context: every
+// built-in and its composition schedule identically on the laddered
+// 2B2M2S machine when the context carries the tri-gear tiered predictor.
+// Plain colab.labeler ignores the per-tier model exactly like the "colab"
+// policy (per-tier predictions are the dvfs variant's feature), and
+// colab-dvfs keeps the context's predictor. The golden corpus cannot see
+// this — its runs carry no tiered predictor.
 func TestCanonicalIdentityWithTieredContext(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the tri-gear tiered model; not -short")
@@ -135,28 +148,50 @@ func TestCanonicalIdentityWithTieredContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(1)
+	model, err := perfmodel.Default()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.TierSpeedup, r.TierSpeedupTiers = tm.TierPredictor(), tm.Tiers
-	comp := compByIndex(t, "Sync-2")
-	for _, name := range []string{SchedCOLAB, SchedCOLABDVFS} {
+	pctx := policy.Context{
+		Speedup:          model.ThreadPredictor(),
+		TierSpeedup:      tm.TierPredictor(),
+		TierSpeedupTiers: tm.Tiers,
+	}
+	spec := compByIndex(t, "Sync-2").Spec()
+	run := func(name string) *kernel.Result {
+		t.Helper()
+		s, err := policy.New(name, pctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := spec.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := kernel.NewMachine(cpu.Config2B2M2S, s, w, kernel.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Sched = "" // the one field a policy and its composition may differ in
+		return res
+	}
+	builtins := 0
+	for _, name := range policy.Names() {
 		canonical, ok := policy.CanonicalComposition(name)
 		if !ok {
-			t.Fatalf("no canonical composition for %s", name)
+			continue // a policy registered by another test
 		}
-		mono, err := r.ScenarioScore(comp.Spec(), cpu.Config2B2M2S, name)
-		if err != nil {
-			t.Fatal(err)
+		builtins++
+		if mono, pipe := run(name), run(canonical); !reflect.DeepEqual(mono, pipe) {
+			t.Errorf("%s diverges from %s under a tiered context (end %v vs %v, %d vs %d switches)",
+				name, canonical, mono.EndTime, pipe.EndTime, mono.TotalSwitches, pipe.TotalSwitches)
 		}
-		pipe, err := r.ScenarioScore(comp.Spec(), cpu.Config2B2M2S, canonical)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mono != pipe {
-			t.Errorf("%s diverges from %s under a tiered context: %+v vs %+v",
-				name, canonical, mono, pipe)
-		}
+	}
+	if builtins != 11 {
+		t.Fatalf("checked %d built-ins, want 11", builtins)
 	}
 }

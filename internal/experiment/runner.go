@@ -56,14 +56,6 @@ type Runner struct {
 	// Speedup is the online predictor given to the AMP-aware schedulers.
 	// Defaults to the lazily trained standard model.
 	Speedup func(*task.Thread) float64
-	// TierSpeedup is the per-tier predictor SchedCOLABDVFS uses. When nil,
-	// the lazily trained tri-gear tiered model (perfmodel.DefaultTriGear)
-	// is substituted on first use.
-	TierSpeedup func(*task.Thread, int) float64
-	// TierSpeedupTiers is the palette TierSpeedup was trained for; policies
-	// use it to disable per-tier predictions on machines the model does not
-	// cover instead of mispredicting through wrong tier indices.
-	TierSpeedupTiers []cpu.Tier
 	// Seed drives workload generation. Two core orders of the same seed
 	// form one experiment.
 	Seed uint64
@@ -98,11 +90,7 @@ func NewRunner(seed uint64) (*Runner, error) {
 // in the runner's speedup predictors. Unknown kinds error with the full
 // registered-policy list.
 func (r *Runner) NewScheduler(kind string) (kernel.Scheduler, error) {
-	return policy.New(kind, policy.Context{
-		Speedup:          r.Speedup,
-		TierSpeedup:      r.TierSpeedup,
-		TierSpeedupTiers: r.TierSpeedupTiers,
-	})
+	return policy.New(kind, policy.Context{Speedup: r.Speedup})
 }
 
 func (r *Runner) workers() int {
@@ -270,17 +258,15 @@ func (r *Runner) specScore(ctx context.Context, spec workload.Spec, cfg cpu.Conf
 // its (spec, config, kind) indexes.
 func (r *Runner) runBatch(ctx context.Context, specs []workload.Spec, cfgs []cpu.Config, kinds []string) (func(s, c, k int) metrics.MixScore, error) {
 	b := &Batch{
-		Scenarios:        specs,
-		Configs:          cfgs,
-		Policies:         kinds,
-		Seeds:            []uint64{r.Seed},
-		Params:           r.Params,
-		Workers:          r.workers(),
-		Speedup:          r.Speedup,
-		TierSpeedup:      r.TierSpeedup,
-		TierSpeedupTiers: r.TierSpeedupTiers,
-		Cache:            r.cache,
-		runners:          map[uint64]*Runner{r.Seed: r},
+		Scenarios: specs,
+		Configs:   cfgs,
+		Policies:  kinds,
+		Seeds:     []uint64{r.Seed},
+		Params:    r.Params,
+		Workers:   r.workers(),
+		Speedup:   r.Speedup,
+		Cache:     r.cache,
+		runners:   map[uint64]*Runner{r.Seed: r},
 	}
 	cells, err := b.Run(ctx)
 	if err != nil {

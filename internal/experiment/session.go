@@ -68,12 +68,6 @@ type Batch struct {
 	// Speedup is the predictor handed to AMP-aware policies. When nil, the
 	// standard trained model (perfmodel.Default) is substituted.
 	Speedup func(*task.Thread) float64
-	// TierSpeedup optionally overrides the per-tier predictor used by
-	// colab-dvfs (nil = lazily trained tri-gear model).
-	TierSpeedup func(*task.Thread, int) float64
-	// TierSpeedupTiers is the palette TierSpeedup was trained for (nil
-	// applies TierSpeedup on every machine).
-	TierSpeedupTiers []cpu.Tier
 	// Tracer, when set, receives every scheduling event of every mix run
 	// (baseline runs are not traced), tagged with the cell it belongs to
 	// and the core order of the run (each cell simulates big-first then
@@ -168,12 +162,10 @@ func (b *Batch) runnerFor(seed uint64, speedup func(*task.Thread) float64) *Runn
 		return r
 	}
 	r := &Runner{
-		Speedup:          speedup,
-		TierSpeedup:      b.TierSpeedup,
-		TierSpeedupTiers: b.TierSpeedupTiers,
-		Seed:             seed,
-		Params:           b.Params,
-		baselines:        make(map[string]sim.Time),
+		Speedup:   speedup,
+		Seed:      seed,
+		Params:    b.Params,
+		baselines: make(map[string]sim.Time),
 	}
 	if b.runners == nil {
 		b.runners = make(map[uint64]*Runner)

@@ -7,11 +7,7 @@ import (
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
-	"colab/internal/sched/cfs"
-	colabsched "colab/internal/sched/colab"
-	"colab/internal/sched/eas"
-	"colab/internal/sched/gts"
-	"colab/internal/sched/wash"
+	"colab/internal/policy"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
@@ -56,19 +52,10 @@ func bigOpenWorkload() *task.Workload {
 // admission and the allocation-free dispatch path must not introduce any
 // map-order or pointer-order dependence.
 func TestBigMachineTraceDeterministic(t *testing.T) {
-	mkPolicies := func() map[string]kernel.Scheduler {
-		return map[string]kernel.Scheduler{
-			"linux": cfs.New(),
-			"wash":  wash.New(nil),
-			"gts":   gts.New(),
-			"eas":   eas.New(),
-			"colab": colabsched.New(colabsched.Options{}),
-		}
-	}
-	names := []string{"linux", "wash", "gts", "eas", "colab"}
+	names := []string{policy.Linux, policy.WASH, policy.GTS, policy.EAS, policy.COLAB}
 	fingerprint := func(name string) string {
 		var sb strings.Builder
-		m, err := kernel.NewMachine(cpu.Config32B32M64S, mkPolicies()[name], bigOpenWorkload(), kernel.Params{})
+		m, err := kernel.NewMachine(cpu.Config32B32M64S, builtin(name)(), bigOpenWorkload(), kernel.Params{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -92,7 +79,7 @@ func TestBigMachineTraceDeterministic(t *testing.T) {
 		// More than 64 cores must actually dispatch work, or the spilled
 		// mask words were never on the executed path.
 		seen := map[int]bool{}
-		m, err := kernel.NewMachine(cpu.Config32B32M64S, mkPolicies()[name], bigOpenWorkload(), kernel.Params{})
+		m, err := kernel.NewMachine(cpu.Config32B32M64S, builtin(name)(), bigOpenWorkload(), kernel.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

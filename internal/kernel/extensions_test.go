@@ -7,10 +7,8 @@ import (
 	"colab/internal/cpu"
 	"colab/internal/kernel"
 	"colab/internal/mathx"
+	"colab/internal/policy"
 	"colab/internal/sched/cfs"
-	"colab/internal/sched/colab"
-	"colab/internal/sched/gts"
-	"colab/internal/sched/wash"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
@@ -313,10 +311,10 @@ func randomWorkload(rng *mathx.RNG) *task.Workload {
 
 func schedFactories() []func() kernel.Scheduler {
 	return []func() kernel.Scheduler{
-		func() kernel.Scheduler { return cfs.New() },
-		func() kernel.Scheduler { return wash.New(nil) },
-		func() kernel.Scheduler { return colab.New(colab.Options{}) },
-		func() kernel.Scheduler { return gts.New() },
+		builtin(policy.Linux),
+		builtin(policy.WASH),
+		builtin(policy.COLAB),
+		builtin(policy.GTS),
 	}
 }
 

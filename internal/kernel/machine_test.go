@@ -6,14 +6,24 @@ import (
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
+	"colab/internal/policy"
 	"colab/internal/sched/cfs"
-	"colab/internal/sched/colab"
-	"colab/internal/sched/gts"
-	"colab/internal/sched/wash"
 	"colab/internal/sim"
 	"colab/internal/task"
 	"colab/internal/workload"
 )
+
+// builtin returns a constructor of the registered built-in policy name
+// with a neutral context.
+func builtin(name string) func() kernel.Scheduler {
+	return func() kernel.Scheduler {
+		s, err := policy.New(name, policy.Context{})
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+}
 
 // mkApp builds a one-off application from thread programs.
 func mkApp(id int, name string, profiles []cpu.WorkProfile, progs []task.Program, queues ...task.QueueSpec) *task.App {
@@ -173,10 +183,10 @@ func TestAllSchedulersCompleteMixes(t *testing.T) {
 		}
 		for _, cfg := range cpu.EvaluatedConfigs() {
 			for _, mkSched := range []func() kernel.Scheduler{
-				func() kernel.Scheduler { return cfs.New() },
-				func() kernel.Scheduler { return wash.New(nil) },
-				func() kernel.Scheduler { return colab.New(colab.Options{}) },
-				func() kernel.Scheduler { return gts.New() },
+				builtin(policy.Linux),
+				builtin(policy.WASH),
+				builtin(policy.COLAB),
+				builtin(policy.GTS),
 			} {
 				s := mkSched()
 				w, err := comp.Spec().Build(99)

@@ -5,8 +5,8 @@ import (
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
+	"colab/internal/policy"
 	"colab/internal/sched/cfs"
-	colabsched "colab/internal/sched/colab"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
@@ -119,7 +119,7 @@ func TestOpenSystemDeterministicUnderCOLAB(t *testing.T) {
 	}
 	fingerprint := func() string {
 		var sb []byte
-		m, err := kernel.NewMachine(cpu.Config2B2S, colabsched.New(colabsched.Options{}), build(), kernel.Params{})
+		m, err := kernel.NewMachine(cpu.Config2B2S, builtin(policy.COLAB)(), build(), kernel.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,7 +132,7 @@ func TestPipelineHybridHonoursAffinity(t *testing.T) {
 	pinned.Affinity = task.MaskOf([]int{2, 3}) // 2B2S big-first: cores 2,3 are little
 	w := &task.Workload{Name: "pin", Apps: []*task.App{app}}
 	sched, err := kernel.NewPipeline("hybrid-affinity",
-		nil, colabsched.NewAllocator(colabsched.Options{}), cfs.NewSelector(), nil)
+		nil, colabsched.NewAllocator(false), cfs.NewSelector(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

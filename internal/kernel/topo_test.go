@@ -7,10 +7,8 @@ import (
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
+	"colab/internal/policy"
 	"colab/internal/sched/cfs"
-	colabsched "colab/internal/sched/colab"
-	"colab/internal/sched/gts"
-	"colab/internal/sched/wash"
 	"colab/internal/sim"
 	"colab/internal/task"
 	"colab/internal/topo"
@@ -50,10 +48,10 @@ func numaWorkload() *task.Workload {
 
 func numaPolicies() map[string]func() kernel.Scheduler {
 	return map[string]func() kernel.Scheduler{
-		"linux": func() kernel.Scheduler { return cfs.New() },
-		"wash":  func() kernel.Scheduler { return wash.New(nil) },
-		"gts":   func() kernel.Scheduler { return gts.New() },
-		"colab": func() kernel.Scheduler { return colabsched.New(colabsched.Options{}) },
+		"linux": builtin(policy.Linux),
+		"wash":  builtin(policy.WASH),
+		"gts":   builtin(policy.GTS),
+		"colab": builtin(policy.COLAB),
 	}
 }
 

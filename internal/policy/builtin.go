@@ -21,9 +21,7 @@ const (
 	COLAB = "colab"
 	GTS   = "gts"
 	EAS   = "eas"
-	// COLABDVFS is COLAB with its native DVFS governor and per-tier trained
-	// speedup models (tri-gear extension; identical to COLAB on
-	// fixed-frequency machines apart from the per-tier predictions).
+	// COLABDVFS adds the DVFS governor and per-tier trained predictions.
 	COLABDVFS = "colab-dvfs"
 	// Ablation variants of COLAB (DESIGN.md §4).
 	COLABNoScale = "colab-noscale" // scale-slice fairness off
@@ -45,56 +43,64 @@ func NeedsSpeedup(name string) bool {
 	return true
 }
 
+// builtins is the one definition of every built-in policy: each name
+// builds its composition, through the same path as a composition-grammar
+// name, into a pipeline named after the policy. The COLAB ablations
+// (DESIGN.md §4) are stage variants: one mechanism switched off inside a
+// stage, or the ground-truth predictor.
+var builtins = map[string]string{
+	Linux:        "linux.allocator+linux.selector",
+	WASH:         "wash.labeler+linux.allocator+linux.selector",
+	GTS:          "gts.labeler+linux.allocator+linux.selector",
+	EAS:          "eas.labeler+eas.allocator+eas.selector+eas.governor",
+	COLAB:        "colab.labeler+colab.allocator+colab.selector",
+	COLABDVFS:    "colab-dvfs.labeler+colab.allocator+colab.selector+colab.governor",
+	COLABNoScale: "colab.labeler+colab.allocator+colab-noscale.selector",
+	COLABLocal:   "colab.labeler+colab.allocator+colab-local.selector",
+	COLABFlat:    "colab.labeler+colab-flat.allocator+colab.selector",
+	COLABNoPull:  "colab.labeler+colab.allocator+colab-nopull.selector",
+	COLABOracle:  "colab-oracle.labeler+colab.allocator+colab.selector",
+}
+
+// CanonicalComposition returns the composition a built-in policy name
+// builds, or false for other names. The two schedule alike, except that
+// the colab-dvfs name alone fills a missing tiered predictor
+// (withTriGearModel).
+func CanonicalComposition(name string) (string, bool) {
+	comp, ok := builtins[name]
+	return comp, ok
+}
+
 func init() {
-	MustRegister(Linux, func(Context) (kernel.Scheduler, error) {
-		return cfs.New(), nil
-	})
-	MustRegister(WASH, func(ctx Context) (kernel.Scheduler, error) {
-		return wash.New(ctx.Speedup), nil
-	})
-	MustRegister(COLAB, func(ctx Context) (kernel.Scheduler, error) {
-		return colab.New(colab.Options{Speedup: ctx.Speedup}), nil
-	})
-	MustRegister(GTS, func(Context) (kernel.Scheduler, error) {
-		return gts.New(), nil
-	})
-	MustRegister(EAS, func(Context) (kernel.Scheduler, error) {
-		return eas.New(), nil
-	})
-	MustRegister(COLABDVFS, func(ctx Context) (kernel.Scheduler, error) {
-		o := colab.Options{Speedup: ctx.Speedup, Governor: true}
-		if ctx.TierSpeedup != nil {
-			o.TierSpeedup, o.TierSpeedupTiers = ctx.TierSpeedup, ctx.TierSpeedupTiers
-		} else {
+	registerBuiltinStages()
+	for name, comp := range builtins {
+		build, err := compile(name, comp)
+		if err != nil {
+			panic(err)
+		}
+		if name == COLABDVFS {
+			build = withTriGearModel(build)
+		}
+		MustRegister(name, build)
+	}
+}
+
+// withTriGearModel is the one per-name rule: the colab-dvfs policy uses
+// the default tri-gear tiered model when the context carries no tiered
+// predictor. The palette lets the labeler disable per-tier predictions on
+// machines the model was not trained for (e.g. the two-tier paper
+// configs) instead of mispredicting through wrong tier indices.
+func withTriGearModel(build Factory) Factory {
+	return func(ctx Context) (kernel.Scheduler, error) {
+		if ctx.TierSpeedup == nil {
 			tm, err := perfmodel.DefaultTriGear()
 			if err != nil {
 				return nil, fmt.Errorf("training tri-gear tiered model: %w", err)
 			}
-			// The palette lets the policy disable per-tier predictions on
-			// machines the model was not trained for (e.g. the two-tier
-			// paper configs) instead of mispredicting through wrong tier
-			// indices.
-			o.TierSpeedup, o.TierSpeedupTiers = tm.TierPredictor(), tm.Tiers
+			ctx.TierSpeedup, ctx.TierSpeedupTiers = tm.TierPredictor(), tm.Tiers
 		}
-		return colab.New(o), nil
-	})
-	MustRegister(COLABNoScale, func(ctx Context) (kernel.Scheduler, error) {
-		return colab.New(colab.Options{Speedup: ctx.Speedup, DisableScaleSlice: true}), nil
-	})
-	MustRegister(COLABLocal, func(ctx Context) (kernel.Scheduler, error) {
-		return colab.New(colab.Options{Speedup: ctx.Speedup, LocalOnlySelector: true}), nil
-	})
-	MustRegister(COLABFlat, func(ctx Context) (kernel.Scheduler, error) {
-		return colab.New(colab.Options{Speedup: ctx.Speedup, FlatAllocator: true}), nil
-	})
-	MustRegister(COLABNoPull, func(ctx Context) (kernel.Scheduler, error) {
-		return colab.New(colab.Options{Speedup: ctx.Speedup, DisablePull: true}), nil
-	})
-	MustRegister(COLABOracle, func(Context) (kernel.Scheduler, error) {
-		return colab.New(colab.Options{Speedup: perfmodel.Oracle()}), nil
-	})
-
-	registerBuiltinStages()
+		return build(ctx)
+	}
 }
 
 // registerBuiltinStages populates the stage level of the registry with the
@@ -130,31 +136,36 @@ func registerBuiltinStages() {
 	MustRegisterStage(SlotGovernor, EAS, func(Context) (kernel.Stage, error) {
 		return eas.NewGovernor(), nil
 	})
-	// Plain colab.labeler keeps the "colab" policy's semantics exactly:
-	// upper-tier scaling interpolates the big-anchor prediction, never the
-	// per-tier trained model — per-tier predictions are the dvfs variant's
-	// feature, carried by the separate colab-dvfs.labeler below. This keeps
-	// the canonical composition byte-identical to the "colab" policy under
-	// every context, tiered or not.
+	// Plain colab.labeler always interpolates the big-anchor prediction
+	// across upper tiers; per-tier predictions are the dvfs variant's
+	// feature, carried by colab-dvfs.labeler. The ablation variants each
+	// switch one mechanism off (colab-oracle.labeler swaps in the
+	// ground-truth predictor instead).
 	MustRegisterStage(SlotLabeler, COLAB, func(ctx Context) (kernel.Stage, error) {
-		return colab.NewLabeler(colab.Options{Speedup: ctx.Speedup}), nil
+		return colab.NewLabeler(ctx.Speedup, nil, nil), nil
 	})
 	MustRegisterStage(SlotLabeler, COLABDVFS, func(ctx Context) (kernel.Stage, error) {
-		return colab.NewLabeler(colab.Options{
-			Speedup:          ctx.Speedup,
-			TierSpeedup:      ctx.TierSpeedup,
-			TierSpeedupTiers: ctx.TierSpeedupTiers,
-		}), nil
+		return colab.NewLabeler(ctx.Speedup, ctx.TierSpeedup, ctx.TierSpeedupTiers), nil
 	})
-	MustRegisterStage(SlotAllocator, COLAB, func(Context) (kernel.Stage, error) {
-		return colab.NewAllocator(colab.Options{}), nil
+	MustRegisterStage(SlotLabeler, COLABOracle, func(Context) (kernel.Stage, error) {
+		return colab.NewLabeler(perfmodel.Oracle(), nil, nil), nil
 	})
-	MustRegisterStage(SlotSelector, COLAB, func(Context) (kernel.Stage, error) {
-		return colab.NewSelector(colab.Options{}), nil
-	})
-	// The registry's colab.governor is built active (Options.Governor on):
-	// composing it into a pipeline means asking for label-driven DVFS.
+	for name, flat := range map[string]bool{COLAB: false, COLABFlat: true} {
+		MustRegisterStage(SlotAllocator, name, func(Context) (kernel.Stage, error) {
+			return colab.NewAllocator(flat), nil
+		})
+	}
+	for name, off := range map[string]colab.Features{
+		COLAB:        0,
+		COLABNoScale: colab.ScaleSlice,
+		COLABLocal:   colab.Steal | colab.Pull,
+		COLABNoPull:  colab.Pull,
+	} {
+		MustRegisterStage(SlotSelector, name, func(Context) (kernel.Stage, error) {
+			return colab.NewSelector(off), nil
+		})
+	}
 	MustRegisterStage(SlotGovernor, COLAB, func(Context) (kernel.Stage, error) {
-		return colab.NewGovernor(colab.Options{Governor: true}), nil
+		return colab.NewGovernor(), nil
 	})
 }

@@ -8,7 +8,7 @@ import "strings"
 // scheduling behaviour.
 //
 // Registered whole-policy names are canonical as-is (they shadow the
-// composition grammar, and a monolith and its stage decomposition are only
+// composition grammar, and a built-in and its composition are only
 // conditionally equivalent — see CanonicalComposition's colab-dvfs note —
 // so they must not share a key). Composition-grammar names normalise to
 // slot order (labeler, allocator, selector, governor) with the implicit

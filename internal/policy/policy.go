@@ -10,7 +10,8 @@
 // pipeline stages (stage.go). Names using the composition grammar
 // ("colab.labeler+wash.selector+...") resolve through the stage level, so
 // every stage combination is addressable wherever a policy name is
-// accepted.
+// accepted. The built-in policies are themselves rows of one name ->
+// composition table (builtin.go), built through the same path.
 package policy
 
 import (
@@ -64,7 +65,16 @@ func Register(name string, f Factory) error {
 	if _, dup := factories[name]; dup {
 		return fmt.Errorf("policy: %q already registered", name)
 	}
-	factories[name] = f
+	factories[name] = func(ctx Context) (kernel.Scheduler, error) {
+		s, err := f(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("policy: building %q: %w", name, err)
+		}
+		if s == nil {
+			return nil, fmt.Errorf("policy: factory for %q returned nil", name)
+		}
+		return s, nil
+	}
 	return nil
 }
 
@@ -90,40 +100,36 @@ func Names() []string {
 // Check reports whether name is registered (or is a resolvable pipeline
 // composition); an unknown name errors with the full registered-name list —
 // or, for a composition with an unknown stage, the slot's registered stage
-// names — so callers surface the valid choices for free.
+// names — so callers surface the valid choices for free. Surrounding
+// whitespace is ignored, as Canonical ignores it.
 func Check(name string) error {
-	mu.RLock()
-	_, ok := factories[name]
-	mu.RUnlock()
-	if ok {
-		return nil
-	}
-	if IsComposition(name) {
-		return checkComposition(name)
-	}
-	return fmt.Errorf("policy: unknown policy %q (registered: %s)",
-		name, strings.Join(Names(), ", "))
+	_, err := lookup(name)
+	return err
 }
 
 // New instantiates the named policy. Composition-grammar names build a
 // stage pipeline; other unknown names error like Check.
 func New(name string, ctx Context) (kernel.Scheduler, error) {
-	mu.RLock()
-	f, ok := factories[name]
-	mu.RUnlock()
-	if !ok {
-		if IsComposition(name) {
-			return newComposition(name, ctx)
-		}
-		return nil, fmt.Errorf("policy: unknown policy %q (registered: %s)",
-			name, strings.Join(Names(), ", "))
-	}
-	s, err := f(ctx)
+	f, err := lookup(name)
 	if err != nil {
-		return nil, fmt.Errorf("policy: building %q: %w", name, err)
+		return nil, err
 	}
-	if s == nil {
-		return nil, fmt.Errorf("policy: factory for %q returned nil", name)
+	return f(ctx)
+}
+
+// lookup returns the factory New calls for name (trimmed): the registered
+// policy, or a pipeline compiled from a composition. Errors quote name.
+func lookup(name string) (Factory, error) {
+	trimmed := strings.TrimSpace(name)
+	mu.RLock()
+	f, ok := factories[trimmed]
+	mu.RUnlock()
+	if ok {
+		return f, nil
 	}
-	return s, nil
+	if IsComposition(trimmed) {
+		return compile(trimmed, name)
+	}
+	return nil, fmt.Errorf("policy: unknown policy %q (registered: %s)",
+		name, strings.Join(Names(), ", "))
 }

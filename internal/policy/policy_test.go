@@ -128,3 +128,60 @@ func TestNeedsSpeedup(t *testing.T) {
 		}
 	}
 }
+
+// Surrounding whitespace is not part of a policy name: Canonical ignores
+// it, so Check and New must too, or a padded name would be filed under a
+// cell key it cannot run. The scheduler is named after the trimmed name.
+func TestPaddedNamesRun(t *testing.T) {
+	for _, c := range []struct{ name, want string }{
+		{" colab", COLAB},
+		{"linux\t", Linux},
+		{"\ncolab-nopull ", COLABNoPull},
+		{" colab.labeler +colab.selector ", "colab.labeler +colab.selector"},
+	} {
+		if err := Check(c.name); err != nil {
+			t.Errorf("Check(%q): %v", c.name, err)
+		}
+		s, err := New(c.name, Context{})
+		if err != nil {
+			t.Errorf("New(%q): %v", c.name, err)
+			continue
+		}
+		if s.Name() != c.want {
+			t.Errorf("New(%q) named %q, want %q", c.name, s.Name(), c.want)
+		}
+	}
+}
+
+// Every built-in is its composition: the table rows are written in
+// canonical form, and each built-in builds a pipeline named after itself.
+func TestEveryBuiltinHasItsComposition(t *testing.T) {
+	for _, name := range []string{Linux, WASH, COLAB, GTS, EAS, COLABDVFS,
+		COLABNoScale, COLABLocal, COLABFlat, COLABNoPull, COLABOracle} {
+		comp, ok := CanonicalComposition(name)
+		if !ok {
+			t.Errorf("no composition for %s", name)
+			continue
+		}
+		if got := Canonical(comp); got != comp {
+			t.Errorf("%s: composition %q is not canonical (%q)", name, comp, got)
+		}
+		if Canonical(name) != name {
+			t.Errorf("Canonical(%s) = %q, want the name itself", name, Canonical(name))
+		}
+		if name == COLABDVFS {
+			continue // trains the tiered model; TestNewBuildsEveryBuiltin covers it
+		}
+		s, err := New(name, Context{})
+		if err != nil {
+			t.Errorf("New(%s): %v", name, err)
+			continue
+		}
+		if s.Name() != name {
+			t.Errorf("New(%s) named %q", name, s.Name())
+		}
+	}
+	if _, ok := CanonicalComposition("colab.labeler"); ok {
+		t.Error("a composition name is not a built-in")
+	}
+}

@@ -124,12 +124,23 @@ func NewStage(slot Slot, name string, ctx Context) (kernel.Stage, error) {
 		return nil, fmt.Errorf("policy: unknown %s %q (registered %ss: %s)",
 			slot, name, slot, strings.Join(StageNames(slot), ", "))
 	}
-	s, err := f(ctx)
+	return stageRef{slot, name, f}.build(ctx)
+}
+
+// stageRef is one resolved stage of a composition; build instantiates it.
+type stageRef struct {
+	slot Slot
+	name string
+	f    StageFactory
+}
+
+func (r stageRef) build(ctx Context) (kernel.Stage, error) {
+	s, err := r.f(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("policy: building stage %s.%s: %w", name, slot, err)
+		return nil, fmt.Errorf("policy: building stage %s.%s: %w", r.name, r.slot, err)
 	}
 	if s == nil {
-		return nil, fmt.Errorf("policy: factory for stage %s.%s returned nil", name, slot)
+		return nil, fmt.Errorf("policy: factory for stage %s.%s returned nil", r.name, r.slot)
 	}
 	return s, nil
 }
@@ -156,8 +167,10 @@ func IsComposition(name string) bool {
 	return i > 0 && validSlot(Slot(name[i+1:]))
 }
 
-// parseComposition splits a composition name into its per-slot stage names.
-func parseComposition(name string) (map[Slot]string, error) {
+// parsePipeline splits a composition name into its per-slot stage names,
+// filling omitted allocator/selector slots with DefaultStageFamily: the
+// stages the composition actually runs.
+func parsePipeline(name string) (map[Slot]string, error) {
 	out := make(map[Slot]string, 4)
 	for _, part := range strings.Split(name, "+") {
 		part = strings.TrimSpace(part)
@@ -175,109 +188,68 @@ func parseComposition(name string) (map[Slot]string, error) {
 		}
 		out[slot] = stage
 	}
+	for _, slot := range []Slot{SlotAllocator, SlotSelector} {
+		if _, ok := out[slot]; !ok {
+			out[slot] = DefaultStageFamily
+		}
+	}
 	return out, nil
 }
 
-// checkComposition validates a composition name against the stage registry
-// without instantiating anything.
-func checkComposition(name string) error {
-	comp, err := parseComposition(name)
+// compile parses a composition and resolves its stage factories once,
+// returning the factory of a pipeline called name. Errors quote the
+// composition as given.
+func compile(name, composition string) (Factory, error) {
+	comp, err := parsePipeline(composition)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for slot, stage := range comp {
+	var refs []stageRef
+	for _, slot := range Slots() {
+		stage, ok := comp[slot]
+		if !ok {
+			continue
+		}
 		stageMu.RLock()
-		_, ok := stageFactories[slot][stage]
+		f, ok := stageFactories[slot][stage]
 		stageMu.RUnlock()
 		if !ok {
-			return fmt.Errorf("policy: unknown %s %q in %q (registered %ss: %s)",
-				slot, stage, name, slot, strings.Join(StageNames(slot), ", "))
+			return nil, fmt.Errorf("policy: unknown %s %q in %q (registered %ss: %s)",
+				slot, stage, composition, slot, strings.Join(StageNames(slot), ", "))
 		}
+		refs = append(refs, stageRef{slot, stage, f})
 	}
-	return nil
-}
-
-// parsePipeline is parseComposition with the omitted allocator/selector
-// slots filled with DefaultStageFamily: the stages a composition name
-// actually runs.
-func parsePipeline(name string) (map[Slot]string, error) {
-	comp, err := parseComposition(name)
-	if err != nil {
-		return nil, err
-	}
-	for _, slot := range []Slot{SlotAllocator, SlotSelector} {
-		if _, ok := comp[slot]; !ok {
-			comp[slot] = DefaultStageFamily
+	return func(ctx Context) (kernel.Scheduler, error) {
+		var (
+			lab   kernel.Labeler
+			alloc kernel.Allocator
+			sel   kernel.Selector
+			gov   kernel.Governor
+		)
+		for _, r := range refs {
+			st, err := r.build(ctx)
+			if err != nil {
+				return nil, err
+			}
+			ok := false
+			switch r.slot {
+			case SlotLabeler:
+				lab, ok = st.(kernel.Labeler)
+			case SlotAllocator:
+				alloc, ok = st.(kernel.Allocator)
+			case SlotSelector:
+				sel, ok = st.(kernel.Selector)
+			case SlotGovernor:
+				gov, ok = st.(kernel.Governor)
+			}
+			if !ok {
+				return nil, fmt.Errorf("policy: stage %s.%s does not implement the %s interface", r.name, r.slot, r.slot)
+			}
 		}
-	}
-	return comp, nil
-}
-
-// newComposition builds a pipeline scheduler from a composition name.
-func newComposition(name string, ctx Context) (kernel.Scheduler, error) {
-	comp, err := parsePipeline(name)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		lab   kernel.Labeler
-		alloc kernel.Allocator
-		sel   kernel.Selector
-		gov   kernel.Governor
-	)
-	for slot, stage := range comp {
-		st, err := NewStage(slot, stage, ctx)
+		s, err := kernel.NewPipeline(name, lab, alloc, sel, gov)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("policy: building pipeline %q: %w", name, err)
 		}
-		ok := false
-		switch slot {
-		case SlotLabeler:
-			lab, ok = st.(kernel.Labeler)
-		case SlotAllocator:
-			alloc, ok = st.(kernel.Allocator)
-		case SlotSelector:
-			sel, ok = st.(kernel.Selector)
-		case SlotGovernor:
-			gov, ok = st.(kernel.Governor)
-		}
-		if !ok {
-			return nil, fmt.Errorf("policy: stage %s.%s does not implement the %s interface", stage, slot, slot)
-		}
-	}
-	s, err := kernel.NewPipeline(name, lab, alloc, sel, gov)
-	if err != nil {
-		return nil, fmt.Errorf("policy: building pipeline %q: %w", name, err)
-	}
-	return s, nil
-}
-
-// CanonicalComposition returns the composition-grammar equivalent of a
-// built-in policy name, or false for policies without a canonical stage
-// decomposition (the COLAB option-ablation variants keep their monolithic
-// option switches). The canonical compositions are held byte-identical to
-// their policies by the golden-corpus tests.
-//
-// Note "colab-dvfs" composes the tiered-prediction labeler
-// (colab-dvfs.labeler) with the governor active; it matches the policy
-// whenever the context carries the tiered predictor, but the whole-policy
-// factory additionally self-trains the default tri-gear tiered model when
-// the context carries none, while the composition uses exactly the
-// context's predictors.
-func CanonicalComposition(name string) (string, bool) {
-	switch name {
-	case Linux:
-		return "linux.allocator+linux.selector", true
-	case WASH:
-		return "wash.labeler+linux.allocator+linux.selector", true
-	case GTS:
-		return "gts.labeler+linux.allocator+linux.selector", true
-	case EAS:
-		return "eas.labeler+eas.allocator+eas.selector+eas.governor", true
-	case COLAB:
-		return "colab.labeler+colab.allocator+colab.selector", true
-	case COLABDVFS:
-		return "colab-dvfs.labeler+colab.allocator+colab.selector+colab.governor", true
-	}
-	return "", false
+		return s, nil
+	}, nil
 }

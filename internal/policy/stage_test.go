@@ -14,9 +14,9 @@ import (
 
 func TestBuiltinStagesRegistered(t *testing.T) {
 	want := map[Slot][]string{
-		SlotLabeler:   {COLAB, COLABDVFS, EAS, GTS, WASH},
-		SlotAllocator: {COLAB, EAS, GTS, Linux, WASH},
-		SlotSelector:  {COLAB, EAS, GTS, Linux, WASH},
+		SlotLabeler:   {COLAB, COLABDVFS, COLABOracle, EAS, GTS, WASH},
+		SlotAllocator: {COLAB, COLABFlat, EAS, GTS, Linux, WASH},
+		SlotSelector:  {COLAB, COLABLocal, COLABNoPull, COLABNoScale, EAS, GTS, Linux, WASH},
 		SlotGovernor:  {COLAB, EAS},
 	}
 	for slot, names := range want {
@@ -130,7 +130,7 @@ func TestCompositionBuildsFreshPipelines(t *testing.T) {
 
 // RegisterStage validation: slots, names, nil factories, collisions.
 func TestRegisterStageValidation(t *testing.T) {
-	ok := func(Context) (kernel.Stage, error) { return colab.NewLabeler(colab.Options{}), nil }
+	ok := func(Context) (kernel.Stage, error) { return colab.NewLabeler(nil, nil, nil), nil }
 	for _, tc := range []struct {
 		slot Slot
 		name string
@@ -156,7 +156,7 @@ func TestRegisterStageValidation(t *testing.T) {
 // silently run.
 func TestCompositionRejectsWrongStageKind(t *testing.T) {
 	MustRegisterStage(SlotSelector, "test-notasel", func(Context) (kernel.Stage, error) {
-		return colab.NewLabeler(colab.Options{}), nil // a labeler, not a selector
+		return colab.NewLabeler(nil, nil, nil), nil // a labeler, not a selector
 	})
 	_, err := New("test-notasel.selector", Context{})
 	if err == nil || !strings.Contains(err.Error(), "does not implement the selector interface") {
@@ -180,7 +180,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 				t.Errorf("Register: %v", err)
 			}
 			if err := RegisterStage(SlotLabeler, name, func(Context) (kernel.Stage, error) {
-				return colab.NewLabeler(colab.Options{}), nil
+				return colab.NewLabeler(nil, nil, nil), nil
 			}); err != nil {
 				t.Errorf("RegisterStage: %v", err)
 			}

@@ -33,15 +33,18 @@
 // AllocatorStage, SelectorStage, GovernorStage — coupled only through the
 // pipeline hint board, so each can be swapped against another policy's
 // stage (the paper's ablation story, now expressible in the public API).
-// Policy composes the canonical four.
+// The policy registry (internal/policy) builds every COLAB policy as a
+// composition of these stages: "colab" is labeler+allocator+selector,
+// "colab-dvfs" adds the governor and per-tier predictions, and the
+// DESIGN.md §4 ablations are stage variants built with one mechanism
+// switched off (NewAllocator's flat flag, NewSelector's Features) or with
+// the ground-truth predictor (colab-oracle.labeler).
 package colab
 
 import (
 	"colab/internal/cpu"
-	"colab/internal/kernel"
 	"colab/internal/sched/cfs"
 	"colab/internal/sim"
-	"colab/internal/task"
 )
 
 // Label is the core-allocation tag the labeler assigns (§3.2).
@@ -95,84 +98,6 @@ const (
 	governorHold = 2 * sim.Millisecond
 )
 
-// Options configure COLAB: the speedup predictors, the DVFS governor and
-// the ablation switches DESIGN.md §4 calls out. The zero value is the
-// paper's COLAB with a neutral predictor.
-type Options struct {
-	// Speedup predicts a thread's big-vs-little speedup (trained model).
-	Speedup func(*task.Thread) float64
-	// TierSpeedup, when set, predicts a thread's tier-vs-base speedup
-	// directly per tier index (per-tier trained model). When nil, upper-tier
-	// scaling interpolates the big-anchor Speedup prediction through
-	// Tier.RelSpeedup — the two-anchor fallback.
-	TierSpeedup func(*task.Thread, int) float64
-	// TierSpeedupTiers is the palette TierSpeedup was trained for. When set
-	// and the machine's palette differs (a tri-gear model on a two-tier
-	// machine, say), per-tier predictions are disabled for that run and
-	// upper-tier scaling falls back to interpolation — tier indices would
-	// otherwise select the wrong tier's model and clamp to the wrong
-	// envelope.
-	TierSpeedupTiers []cpu.Tier
-	// Governor enables the COLAB-native DVFS governor on machines whose
-	// tiers expose frequency ladders: cores running critical or
-	// high-speedup threads are boosted to the top operating point, cores
-	// running low-speedup non-critical threads are capped at the ladder's
-	// middle step, and middle-band threads run one step below nominal (see
-	// governor.go for the full decision rules). Downshifts are hysteretic
-	// (one ladder step per 2 ms hold); fixed-frequency machines (the
-	// paper's setup) never invoke it.
-	Governor bool
-
-	// Ablation switches (all false for the paper's COLAB).
-	DisableScaleSlice bool // drop the equal-progress vruntime scaling
-	LocalOnlySelector bool // selector never steals from other queues
-	FlatAllocator     bool // ignore labels: plain round-robin over all cores
-	DisablePull       bool // upper tiers never preempt running lower-tier threads
-}
-
-func (o Options) withDefaults() Options {
-	if o.Speedup == nil {
-		o.Speedup = func(*task.Thread) float64 { return kernel.NeutralPred }
-	}
-	return o
-}
-
-// Policy is the COLAB scheduler: the canonical composition of the four
-// COLAB stages over the generic pipeline driver.
-type Policy struct {
-	kernel.Scheduler
-	opts Options
-	lab  *LabelerStage
-	sel  *SelectorStage
-	gov  *GovernorStage
-}
-
-// New returns a COLAB policy.
-func New(opts Options) *Policy {
-	opts = opts.withDefaults()
-	lab, sel, gov := NewLabeler(opts), NewSelector(opts), NewGovernor(opts)
-	sched, err := kernel.NewPipeline("colab", lab, NewAllocator(opts), sel, gov)
-	if err != nil {
-		panic(err) // both mandatory stages are supplied above
-	}
-	return &Policy{Scheduler: sched, opts: opts, lab: lab, sel: sel, gov: gov}
-}
-
-// Name implements kernel.Scheduler.
-func (p *Policy) Name() string {
-	if p.opts.DisableScaleSlice || p.opts.LocalOnlySelector || p.opts.FlatAllocator || p.opts.DisablePull {
-		return "colab-ablated"
-	}
-	if p.opts.Governor {
-		return "colab-dvfs"
-	}
-	return "colab"
-}
-
-// SelectOPP implements kernel.DVFSGovernor. With Options.Governor unset it
-// pins every core at nominal, reproducing fixed-frequency COLAB exactly.
-func (p *Policy) SelectOPP(c *kernel.Core, t *task.Thread) int { return p.gov.SelectOPP(c, t) }
-
 // paletteMatches reports whether the machine's palette is the one a tiered
 // predictor was trained for, on the fields prediction semantics depend on.
 func paletteMatches(trained, machine []cpu.Tier) bool {
@@ -205,8 +130,3 @@ func middleTier(nt int, pred, low, high float64) int {
 	}
 	return idx
 }
-
-var (
-	_ kernel.Scheduler    = (*Policy)(nil)
-	_ kernel.DVFSGovernor = (*Policy)(nil)
-)

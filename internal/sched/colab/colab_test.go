@@ -17,8 +17,36 @@ var (
 	insensitive = cpu.WorkProfile{ILP: 0.1, BranchRate: 0.05, MemIntensity: 0.95}              // ~1.1x
 )
 
-func oracleOpts() colab.Options {
-	return colab.Options{Speedup: perfmodel.Oracle()}
+// pipeline is one COLAB composition assembled from the stage
+// constructors, with handles on the stages the behaviour tests poke at.
+type pipeline struct {
+	lab   *colab.LabelerStage
+	alloc *colab.AllocatorStage
+	sel   *colab.SelectorStage
+	gov   *colab.GovernorStage // nil: fixed frequency
+}
+
+// oracle returns the "colab" composition driven by the ground-truth
+// speedup predictor.
+func oracle() *pipeline {
+	return &pipeline{
+		lab:   colab.NewLabeler(perfmodel.Oracle(), nil, nil),
+		alloc: colab.NewAllocator(false),
+		sel:   colab.NewSelector(0),
+	}
+}
+
+// scheduler composes the stages into a fresh pipeline.
+func (p *pipeline) scheduler() kernel.Scheduler {
+	var gov kernel.Governor
+	if p.gov != nil {
+		gov = p.gov
+	}
+	s, err := kernel.NewPipeline("colab", p.lab, p.alloc, p.sel, gov)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 func newApp(id int, name string) *task.App { return &task.App{ID: id, Name: name} }
@@ -29,9 +57,9 @@ func addThread(a *task.App, name string, prof cpu.WorkProfile, prog task.Program
 	return t
 }
 
-func runColab(t *testing.T, cfg cpu.Config, w *task.Workload, o colab.Options) *kernel.Result {
+func runColab(t *testing.T, cfg cpu.Config, w *task.Workload, p *pipeline) *kernel.Result {
 	t.Helper()
-	m, err := kernel.NewMachine(cfg, colab.New(o), w, kernel.Params{})
+	m, err := kernel.NewMachine(cfg, p.scheduler(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +79,7 @@ func TestAllocatorFavorsSensitiveThreadsOnBig(t *testing.T) {
 	addThread(a, "hot2", sensitive, task.Program{task.Compute{Work: 120e6}})
 	addThread(a, "cold2", insensitive, task.Program{task.Compute{Work: 120e6}})
 	w := &task.Workload{Name: "mix", Apps: []*task.App{a}}
-	res := runColab(t, cpu.Config2B2S, w, oracleOpts())
+	res := runColab(t, cpu.Config2B2S, w, oracle())
 	share := func(i int) float64 {
 		if res.Threads[i].SumExec == 0 {
 			return 0
@@ -74,7 +102,7 @@ func TestBigCorePullsRunningLittleThread(t *testing.T) {
 	// Little-first ordering: round-robin allocation may land the only
 	// thread on a little core; the idle big core must then pull it.
 	cfg := cpu.NewConfig(1, 1, false)
-	res := runColab(t, cfg, w, oracleOpts())
+	res := runColab(t, cfg, w, oracle())
 	th := res.Threads[0]
 	if th.SumExecBig < th.SumExec*9/10 {
 		t.Fatalf("big core did not pull: big %v of %v", th.SumExecBig, th.SumExec)
@@ -85,10 +113,9 @@ func TestBigCorePullsRunningLittleThread(t *testing.T) {
 		addThread(a, "only", sensitive, task.Program{task.Compute{Work: 50e6}})
 		return a
 	}()}}
-	o := oracleOpts()
-	o.DisablePull = true
-	o.LocalOnlySelector = true
-	res2 := runColab(t, cfg, w2, o)
+	p := oracle()
+	p.sel = colab.NewSelector(colab.Steal | colab.Pull)
+	res2 := runColab(t, cfg, w2, p)
 	if res2.EndTime <= res.EndTime {
 		t.Fatalf("disabling pull+steal should not be faster: %v vs %v", res2.EndTime, res.EndTime)
 	}
@@ -116,7 +143,7 @@ func TestSelectorPrioritizesBottleneck(t *testing.T) {
 		addThread(b, "f", insensitive, task.Program{task.Compute{Work: 80e6}})
 	}
 	w := &task.Workload{Name: "bn", Apps: []*task.App{a, b}}
-	res := runColab(t, cpu.Config2B2S, w, oracleOpts())
+	res := runColab(t, cpu.Config2B2S, w, oracle())
 	holder := res.Threads[0]
 	if holder.BlockBlame == 0 {
 		t.Fatalf("holder accrued no blame")
@@ -161,7 +188,7 @@ func TestMotivatingExampleBeatsCFS(t *testing.T) {
 	}
 	cfg := cpu.NewConfig(1, 1, true)
 
-	mc, err := kernel.NewMachine(cfg, colab.New(oracleOpts()), build(), kernel.Params{})
+	mc, err := kernel.NewMachine(cfg, oracle().scheduler(), build(), kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +221,10 @@ func TestScaleSliceIncreasesRotation(t *testing.T) {
 		return &task.Workload{Name: "spin", Apps: []*task.App{a}}
 	}
 	cfg := cpu.NewConfig(2, 0, true) // big cores only: all slices scaled
-	on := runColab(t, cfg, build(), oracleOpts())
-	o := oracleOpts()
-	o.DisableScaleSlice = true
-	off := runColab(t, cfg, build(), o)
+	on := runColab(t, cfg, build(), oracle())
+	p := oracle()
+	p.sel = colab.NewSelector(colab.ScaleSlice)
+	off := runColab(t, cfg, build(), p)
 	if on.TotalSwitches <= off.TotalSwitches {
 		t.Fatalf("scale-slice did not shorten slices: %d vs %d switches",
 			on.TotalSwitches, off.TotalSwitches)
@@ -205,11 +232,18 @@ func TestScaleSliceIncreasesRotation(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	if colab.New(colab.Options{}).Name() != "colab" {
-		t.Fatalf("name")
-	}
-	if colab.New(colab.Options{FlatAllocator: true}).Name() != "colab-ablated" {
-		t.Fatalf("ablated name")
+	for _, c := range []struct {
+		stage kernel.Stage
+		want  string
+	}{
+		{colab.NewLabeler(nil, nil, nil), "colab.labeler"},
+		{colab.NewAllocator(true), "colab.allocator"},
+		{colab.NewSelector(colab.Pull), "colab.selector"},
+		{colab.NewGovernor(), "colab.governor"},
+	} {
+		if got := c.stage.Name(); got != c.want {
+			t.Errorf("stage name %q, want %q", got, c.want)
+		}
 	}
 	for l, want := range map[colab.Label]string{
 		colab.LabelFree: "free", colab.LabelBig: "big", colab.LabelLittle: "little",
@@ -228,14 +262,14 @@ func TestLabelsSplitBimodalPopulation(t *testing.T) {
 		addThread(a, "cold", insensitive, task.Program{task.Compute{Work: 200e6}})
 	}
 	w := &task.Workload{Name: "bimodal", Apps: []*task.App{a}}
-	p := colab.New(oracleOpts())
-	m, err := kernel.NewMachine(cpu.Config2B2S, p, w, kernel.Params{})
+	p := oracle()
+	m, err := kernel.NewMachine(cpu.Config2B2S, p.scheduler(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Snapshot labels after a few labeling intervals.
 	var snapshot map[*task.Thread]colab.Label
-	m.Engine().At(35*sim.Millisecond, func() { snapshot = p.Labels() })
+	m.Engine().At(35*sim.Millisecond, func() { snapshot = p.lab.Labels() })
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -36,17 +36,16 @@ func (s refSelector) PickNext(c *kernel.Core) *task.Thread {
 	if t := s.takeMaxBlame(c.ID, c.ID); t != nil {
 		return t
 	}
-	if s.opts.LocalOnlySelector {
-		return nil
-	}
 	m := s.pc.Machine()
-	for _, tier := range s.stealOrder[int(c.Kind)] {
-		if best := s.scanMaxBlame(m.TierCoreIDs(tier), c); best != nil {
-			s.pc.Queues().Remove(best)
-			return best
+	if s.off&Steal == 0 {
+		for _, tier := range s.stealOrder[int(c.Kind)] {
+			if best := s.scanMaxBlame(m.TierCoreIDs(tier), c); best != nil {
+				s.pc.Queues().Remove(best)
+				return best
+			}
 		}
 	}
-	if int(c.Kind) > 0 && !s.opts.DisablePull {
+	if int(c.Kind) > 0 && s.off&Pull == 0 {
 		return s.pullFromLower(c)
 	}
 	return nil
@@ -189,38 +188,46 @@ func diffPolicies(speedup func(*task.Thread) float64) []diffPolicy {
 		}
 		return s
 	}
-	colabVariant := func(name string, o Options) diffPolicy {
-		o.Speedup = speedup
+	// variant builds one policy over its optimised selector and over the
+	// reference one; stages are fresh per build.
+	variant := func(name string, build func(sel kernel.Selector) kernel.Scheduler, sel, ref func() kernel.Selector) diffPolicy {
 		return diffPolicy{
 			name:      name,
-			optimised: func() kernel.Scheduler { return New(o) },
-			reference: func() kernel.Scheduler {
-				p := New(o)
-				ref := refSelector{NewSelector(o)}
-				p.Scheduler = pipeline(p.Scheduler.Name(), p.lab, NewAllocator(o), ref, p.gov)
-				return p
-			},
+			optimised: func() kernel.Scheduler { return build(sel()) },
+			reference: func() kernel.Scheduler { return build(ref()) },
 		}
 	}
+	colabVariant := func(name string, flat bool, off Features) diffPolicy {
+		return variant(name, func(sel kernel.Selector) kernel.Scheduler {
+			return pipeline(name, NewLabeler(speedup, nil, nil), NewAllocator(flat), sel, nil)
+		}, func() kernel.Selector { return NewSelector(off) },
+			func() kernel.Selector { return refSelector{NewSelector(off)} })
+	}
+	// cfsVariant is linux, wash or gts: an optional labeler over the CFS
+	// allocator and selector.
+	cfsVariant := func(name string, lab func() kernel.Labeler) diffPolicy {
+		return variant(name, func(sel kernel.Selector) kernel.Scheduler {
+			var l kernel.Labeler
+			if lab != nil {
+				l = lab()
+			}
+			return pipeline(name, l, cfs.NewAllocator(), sel, nil)
+		}, func() kernel.Selector { return cfs.NewSelector() },
+			func() kernel.Selector { return newRefCFSSelector() })
+	}
 	return []diffPolicy{
-		colabVariant("colab", Options{}),
-		colabVariant("colab-noscale", Options{DisableScaleSlice: true}),
-		colabVariant("colab-local", Options{LocalOnlySelector: true}),
-		colabVariant("colab-flat", Options{FlatAllocator: true}),
-		colabVariant("colab-nopull", Options{DisablePull: true}),
-		{"linux", cfs.New, func() kernel.Scheduler {
-			return pipeline("linux", nil, cfs.NewAllocator(), newRefCFSSelector(), nil)
-		}},
-		{"wash", func() kernel.Scheduler { return wash.New(speedup) }, func() kernel.Scheduler {
-			return pipeline("wash", wash.NewLabeler(speedup), cfs.NewAllocator(), newRefCFSSelector(), nil)
-		}},
-		{"gts", gts.New, func() kernel.Scheduler {
-			return pipeline("gts", gts.NewLabeler(), cfs.NewAllocator(), newRefCFSSelector(), nil)
-		}},
-		{"eas", eas.New, func() kernel.Scheduler {
-			sel := refEASSelector{newRefCFSSelector()}
+		colabVariant("colab", false, 0),
+		colabVariant("colab-noscale", false, ScaleSlice),
+		colabVariant("colab-local", false, Steal|Pull),
+		colabVariant("colab-flat", true, 0),
+		colabVariant("colab-nopull", false, Pull),
+		cfsVariant("linux", nil),
+		cfsVariant("wash", func() kernel.Labeler { return wash.NewLabeler(speedup) }),
+		cfsVariant("gts", func() kernel.Labeler { return gts.NewLabeler() }),
+		variant("eas", func(sel kernel.Selector) kernel.Scheduler {
 			return pipeline("eas", eas.NewLabeler(), eas.NewAllocator(), sel, eas.NewGovernor())
-		}},
+		}, func() kernel.Selector { return eas.NewSelector() },
+			func() kernel.Selector { return refEASSelector{newRefCFSSelector()} }),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"colab/internal/cpu"
 	"colab/internal/kernel"
 	"colab/internal/mathx"
+	"colab/internal/sched/cfs"
 	"colab/internal/sched/colab"
 	"colab/internal/sim"
 	"colab/internal/task"
@@ -37,9 +38,9 @@ func TestFairnessWindowPreventsStarvation(t *testing.T) {
 	cfg := cpu.Config2B2S
 
 	run := func(window sim.Time) sim.Time {
-		p := colab.New(oracleOpts())
-		p.SetFairnessWindow(window)
-		m, err := kernel.NewMachine(cfg, p, build(), kernel.Params{})
+		p := oracle()
+		p.sel.SetFairnessWindow(window)
+		m, err := kernel.NewMachine(cfg, p.scheduler(), build(), kernel.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,10 +68,8 @@ func TestFairnessWindowPreventsStarvation(t *testing.T) {
 // normal (non-overloaded) regime: the motivating example still wins.
 func TestFairnessWindowKeepsBottleneckWins(t *testing.T) {
 	// Covered by TestMotivatingExampleBeatsCFS running with the default
-	// window; here we just assert the default is sane.
-	o := colab.Options{}
-	p := colab.New(o)
-	if p.Name() != "colab" {
-		t.Fatal("unexpected policy")
+	// window; here we just assert the default is the documented bound.
+	if got, want := colab.NewSelector(0).FairnessWindow(), 4*cfs.TargetLatency; got != want {
+		t.Fatalf("default fairness window %v, want %v", got, want)
 	}
 }

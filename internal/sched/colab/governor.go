@@ -51,13 +51,10 @@ func OPPForLabel(l Label, numOPPs int) int {
 	}
 }
 
-// GovernorStage is the label-driven COLAB governor as a pipeline stage.
-// With Options.Governor unset it pins every core at nominal, reproducing
-// fixed-frequency COLAB exactly (the canonical "colab" policy carries the
-// stage in that inert state; the "colab.governor" registry stage is built
-// active).
+// GovernorStage is the label-driven COLAB governor as a pipeline stage
+// ("colab.governor"). Pipelines without it keep every core at nominal,
+// which is fixed-frequency COLAB (the "colab" policy).
 type GovernorStage struct {
-	active bool
 	// hold is the downshift residency (governorHold; behaviour tests vary
 	// it).
 	hold sim.Time
@@ -67,10 +64,9 @@ type GovernorStage struct {
 	govSince []sim.Time
 }
 
-// NewGovernor returns the COLAB governor stage, active when
-// opts.Governor is set.
-func NewGovernor(opts Options) *GovernorStage {
-	return &GovernorStage{active: opts.Governor, hold: governorHold}
+// NewGovernor returns the COLAB governor stage.
+func NewGovernor() *GovernorStage {
+	return &GovernorStage{hold: governorHold}
 }
 
 // Name implements kernel.Stage.
@@ -84,9 +80,6 @@ func (g *GovernorStage) Start(pc *kernel.PipelineContext) {
 
 // SelectOPP implements kernel.Governor.
 func (g *GovernorStage) SelectOPP(c *kernel.Core, t *task.Thread) int {
-	if !g.active {
-		return c.NumOPPs() - 1
-	}
 	cur := c.OPP()
 	h := g.pc.Hints().Get(t)
 	want := OPPForLabel(Label(h.Label), c.NumOPPs())

@@ -39,38 +39,40 @@ func TestOPPForLabelTable(t *testing.T) {
 	}
 }
 
-// With the governor disabled (the default), SelectOPP pins nominal so a
-// DVFS-laddered machine behaves exactly like the fixed-frequency paper
-// setup under COLAB.
+// Without the governor stage (the "colab" composition) every core stays at
+// nominal, so a DVFS-laddered machine behaves exactly like the
+// fixed-frequency paper setup under COLAB — even on the hot/cold mix the
+// governor would cap.
 func TestGovernorDisabledPinsNominal(t *testing.T) {
-	a := newApp(0, "solo")
-	th := addThread(a, "only", sensitive, task.Program{task.Compute{Work: 1e6}})
-	w := &task.Workload{Name: "solo", Apps: []*task.App{a}}
-	p := colab.New(oracleOpts())
-	m, err := kernel.NewMachine(cpu.Config2B2M2S, p, w, kernel.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range m.Cores() {
-		if got, want := p.SelectOPP(c, th), c.NumOPPs()-1; got != want {
-			t.Errorf("disabled governor on %v: OPP %d, want nominal %d", c, got, want)
+	res := runColab(t, cpu.Config2B2M2S, mixWorkload(120e6), oracle())
+	var busy sim.Time
+	for _, c := range res.Cores {
+		busy += c.BusyTime
+		for i, b := range c.BusyByOPP {
+			if i != len(c.BusyByOPP)-1 && b != 0 {
+				t.Errorf("%s(%d): %v busy at OPP %d without a governor", c.TierName, c.ID, b, i)
+			}
 		}
+	}
+	if busy == 0 {
+		t.Fatal("no busy time recorded")
 	}
 }
 
-func governorOpts() colab.Options {
-	o := oracleOpts()
-	o.Governor = true
-	return o
+// governed returns the oracle COLAB composition plus the active governor.
+func governed() *pipeline {
+	p := oracle()
+	p.gov = colab.NewGovernor()
+	return p
 }
 
 // runWithHold runs the hot/cold mix on 2B2M2S under the active governor
 // with its downshift hold overridden.
 func runWithHold(t *testing.T, hold sim.Time) *kernel.Result {
 	t.Helper()
-	p := colab.New(governorOpts())
-	p.SetGovernorHold(hold)
-	m, err := kernel.NewMachine(cpu.Config2B2M2S, p, mixWorkload(120e6), kernel.Params{})
+	p := governed()
+	p.gov.SetHold(hold)
+	m, err := kernel.NewMachine(cpu.Config2B2M2S, p.scheduler(), mixWorkload(120e6), kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func mixWorkload(work float64) *task.Workload {
 // hot/cold mix the capped cold threads leave low-OPP busy residency behind,
 // and per-OPP residency always sums to the core's busy time.
 func TestGovernorCapsAndAccountsResidency(t *testing.T) {
-	res := runColab(t, cpu.Config2B2M2S, mixWorkload(120e6), governorOpts())
+	res := runColab(t, cpu.Config2B2M2S, mixWorkload(120e6), governed())
 	var nominal, total sim.Time
 	for _, c := range res.Cores {
 		var sum sim.Time

@@ -27,17 +27,26 @@ import (
 
 // LabelerStage is the COLAB multi-factor labeler as a pipeline stage.
 type LabelerStage struct {
-	opts    Options
-	pc      *kernel.PipelineContext
-	threads map[*task.Thread]struct{}
-	// useTierPred reports whether TierSpeedup applies to this machine
+	speedup     func(*task.Thread) float64
+	tierSpeedup func(*task.Thread, int) float64
+	tierTiers   []cpu.Tier
+	pc          *kernel.PipelineContext
+	threads     map[*task.Thread]struct{}
+	// useTierPred reports whether tierSpeedup applies to this machine
 	// (set in Start after the palette check).
 	useTierPred bool
 }
 
-// NewLabeler returns the COLAB labeler stage.
-func NewLabeler(opts Options) *LabelerStage {
-	return &LabelerStage{opts: opts.withDefaults(), threads: make(map[*task.Thread]struct{})}
+// NewLabeler returns the COLAB labeler stage. speedup predicts the
+// big-vs-little speedup (nil: the neutral kernel.NeutralPred); tierSpeedup,
+// when set, predicts per tier index instead of interpolating speedup
+// through Tier.RelSpeedup, on machines whose palette is tierTiers (nil:
+// every machine) — elsewhere its tier indices would mean other tiers.
+func NewLabeler(speedup func(*task.Thread) float64, tierSpeedup func(*task.Thread, int) float64, tierTiers []cpu.Tier) *LabelerStage {
+	if speedup == nil {
+		speedup = func(*task.Thread) float64 { return kernel.NeutralPred }
+	}
+	return &LabelerStage{speedup: speedup, tierSpeedup: tierSpeedup, tierTiers: tierTiers, threads: make(map[*task.Thread]struct{})}
 }
 
 // Name implements kernel.Stage.
@@ -47,8 +56,8 @@ func (l *LabelerStage) Name() string { return "colab.labeler" }
 func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 	l.pc = pc
 	l.threads = make(map[*task.Thread]struct{})
-	l.useTierPred = l.opts.TierSpeedup != nil &&
-		(l.opts.TierSpeedupTiers == nil || paletteMatches(l.opts.TierSpeedupTiers, pc.Machine().Tiers()))
+	l.useTierPred = l.tierSpeedup != nil &&
+		(l.tierTiers == nil || paletteMatches(l.tierTiers, pc.Machine().Tiers()))
 	pc.Machine().Engine().After(interval, l.label)
 }
 
@@ -85,14 +94,14 @@ func (l *LabelerStage) label() {
 	board := l.pc.Hints()
 	for _, t := range threads {
 		h := board.Get(t)
-		h.Pred = l.opts.Speedup(t)
+		h.Pred = l.speedup(t)
 		if l.useTierPred {
 			if h.TierPred == nil {
 				h.TierPred = make([]float64, nt)
 			}
 			h.TierPred[0] = 1
 			for tier := 1; tier < nt; tier++ {
-				h.TierPred[tier] = l.opts.TierSpeedup(t, tier)
+				h.TierPred[tier] = l.tierSpeedup(t, tier)
 			}
 		}
 		intervalBlame := float64(t.BlockBlame - h.LastBlame)
@@ -135,7 +144,9 @@ func (l *LabelerStage) label() {
 // round-robin within the labelled tier's cluster, or across all cores for
 // free (untagged) threads.
 type AllocatorStage struct {
-	opts Options
+	// flat ignores labels: plain round-robin over all cores (the
+	// colab-flat ablation).
+	flat bool
 	pc   *kernel.PipelineContext
 
 	// tierIDs[k] holds the allocation targets for tier k: the tier's own
@@ -157,9 +168,10 @@ type AllocatorStage struct {
 	rrDom      []int
 }
 
-// NewAllocator returns the COLAB allocator stage.
-func NewAllocator(opts Options) *AllocatorStage {
-	return &AllocatorStage{opts: opts.withDefaults()}
+// NewAllocator returns the COLAB allocator stage; flat switches off the
+// hierarchy (labels ignored, round-robin over all cores).
+func NewAllocator(flat bool) *AllocatorStage {
+	return &AllocatorStage{flat: flat}
 }
 
 // Name implements kernel.Stage.
@@ -212,7 +224,7 @@ func (a *AllocatorStage) Start(pc *kernel.PipelineContext) {
 func (a *AllocatorStage) Enqueue(t *task.Thread, wakeup bool) int {
 	var core int
 	switch {
-	case a.opts.FlatAllocator:
+	case a.flat:
 		core = a.rr(a.allIDs, &a.rrAll)
 	case a.topoActive:
 		d := t.HomeDomain
@@ -250,7 +262,8 @@ func (a *AllocatorStage) rr(ids []int, ctr *int) int {
 // from the top of the machine down; an empty core may pull a thread running
 // on a lower-tier core. It also owns COLAB's scale-slice fairness hooks.
 type SelectorStage struct {
-	opts Options
+	// off is the set of mechanisms switched off (DESIGN.md §4 ablations).
+	off Features
 	// fairnessWindow is the blame-priority bound (the fairnessWindow
 	// constant; behaviour tests vary it).
 	fairnessWindow sim.Time
@@ -264,9 +277,19 @@ type SelectorStage struct {
 	tierBest []*task.Thread
 }
 
-// NewSelector returns the COLAB selector stage.
-func NewSelector(opts Options) *SelectorStage {
-	return &SelectorStage{opts: opts.withDefaults(), fairnessWindow: fairnessWindow}
+// Features is a set of the selector mechanisms an ablation can switch off.
+type Features uint8
+
+const (
+	ScaleSlice Features = 1 << iota // speedup-scaled slices and vruntime (colab-noscale)
+	Steal                           // take queued threads from other cores
+	Pull                            // empty upper-tier cores pull lower-tier running threads (colab-nopull)
+)
+
+// NewSelector returns the COLAB selector stage with the mechanisms in off
+// switched off (0 for the paper's selector).
+func NewSelector(off Features) *SelectorStage {
+	return &SelectorStage{off: off, fairnessWindow: fairnessWindow}
 }
 
 // Name implements kernel.Stage.
@@ -294,16 +317,15 @@ func (s *SelectorStage) PickNext(c *kernel.Core) *task.Thread {
 	if t := s.takeMaxBlame(c.ID, c.ID); t != nil {
 		return t
 	}
-	if s.opts.LocalOnlySelector {
-		return nil
-	}
-	if best := s.stealMaxBlame(c); best != nil {
-		if !s.pc.Queues().Remove(best) {
-			panic(fmt.Sprintf("colab: scanned thread %v vanished from the queues", best))
+	if s.off&Steal == 0 {
+		if best := s.stealMaxBlame(c); best != nil {
+			if !s.pc.Queues().Remove(best) {
+				panic(fmt.Sprintf("colab: scanned thread %v vanished from the queues", best))
+			}
+			return best
 		}
-		return best
 	}
-	if int(c.Kind) > 0 && !s.opts.DisablePull {
+	if int(c.Kind) > 0 && s.off&Pull == 0 {
 		if t := s.pullFromLower(c); t != nil {
 			return t // still Running on the lower core; the kernel migrates it
 		}
@@ -429,8 +451,9 @@ func (s *SelectorStage) pullFromLower(c *kernel.Core) *task.Thread {
 
 // tierScale is the tier-relative predicted speedup of t on c: 1 on the base
 // tier and, in two-anchor mode, the big prediction interpolated through
-// Tier.RelSpeedup in between. With a per-tier trained model (TierSpeedup)
-// the labeler's published per-tier prediction is used directly instead.
+// Tier.RelSpeedup in between. With a per-tier trained model (the labeler's
+// tierSpeedup) the labeler's published per-tier prediction is used
+// directly instead.
 func (s *SelectorStage) tierScale(c *kernel.Core, t *task.Thread) float64 {
 	if c.Kind == 0 {
 		return 1
@@ -454,7 +477,7 @@ func (s *SelectorStage) TimeSlice(c *kernel.Core, t *task.Thread) sim.Time {
 	if slice < cfs.MinGranularity {
 		slice = cfs.MinGranularity
 	}
-	if c.Kind > 0 && !s.opts.DisableScaleSlice {
+	if c.Kind > 0 && s.off&ScaleSlice == 0 {
 		if sc := s.tierScale(c, t); sc > 1 {
 			slice = sim.Time(float64(slice) / sc)
 		}
@@ -469,7 +492,7 @@ func (s *SelectorStage) TimeSlice(c *kernel.Core, t *task.Thread) sim.Time {
 // vruntime at the tier-relative predicted speedup so equal vruntime means
 // equal progress.
 func (s *SelectorStage) VRuntimeScale(c *kernel.Core, t *task.Thread) float64 {
-	if c.Kind > 0 && !s.opts.DisableScaleSlice {
+	if c.Kind > 0 && s.off&ScaleSlice == 0 {
 		if sc := s.tierScale(c, t); sc > 1 {
 			return sc
 		}

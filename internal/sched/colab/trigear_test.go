@@ -24,16 +24,16 @@ func TestTriGearLabelerTargetsTiers(t *testing.T) {
 		cold = addThread(a, "cold", insensitive, task.Program{task.Compute{Work: 150e6}})
 	}
 	w := &task.Workload{Name: "mix", Apps: []*task.App{a}}
-	p := colab.New(oracleOpts())
-	m, err := kernel.NewMachine(cpu.Config2B2M2S, p, w, kernel.Params{})
+	p := oracle()
+	m, err := kernel.NewMachine(cpu.Config2B2M2S, p.scheduler(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var targets map[*task.Thread]int
 	var labels map[*task.Thread]colab.Label
 	m.Engine().At(35*sim.Millisecond, func() {
-		targets = p.TargetTiers()
-		labels = p.Labels()
+		targets = p.lab.TargetTiers()
+		labels = p.lab.Labels()
 	})
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestTriGearSelectorLoadsAllTiers(t *testing.T) {
 		addThread(a, "w", middling, task.Program{task.Compute{Work: 60e6}})
 	}
 	w := &task.Workload{Name: "sat", Apps: []*task.App{a}}
-	res := runColab(t, cpu.Config2B2M2S, w, oracleOpts())
+	res := runColab(t, cpu.Config2B2M2S, w, oracle())
 	util := make([]float64, 3)
 	n := make([]float64, 3)
 	for _, c := range res.Cores {

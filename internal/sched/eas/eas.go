@@ -20,8 +20,8 @@
 // In pipeline terms EAS decomposes into all four stages: a utilisation-
 // sampling labeler ("eas.labeler", publishes Hint.Util), an energy-aware
 // wake-up allocator ("eas.allocator"), an up-migration-suppressing selector
-// ("eas.selector") and the schedutil-like governor ("eas.governor"). New
-// composes the canonical four.
+// ("eas.selector") and the schedutil-like governor ("eas.governor"). The
+// registry's "eas" policy is the composition of all four.
 package eas
 
 import (
@@ -50,15 +50,6 @@ const (
 	// uses 1.25).
 	freqHeadroom float64 = 1.25
 )
-
-// New returns the EAS policy: the canonical four-stage composition.
-func New() kernel.Scheduler {
-	s, err := kernel.NewPipeline("eas", NewLabeler(), NewAllocator(), NewSelector(), NewGovernor())
-	if err != nil {
-		panic(err) // both mandatory stages are supplied above
-	}
-	return s
-}
 
 // utilOf reads a thread's tracked utilisation from the hint board; unknown
 // threads report the modest-start default.

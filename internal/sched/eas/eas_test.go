@@ -5,8 +5,8 @@ import (
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
+	"colab/internal/policy"
 	"colab/internal/sched/cfs"
-	"colab/internal/sched/eas"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
@@ -22,9 +22,19 @@ func mkApp(n int, work float64) *task.App {
 	return a
 }
 
+// newEAS builds the registered "eas" policy.
+func newEAS(t *testing.T) kernel.Scheduler {
+	t.Helper()
+	s, err := policy.New(policy.EAS, policy.Context{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func runEAS(t *testing.T, cfg cpu.Config, w *task.Workload) *kernel.Result {
 	t.Helper()
-	m, err := kernel.NewMachine(cfg, eas.New(), w, kernel.Params{})
+	m, err := kernel.NewMachine(cfg, newEAS(t), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func TestSavesEnergyVsCFSOnLightLoad(t *testing.T) {
 		}
 		return res.TotalEnergyJ()
 	}
-	easJ := run(eas.New())
+	easJ := run(newEAS(t))
 	cfsJ := run(cfs.New())
 	if easJ >= cfsJ {
 		t.Fatalf("EAS energy %v J not below CFS %v J on light load", easJ, cfsJ)
@@ -87,7 +97,7 @@ func TestSavesEnergyVsCFSOnLightLoad(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if eas.New().Name() != "eas" {
+	if newEAS(t).Name() != "eas" {
 		t.Fatal("name")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"colab/internal/cpu"
 	"colab/internal/kernel"
 	"colab/internal/sched/cfs"
-	"colab/internal/sched/eas"
 	"colab/internal/task"
 )
 
@@ -52,7 +51,7 @@ func TestTriGearGovernorSavesEnergy(t *testing.T) {
 		}
 		return res
 	}
-	easRes := run(eas.New())
+	easRes := run(newEAS(t))
 	cfsRes := run(cfs.New())
 	if easRes.TotalEnergyJ() >= cfsRes.TotalEnergyJ() {
 		t.Errorf("EAS energy %.4f J not below CFS %.4f J on bursty tri-gear load",

@@ -9,15 +9,15 @@
 // qualitatively (§2).
 //
 // In pipeline terms GTS is a single stage: LabelerStage ("gts.labeler").
-// New composes it with the CFS allocator and selector stages; the registry
-// aliases "gts.allocator" and "gts.selector" to the CFS stages.
+// The registry composes it with the CFS allocator and selector stages as
+// the "gts" policy, and aliases "gts.allocator" and "gts.selector" to the
+// CFS stages.
 package gts
 
 import (
 	"sort"
 
 	"colab/internal/kernel"
-	"colab/internal/sched/cfs"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
@@ -33,16 +33,6 @@ const (
 	// loadDecay is the EWMA retention of the per-interval load.
 	loadDecay float64 = 0.5
 )
-
-// New returns the GTS policy: the GTS load-ladder labeler stage over CFS
-// allocation and selection.
-func New() kernel.Scheduler {
-	s, err := kernel.NewPipeline("gts", NewLabeler(), cfs.NewAllocator(), cfs.NewSelector(), nil)
-	if err != nil {
-		panic(err) // both mandatory stages are supplied above
-	}
-	return s
-}
 
 type info struct {
 	load     float64

@@ -5,16 +5,26 @@ import (
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
-	"colab/internal/sched/gts"
+	"colab/internal/policy"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
 
 var plain = cpu.WorkProfile{ILP: 0.6, BranchRate: 0.1, MemIntensity: 0.2}
 
+// newGTS builds the registered "gts" policy.
+func newGTS(t *testing.T) kernel.Scheduler {
+	t.Helper()
+	s, err := policy.New(policy.GTS, policy.Context{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func runGTS(t *testing.T, cfg cpu.Config, w *task.Workload) *kernel.Result {
 	t.Helper()
-	m, err := kernel.NewMachine(cfg, gts.New(), w, kernel.Params{})
+	m, err := kernel.NewMachine(cfg, newGTS(t), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +61,7 @@ func TestLoadBasedSteering(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if gts.New().Name() != "gts" {
+	if newGTS(t).Name() != "gts" {
 		t.Fatal("name")
 	}
 }

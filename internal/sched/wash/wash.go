@@ -7,8 +7,8 @@
 // coordinated allocator/selector removes.
 //
 // In pipeline terms WASH is therefore a single stage: LabelerStage
-// ("wash.labeler"). New composes it with the CFS allocator and selector
-// stages; the registry additionally aliases "wash.allocator" and
+// ("wash.labeler"). The registry composes it with the CFS allocator and
+// selector stages as the "wash" policy, and aliases "wash.allocator" and
 // "wash.selector" to the CFS stages so the composition grammar reads
 // naturally.
 package wash
@@ -19,7 +19,6 @@ import (
 	"colab/internal/cpu"
 	"colab/internal/kernel"
 	"colab/internal/mathx"
-	"colab/internal/sched/cfs"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
@@ -37,17 +36,6 @@ const (
 	// band is the score dead-zone inside which threads keep full affinity.
 	band float64 = 0.4
 )
-
-// New returns the WASH policy: the WASH labeler stage over CFS allocation
-// and selection. speedup predicts a thread's big-vs-little speedup (the
-// trained model); nil selects a neutral predictor.
-func New(speedup func(*task.Thread) float64) kernel.Scheduler {
-	s, err := kernel.NewPipeline("wash", NewLabeler(speedup), cfs.NewAllocator(), cfs.NewSelector(), nil)
-	if err != nil {
-		panic(err) // both mandatory stages are supplied above
-	}
-	return s
-}
 
 type info struct {
 	pred      float64

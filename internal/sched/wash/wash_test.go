@@ -6,7 +6,7 @@ import (
 	"colab/internal/cpu"
 	"colab/internal/kernel"
 	"colab/internal/perfmodel"
-	"colab/internal/sched/wash"
+	"colab/internal/policy"
 	"colab/internal/sim"
 	"colab/internal/task"
 )
@@ -16,10 +16,20 @@ var (
 	insensitive = cpu.WorkProfile{ILP: 0.1, BranchRate: 0.05, MemIntensity: 0.95}
 )
 
+// newWASH builds the registered "wash" policy driven by speedup.
+func newWASH(t *testing.T, speedup func(*task.Thread) float64) kernel.Scheduler {
+	t.Helper()
+	s, err := policy.New(policy.WASH, policy.Context{Speedup: speedup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // runWASH runs w under WASH driven by the ground-truth speedup oracle.
 func runWASH(t *testing.T, cfg cpu.Config, w *task.Workload) *kernel.Result {
 	t.Helper()
-	m, err := kernel.NewMachine(cfg, wash.New(perfmodel.Oracle()), w, kernel.Params{})
+	m, err := kernel.NewMachine(cfg, newWASH(t, perfmodel.Oracle()), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +110,7 @@ func TestHomogeneousThreadsStayUnpinned(t *testing.T) {
 }
 
 func TestNameAndDefaults(t *testing.T) {
-	p := wash.New(nil)
+	p := newWASH(t, nil)
 	if p.Name() != "wash" {
 		t.Fatalf("name = %q", p.Name())
 	}

@@ -98,11 +98,14 @@ func NewStage(slot StageSlot, name string, ctx PolicyContext) (PipelineStage, er
 	return policy.NewStage(slot, name, ctx)
 }
 
-// CanonicalComposition returns the composition-grammar equivalent of a
-// built-in policy name ("colab" -> "colab.labeler+colab.allocator+
-// colab.selector", ...), or false for policies without a canonical stage
-// decomposition. The canonical compositions reproduce their policies
-// byte-identically (golden-corpus guarded).
+// CanonicalComposition returns the composition a built-in policy name
+// builds ("colab" -> "colab.labeler+colab.allocator+colab.selector",
+// "colab-nopull" -> "colab.labeler+colab.allocator+colab-nopull.selector",
+// ...), or false for other names. Each built-in is its composition, so the
+// two schedule byte-identically (golden-corpus guarded) — except that the
+// colab-dvfs policy fills a missing PolicyContext.TierSpeedup with the
+// default tri-gear model, while its composition uses exactly the
+// context's predictors.
 func CanonicalComposition(name string) (string, bool) { return policy.CanonicalComposition(name) }
 
 // Pipeline is a declarative stage composition. Allocator and Selector

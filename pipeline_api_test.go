@@ -176,9 +176,11 @@ func TestCompositionUnknownStageError(t *testing.T) {
 	}
 }
 
-// The canonical compositions are exposed for every decomposable built-in.
+// Every built-in, the COLAB ablations included, exposes the composition it
+// builds.
 func TestCanonicalCompositions(t *testing.T) {
-	for _, name := range []string{"linux", "wash", "gts", "eas", "colab", "colab-dvfs"} {
+	for _, name := range []string{"linux", "wash", "gts", "eas", "colab", "colab-dvfs",
+		"colab-noscale", "colab-local", "colab-flat", "colab-nopull", "colab-oracle"} {
 		comp, ok := colab.CanonicalComposition(name)
 		if !ok {
 			t.Errorf("no canonical composition for %s", name)
@@ -188,7 +190,7 @@ func TestCanonicalCompositions(t *testing.T) {
 			t.Errorf("canonical composition %q does not build: %v", comp, err)
 		}
 	}
-	if _, ok := colab.CanonicalComposition("colab-noscale"); ok {
-		t.Error("option-ablation variants must not claim a canonical composition")
+	if _, ok := colab.CanonicalComposition("colab.labeler"); ok {
+		t.Error("a composition name must not claim a canonical composition")
 	}
 }
