@@ -37,8 +37,7 @@ type Core struct {
 	burstRun   sim.Time   // planned execution length of the burst
 	sliceEnd   sim.Time   // absolute time the current slice expires
 
-	reschedPending bool
-	lastThread     *task.Thread // last thread that ran (to skip switch cost)
+	lastThread *task.Thread // last thread that ran (to skip switch cost)
 
 	// Pre-bound event callbacks (built once at machine construction) so the
 	// steady-state dispatch loop schedules events without allocating a new

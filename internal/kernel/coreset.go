@@ -3,8 +3,9 @@ package kernel
 import "math/bits"
 
 // coreSet is a fixed-size bitset over core (or run-queue) indices. The
-// kernel keeps two of them live — the non-empty run queues and the occupied
-// cores — so scheduling scans walk only the members instead of every core.
+// kernel keeps three of them live — the non-empty run queues, the occupied
+// cores and the cores with a resched queued — so scheduling scans walk only
+// the cores they need instead of every core.
 type coreSet []uint64
 
 func newCoreSet(n int) coreSet { return make(coreSet, (n+63)/64) }
@@ -22,21 +23,23 @@ func (s coreSet) add(i int)      { s[i/64] |= 1 << uint(i%64) }
 func (s coreSet) remove(i int)   { s[i/64] &^= 1 << uint(i%64) }
 func (s coreSet) has(i int) bool { return s[i/64]&(1<<uint(i%64)) != 0 }
 
-// next returns the smallest index >= from of (s XOR flip) AND filter, or -1.
-// flip is 0 to walk the members of s and ^0 to walk its complement; filter
-// (as long as s) bounds the walk, to one tier's cores or to the machine.
-func (s coreSet) next(from int, flip uint64, filter coreSet) int {
+// next returns the smallest index >= from of ((a OR b) XOR flip) AND
+// filter, or -1. flip is 0 to walk the members of a or b (pass one set
+// twice to walk its members) and ^0 to walk the indices in neither, such
+// as the idle cores with no resched queued. filter (as long as a) bounds
+// the walk, to one tier's cores or to the machine.
+func next(a, b coreSet, flip uint64, filter coreSet, from int) int {
 	w := from / 64
-	if w >= len(s) {
+	if w >= len(a) {
 		return -1
 	}
-	word := (s[w] ^ flip) & filter[w] &^ (1<<uint(from%64) - 1)
+	word := ((a[w] | b[w]) ^ flip) & filter[w] &^ (1<<uint(from%64) - 1)
 	for word == 0 {
 		w++
-		if w == len(s) {
+		if w == len(a) {
 			return -1
 		}
-		word = (s[w] ^ flip) & filter[w]
+		word = ((a[w] | b[w]) ^ flip) & filter[w]
 	}
 	return w*64 + bits.TrailingZeros64(word)
 }

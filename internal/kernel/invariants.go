@@ -25,6 +25,10 @@ import (
 //     exactly the non-empty queues and Total is the sum of their lengths.
 //  9. Every thread's prepared accrual state (counter profile and per-tier
 //     speedups) equals the state derived fresh from its current Profile.
+//  10. The resched-pending index holds only idle cores: only schedule(c)
+//     dispatches onto c, and c's resched event leaves the index before it
+//     calls schedule(c). The work-conservation walk relies on this to skip
+//     pending cores as idle ones already kicked.
 func (m *Machine) CheckInvariants() []string {
 	var violations []string
 	seen := make(map[*task.Thread]int)
@@ -32,6 +36,9 @@ func (m *Machine) CheckInvariants() []string {
 		t := c.Current
 		if m.busy.has(c.ID) != (t != nil) {
 			violations = append(violations, fmt.Sprintf("cpu%d occupancy bit %v, current %v", c.ID, m.busy.has(c.ID), t))
+		}
+		if t != nil && m.pending.has(c.ID) {
+			violations = append(violations, fmt.Sprintf("cpu%d has a resched pending while running %v", c.ID, t))
 		}
 		if t == nil {
 			continue

@@ -51,6 +51,9 @@ type Machine struct {
 	busy     coreSet
 	tierSets []coreSet
 	allSet   coreSet
+	// pending holds the cores with a resched event queued: resched sets a
+	// core's bit and the event clears it before it runs schedule.
+	pending coreSet
 
 	// queues is the pipeline scheduler's run-queue state (nil for other
 	// schedulers), registered at Start for CheckInvariants.
@@ -103,6 +106,7 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 		m.tierSets[tier] = coreSetOf(n, m.tierIDs[tier])
 	}
 	m.busy = newCoreSet(n)
+	m.pending = newCoreSet(n)
 	m.allSet = newCoreSet(n)
 	for i := 0; i < n; i++ {
 		m.allSet.add(i)
@@ -120,7 +124,7 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 		}
 		c.burstEndFn = func() { m.onBurstEnd(c) }
 		c.reschedFn = func() {
-			c.reschedPending = false
+			m.pending.remove(c.ID)
 			m.schedule(c)
 		}
 		m.cores = append(m.cores, c)
@@ -247,11 +251,19 @@ func (m *Machine) DomainDistance(a, b int) int {
 // tier) that a thread occupies, or -1. Walking it from 0 visits the
 // occupied cores in ascending core order at a cost of the occupied count,
 // not the core count.
-func (m *Machine) NextBusy(tier, from int) int { return m.busy.next(from, 0, m.tierSet(tier)) }
+func (m *Machine) NextBusy(tier, from int) int { return next(m.busy, m.busy, 0, m.tierSet(tier), from) }
 
 // NextIdle returns the smallest idle core >= from of the given tier (-1:
 // any tier), or -1.
-func (m *Machine) NextIdle(tier, from int) int { return m.busy.next(from, ^uint64(0), m.tierSet(tier)) }
+func (m *Machine) NextIdle(tier, from int) int {
+	return next(m.busy, m.busy, ^uint64(0), m.tierSet(tier), from)
+}
+
+// nextUnkicked returns the smallest idle core >= from with no resched
+// queued, or -1.
+func (m *Machine) nextUnkicked(from int) int {
+	return next(m.busy, m.pending, ^uint64(0), m.allSet, from)
+}
 
 func (m *Machine) tierSet(tier int) coreSet {
 	if tier < 0 {
@@ -551,9 +563,10 @@ func (m *Machine) makeReady(t *task.Thread, wakeup bool) {
 		m.deferPreemptCheck(tc, t)
 	}
 	// Work conservation: any idle core the thread may run on gets a chance
-	// to pick it (or anything else) up.
-	for id := m.NextIdle(-1, 0); id >= 0; id = m.NextIdle(-1, id+1) {
-		if id != target && t.AllowedOn(id) {
+	// to pick it (or anything else) up. Cores with a resched already queued
+	// (the target among them) are skipped; resched is a no-op on them.
+	for id := m.nextUnkicked(0); id >= 0; id = m.nextUnkicked(id + 1) {
+		if t.AllowedOn(id) {
 			m.resched(m.cores[id])
 		}
 	}
@@ -592,10 +605,10 @@ func (m *Machine) preemptCore(c *Core) {
 // Dispatch and burst execution.
 
 func (m *Machine) resched(c *Core) {
-	if c.reschedPending || m.done {
+	if m.pending.has(c.ID) || m.done {
 		return
 	}
-	c.reschedPending = true
+	m.pending.add(c.ID)
 	m.eng.After(0, c.reschedFn)
 }
 

@@ -114,31 +114,40 @@ func newHint() *Hint {
 	return &Hint{TargetTier: -1, Pred: NeutralPred, Util: NeutralUtil}
 }
 
-// HintBoard holds the live threads' hints. The pipeline driver creates an
-// entry at Admit and drops it at ThreadDone; Get materialises entries for
+// HintBoard holds the live threads' hints, densely indexed by Thread.ID
+// (which NewMachine assigns 0..n-1). The pipeline driver creates an entry
+// at Admit and drops it at ThreadDone; Get materialises entries for
 // unknown threads so stages can always read (and labelers always write)
 // through it.
 type HintBoard struct {
-	hints map[*task.Thread]*Hint
+	hints []*Hint
 }
 
-// NewHintBoard returns an empty board.
-func NewHintBoard() *HintBoard {
-	return &HintBoard{hints: make(map[*task.Thread]*Hint)}
+// NewHintBoard returns an empty board with room for threads 0..n-1; it
+// grows if a larger thread ID arrives.
+func NewHintBoard(n int) *HintBoard {
+	return &HintBoard{hints: make([]*Hint, n)}
 }
 
 // Get returns t's hint, materialising a neutral one if absent.
 func (b *HintBoard) Get(t *task.Thread) *Hint {
-	h := b.hints[t]
+	if t.ID >= len(b.hints) {
+		b.hints = append(b.hints, make([]*Hint, t.ID+1-len(b.hints))...)
+	}
+	h := b.hints[t.ID]
 	if h == nil {
 		h = newHint()
-		b.hints[t] = h
+		b.hints[t.ID] = h
 	}
 	return h
 }
 
 // Drop forgets t's hint.
-func (b *HintBoard) Drop(t *task.Thread) { delete(b.hints, t) }
+func (b *HintBoard) Drop(t *task.Thread) {
+	if t.ID < len(b.hints) {
+		b.hints[t.ID] = nil
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Shared run queues.
@@ -193,7 +202,7 @@ func (q *RunQueues) Total() int { return len(q.where) }
 // visits the non-empty queues in ascending core order at a cost of the
 // queued work, not the core count.
 func (q *RunQueues) NextNonEmpty(from int) int {
-	return q.nonEmpty.next(from, 0, q.nonEmpty) // the set is its own bound
+	return next(q.nonEmpty, q.nonEmpty, 0, q.nonEmpty, from) // the set is its own bound
 }
 
 // MinVR returns the monotone vruntime floor of core's queue (the largest
@@ -334,6 +343,13 @@ func (pc *PipelineContext) Queues() *RunQueues { return pc.queues }
 // Hints returns the shared per-thread hint board.
 func (pc *PipelineContext) Hints() *HintBoard { return pc.hints }
 
+// NextUnloaded returns the smallest core >= from that runs no thread and
+// has an empty run queue, or -1. Walking it from 0 visits the unloaded
+// cores in ascending core order without probing the loaded ones.
+func (pc *PipelineContext) NextUnloaded(from int) int {
+	return next(pc.m.busy, pc.queues.nonEmpty, ^uint64(0), pc.m.allSet, from)
+}
+
 // Requeue re-places t after an affinity change: if t waits in a queue its
 // new mask forbids, it is dequeued, re-enqueued through the pipeline's
 // allocator and the chosen core is kicked — the effect sched_setaffinity
@@ -397,7 +413,7 @@ func (p *Pipeline) Name() string { return p.name }
 // stages in slot order (labeler first, so its periodic pass is scheduled
 // ahead of any same-time machine events).
 func (p *Pipeline) Start(m *Machine) {
-	pc := &PipelineContext{m: m, queues: NewRunQueues(len(m.Cores())), hints: NewHintBoard(), alloc: p.alloc}
+	pc := &PipelineContext{m: m, queues: NewRunQueues(len(m.Cores())), hints: NewHintBoard(m.workload.NumThreads()), alloc: p.alloc}
 	p.pc = pc
 	m.queues = pc.queues
 	if p.lab != nil {

@@ -73,10 +73,11 @@ func TestRunQueuesDoubleEnqueuePanics(t *testing.T) {
 	q.Push(1, th)
 }
 
-// The hint board hands out the neutral pre-observation defaults, and Each iterates in insertion
-// order (the COLAB criticality-scan order).
+// The hint board hands out the neutral pre-observation defaults, one entry
+// per thread ID (growing past its initial size), and the run queues' Each
+// iterates in insertion order (the COLAB criticality-scan order).
 func TestHintDefaultsAndEachOrder(t *testing.T) {
-	b := kernel.NewHintBoard()
+	b := kernel.NewHintBoard(4)
 	th := rqThread(7, 0)
 	h := b.Get(th)
 	if h.TargetTier != -1 || h.Pred != kernel.NeutralPred || h.Util != kernel.NeutralUtil {
@@ -85,10 +86,14 @@ func TestHintDefaultsAndEachOrder(t *testing.T) {
 	if b.Get(th) != h {
 		t.Fatal("Get must be stable per thread")
 	}
+	if other := b.Get(rqThread(3, 0)); other == h || b.Get(th) != h {
+		t.Fatal("threads must not share a hint")
+	}
 	b.Drop(th)
 	if b.Get(th) == h {
 		t.Fatal("Drop must forget the entry")
 	}
+	b.Drop(rqThread(99, 0)) // an ID the board never saw: a no-op
 
 	q := kernel.NewRunQueues(1)
 	order := []*task.Thread{rqThread(1, 5), rqThread(2, 1), rqThread(3, 9)}

@@ -1,6 +1,7 @@
 package cfs_test
 
 import (
+	"reflect"
 	"testing"
 
 	"colab/internal/cpu"
@@ -141,5 +142,84 @@ func TestNameAndDefaults(t *testing.T) {
 	p := cfs.New()
 	if p.Name() != "linux" {
 		t.Fatalf("name = %q", p.Name())
+	}
+}
+
+// probeSelector is the CFS selector that runs probe once the pipeline has
+// started, before the first thread is admitted.
+type probeSelector struct {
+	*cfs.SelectorStage
+	probe func(pc *kernel.PipelineContext)
+}
+
+func (s probeSelector) Start(pc *kernel.PipelineContext) {
+	s.SelectorStage.Start(pc)
+	s.probe(pc)
+}
+
+// Least-loaded placement against queue loads staged by hand: the
+// unloaded-core walk, the full-scan fallback when the mask excludes every
+// unloaded core, the lowest-index tie-break on both paths, and the MaskAll
+// fallback for a mask that matches no core.
+func TestLeastLoadedPlacement(t *testing.T) {
+	cases := []struct {
+		name  string
+		loads []int
+		mask  []int // nil: every core
+		want  int
+	}{
+		{"first unloaded core", []int{1, 0, 1, 0, 0, 1}, nil, 1},
+		{"first allowed unloaded core", []int{1, 0, 1, 0, 0, 1}, []int{2, 3, 5}, 3},
+		{"mask excludes every unloaded core", []int{2, 3, 1, 2, 0, 0}, []int{0, 1, 2, 3}, 2},
+		{"equal loads resolve to the lowest index", []int{3, 2, 2, 0, 0, 0}, []int{0, 1, 2}, 1},
+		{"mask matching no core falls back to every core", []int{1, 1, 0, 1, 0, 0}, []int{9}, 2},
+	}
+	alloc := cfs.NewAllocator()
+	probe := func(pc *kernel.PipelineContext) {
+		q := pc.Queues()
+		for _, c := range cases {
+			var staged []*task.Thread
+			for core, n := range c.loads {
+				for i := 0; i < n; i++ {
+					th := &task.Thread{Affinity: task.MaskAll()}
+					q.Push(core, th)
+					staged = append(staged, th)
+				}
+			}
+			var unloaded, want []int
+			for i := pc.NextUnloaded(0); i >= 0; i = pc.NextUnloaded(i + 1) {
+				unloaded = append(unloaded, i)
+			}
+			for core, n := range c.loads {
+				if n == 0 {
+					want = append(want, core)
+				}
+			}
+			if !reflect.DeepEqual(unloaded, want) {
+				t.Errorf("%s: NextUnloaded walks %v, want %v", c.name, unloaded, want)
+			}
+			th := &task.Thread{Affinity: task.MaskAll()}
+			if c.mask != nil {
+				th.Affinity = task.MaskOf(c.mask)
+			}
+			if got := alloc.LeastLoadedAllowed(th); got != c.want || !th.AllowedOn(got) {
+				t.Errorf("%s: placed on core %d (allowed %v), want %d", c.name, got, th.AllowedOn(got), c.want)
+			}
+			for _, s := range staged {
+				q.Remove(s)
+			}
+		}
+	}
+	a := app(0, []task.Program{cpuBound(1e6)}, plain)
+	sched, err := kernel.NewPipeline("probe", nil, alloc, probeSelector{cfs.NewSelector(), probe}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Little, 6), sched, &task.Workload{Name: "probe", Apps: []*task.App{a}}, kernel.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -40,10 +40,20 @@ func (a *AllocatorStage) Enqueue(t *task.Thread, wakeup bool) int {
 // leastLoadedAllowed picks the allowed core with the smallest load (queued
 // plus running threads), breaking ties by core index. With an unsatisfiable
 // mask it falls back to all cores rather than wedging the thread.
+//
+// The first allowed unloaded core is that minimum, so the unloaded-core
+// walk answers most calls without probing the loaded cores. Only when every
+// allowed core is loaded does the full scan run, and it stops at the first
+// allowed core of load 1, which is then the minimum.
 func (a *AllocatorStage) leastLoadedAllowed(t *task.Thread) int {
+	for i := a.pc.NextUnloaded(0); i >= 0; i = a.pc.NextUnloaded(i + 1) {
+		if t.AllowedOn(i) {
+			return i
+		}
+	}
 	q, cores := a.pc.Queues(), a.pc.Machine().Cores()
 	best, bestLoad := -1, int(^uint(0)>>1)
-	for i := 0; i < q.NumQueues(); i++ {
+	for i := 0; i < q.NumQueues() && bestLoad > 1; i++ {
 		if !t.AllowedOn(i) {
 			continue
 		}

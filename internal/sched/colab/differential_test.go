@@ -20,12 +20,13 @@ import (
 	"colab/internal/workload"
 )
 
-// The differential arm of the selector tests: every optimised selector runs
-// next to a reference stage that keeps the plain full-scan search (every
-// core of every tier, in core order), and both must produce identical
-// Results and traces on generated workloads. The reference stages sit here,
-// next to COLAB's unexported criticality order; the CFS family's stages
-// (linux, wash, gts and eas) only need the exported API.
+// The differential arm of the selector and allocator tests: every
+// optimised selector, and the CFS allocator's placement, runs next to a
+// reference stage that keeps the plain full-scan search (every core of
+// every tier, in core order), and both must produce identical Results and
+// traces on generated workloads. The reference stages sit here, next to
+// COLAB's unexported criticality order; the CFS family's stages (linux,
+// wash, gts and eas) only need the exported API.
 
 // refSelector is COLAB's thread selector with the full-scan searches: one
 // scan of the tier's core list per tier in steal order, and a pull over
@@ -172,8 +173,52 @@ func (s refEASSelector) PickNext(c *kernel.Core) *task.Thread {
 	return nil
 }
 
+// refCFSAllocator is the CFS allocator whose least-loaded placement probes
+// the load of every allowed core, in core order.
+type refCFSAllocator struct {
+	*cfs.AllocatorStage
+	pc *kernel.PipelineContext
+}
+
+func newRefCFSAllocator() *refCFSAllocator {
+	return &refCFSAllocator{AllocatorStage: cfs.NewAllocator()}
+}
+
+func (a *refCFSAllocator) Start(pc *kernel.PipelineContext) {
+	a.AllocatorStage.Start(pc)
+	a.pc = pc
+}
+
+func (a *refCFSAllocator) Enqueue(t *task.Thread, wakeup bool) int {
+	core := a.leastLoadedAllowed(t)
+	a.Place(t, core, wakeup)
+	return core
+}
+
+func (a *refCFSAllocator) leastLoadedAllowed(t *task.Thread) int {
+	q, cores := a.pc.Queues(), a.pc.Machine().Cores()
+	best, bestLoad := -1, int(^uint(0)>>1)
+	for i := 0; i < q.NumQueues(); i++ {
+		if !t.AllowedOn(i) {
+			continue
+		}
+		l := q.Len(i)
+		if cores[i].Current != nil {
+			l++
+		}
+		if l < bestLoad {
+			best, bestLoad = i, l
+		}
+	}
+	if best < 0 {
+		t.Affinity = task.MaskAll()
+		return a.leastLoadedAllowed(t)
+	}
+	return best
+}
+
 // diffPolicy builds one policy twice: optimised and over the reference
-// selector, under the same name.
+// stages, under the same name.
 type diffPolicy struct {
 	name      string
 	optimised func() kernel.Scheduler
@@ -204,16 +249,22 @@ func diffPolicies(speedup func(*task.Thread) float64) []diffPolicy {
 			func() kernel.Selector { return refSelector{NewSelector(off)} })
 	}
 	// cfsVariant is linux, wash or gts: an optional labeler over the CFS
-	// allocator and selector.
+	// allocator and selector, both of which the reference replaces (WASH
+	// and GTS affinity steering exercises placement under masks that
+	// exclude every unloaded core).
 	cfsVariant := func(name string, lab func() kernel.Labeler) diffPolicy {
-		return variant(name, func(sel kernel.Selector) kernel.Scheduler {
+		build := func(alloc kernel.Allocator, sel kernel.Selector) kernel.Scheduler {
 			var l kernel.Labeler
 			if lab != nil {
 				l = lab()
 			}
-			return pipeline(name, l, cfs.NewAllocator(), sel, nil)
-		}, func() kernel.Selector { return cfs.NewSelector() },
-			func() kernel.Selector { return newRefCFSSelector() })
+			return pipeline(name, l, alloc, sel, nil)
+		}
+		return diffPolicy{
+			name:      name,
+			optimised: func() kernel.Scheduler { return build(cfs.NewAllocator(), cfs.NewSelector()) },
+			reference: func() kernel.Scheduler { return build(newRefCFSAllocator(), newRefCFSSelector()) },
+		}
 	}
 	return []diffPolicy{
 		colabVariant("colab", false, 0),
@@ -306,9 +357,9 @@ func diffRun(t *testing.T, cfg cpu.Config, s kernel.Scheduler, w *task.Workload)
 	return res, fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestDifferentialSelectors runs every optimised selector against its
-// full-scan reference: identical Results and trace fingerprints on
-// generated mixes over every machine shape.
+// TestDifferentialSelectors runs every optimised selector, and the CFS
+// allocator, against its full-scan reference: identical Results and trace
+// fingerprints on generated mixes over every machine shape.
 func TestDifferentialSelectors(t *testing.T) {
 	model, err := perfmodel.Default()
 	if err != nil {
@@ -339,7 +390,7 @@ func TestDifferentialSelectors(t *testing.T) {
 			got, gotTrace := diffRun(t, cfg, p.optimised(), build())
 			want, wantTrace := diffRun(t, cfg, p.reference(), build())
 			if !reflect.DeepEqual(got, want) || gotTrace != wantTrace {
-				t.Errorf("%s on %s, %s seed %d: optimised selector diverges from the full-scan reference (events %d vs %d, end %v vs %v, trace %.12s vs %.12s)",
+				t.Errorf("%s on %s, %s seed %d: optimised stages diverge from the full-scan reference (events %d vs %d, end %v vs %v, trace %.12s vs %.12s)",
 					p.name, cfg.Name, mix, seed, got.Events, want.Events, got.EndTime, want.EndTime, gotTrace, wantTrace)
 			}
 		}

@@ -49,8 +49,8 @@ type Event struct {
 	canceled bool
 }
 
-// entry is one slot of the event heap. The (at, seq) key is stored inline
-// so sifting compares slots without dereferencing the Event; seq breaks
+// entry is one slot of the event heap or FIFO. The (at, seq) key is stored
+// inline so sifting compares slots without dereferencing the Event; seq breaks
 // timestamp ties FIFO, which makes the key unique and the pop order total.
 type entry struct {
 	at  Time
@@ -65,11 +65,51 @@ func (a entry) less(b entry) bool {
 	return a.seq < b.seq
 }
 
+// ring is a growable FIFO of entries in push order (a power-of-two ring
+// buffer, so it keeps its capacity as it drains and refills).
+type ring struct {
+	buf  []entry
+	head int
+	n    int
+}
+
+func (r *ring) push(x entry) {
+	if r.n == len(r.buf) {
+		buf := make([]entry, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = x
+	r.n++
+}
+
+// pop removes and returns the oldest entry's event; the ring must be
+// non-empty.
+func (r *ring) pop() *Event {
+	ev := r.buf[r.head].ev
+	r.buf[r.head] = entry{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return ev
+}
+
 // Engine is the event loop. The zero value is not usable; call NewEngine.
+//
+// Pending events live in two structures. Events scheduled for a later
+// instant go into a binary min-heap on (at, seq); events scheduled at Now()
+// — most of a big machine's reschedules and preemption checks — are
+// appended to a FIFO instead. Step fires whichever of the FIFO head and the
+// heap top is smaller by (at, seq), which is the heap-only order exactly:
+// the FIFO is sorted (every entry is at Now(), in seq order), and time
+// cannot advance while it holds an entry, because its head at Now()
+// precedes every heap entry of a later instant.
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []entry  // binary min-heap on (at, seq)
+	heap    []entry  // binary min-heap on (at, seq) of events after their push instant
+	fifo    ring     // events pushed at their own instant, all at now
 	free    []*Event // fired/collected events awaiting reuse
 	stopped bool
 	// Processed counts fired (non-cancelled) events, for tests and stats.
@@ -103,7 +143,11 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	} else {
 		ev = &Event{at: t, fn: fn}
 	}
-	e.push(entry{at: t, seq: e.seq, ev: ev})
+	if x := (entry{at: t, seq: e.seq, ev: ev}); t == e.now {
+		e.fifo.push(x)
+	} else {
+		e.push(x)
+	}
 	e.seq++
 	return ev
 }
@@ -184,8 +228,16 @@ func (e *Engine) recycle(ev *Event) {
 // Step fires the next pending event. It reports whether an event fired
 // (false when the queue is empty).
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		ev := e.pop()
+	for {
+		var ev *Event
+		switch {
+		case e.fifo.n > 0 && (len(e.heap) == 0 || e.fifo.buf[e.fifo.head].less(e.heap[0])):
+			ev = e.fifo.pop()
+		case len(e.heap) > 0:
+			ev = e.pop()
+		default:
+			return false
+		}
 		if ev.canceled {
 			e.recycle(ev)
 			continue
@@ -199,7 +251,6 @@ func (e *Engine) Step() bool {
 		e.recycle(ev)
 		return true
 	}
-	return false
 }
 
 // Run fires events until the queue drains, Stop is called, or the event
@@ -221,4 +272,4 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 }
 
 // Pending returns the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) + e.fifo.n }

@@ -158,110 +158,247 @@ func TestRandomScheduleProperty(t *testing.T) {
 	}
 }
 
-// Property: any interleaving of At, After, Cancel and Step fires events in
-// the order of a sorted (at, seq) reference, including cancelling the
-// current minimum and scheduling at Now() from inside a handler.
-func TestInterleavingsMatchSortedReference(t *testing.T) {
-	type refEvent struct {
-		at       Time
-		seq      uint64
-		ev       *Event
-		canceled bool
+// orderHarness drives an Engine next to a reference list of pending
+// events sorted by (at, seq). Every handler pops the reference's next live
+// entry as it fires, so Step and Run (with budgets and Stop) are checked in
+// lockstep. rnd supplies every choice: a seeded RNG for the property test,
+// the fuzzer's bytes for FuzzEngineOrder.
+type orderHarness struct {
+	e         *Engine
+	rnd       func(n int) int
+	zeroShare int // percent of schedules at Now()
+	maxDelay  int // other delays are drawn from 1..maxDelay
+	ref       []refEvent
+	seq       uint64 // the engine's next sequence number
+	got, want []uint64
+	inRun     bool
+	stopAt    int // len(got) when a handler last called Stop, -1 if none
+	ok        bool
+}
+
+type refEvent struct {
+	at       Time
+	seq      uint64
+	ev       *Event
+	fifo     bool // pushed at its own instant
+	canceled bool
+}
+
+// chance reports true with probability pct percent. It tests the high end
+// of rnd's range, so an exhausted fuzz input (all zeros) never takes it.
+func (h *orderHarness) chance(pct int) bool { return h.rnd(100) >= 100-pct }
+
+func (h *orderHarness) delay() Time {
+	if h.chance(h.zeroShare) {
+		return 0
 	}
-	check := func(seed uint64) bool {
-		rng := mathx.NewRNG(seed)
-		e := NewEngine()
-		var ref []refEvent // pending events, sorted by (at, seq)
-		var seq uint64     // the engine's next sequence number
-		var got, want []uint64
-		cancel := func() {
-			var live []int
-			for i := range ref {
-				if !ref[i].canceled {
-					live = append(live, i)
-				}
-			}
-			if len(live) == 0 {
-				return
-			}
-			i := live[0] // the current minimum
-			if rng.Float64() < 0.5 {
-				i = live[rng.IntN(len(live))]
-			}
-			ref[i].canceled = true
-			e.Cancel(ref[i].ev)
+	return Time(1 + h.rnd(h.maxDelay))
+}
+
+func (h *orderHarness) schedule(delay Time, viaAfter bool) {
+	id := h.seq
+	h.seq++
+	fn := func() {
+		h.fire(id)
+		if h.chance(30) {
+			h.schedule(0, false) // at Now(), from inside a handler
 		}
-		var schedule func(delay Time, viaAfter bool)
-		schedule = func(delay Time, viaAfter bool) {
-			id := seq
-			seq++
-			fn := func() {
-				got = append(got, id)
-				if rng.Float64() < 0.3 {
-					schedule(0, false) // at Now(), from inside a handler
-				}
-				if rng.Float64() < 0.2 {
-					cancel()
-				}
-			}
-			r := refEvent{at: e.Now() + delay, seq: id}
-			if viaAfter {
-				r.ev = e.After(delay, fn)
-			} else {
-				r.ev = e.At(r.at, fn)
-			}
-			// seq grows, so the new event goes after every equal timestamp.
-			i := sort.Search(len(ref), func(i int) bool { return ref[i].at > r.at })
-			ref = append(ref, refEvent{})
-			copy(ref[i+1:], ref[i:])
-			ref[i] = r
+		if h.chance(20) {
+			h.cancel()
 		}
-		step := func() bool {
-			for len(ref) > 0 && ref[0].canceled {
-				ref = ref[1:]
-			}
-			fires := len(ref) > 0
-			if fires {
-				want = append(want, ref[0].seq)
-				ref = ref[1:]
-			}
-			return e.Step() == fires
+		if h.inRun && h.chance(15) {
+			h.e.Stop()
+			h.stopAt = len(h.got)
 		}
-		for op := 0; op < 500; op++ {
-			switch k := rng.IntN(10); {
-			case k < 3:
-				schedule(Time(rng.IntN(40)), false)
-			case k < 5:
-				schedule(Time(rng.IntN(40)), true)
-			case k < 6:
-				cancel()
-			default:
-				if !step() {
-					return false
-				}
-			}
-			if e.Pending() != len(ref) {
-				return false
+	}
+	r := refEvent{at: h.e.Now() + delay, seq: id, fifo: delay == 0}
+	if viaAfter {
+		r.ev = h.e.After(delay, fn)
+	} else {
+		r.ev = h.e.At(r.at, fn)
+	}
+	// seq grows, so the new event goes after every equal timestamp.
+	i := sort.Search(len(h.ref), func(i int) bool { return h.ref[i].at > r.at })
+	h.ref = append(h.ref, refEvent{})
+	copy(h.ref[i+1:], h.ref[i:])
+	h.ref[i] = r
+}
+
+// fire records handler id firing and pops the reference's next live entry,
+// dropping the cancelled ones ahead of it as the engine does.
+func (h *orderHarness) fire(id uint64) {
+	h.got = append(h.got, id)
+	for len(h.ref) > 0 && h.ref[0].canceled {
+		h.ref = h.ref[1:]
+	}
+	if len(h.ref) == 0 || h.e.Now() != h.ref[0].at {
+		h.ok = false
+		return
+	}
+	h.want = append(h.want, h.ref[0].seq)
+	h.ref = h.ref[1:]
+}
+
+// cancel cancels the current minimum, a random live event, or the oldest
+// live event pushed at its own instant (the FIFO head's first live entry).
+func (h *orderHarness) cancel() {
+	var live []int
+	for i := range h.ref {
+		if !h.ref[i].canceled {
+			live = append(live, i)
+		}
+	}
+	if len(live) == 0 {
+		return
+	}
+	i := live[0]
+	switch h.rnd(3) {
+	case 1:
+		i = live[h.rnd(len(live))]
+	case 2:
+		for _, j := range live {
+			if h.ref[j].fifo {
+				i = j
+				break
 			}
 		}
-		for e.Pending() > 0 {
-			if !step() {
-				return false
-			}
+	}
+	h.ref[i].canceled = true
+	h.e.Cancel(h.ref[i].ev)
+}
+
+// drained clears the reference once the engine has emptied itself: every
+// remaining entry must be a cancelled one.
+func (h *orderHarness) drained() {
+	for _, r := range h.ref {
+		if !r.canceled {
+			h.ok = false
 		}
-		if e.Step() || len(got) != len(want) {
+	}
+	h.ref = h.ref[:0]
+}
+
+func (h *orderHarness) step() {
+	if !h.e.Step() {
+		h.drained()
+	}
+}
+
+// run calls Run(max) and checks why it returned: the budget, a Stop from
+// its last handler, or an empty queue.
+func (h *orderHarness) run(max uint64, stops bool) {
+	before := len(h.got)
+	h.inRun, h.stopAt = stops, -1
+	fired := h.e.Run(max)
+	h.inRun = false
+	if int(fired) != len(h.got)-before {
+		h.ok = false
+	}
+	switch {
+	case max > 0 && fired == max:
+	case h.stopAt >= 0:
+		if h.stopAt != len(h.got) {
+			h.ok = false // events fired after Stop
+		}
+	default:
+		h.drained()
+	}
+}
+
+// op performs one random operation and checks Pending against the
+// reference.
+func (h *orderHarness) op() {
+	switch k := h.rnd(20); {
+	case k < 6:
+		h.schedule(h.delay(), false)
+	case k < 10:
+		h.schedule(h.delay(), true)
+	case k < 12:
+		h.cancel()
+	case k < 18:
+		h.step()
+	case k < 19:
+		h.run(uint64(1+h.rnd(5)), false)
+	default:
+		h.run(0, true)
+	}
+	if h.e.Pending() != len(h.ref) {
+		h.ok = false
+	}
+}
+
+// finish drains the engine and compares the firing order with the
+// reference's.
+func (h *orderHarness) finish() bool {
+	for h.ok && h.e.Pending() > 0 {
+		h.step()
+		if h.e.Pending() != len(h.ref) {
+			h.ok = false
+		}
+	}
+	if !h.ok || h.e.Step() || len(h.got) != len(h.want) {
+		return false
+	}
+	for i := range h.want {
+		if h.got[i] != h.want[i] {
 			return false
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
+	}
+	return true
+}
+
+// Property: any interleaving of At, After, Cancel, Step and Run (with
+// budgets and Stop expiring mid-instant) fires events in the order of a
+// sorted (at, seq) reference, including cancelling the current minimum and
+// the FIFO head and scheduling at Now() from inside a handler. The
+// zero-delay-heavy mix has the kernel's shape: most pushes at Now(), into
+// instants the heap already holds events for.
+func TestInterleavingsMatchSortedReference(t *testing.T) {
+	mixes := []struct {
+		name                string
+		zeroShare, maxDelay int
+	}{
+		{"spread", 3, 39},
+		{"zero-heavy", 85, 4},
+	}
+	for _, mix := range mixes {
+		check := func(seed uint64) bool {
+			rng := mathx.NewRNG(seed)
+			h := &orderHarness{e: NewEngine(), rnd: rng.IntN, zeroShare: mix.zeroShare, maxDelay: mix.maxDelay, ok: true}
+			for op := 0; op < 500 && h.ok; op++ {
+				h.op()
 			}
+			return h.finish()
 		}
-		return true
+		if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatalf("%s: %v", mix.name, err)
+		}
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
+}
+
+// FuzzEngineOrder drives the same reference comparison from the fuzzer's
+// bytes: each byte picks an operation or one of its choices.
+func FuzzEngineOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 3})
+	f.Add([]byte{7, 99, 1, 5, 0, 99, 12, 2, 15, 19, 99, 99, 99, 16, 19})
+	f.Add([]byte("zero-delay-heavy mixes keep the fifo busy while the heap holds the same instant"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rnd := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b % n
+		}
+		h := &orderHarness{e: NewEngine(), rnd: rnd, zeroShare: 60, maxDelay: 4, ok: true}
+		for len(data) > 0 && h.ok {
+			h.op()
+		}
+		if !h.finish() {
+			t.Fatalf("engine order diverges from the sorted reference: got %v, want %v", h.got, h.want)
+		}
+	})
 }
 
 // BenchmarkEngine measures one push/pop cycle of the event heap at a
@@ -276,6 +413,59 @@ func BenchmarkEngine(b *testing.B) {
 	for i := 0; i < depth; i++ {
 		e.After(Time(1+rng.IntN(1000)), fire)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// zeroDelayMix loads e with the kernel's event shape: depth timers spread
+// over the next thousand nanoseconds, each of which, when it fires, pushes
+// nine zero-delay events (reschedules, preemption checks) and re-arms
+// itself, so nine of every ten pushes land at Now() while the heap holds
+// about depth entries.
+func zeroDelayMix(e *Engine, depth int) {
+	rng := mathx.NewRNG(1)
+	kick := func() {}
+	var timer func()
+	timer = func() {
+		for i := 0; i < 9; i++ {
+			e.After(0, kick)
+		}
+		e.After(Time(1+rng.IntN(1000)), timer)
+	}
+	for i := 0; i < depth; i++ {
+		e.After(Time(1+rng.IntN(1000)), timer)
+	}
+}
+
+// Once warm, zero-delay rescheduling allocates nothing: the FIFO keeps its
+// buffer as it drains and refills, and events come from the freelist.
+func TestZeroDelaySteadyStateDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	zeroDelayMix(e, 256)
+	for i := 0; i < 10000; i++ {
+		e.Step()
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ {
+			if !e.Step() {
+				t.Fatal("engine drained")
+			}
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("zero-delay steady state allocates: %.2f allocs per 100 events, want 0", avg)
+	}
+}
+
+// BenchmarkEngineZeroDelay measures one Step at the shape a 256-core
+// simulation drives the engine with: about 256 pending timers and nine of
+// every ten pushes at Now().
+func BenchmarkEngineZeroDelay(b *testing.B) {
+	e := NewEngine()
+	zeroDelayMix(e, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
