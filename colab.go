@@ -243,7 +243,8 @@ func Compositions() []Composition { return workload.Compositions() }
 // Table 4 index like "Sync-2", or anything from RegisterScenario) or a
 // scenario-grammar spec ("ferret:4+bodytrack:8", "Sync-2@seed=7",
 // "ferret:4@arrive=poisson(5ms)"). Unknown names error with the registered
-// inventories. Each call yields fresh threads; a workload is single-use.
+// inventories. Each call yields fresh threads. A workload runs once;
+// Workload.Instance copies a never-run one for another run.
 func BuildWorkload(spec string, seed uint64) (*Workload, error) {
 	s, err := workload.ResolveSpec(spec)
 	if err != nil {

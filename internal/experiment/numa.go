@@ -35,7 +35,11 @@ func (r *Runner) NUMASweepTable() (*Table, error) {
 	spec := comp.Spec()
 	// Baselines are solo runs on a big core: no migrations happen, so they
 	// are identical across every cost row.
-	bases, err := r.specBaselines(ctx, spec, cfg)
+	closed, err := spec.BuildClosed(r.Seed)
+	if err != nil {
+		return nil, err
+	}
+	bases, err := r.specBaselines(ctx, spec, closed, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +48,7 @@ func (r *Runner) NUMASweepTable() (*Table, error) {
 		hops  int
 	}
 	eval := func(c cpu.Config, kind string) (cell, error) {
-		w, err := spec.BuildFor(r.Seed, c.AggregateCapacity())
+		w, err := mixInstance(spec, closed, r.Seed, c)
 		if err != nil {
 			return cell{}, err
 		}

@@ -16,6 +16,7 @@ type planCell struct {
 	spec  workload.Spec
 	cfg   cpu.Config
 	seed  uint64
+	group int // baseline-sharing group, numbered in first-appearance order
 	shard int
 	key   BatchKey
 	ck    CellKey
@@ -49,6 +50,7 @@ func (b *Batch) planCells() []planCell {
 						spec:  spec,
 						cfg:   cfg,
 						seed:  seed,
+						group: gi,
 						shard: shard,
 						key:   BatchKey{Workload: spec.Name, Config: cfg.Name, Policy: kind, Seed: seed},
 						ck:    NewCellKey(spec, kind, cfg, seed, b.Params),

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
@@ -64,8 +63,9 @@ type Runner struct {
 	// Workers bounds run parallelism (0 = GOMAXPROCS).
 	Workers int
 
-	mu        sync.Mutex
-	baselines map[string]sim.Time
+	// baselines single-flights the big-only-alone turnarounds by
+	// BaselineKey, so workers that reach one key at once run it once.
+	baselines memo[string, sim.Time]
 	// cache memoises the runner's scored cells (the matrix methods'
 	// batches). Runners a Batch builds for itself
 	// have none: the batch's own Cache, if any, is their memo.
@@ -79,10 +79,9 @@ func NewRunner(seed uint64) (*Runner, error) {
 		return nil, fmt.Errorf("experiment: training default speedup model: %w", err)
 	}
 	return &Runner{
-		Speedup:   model.ThreadPredictor(),
-		Seed:      seed,
-		baselines: make(map[string]sim.Time),
-		cache:     NewCache(),
+		Speedup: model.ThreadPredictor(),
+		Seed:    seed,
+		cache:   NewCache(),
 	}, nil
 }
 
@@ -125,39 +124,33 @@ func (r *Runner) runPolicy(ctx context.Context, cfg cpu.Config, kind string, w *
 // ---------------------------------------------------------------------------
 // Baselines: each app of a scenario alone on the all-big variant.
 
-// specAlone rebuilds the scenario and isolates app appIdx, preserving the
-// exact thread programs/profiles the app has inside the mix. The isolated
-// app runs closed (arrival cleared): the baseline is the app alone with
-// the machine to itself from time zero, which open-system turnarounds —
-// measured from each app's own arrival — are compared against.
-func specAlone(spec workload.Spec, appIdx int, seed uint64) (*task.Workload, error) {
-	// The closed build strips arrival shaping without touching program
-	// content (machine-dependent load generators like util need no
-	// capacity here), so the isolated app runs the mix's exact programs.
-	w, err := spec.Closed().Build(seed)
-	if err != nil {
-		return nil, err
-	}
-	if appIdx < 0 || appIdx >= len(w.Apps) {
+// specAlone isolates app appIdx of closed, the scenario's closed build
+// (Spec.BuildClosed), as a fresh instance: the exact thread programs and
+// profiles the app has inside the mix. The isolated app runs closed: the
+// baseline is the app alone with the machine to itself from time zero,
+// which open-system turnarounds — measured from each app's own arrival —
+// are compared against.
+func specAlone(spec workload.Spec, closed *task.Workload, appIdx int) (*task.Workload, error) {
+	if appIdx < 0 || appIdx >= len(closed.Apps) {
 		return nil, fmt.Errorf("experiment: app index %d out of range for %s", appIdx, spec.Name)
 	}
-	app := w.Apps[appIdx]
-	app.Arrival = 0
+	app := closed.Apps[appIdx].Instance()
 	return &task.Workload{Name: spec.Name + "/" + app.Name, Apps: []*task.App{app}}, nil
 }
 
-// specBaselines returns (cached) the turnaround of every app of spec
-// running alone on an all-big machine with the same core count as cfg.
-// Each cache key is the CellKey of the baseline run itself — the closed
+// specBaselines returns (memoised) the turnaround of every app of spec
+// running alone on an all-big machine with the same core count as cfg;
+// closed is the spec's closed build, which a baseline run instances.
+// Each memo key is the CellKey of the baseline run itself — the closed
 // canonical form of the scenario under linux on the symmetric big machine
 // — plus the app index, so arrival variants of one mix share their
 // baselines and every shard derives the same keys independently.
-func (r *Runner) specBaselines(ctx context.Context, spec workload.Spec, cfg cpu.Config) ([]sim.Time, error) {
+func (r *Runner) specBaselines(ctx context.Context, spec workload.Spec, closed *task.Workload, cfg cpu.Config) ([]sim.Time, error) {
 	n := cfg.NumCores()
 	bases := make([]sim.Time, spec.NumApps())
 	for i := range bases {
 		v, err := r.baseline(ctx, BaselineKey(spec, i, n, r.Seed, r.Params), n, func() (*task.Workload, error) {
-			return specAlone(spec, i, r.Seed)
+			return specAlone(spec, closed, i)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiment: baseline %s app %d: %w", spec.Name, i, err)
@@ -170,26 +163,19 @@ func (r *Runner) specBaselines(ctx context.Context, spec workload.Spec, cfg cpu.
 // baseline is the one baseline memo: it returns the turnaround filed
 // under key, or runs the single-app workload alone builds on the
 // symmetric big machine of the given core count under linux and files it.
+// Concurrent callers of one key share one run.
 func (r *Runner) baseline(ctx context.Context, key string, cores int, alone func() (*task.Workload, error)) (sim.Time, error) {
-	r.mu.Lock()
-	v, ok := r.baselines[key]
-	r.mu.Unlock()
-	if ok {
-		return v, nil
-	}
-	w, err := alone()
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.runPolicy(ctx, cpu.NewSymmetric(cpu.Big, cores), SchedLinux, w, nil)
-	if err != nil {
-		return 0, err
-	}
-	v = res.Apps[0].Turnaround
-	r.mu.Lock()
-	r.baselines[key] = v
-	r.mu.Unlock()
-	return v, nil
+	return r.baselines.Do(ctx, key, func() (sim.Time, error) {
+		w, err := alone()
+		if err != nil {
+			return 0, err
+		}
+		res, err := r.runPolicy(ctx, cpu.NewSymmetric(cpu.Big, cores), SchedLinux, w, nil)
+		if err != nil {
+			return 0, err
+		}
+		return res.Apps[0].Turnaround, nil
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -212,21 +198,30 @@ func score(res *kernel.Result, bases []sim.Time) (metrics.MixScore, error) {
 	return metrics.Score(res, func(i int, _ kernel.AppResult) sim.Time { return bases[i] })
 }
 
+// mixInstance is one mix run's workload: an instance of closed, the
+// spec's closed build, with the spec's arrivals for machine cfg stamped on.
+func mixInstance(spec workload.Spec, closed *task.Workload, seed uint64, cfg cpu.Config) (*task.Workload, error) {
+	w := closed.Instance()
+	if err := spec.Arrive(w, seed, cfg.AggregateCapacity()); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
 // specScore simulates one cell: both core orders of the mix (§5.1),
-// scored against the (memoised) baselines. It memoises nothing itself —
-// callers route it through a Cache. A non-nil tracer receives every
+// each an instance of closed (the spec's closed build) with the spec's
+// arrivals for that machine, scored against the (memoised) baselines. The
+// mix runs come first, so a worker whose baselines another worker is
+// running keeps simulating instead of waiting. It memoises nothing itself
+// — callers route it through a Cache. A non-nil tracer receives every
 // scheduling event of the two mix runs (baseline runs are not traced); a
 // non-nil onRun receives each mix run's result.
-func (r *Runner) specScore(ctx context.Context, spec workload.Spec, cfg cpu.Config, kind string, tracer func(bigFirst bool, ev kernel.TraceEvent), onRun func(bigFirst bool, res *kernel.Result)) (metrics.MixScore, error) {
-	bases, err := r.specBaselines(ctx, spec, cfg)
-	if err != nil {
-		return metrics.MixScore{}, err
-	}
-	var total metrics.MixScore
+func (r *Runner) specScore(ctx context.Context, spec workload.Spec, closed *task.Workload, cfg cpu.Config, kind string, tracer func(bigFirst bool, ev kernel.TraceEvent), onRun func(bigFirst bool, res *kernel.Result)) (metrics.MixScore, error) {
 	orders := []bool{true, false} // big-first, little-first
-	for _, bigFirst := range orders {
+	runs := make([]*kernel.Result, len(orders))
+	for i, bigFirst := range orders {
 		variant := cfg.Ordered(bigFirst)
-		w, err := spec.BuildFor(r.Seed, variant.AggregateCapacity())
+		w, err := mixInstance(spec, closed, r.Seed, variant)
 		if err != nil {
 			return metrics.MixScore{}, err
 		}
@@ -239,12 +234,20 @@ func (r *Runner) specScore(ctx context.Context, spec workload.Spec, cfg cpu.Conf
 		if err != nil {
 			return metrics.MixScore{}, fmt.Errorf("experiment: %s on %s under %s: %w", spec.Name, variant.Name, kind, err)
 		}
+		runs[i] = res
+	}
+	bases, err := r.specBaselines(ctx, spec, closed, cfg)
+	if err != nil {
+		return metrics.MixScore{}, err
+	}
+	var total metrics.MixScore
+	for i, res := range runs {
 		s, err := score(res, bases)
 		if err != nil {
 			return metrics.MixScore{}, err
 		}
 		if onRun != nil {
-			onRun(bigFirst, res)
+			onRun(orders[i], res)
 		}
 		total.HANTT += s.HANTT / float64(len(orders))
 		total.HSTP += s.HSTP / float64(len(orders))
@@ -320,20 +323,20 @@ type SingleScore struct {
 	HNTT  float64
 }
 
-// singleBaseline caches the big-only-alone turnaround of a single-program
-// workload. Its key stays outside CellKey: workload.SingleProgram seeds
-// its generator without Spec.BuildFor's salt, so it is not a Spec cell.
-func (r *Runner) singleBaseline(bench string, threads, cores int) (sim.Time, error) {
-	key := fmt.Sprintf("single|%s|%d|%d|%d", bench, threads, cores, r.Seed)
-	return r.baseline(context.Background(), key, cores, func() (*task.Workload, error) {
-		return workload.SingleProgram(bench, threads, r.Seed)
-	})
-}
-
 // SingleProgram evaluates one benchmark alone on cfg under kind, averaged
-// over core orders, returning H_NTT.
+// over core orders, returning H_NTT. The program is built once; the
+// baseline and both core orders run instances of it. The baseline key
+// stays outside CellKey: workload.SingleProgram seeds its generator
+// without Spec.BuildFor's salt, so it is not a Spec cell.
 func (r *Runner) SingleProgram(bench string, threads int, cfg cpu.Config, kind string) (SingleScore, error) {
-	base, err := r.singleBaseline(bench, threads, cfg.NumCores())
+	w, err := workload.SingleProgram(bench, threads, r.Seed)
+	if err != nil {
+		return SingleScore{}, err
+	}
+	ctx := context.Background()
+	cores := cfg.NumCores()
+	key := fmt.Sprintf("single|%s|%d|%d|%d", bench, threads, cores, r.Seed)
+	base, err := r.baseline(ctx, key, cores, func() (*task.Workload, error) { return w.Instance(), nil })
 	if err != nil {
 		return SingleScore{}, err
 	}
@@ -341,11 +344,7 @@ func (r *Runner) SingleProgram(bench string, threads int, cfg cpu.Config, kind s
 	orders := []bool{true, false}
 	for _, bigFirst := range orders {
 		variant := cfg.Ordered(bigFirst)
-		w, err := workload.SingleProgram(bench, threads, r.Seed)
-		if err != nil {
-			return SingleScore{}, err
-		}
-		res, err := r.runPolicy(context.Background(), variant, kind, w, nil)
+		res, err := r.runPolicy(ctx, variant, kind, w.Instance(), nil)
 		if err != nil {
 			return SingleScore{}, fmt.Errorf("experiment: single %s on %s under %s: %w", bench, variant.Name, kind, err)
 		}

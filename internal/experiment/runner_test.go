@@ -21,7 +21,11 @@ import (
 func (r *Runner) ScenarioScore(spec workload.Spec, cfg cpu.Config, kind string) (metrics.MixScore, error) {
 	ctx := context.Background()
 	score, _, err := r.cache.Do(ctx, NewCellKey(spec, kind, cfg, r.Seed, r.Params), func() (metrics.MixScore, error) {
-		return r.specScore(ctx, spec, cfg, kind, nil, nil)
+		closed, err := spec.Closed().BuildClosed(r.Seed)
+		if err != nil {
+			return metrics.MixScore{}, err
+		}
+		return r.specScore(ctx, spec, closed, cfg, kind, nil, nil)
 	})
 	return score, err
 }
@@ -102,7 +106,11 @@ func TestAppAlonePreservesThePrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alone, err := specAlone(comp.Spec(), 1, 9)
+	closed, err := comp.Spec().BuildClosed(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := specAlone(comp.Spec(), closed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +127,7 @@ func TestAppAlonePreservesThePrograms(t *testing.T) {
 			t.Fatalf("thread %d work differs between mix and alone build", i)
 		}
 	}
-	if _, err := specAlone(comp.Spec(), 9, 9); err == nil {
+	if _, err := specAlone(comp.Spec(), closed, 9); err == nil {
 		t.Fatalf("out-of-range app index must error")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"colab/internal/metrics"
 	"colab/internal/perfmodel"
 	"colab/internal/policy"
-	"colab/internal/sim"
 	"colab/internal/task"
 	"colab/internal/workload"
 )
@@ -161,12 +160,7 @@ func (b *Batch) runnerFor(seed uint64, speedup func(*task.Thread) float64) *Runn
 	if r, ok := b.runners[seed]; ok {
 		return r
 	}
-	r := &Runner{
-		Speedup:   speedup,
-		Seed:      seed,
-		Params:    b.Params,
-		baselines: make(map[string]sim.Time),
-	}
+	r := &Runner{Speedup: speedup, Seed: seed, Params: b.Params}
 	if b.runners == nil {
 		b.runners = make(map[uint64]*Runner)
 	}
@@ -195,21 +189,31 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 	}
 
 	type job struct {
-		rn   *Runner
-		spec workload.Spec
-		cfg  cpu.Config
-		key  BatchKey
-		ck   CellKey
+		rn *Runner
+		planCell
 	}
 	// The plan (planCells) owns the cross-product enumeration and the
 	// baseline-sharing-group shard assignment; a sharded run executes its
 	// own subsequence of the plan in plan order.
 	var jobs []job
+	groups := 0
 	for _, cell := range b.planCells() {
+		groups = max(groups, cell.group+1)
 		if b.ShardCount > 1 && cell.shard != b.ShardIndex {
 			continue
 		}
-		jobs = append(jobs, job{b.runnerFor(cell.seed, speedup), cell.spec, cell.cfg, cell.key, cell.ck})
+		jobs = append(jobs, job{b.runnerFor(cell.seed, speedup), cell})
+	}
+	// builds holds each baseline-sharing group's one closed build
+	// (Spec.BuildClosed of the group's closed scenario at its seed) while
+	// the group has cells in flight: every mix run and baseline of the
+	// group instances it. left counts each group's unfinished cells in
+	// this shard; the last one to finish (computed, cached or replayed)
+	// drops the build, so memory holds only the groups in flight.
+	var builds memo[int, *task.Workload]
+	left := make([]atomic.Int32, groups)
+	for _, j := range jobs {
+		left[j.group].Add(1)
 	}
 
 	workers := b.Workers
@@ -268,7 +272,7 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 				if i >= len(jobs) || runCtx.Err() != nil {
 					return
 				}
-				j := jobs[i]
+				j := &jobs[i]
 				var (
 					score  metrics.MixScore
 					cached bool
@@ -279,11 +283,17 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 				}
 				if !cached {
 					compute := func() (metrics.MixScore, error) {
+						closed, err := builds.Do(runCtx, j.group, func() (*task.Workload, error) {
+							return j.spec.Closed().BuildClosed(j.seed)
+						})
+						if err != nil {
+							return metrics.MixScore{}, err
+						}
 						var tracer func(bool, kernel.TraceEvent)
 						if b.Tracer != nil {
 							tracer = func(bigFirst bool, ev kernel.TraceEvent) { b.Tracer(j.key, bigFirst, ev) }
 						}
-						return j.rn.specScore(runCtx, j.spec, j.cfg, j.key.Policy, tracer, nil)
+						return j.rn.specScore(runCtx, j.spec, closed, j.cfg, j.key.Policy, tracer, nil)
 					}
 					if b.Cache != nil {
 						score, cached, err = b.Cache.Do(runCtx, j.ck, compute)
@@ -297,6 +307,9 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 				if err != nil {
 					fail(err)
 					return
+				}
+				if left[j.group].Add(-1) == 0 {
+					builds.forget(j.group)
 				}
 				results[i] = BatchCell{Key: j.key, Score: score, CellKey: j.ck, Cached: cached}
 				deliver(i)

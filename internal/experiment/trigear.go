@@ -73,10 +73,15 @@ func (r *Runner) TriGearTable() (*Table, error) {
 		if !ok {
 			return nil, fmt.Errorf("experiment: unknown workload %s", idx)
 		}
+		spec := comp.Spec()
+		closed, err := spec.BuildClosed(r.Seed)
+		if err != nil {
+			return nil, err
+		}
 		// The scores average both core orders (as the paper does); the
 		// energy columns read the big-first run.
 		eval := func(kind string) (c cell, err error) {
-			c.score, err = r.specScore(ctx, comp.Spec(), cfg, kind, nil, func(bigFirst bool, res *kernel.Result) {
+			c.score, err = r.specScore(ctx, spec, closed, cfg, kind, nil, func(bigFirst bool, res *kernel.Result) {
 				if bigFirst {
 					c.e, c.edp, c.fnom = res.TotalEnergyJ(), res.EnergyDelayProduct(), nominalResidency(res)
 				}
@@ -152,7 +157,11 @@ func (r *Runner) OPPSweepTable() (*Table, error) {
 	}
 	ctx := context.Background()
 	spec := comp.Spec()
-	bases, err := r.specBaselines(ctx, spec, cfg)
+	closed, err := spec.BuildClosed(r.Seed)
+	if err != nil {
+		return nil, err
+	}
+	bases, err := r.specBaselines(ctx, spec, closed, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +186,7 @@ func (r *Runner) OPPSweepTable() (*Table, error) {
 		if pin >= 0 {
 			s = fixedOPPSched{s, pin}
 		}
-		w, err := spec.BuildFor(r.Seed, cfg.AggregateCapacity())
+		w, err := mixInstance(spec, closed, r.Seed, cfg)
 		if err != nil {
 			return row{}, err
 		}

@@ -13,11 +13,6 @@ import (
 // accumulated "time this thread made others wait" is the criticality /
 // blocking metric both WASH and COLAB consume.
 
-type fkey struct {
-	app int
-	id  int
-}
-
 // flock is a futex-backed mutex with FIFO handoff.
 type flock struct {
 	owner   *task.Thread
@@ -37,67 +32,87 @@ type fqueue struct {
 	putWaiters []*task.Thread
 }
 
-type futexTable struct {
-	locks    map[fkey]*flock
-	barriers map[fkey]*fbarrier
-	queues   map[fkey]*fqueue
+// appFutexes is the futex state of one application: synchronisation IDs
+// are scoped to the app by App.ID, so apps sharing an ID share it.
+type appFutexes struct {
+	locks    map[int]*flock
+	barriers map[int]*fbarrier
+	queues   map[int]*fqueue
+	// decl holds the declared queues of every app with this ID, in
+	// workload order.
+	decl []task.QueueSpec
 }
 
-func newFutexTable() *futexTable {
-	return &futexTable{
-		locks:    make(map[fkey]*flock),
-		barriers: make(map[fkey]*fbarrier),
-		queues:   make(map[fkey]*fqueue),
+// newFutexes resolves every app's futex state once and returns it per
+// thread ID (IDs must already be assigned), keyed like the sync ops by
+// the thread's t.App.ID.
+func newFutexes(w *task.Workload) []*appFutexes {
+	byApp := make(map[int]*appFutexes, len(w.Apps))
+	of := func(app int) *appFutexes {
+		f := byApp[app]
+		if f == nil {
+			f = &appFutexes{
+				locks:    make(map[int]*flock),
+				barriers: make(map[int]*fbarrier),
+				queues:   make(map[int]*fqueue),
+			}
+			byApp[app] = f
+		}
+		return f
 	}
+	for _, a := range w.Apps {
+		f := of(a.ID)
+		f.decl = append(f.decl, a.Queues...)
+	}
+	out := make([]*appFutexes, w.NumThreads())
+	for _, a := range w.Apps {
+		for _, t := range a.Threads {
+			out[t.ID] = of(t.App.ID)
+		}
+	}
+	return out
 }
 
-func (ft *futexTable) lock(k fkey) *flock {
-	l := ft.locks[k]
+func (f *appFutexes) lock(id int) *flock {
+	l := f.locks[id]
 	if l == nil {
 		l = &flock{}
-		ft.locks[k] = l
+		f.locks[id] = l
 	}
 	return l
 }
 
-func (ft *futexTable) barrier(k fkey) *fbarrier {
-	b := ft.barriers[k]
+func (f *appFutexes) barrier(id int) *fbarrier {
+	b := f.barriers[id]
 	if b == nil {
 		b = &fbarrier{}
-		ft.barriers[k] = b
+		f.barriers[id] = b
 	}
 	return b
 }
 
-func (ft *futexTable) queue(k fkey, m *Machine) *fqueue {
-	q := ft.queues[k]
+func (f *appFutexes) queue(id int) *fqueue {
+	q := f.queues[id]
 	if q == nil {
+		// The declared capacity; the last declaration of the ID wins.
 		capacity := 1
-		// Look up the declared capacity on the owning app.
-		for _, a := range m.workload.Apps {
-			if a.ID == k.app {
-				for _, qs := range a.Queues {
-					if qs.ID == k.id {
-						capacity = qs.Capacity
-					}
-				}
+		for _, qs := range f.decl {
+			if qs.ID == id {
+				capacity = qs.Capacity
 			}
 		}
 		if capacity < 1 {
 			capacity = 1
 		}
 		q = &fqueue{capacity: capacity}
-		ft.queues[k] = q
+		f.queues[id] = q
 	}
 	return q
 }
 
-// opKey scopes a synchronisation ID to the thread's application.
-func opKey(t *task.Thread, id int) fkey { return fkey{app: t.App.ID, id: id} }
-
 // doLock executes a Lock op for t. It reports whether t blocked.
 func (m *Machine) doLock(t *task.Thread, id int) bool {
-	l := m.futexes.lock(opKey(t, id))
+	l := m.futexes[t.ID].lock(id)
 	if l.owner == nil {
 		// Uncontested: user-space atomic, no kernel involvement (§4.1).
 		l.owner = t
@@ -112,7 +127,7 @@ func (m *Machine) doLock(t *task.Thread, id int) bool {
 // doUnlock executes an Unlock op for t, waking the first waiter with direct
 // lock handoff and charging t the waiter's full waiting period.
 func (m *Machine) doUnlock(t *task.Thread, id int) {
-	l := m.futexes.lock(opKey(t, id))
+	l := m.futexes[t.ID].lock(id)
 	if l.owner != t {
 		panic(fmt.Sprintf("kernel: %v unlocks futex %d it does not hold", t, id))
 	}
@@ -134,7 +149,7 @@ func (m *Machine) doBarrier(t *task.Thread, id, parties int) bool {
 		t.PC++
 		return false
 	}
-	b := m.futexes.barrier(opKey(t, id))
+	b := m.futexes[t.ID].barrier(id)
 	if len(b.arrived)+1 >= parties {
 		waiters := b.arrived
 		b.arrived = nil
@@ -151,7 +166,7 @@ func (m *Machine) doBarrier(t *task.Thread, id, parties int) bool {
 
 // doPut executes a bounded-queue produce. It reports whether t blocked.
 func (m *Machine) doPut(t *task.Thread, id int) bool {
-	q := m.futexes.queue(opKey(t, id), m)
+	q := m.futexes[t.ID].queue(id)
 	if len(q.getWaiters) > 0 {
 		// Direct handoff to a starving consumer; the producer ended its wait.
 		w := q.getWaiters[0]
@@ -172,7 +187,7 @@ func (m *Machine) doPut(t *task.Thread, id int) bool {
 
 // doGet executes a bounded-queue consume. It reports whether t blocked.
 func (m *Machine) doGet(t *task.Thread, id int) bool {
-	q := m.futexes.queue(opKey(t, id), m)
+	q := m.futexes[t.ID].queue(id)
 	if len(q.putWaiters) > 0 {
 		// A producer was blocked on a full queue: take its item directly.
 		w := q.putWaiters[0]

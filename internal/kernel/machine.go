@@ -24,7 +24,7 @@ type Machine struct {
 	cores    []*Core
 	sched    Scheduler
 	workload *task.Workload
-	futexes  *futexTable
+	futexes  []*appFutexes // per thread ID, its app's futex state
 	ctrRNG   *mathx.RNG
 	params   Params
 
@@ -71,7 +71,9 @@ type Machine struct {
 }
 
 // NewMachine builds a machine. The workload's threads must be freshly
-// generated (state New); a workload instance cannot be reused across runs.
+// generated (state New): a workload runs once, and Workload.Instance of a
+// never-run workload gives each further run its own threads over the same
+// read-only programs.
 func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params) (*Machine, error) {
 	if cfg.NumCores() == 0 {
 		return nil, fmt.Errorf("kernel: config %q has no cores", cfg.Name)
@@ -91,7 +93,6 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 		config:   cfg,
 		sched:    sched,
 		workload: w,
-		futexes:  newFutexTable(),
 		ctrRNG:   mathx.NewRNG(params.CounterNoiseSeed),
 		params:   params,
 		tiers:    cfg.Tiers(),
@@ -175,6 +176,7 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 			m.live++
 		}
 	}
+	m.futexes = newFutexes(w)
 	return m, nil
 }
 

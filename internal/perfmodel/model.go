@@ -46,15 +46,17 @@ type Model struct {
 	Samples  int
 }
 
-// featureVector extracts the model's selected, instruction-normalised
-// features from a raw counter vector.
-func (m *Model) featureVector(v cpu.Vec) []float64 {
+// linear evaluates the regression on v's selected, instruction-normalised
+// features: Intercept + sum of Coef[i]*norm[Features[i]], summed in
+// feature order exactly as LinReg.Predict sums, over the stack-held
+// normalised vector so a prediction does not allocate.
+func (m *Model) linear(v cpu.Vec) float64 {
 	norm := v.NormalizeByInsts()
-	out := make([]float64, len(m.Features))
+	s := m.Reg.Intercept
 	for i, f := range m.Features {
-		out[i] = norm[f]
+		s += m.Reg.Coef[i] * norm[f]
 	}
-	return out
+	return s
 }
 
 // Predict estimates the big-vs-little speedup from a raw counter vector.
@@ -63,7 +65,7 @@ func (m *Model) Predict(v cpu.Vec) float64 {
 	if v[cpu.CtrCommittedInsts] <= 0 {
 		return DefaultNeutralSpeedup
 	}
-	return mathx.Clamp(m.Reg.Predict(m.featureVector(v)), MinSpeedup, MaxSpeedup)
+	return mathx.Clamp(m.linear(v), MinSpeedup, MaxSpeedup)
 }
 
 // minIntervalInsts is the instruction count below which an interval sample

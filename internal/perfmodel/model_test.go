@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -92,6 +93,52 @@ func TestPredictClampsAndDefaults(t *testing.T) {
 		t.Fatalf("prediction %v escaped clamp", got)
 	}
 }
+
+// referencePredict is the allocating prediction path Predict replaced:
+// the selected features gathered into a fresh slice, then LinReg.Predict.
+func referencePredict(m *Model, v cpu.Vec) float64 {
+	if v[cpu.CtrCommittedInsts] <= 0 {
+		return DefaultNeutralSpeedup
+	}
+	norm := v.NormalizeByInsts()
+	x := make([]float64, len(m.Features))
+	for i, f := range m.Features {
+		x[i] = norm[f]
+	}
+	return mathx.Clamp(m.Reg.Predict(x), MinSpeedup, MaxSpeedup)
+}
+
+// Predict must equal the reference path bit for bit, on sampled counter
+// vectors and on random ones, and must not allocate.
+func TestPredictMatchesReferenceWithoutAllocating(t *testing.T) {
+	m, err := Train(syntheticSamples(100, 3), NumSelected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vecs []cpu.Vec
+	for _, s := range syntheticSamples(200, 11) {
+		vecs = append(vecs, s.Counters)
+	}
+	rng := mathx.NewRNG(5)
+	for i := 0; i < 200; i++ {
+		var v cpu.Vec
+		for j := range v {
+			v[j] = rng.Range(0, 1e7)
+		}
+		vecs = append(vecs, v)
+	}
+	for i, v := range vecs {
+		if got, want := m.Predict(v), referencePredict(m, v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("vector %d: Predict = %v, reference %v", i, got, want)
+		}
+	}
+	v := vecs[0]
+	if n := testing.AllocsPerRun(100, func() { sinkSpeedup = m.Predict(v) }); n != 0 {
+		t.Errorf("Predict allocates %v times per call, want 0", n)
+	}
+}
+
+var sinkSpeedup float64
 
 func TestTrainErrors(t *testing.T) {
 	if _, err := Train(nil, 6); err == nil {

@@ -114,8 +114,7 @@ func (tm *TieredModel) PredictTier(k int, v cpu.Vec) float64 {
 	if v[cpu.CtrCommittedInsts] <= 0 {
 		return t.RelSpeedup(DefaultNeutralSpeedup)
 	}
-	m := tm.Models[k]
-	return mathx.Clamp(m.Reg.Predict(m.featureVector(v)), t.MinSpeedup, t.MaxSpeedup)
+	return mathx.Clamp(tm.Models[k].linear(v), t.MinSpeedup, t.MaxSpeedup)
 }
 
 // TierPredictor adapts the model to the per-thread per-tier predictor

@@ -143,6 +143,23 @@ type App struct {
 // NumThreads returns the thread count of the app.
 func (a *App) NumThreads() int { return len(a.Threads) }
 
+// Instance returns a fresh, runnable copy of the app: new App and Thread
+// runtime state over the same Program and Queues slices, which no run
+// writes. Only the static fields are copied (names, IDs, Queues, Arrival,
+// and each thread's initial Profile and Affinity); the kernel rewrites
+// Profile at Phase ops and policies narrow Affinity, so both are per-run
+// copies. Instance it from a workload that has never run: a run's Profile
+// and Affinity changes would otherwise be copied too.
+func (a *App) Instance() *App {
+	c := &App{ID: a.ID, Name: a.Name, Queues: a.Queues, Arrival: a.Arrival, Threads: make([]*Thread, len(a.Threads))}
+	threads := make([]Thread, len(a.Threads))
+	for i, t := range a.Threads {
+		threads[i] = Thread{App: c, Name: t.Name, Profile: t.Profile, Program: t.Program, Affinity: t.Affinity}
+		c.Threads[i] = &threads[i]
+	}
+	return c
+}
+
 // TurnaroundTime returns the app's completion time minus its start time.
 // Valid only after the app finished.
 func (a *App) TurnaroundTime() sim.Time { return a.FinishTime - a.StartTime }
@@ -234,6 +251,17 @@ func (t *Thread) String() string {
 type Workload struct {
 	Name string
 	Apps []*App
+}
+
+// Instance returns a fresh, runnable copy of the workload (App.Instance of
+// every app). A workload runs once; instancing a never-run build lets one
+// build serve any number of runs, sequential or concurrent.
+func (w *Workload) Instance() *Workload {
+	c := &Workload{Name: w.Name, Apps: make([]*App, len(w.Apps))}
+	for i, a := range w.Apps {
+		c.Apps[i] = a.Instance()
+	}
+	return c
 }
 
 // NumThreads returns the total thread count across apps.

@@ -110,3 +110,39 @@ func TestThreadStringAndReadyAccounting(t *testing.T) {
 		t.Fatalf("ReadyTime = %v", th.ReadyTime)
 	}
 }
+
+// An instance copies the static fields, shares the read-only Program and
+// Queues slices, starts with fresh runtime state, and owns its Profile
+// and Affinity: changing them leaves the original untouched.
+func TestInstanceCopiesStaticState(t *testing.T) {
+	prog := Program{Compute{Work: 5}, Phase{Profile: cpu.WorkProfile{ILP: 0.9}}}
+	app := &App{ID: 3, Name: "a", Queues: []QueueSpec{{ID: 1, Capacity: 2}}, Arrival: 7 * sim.Millisecond}
+	app.Threads = []*Thread{
+		{App: app, Name: "t0", Profile: cpu.WorkProfile{ILP: 0.4}, Program: prog, Affinity: MaskOf([]int{1, 70})},
+		{App: app, Name: "t1", Program: prog},
+	}
+	w := &Workload{Name: "w", Apps: []*App{app}}
+	c := w.Instance()
+	if c == w || c.Name != w.Name || len(c.Apps) != 1 {
+		t.Fatalf("workload instance %+v", c)
+	}
+	ca := c.Apps[0]
+	if ca == app || ca.ID != 3 || ca.Name != "a" || ca.Arrival != app.Arrival || &ca.Queues[0] != &app.Queues[0] {
+		t.Fatalf("app instance %+v", ca)
+	}
+	for i, ct := range ca.Threads {
+		orig := app.Threads[i]
+		if ct == orig || ct.App != ca || ct.Name != orig.Name || ct.Profile != orig.Profile || !ct.Affinity.Equal(orig.Affinity) || &ct.Program[0] != &prog[0] {
+			t.Fatalf("thread %d instance %+v", i, ct)
+		}
+		if ct.State != New || ct.PC != 0 || ct.WorkDone != 0 {
+			t.Fatalf("thread %d instance carries runtime state", i)
+		}
+	}
+	ct := ca.Threads[0]
+	ct.Profile.ILP = 0.1
+	ct.Affinity.Clear(70)
+	if orig := app.Threads[0]; orig.Profile.ILP != 0.4 || !orig.Affinity.Allows(70) {
+		t.Fatalf("instance changes leaked into the original: %+v", orig)
+	}
+}

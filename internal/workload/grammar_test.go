@@ -223,18 +223,18 @@ func TestTracefileSpec(t *testing.T) {
 	}
 }
 
-// FuzzParseSpec fuzzes the scenario-grammar parser: it must never panic,
-// and any accepted input must have a stable canonical form (parse →
-// render → parse is a fixed point).
-func FuzzParseSpec(f *testing.F) {
+// grammarSeedCorpus is FuzzParseSpec's seed corpus: every composition
+// and benchmark name plus hand-picked grammar forms, malformed ones
+// included.
+func grammarSeedCorpus() []string {
+	var out []string
 	for _, c := range Compositions() {
-		f.Add(c.Index)
+		out = append(out, c.Index)
 	}
 	for _, b := range All() {
-		f.Add(b.Name)
-		f.Add(b.Name + ":4")
+		out = append(out, b.Name, b.Name+":4")
 	}
-	for _, s := range []string{
+	return append(out,
 		"ferret:4+bodytrack:8",
 		"Sync-2@seed=7",
 		"ferret:4@arrive=poisson(5ms)",
@@ -261,7 +261,14 @@ func FuzzParseSpec(f *testing.F) {
 		"batch-backfill",
 		"ferret:4@load=util(2)",
 		"ferret:4@arrive=poisson(5ms)@load=util(0.5)",
-	} {
+	)
+}
+
+// FuzzParseSpec fuzzes the scenario-grammar parser: it must never panic,
+// and any accepted input must have a stable canonical form (parse →
+// render → parse is a fixed point).
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range grammarSeedCorpus() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {

@@ -235,44 +235,54 @@ func (s Spec) TraceFiles() []string {
 	return out
 }
 
-// Build instantiates the scenario into a runnable workload. Each call
-// produces fresh threads; a workload cannot be re-run. Terms without a
-// seed override share one generation stream keyed by the build seed
-// (exactly Composition.Build's scheme); each distinct override seed opens
-// its own stream on first use. Specs whose load generator needs the
-// target machine (load=util) must use BuildFor.
+// Build instantiates the scenario into a runnable workload. A workload
+// runs once; Workload.Instance copies a never-run build for another run.
+// Terms without a seed override share one generation stream keyed by the
+// build seed (exactly Composition.Build's scheme); each distinct override
+// seed opens its own stream on first use. Specs whose load generator needs
+// the target machine (load=util) must use BuildFor.
 func (s Spec) Build(seed uint64) (*task.Workload, error) { return s.BuildFor(seed, 0) }
 
 // BuildFor is Build with the target machine's aggregate capacity (work
 // units per nanosecond with every core busy, cpu.Config.AggregateCapacity)
 // supplied, which the open-loop utilisation generator (load=util) needs
 // to derive its arrival rate. Every other spec ignores capacity, so
-// BuildFor(seed, c) == Build(seed) for them.
+// BuildFor(seed, c) == Build(seed) for them. It is the closed build
+// (BuildClosed) with the spec's arrivals stamped on (Arrive).
 func (s Spec) BuildFor(seed uint64, capacity float64) (*task.Workload, error) {
+	w, err := s.BuildClosed(seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Arrive(w, seed, capacity); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// BuildClosed builds the scenario's thread programs with every app
+// admitted at time zero: BuildFor without its arrival step. Program
+// content never depends on arrivals or on the machine, so one closed
+// build, instanced per run (Workload.Instance) and stamped with Arrive,
+// serves every arrival variant, core order and machine of the scenario.
+// A closed-loop think time (load=closed) is part of the programs and is
+// applied here.
+func (s Spec) BuildClosed(seed uint64) (*task.Workload, error) {
 	if len(s.Terms) == 0 {
 		return nil, fmt.Errorf("workload: scenario %q has no terms", s.Name)
 	}
 	if err := s.Load.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: scenario %s: %w", s.Name, err)
 	}
-	w := &task.Workload{Name: s.Name}
+	w := &task.Workload{Name: s.Name, Apps: make([]*task.App, 0, s.NumApps())}
 	streams := make(map[uint64]*mathx.RNG)
-	stream := func(sd uint64) *mathx.RNG {
-		r, ok := streams[sd]
+	for _, term := range s.Terms {
+		eff := term.effSeed(seed)
+		rng, ok := streams[eff]
 		if !ok {
-			r = mathx.NewRNG(sd ^ buildSalt)
-			streams[sd] = r
+			rng = mathx.NewRNG(eff ^ buildSalt)
+			streams[eff] = rng
 		}
-		return r
-	}
-	appID := 0
-	for ti, term := range s.Terms {
-		eff := seed
-		if term.HasSeed {
-			eff = term.Seed
-		}
-		rng := stream(eff)
-		var apps []*task.App
 		for _, as := range term.Apps {
 			b, ok := ByName(as.Bench)
 			if !ok {
@@ -282,7 +292,7 @@ func (s Spec) BuildFor(seed uint64, capacity float64) (*task.Workload, error) {
 			if n <= 0 {
 				n = b.DefaultThreads
 			}
-			app, err := b.Instantiate(appID, n, rng)
+			app, err := b.Instantiate(len(w.Apps), n, rng)
 			if err != nil {
 				return nil, fmt.Errorf("workload: scenario %s: %w", s.Name, err)
 			}
@@ -290,32 +300,63 @@ func (s Spec) BuildFor(seed uint64, capacity float64) (*task.Workload, error) {
 				return nil, fmt.Errorf("workload: %s/%s requested %d threads, generator produced %d (cap %d)",
 					s.Name, as.Bench, n, app.NumThreads(), b.MaxThreads)
 			}
-			appID++
-			apps = append(apps, app)
+			w.Apps = append(w.Apps, app)
 		}
-		times, err := term.Arrival.times(len(apps), eff, ti)
-		if err != nil {
-			return nil, fmt.Errorf("workload: scenario %s term %d: %w", s.Name, ti+1, err)
-		}
-		for i, app := range apps {
-			app.Arrival = times[i]
-		}
-		w.Apps = append(w.Apps, apps...)
 	}
-	if err := s.applyLoad(w, seed, capacity); err != nil {
-		return nil, fmt.Errorf("workload: scenario %s: %w", s.Name, err)
+	if s.Load.Kind == loadgen.Closed {
+		// Closed-loop think time: the k-th admitted app begins after k
+		// think pauses, realised as a task.Sleep prefix on each of its
+		// threads (sleeps assign no blocking blame). The system stays
+		// closed; turnaround includes the think ramp, identically in the
+		// mix run and in the app's own baseline.
+		for k, app := range w.Apps {
+			think := sim.Time(k) * s.Load.Think
+			if think == 0 {
+				continue
+			}
+			for _, th := range app.Threads {
+				th.Program = append(task.Program{task.Sleep{Duration: think}}, th.Program...)
+			}
+		}
 	}
 	return w, nil
 }
 
-// applyLoad applies the spec's global load-generator transformer to the
-// built workload. Program generation is untouched by every kind except
-// closed think time, whose task.Sleep prefixes are part of the programs
-// (and therefore of the closed baseline build too).
-func (s Spec) applyLoad(w *task.Workload, seed uint64, capacity float64) error {
+// effSeed is the term's effective generation (and arrival) seed under
+// build seed seed.
+func (t Term) effSeed(seed uint64) uint64 {
+	if t.HasSeed {
+		return t.Seed
+	}
+	return seed
+}
+
+// Arrive stamps the spec's name and arrivals onto w, a closed build of
+// the spec (BuildClosed) or an Instance of one: first each term's arrival
+// process, then the arrival-shaping load generator (util, diurnal,
+// burst). Arrival draws come from their own salted streams, so they are
+// the same whether the programs were built now or instanced from an
+// earlier build. load=util derives its rate from capacity.
+func (s Spec) Arrive(w *task.Workload, seed uint64, capacity float64) error {
+	if err := s.Load.Validate(); err != nil {
+		return fmt.Errorf("workload: scenario %s: %w", s.Name, err)
+	}
+	if len(w.Apps) != s.NumApps() {
+		return fmt.Errorf("workload: scenario %s has %d applications, the workload to stamp has %d", s.Name, s.NumApps(), len(w.Apps))
+	}
+	w.Name = s.Name
+	apps := w.Apps
+	for ti, term := range s.Terms {
+		times, err := term.Arrival.times(len(term.Apps), term.effSeed(seed), ti)
+		if err != nil {
+			return fmt.Errorf("workload: scenario %s term %d: %w", s.Name, ti+1, err)
+		}
+		for i, at := range times {
+			apps[i].Arrival = at
+		}
+		apps = apps[len(term.Apps):]
+	}
 	switch s.Load.Kind {
-	case loadgen.None:
-		return nil
 	case loadgen.Util:
 		// One Poisson stream over all apps in admission order, rate set so
 		// the offered load is Target of the machine's absorption rate. The
@@ -330,33 +371,18 @@ func (s Spec) applyLoad(w *task.Workload, seed uint64, capacity float64) error {
 		gap, err := loadgen.UtilGap(total/float64(len(w.Apps)), capacity, s.Load.Target)
 		if err != nil {
 			if capacity <= 0 {
-				return fmt.Errorf("load=util needs the target machine's aggregate capacity: build with BuildFor (or colab.BuildWorkloadOn)")
+				err = fmt.Errorf("load=util needs the target machine's aggregate capacity: build with BuildFor (or colab.BuildWorkloadOn)")
 			}
-			return err
+			return fmt.Errorf("workload: scenario %s: %w", s.Name, err)
 		}
 		rng := mathx.NewRNG(seed ^ loadSalt)
 		var cum float64
 		for _, app := range w.Apps {
 			cum += rng.Exp(gap)
 			if cum > math.MaxInt64/2 {
-				return fmt.Errorf("load=util arrivals overflow simulated time")
+				return fmt.Errorf("workload: scenario %s: load=util arrivals overflow simulated time", s.Name)
 			}
 			app.Arrival = sim.Time(cum)
-		}
-	case loadgen.Closed:
-		// Closed-loop think time: the k-th admitted app begins after k
-		// think pauses, realised as a task.Sleep prefix on each of its
-		// threads (sleeps assign no blocking blame). The system stays
-		// closed; turnaround includes the think ramp, identically in the
-		// mix run and in the app's own baseline.
-		for k, app := range w.Apps {
-			think := sim.Time(k) * s.Load.Think
-			if think == 0 {
-				continue
-			}
-			for _, th := range app.Threads {
-				th.Program = append(task.Program{task.Sleep{Duration: think}}, th.Program...)
-			}
 		}
 	case loadgen.Diurnal, loadgen.Burst:
 		for _, app := range w.Apps {

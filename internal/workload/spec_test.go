@@ -2,9 +2,11 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"colab/internal/loadgen"
 	"colab/internal/mathx"
 	"colab/internal/sim"
 	"colab/internal/task"
@@ -284,5 +286,66 @@ func TestSpecBuildErrors(t *testing.T) {
 	capped := Spec{Name: "cap", Terms: []Term{{Apps: []AppSpec{{Bench: "fmm", Threads: 4}}}}}
 	if _, err := capped.Build(1); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("over-cap thread count must error, got %v", err)
+	}
+}
+
+// BuildFor must be the closed build with the spec's arrivals stamped on,
+// both when Arrive stamps the build itself and when it stamps an Instance
+// of the closed scenario's build — the path the experiment layer takes
+// for every mix run. The grammar fuzz seed corpus supplies the specs; it
+// must cover term arrivals, seed overrides and every load generator.
+func TestBuildForIsClosedBuildPlusArrivals(t *testing.T) {
+	const capacity = 3.5 // work units per ns; load=util needs a positive one
+	covered := map[string]bool{}
+	for _, in := range grammarSeedCorpus() {
+		spec, err := ParseSpec(in)
+		if err != nil {
+			continue
+		}
+		built := false
+		for _, seed := range []uint64{1, 7} {
+			want, wantErr := spec.BuildFor(seed, capacity)
+			closed, err := spec.BuildClosed(seed)
+			if err == nil {
+				err = spec.Arrive(closed, seed, capacity)
+			}
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%q: BuildClosed+Arrive error %v, BuildFor's %v", in, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(closed, want) {
+				t.Errorf("%q seed %d: BuildClosed+Arrive differs from BuildFor", in, seed)
+			}
+			shared, err := spec.Closed().BuildClosed(seed)
+			if err != nil {
+				t.Fatalf("%q: closed scenario's BuildClosed: %v", in, err)
+			}
+			inst := shared.Instance()
+			if err := spec.Arrive(inst, seed, capacity); err != nil {
+				t.Fatalf("%q: Arrive on an instance: %v", in, err)
+			}
+			if !reflect.DeepEqual(inst, want) {
+				t.Errorf("%q seed %d: instance of the closed build + Arrive differs from BuildFor", in, seed)
+			}
+			built = true
+		}
+		if !built {
+			continue
+		}
+		for _, term := range spec.Terms {
+			covered["@seed"] = covered["@seed"] || term.HasSeed
+			covered["@arrive"] = covered["@arrive"] || term.Arrival.Kind != ArriveClosed
+		}
+		covered[string(spec.Load.Kind)] = true
+	}
+	for _, f := range []string{"@seed", "@arrive", string(loadgen.Util), string(loadgen.Closed), string(loadgen.Diurnal), string(loadgen.Burst)} {
+		if !covered[f] {
+			t.Errorf("seed corpus builds no spec with %s", f)
+		}
+	}
+	if err := (Spec{Name: "one", Terms: []Term{{Apps: []AppSpec{{Bench: "ferret"}}}}}).Arrive(&task.Workload{}, 1, capacity); err == nil {
+		t.Error("Arrive onto a workload of another app count must error")
 	}
 }
