@@ -8,7 +8,7 @@
 //	colab-bench              # the default set (all but -replication, -detail, -classes)
 //	colab-bench -fig 5       # one figure
 //	colab-bench -summary     # just the closing aggregate
-//	colab-bench -ablation    # stage-swap + design-choice ablations
+//	colab-bench -ablation    # design-choice + stage-swap ablation table
 //	colab-bench -delta       # paper-vs-repro quantitative delta table
 //	colab-bench -trigear     # six policies on the 2B2M2S machine
 //	colab-bench -oppsweep    # COLAB across the 2B2M2S frequency ladders
@@ -73,7 +73,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	fig := fs.Int("fig", 0, "regenerate a single figure (4-9)")
 	summary := fs.Bool("summary", false, "regenerate only the 312-experiment summary")
-	ablation := fs.Bool("ablation", false, "run the COLAB stage-swap and design-choice ablations")
+	ablation := fs.Bool("ablation", false, "run the COLAB ablation table (design choices and stage swaps)")
 	delta := fs.Bool("delta", false, "run the paper-vs-reproduction delta table")
 	energy := fs.Bool("energy", false, "run the energy/EDP extension table")
 	trigear := fs.Bool("trigear", false, "run the tri-gear (2B2M2S) policy extension table")
@@ -107,20 +107,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		tableJob("fig9", r.Figure9),
 		tableJob("summary", r.Summary),
 		tableJob("delta", func() (*experiment.Table, error) { return r.DeltaTable(ctx) }),
-		{name: "ablation", run: func() (string, error) {
-			// Stage-swap ablation (the pipeline-API regeneration of the
-			// paper's ablation argument) followed by the design-choice
-			// stage variants.
-			stage, err := r.AblationTable(ctx)
-			if err != nil {
-				return "", err
-			}
-			opts, err := r.Ablation()
-			if err != nil {
-				return "", err
-			}
-			return stage.String() + "\n" + opts.String(), nil
-		}},
+		tableJob("ablation", func() (*experiment.Table, error) { return r.AblationTable(ctx) }),
 		tableJob("energy", r.EnergyTable),
 		tableJob("trigear", r.TriGearTable),
 		tableJob("oppsweep", r.OPPSweepTable),

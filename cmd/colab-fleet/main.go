@@ -32,21 +32,18 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	colab "colab"
-	"colab/internal/cpu"
 	"colab/internal/fleet"
 )
 
@@ -115,48 +112,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// sweepOptions translates the sweep flags into session options, with the
-// same spellings colab-serve accepts.
+// sweepOptions translates the sweep flags into session options through
+// the decoder colab-serve's queries go through, so both accept the same
+// spellings and defaults.
 func sweepOptions(workloads, machines, policies, seeds string, workers int) ([]colab.ExperimentOption, error) {
-	split := func(s string) []string {
-		var out []string
-		for _, part := range strings.Split(s, ",") {
-			if part = strings.TrimSpace(part); part != "" {
-				out = append(out, part)
-			}
-		}
-		return out
+	spec, err := fleet.SpecFromQuery(url.Values{"workload": {workloads}, "machine": {machines}, "policy": {policies}, "seed": {seeds}})
+	if err != nil {
+		return nil, err
 	}
-	w := split(workloads)
-	if len(w) == 0 {
-		return nil, fmt.Errorf("at least one -workload is required (a registered name or a scenario-grammar spec)")
+	cfgs, err := fleet.Machines(spec.Machines)
+	if err != nil {
+		return nil, err
 	}
-	opts := []colab.ExperimentOption{colab.WithWorkloads(w...)}
-	for _, name := range split(machines) {
-		cfg, ok := cpu.ConfigByName(name)
-		if !ok {
-			known := make([]string, 0, 4)
-			for _, c := range cpu.NamedConfigs() {
-				known = append(known, c.Name)
-			}
-			return nil, fmt.Errorf("unknown machine %q (known: %s)", name, strings.Join(known, ", "))
-		}
-		opts = append(opts, colab.WithMachine(cfg))
-	}
-	if p := split(policies); len(p) > 0 {
-		opts = append(opts, colab.WithPolicies(p...))
-	}
-	for _, raw := range split(seeds) {
-		n, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("seed %q is not an unsigned integer", raw)
-		}
-		opts = append(opts, colab.WithSeeds(n))
-	}
-	if workers > 0 {
-		opts = append(opts, colab.WithWorkers(workers))
-	}
-	return opts, nil
+	return []colab.ExperimentOption{
+		colab.WithWorkloads(spec.Workloads...), colab.WithMachines(cfgs...),
+		colab.WithPolicies(spec.Policies...), colab.WithSeeds(spec.Seeds...), colab.WithWorkers(workers),
+	}, nil
 }
 
 // runWorker serves a worker daemon until ctx is cancelled (SIGTERM),
@@ -165,8 +136,6 @@ func runWorker(ctx context.Context, stderr io.Writer, addr, coordinator, adverti
 	if coordinator == "" {
 		return fmt.Errorf("worker mode needs -coordinator")
 	}
-	cache := colab.NewCellCache(colab.WithCellCacheLimit(cacheLimit))
-	w := colab.NewFleetWorker(cache)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -174,23 +143,10 @@ func runWorker(ctx context.Context, stderr io.Writer, addr, coordinator, adverti
 	if advertise == "" {
 		advertise = "http://" + hostPort(ln.Addr().String(), addr)
 	}
-	srv := &http.Server{Handler: w}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
 	go colab.RegisterFleetWorker(ctx, nil, coordinator, advertise, heartbeat)
 	fmt.Fprintf(stderr, "colab-fleet: worker %s registering with %s\n", advertise, coordinator)
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintf(stderr, "colab-fleet: worker draining (up to %s)\n", drain)
-	sctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	w := colab.NewFleetWorker(colab.NewCellCache(colab.WithCellCacheLimit(cacheLimit)))
+	return fleet.Serve(ctx, ln, w, drain, stderr, "colab-fleet")
 }
 
 // hostPort renders a dialable host:port for a listener: a wildcard-host

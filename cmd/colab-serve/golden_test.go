@@ -30,7 +30,7 @@ var goldenRequests = []struct {
 // TestGoldenBodies diffs the /run bodies of the fixed query set against
 // testdata. GOLDEN_WRITE=1 rewrites the files (intentional changes only).
 func TestGoldenBodies(t *testing.T) {
-	ts := httptest.NewServer(newServer(serverOptions{}))
+	ts := httptest.NewServer(newWorker(0, 0))
 	defer ts.Close()
 	write := os.Getenv("GOLDEN_WRITE") != ""
 	for _, g := range goldenRequests {

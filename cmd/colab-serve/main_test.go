@@ -72,7 +72,7 @@ func runCells(t *testing.T, ts *httptest.Server, query string) []fleet.Cell {
 // deterministic cross-product order, and a second identical request is
 // answered entirely from the shared cache.
 func TestRunStreamsAndCaches(t *testing.T) {
-	ts := httptest.NewServer(newServer(serverOptions{}))
+	ts := httptest.NewServer(newWorker(0, 0))
 	defer ts.Close()
 
 	const query = "workload=Sync-1&policy=linux,wash&seed=1,2&workers=4"
@@ -127,7 +127,7 @@ func TestRunStreamsAndCaches(t *testing.T) {
 // The cache is content-addressed on canonical coordinates: a different
 // spelling of the same scenario and policy composition hits it.
 func TestCacheIsSpellingIndependent(t *testing.T) {
-	ts := httptest.NewServer(newServer(serverOptions{}))
+	ts := httptest.NewServer(newWorker(0, 0))
 	defer ts.Close()
 
 	a := runCells(t, ts, "workload="+
@@ -150,7 +150,7 @@ func TestCacheIsSpellingIndependent(t *testing.T) {
 
 // Sharded requests against the service cover the sweep exactly once.
 func TestShardedRequests(t *testing.T) {
-	ts := httptest.NewServer(newServer(serverOptions{}))
+	ts := httptest.NewServer(newWorker(0, 0))
 	defer ts.Close()
 
 	const base = "workload=Sync-1&policy=linux,wash&seed=1,2"
@@ -173,7 +173,7 @@ func TestShardedRequests(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	ts := httptest.NewServer(newServer(serverOptions{}))
+	ts := httptest.NewServer(newWorker(0, 0))
 	defer ts.Close()
 	// names, when set, must appear in the 400's body.
 	for _, tc := range []struct{ name, query, names string }{
@@ -205,7 +205,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	ts := httptest.NewServer(newServer(serverOptions{}))
+	ts := httptest.NewServer(newWorker(0, 0))
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -221,13 +221,14 @@ func TestHealthz(t *testing.T) {
 // shed with 429 + Retry-After instead of queueing, and capacity frees as
 // soon as the stream drains.
 func TestMaxConcurrentSheds(t *testing.T) {
-	s := newServer(serverOptions{maxConcurrent: 1})
+	s := newWorker(1, 0)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var held sync.Once
-	s.testHold = func() {
+	s.FaultInjector = func(int, int) error {
 		// Only the first sweep holds; later requests run through.
 		held.Do(func() { close(entered); <-release })
+		return nil
 	}
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -271,7 +272,7 @@ func TestMaxConcurrentSheds(t *testing.T) {
 // With -cache-limit, the cell cache evicts LRU cells past the bound and
 // reports it on /stats.
 func TestCacheLimitEvicts(t *testing.T) {
-	ts := httptest.NewServer(newServer(serverOptions{cacheLimit: 2}))
+	ts := httptest.NewServer(newWorker(0, 2))
 	defer ts.Close()
 	if cells := runCells(t, ts, "workload=Sync-1&policy=linux,wash&seed=1,2"); len(cells) != 4 {
 		t.Fatalf("got %d cells, want 4", len(cells))
@@ -291,7 +292,7 @@ func TestCacheLimitEvicts(t *testing.T) {
 // Cells carry their spec's @class= label, and ?classes=1 appends the
 // per-class grouping as a trailer after the cell stream.
 func TestRunClassColumnsAndGrouping(t *testing.T) {
-	ts := httptest.NewServer(newServer(serverOptions{}))
+	ts := httptest.NewServer(newWorker(0, 0))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/run?workload=interactive-burst,memory-churn&policy=linux,wash&seed=1&classes=1")
@@ -303,11 +304,11 @@ func TestRunClassColumnsAndGrouping(t *testing.T) {
 		t.Fatalf("/run -> %s", resp.Status)
 	}
 	var cells []fleet.Cell
-	var groups []classLine
+	var groups []fleet.ClassLine
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		if strings.Contains(sc.Text(), "geomean_h_antt") {
-			var g classLine
+			var g fleet.ClassLine
 			if err := json.Unmarshal(sc.Bytes(), &g); err != nil {
 				t.Fatalf("bad class line %q: %v", sc.Text(), err)
 			}
@@ -338,7 +339,7 @@ func TestRunClassColumnsAndGrouping(t *testing.T) {
 	if len(groups) != 4 {
 		t.Fatalf("got %d class groups, want 4 (2 classes x 2 policies)", len(groups))
 	}
-	byKey := make(map[string]classLine)
+	byKey := make(map[string]fleet.ClassLine)
 	for _, g := range groups {
 		byKey[g.Class+"/"+g.Policy] = g
 	}
@@ -355,14 +356,6 @@ func TestRunClassColumnsAndGrouping(t *testing.T) {
 	}
 }
 
-func TestSplitList(t *testing.T) {
-	got := splitList([]string{"a, b", "", "c", " , d"})
-	want := []string{"a", "b", "c", "d"}
-	if strings.Join(got, "|") != strings.Join(want, "|") {
-		t.Errorf("splitList = %v, want %v", got, want)
-	}
-}
-
 // The service resolves workloads by name on every request, so a spec
 // that replays a local trace file is rejected with a message naming the
 // offending term.
@@ -371,7 +364,7 @@ func TestTraceFileWorkloadsRejected(t *testing.T) {
 	if err := os.WriteFile(path, []byte("0\n5ms\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(serverOptions{}))
+	ts := httptest.NewServer(newWorker(0, 0))
 	defer ts.Close()
 	spec := fmt.Sprintf("dedup:2*2@arrive=tracefile(%s)", path)
 	resp, err := http.Get(ts.URL + "/run?workload=" + url.QueryEscape(spec))

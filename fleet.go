@@ -44,10 +44,10 @@ type FleetOptions = fleet.Options
 // NewFleet builds a coordinator from options.
 func NewFleet(opts FleetOptions) *Fleet { return fleet.NewCoordinator(opts) }
 
-// FleetWorker is the executing side of a fleet: an http.Handler daemon
-// that runs shards dealt by a coordinator through a long-lived cell
-// cache. Serve it and announce it with RegisterFleetWorker (the
-// colab-fleet binary's -mode worker does both).
+// FleetWorker is the one /run server: an http.Handler daemon that runs
+// shards dealt by a coordinator, and GET sweep queries (colab-serve),
+// through a long-lived cell cache. Serve it and announce it with
+// RegisterFleetWorker (the colab-fleet binary's -mode worker does both).
 type FleetWorker = fleet.Worker
 
 // FleetWorkerStats is a point-in-time snapshot of a FleetWorker's
@@ -58,7 +58,7 @@ type FleetWorkerStats = fleet.WorkerStats
 // JSON on the coordinator's /workers endpoint).
 type FleetWorkerInfo = fleet.WorkerInfo
 
-// NewFleetWorker builds a worker daemon serving shards through cache
+// NewFleetWorker builds a worker daemon serving /run through cache
 // (nil for a fresh unbounded cache; bound it with CellCache.SetLimit).
 func NewFleetWorker(cache *CellCache) *FleetWorker { return fleet.NewWorker(cache) }
 

@@ -7,25 +7,28 @@ import (
 
 	"colab/internal/cpu"
 	"colab/internal/policy"
+	"colab/internal/workload"
 )
 
-// The stage-swap ablation on a reduced scope: the full-colab reference row
-// must normalise to exactly 1, every variant must produce finite positive
-// scores, and the inert governor rows must stay at 1.000 on the
-// fixed-frequency paper machine (composing a governor must not perturb a
-// machine with no ladders).
-func TestStageAblationTable(t *testing.T) {
+// The ablation table on a reduced scope: every variant must produce
+// finite positive scores under both normalisations; disabling the
+// biased-global selector must cost COLAB against Linux (the coordination
+// is the contribution); the full-COLAB row must normalise to exactly 1
+// against itself; and the governor rows must stay at exactly 1.000
+// against COLAB on the fixed-frequency paper machine (composing a
+// governor must not perturb a machine with no ladders).
+func TestAblationTable(t *testing.T) {
 	if testing.Short() {
-		t.Skip("stage ablation sweep is not -short friendly")
+		t.Skip("ablation sweep is not -short friendly")
 	}
 	r := testRunner(t)
-	tab, err := r.stageAblation(context.Background(), []string{"Sync-2"},
-		[]cpu.Config{cpu.Config2B2S}, StageAblationVariants())
+	sync2, _ := workload.CompositionByIndex("Sync-2")
+	tab, err := r.ablationTable(context.Background(), []workload.Composition{sync2}, []cpu.Config{cpu.Config2B2S})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != len(StageAblationVariants()) {
-		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(StageAblationVariants()))
+	if len(tab.Rows) != len(AblationVariants()) {
+		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(AblationVariants()))
 	}
 	cell := func(row []string, col int) float64 {
 		v, err := strconv.ParseFloat(row[col], 64)
@@ -34,28 +37,35 @@ func TestStageAblationTable(t *testing.T) {
 		}
 		return v
 	}
+	vsLinux := map[string]float64{}
 	for _, row := range tab.Rows {
-		antt, stp := cell(row, 2), cell(row, 3)
-		if antt <= 0 || stp <= 0 {
-			t.Errorf("%s: degenerate normalised scores %v / %v", row[0], antt, stp)
+		for col := 2; col <= 5; col++ {
+			if cell(row, col) <= 0 {
+				t.Errorf("%s: degenerate normalised score in column %s: %s", row[1], tab.Header[col], row[col])
+			}
 		}
-		switch row[0] {
-		case "full colab", "governor -> colab", "governor -> eas":
-			// Reference row and governors on a ladder-less machine: the
-			// composition must be score-identical to full COLAB.
-			if antt != 1 || stp != 1 {
-				t.Errorf("%s on 2B2S: want exact 1.000/1.000, got %v/%v", row[0], antt, stp)
+		vsLinux[row[1]] = cell(row, 2)
+		switch row[1] {
+		case SchedCOLAB, "governor -> colab", "governor -> eas":
+			// The reference row, and governors on a ladder-less machine:
+			// the composition must be score-identical to full COLAB.
+			if antt, stp := cell(row, 4), cell(row, 5); antt != 1 || stp != 1 {
+				t.Errorf("%s on 2B2S: want exact 1.000/1.000 against COLAB, got %v/%v", row[1], antt, stp)
 			}
 		}
 	}
+	if vsLinux[SchedCOLABLocal] <= vsLinux[SchedCOLAB] {
+		t.Errorf("local-only selector (%v) should be worse than full COLAB (%v) against Linux",
+			vsLinux[SchedCOLABLocal], vsLinux[SchedCOLAB])
+	}
 }
 
-// The variant list itself: first row is the reference, every composition
-// passes registry validation.
+// The variant list itself: full COLAB comes first as the reference, and
+// every composition passes registry validation.
 func TestStageAblationVariantsValid(t *testing.T) {
-	vs := StageAblationVariants()
-	if vs[0].Label != "full colab" {
-		t.Fatalf("first variant must be the reference, got %q", vs[0].Label)
+	vs := AblationVariants()
+	if vs[0].Label != SchedCOLAB {
+		t.Fatalf("first variant must be the full-COLAB reference, got %q", vs[0].Label)
 	}
 	for _, v := range vs {
 		if err := policy.Check(v.Composition); err != nil {

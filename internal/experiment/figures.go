@@ -270,34 +270,6 @@ func (r *Runner) Summary() (*Table, error) {
 	return t, nil
 }
 
-// Ablation compares COLAB against its single-feature-disabled variants and
-// GTS on representative classes (DESIGN.md's design-choice index).
-func (r *Runner) Ablation() (*Table, error) {
-	comps := append(workload.CompositionsByClass(workload.ClassSync),
-		workload.CompositionsByClass(workload.ClassRand)...)
-	cfgs := []cpu.Config{cpu.Config2B2S, cpu.Config4B4S}
-	kinds := AblationSchedulers()
-	cells, err := r.RunMatrix(comps, cfgs, kinds)
-	if err != nil {
-		return nil, err
-	}
-	antt := map[string][]float64{}
-	stp := map[string][]float64{}
-	for _, c := range cells {
-		antt[c.Sched] = append(antt[c.Sched], c.Norm.HANTT)
-		stp[c.Sched] = append(stp[c.Sched], c.Norm.HSTP)
-	}
-	t := &Table{
-		Title:  "Ablation: COLAB design choices on Sync+Rand, 2B2S+4B4S (normalised to Linux)",
-		Header: []string{"variant", "H_ANTT", "H_STP"},
-	}
-	for _, k := range kinds {
-		t.AddRow(k, f3(mathx.GeoMean(antt[k])), f3(mathx.GeoMean(stp[k])))
-	}
-	t.Notes = append(t.Notes, "colab-noscale: no scale-slice; colab-local: no global selection; colab-flat: no hierarchical allocation; colab-nopull: big never preempts little; colab-oracle: ground-truth speedups")
-	return t, nil
-}
-
 // Table2 regenerates the paper's Table 2: the PCA-selected counters and the
 // linear speedup model, from freshly collected symmetric training runs.
 func Table2() (string, error) {

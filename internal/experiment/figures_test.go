@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -106,35 +105,4 @@ func geomeanCell(t *testing.T, rows [][]string, group string, idx int) float64 {
 	}
 	t.Fatalf("group %s missing", group)
 	return 0
-}
-
-func TestOptionsAblationTable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation sweep is not -short friendly")
-	}
-	r := testRunner(t)
-	tab, err := r.Ablation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != len(AblationSchedulers()) {
-		t.Fatalf("ablation rows = %d", len(tab.Rows))
-	}
-	vals := map[string]float64{}
-	for _, row := range tab.Rows {
-		v, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			t.Fatalf("parse %q: %v", row[1], err)
-		}
-		vals[row[0]] = v
-	}
-	// Disabling the biased-global selector must cost COLAB the most of any
-	// single ablation (the coordination is the contribution).
-	if vals[SchedCOLABLocal] <= vals[SchedCOLAB] {
-		t.Errorf("local-only selector (%v) should be worse than full COLAB (%v)",
-			vals[SchedCOLABLocal], vals[SchedCOLAB])
-	}
-	if !strings.Contains(tab.String(), "colab-noscale") {
-		t.Errorf("ablation table missing variants")
-	}
 }

@@ -82,7 +82,7 @@ type PlannedCell struct {
 // them. A sharded Run executes the subsequence of cells whose Shard
 // matches its ShardIndex, preserving this order.
 func (b *Batch) Plan() ([]PlannedCell, error) {
-	if err := b.validate(); err != nil {
+	if err := b.Validate(); err != nil {
 		return nil, err
 	}
 	cells := b.planCells()

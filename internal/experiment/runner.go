@@ -44,11 +44,6 @@ const (
 // PaperSchedulers are the three schedulers of the paper's evaluation.
 func PaperSchedulers() []string { return []string{SchedLinux, SchedWASH, SchedCOLAB} }
 
-// AblationSchedulers are the extension comparison points.
-func AblationSchedulers() []string {
-	return []string{SchedCOLAB, SchedCOLABNoScale, SchedCOLABLocal, SchedCOLABFlat, SchedCOLABNoPull, SchedCOLABOracle, SchedGTS, SchedEAS}
-}
-
 // Runner executes and memoises simulations. It is safe for concurrent use;
 // the heavy entry points fan out over a worker pool internally.
 type Runner struct {

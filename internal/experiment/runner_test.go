@@ -41,7 +41,11 @@ func testRunner(t *testing.T) *Runner {
 
 func TestNewSchedulerKinds(t *testing.T) {
 	r := testRunner(t)
-	for _, kind := range append(PaperSchedulers(), AblationSchedulers()...) {
+	kinds := append(PaperSchedulers(), SchedCOLABNoScale, SchedCOLABLocal, SchedCOLABFlat, SchedCOLABNoPull, SchedCOLABOracle, SchedGTS, SchedEAS)
+	for _, v := range AblationVariants() {
+		kinds = append(kinds, v.Composition)
+	}
+	for _, kind := range kinds {
 		s, err := r.NewScheduler(kind)
 		if err != nil {
 			t.Errorf("NewScheduler(%s): %v", kind, err)

@@ -104,7 +104,10 @@ type Batch struct {
 	runners map[uint64]*Runner
 }
 
-func (b *Batch) validate() error {
+// Validate checks the batch is runnable: every axis non-empty, every policy
+// registered or a valid composition, the shard coordinates in range and
+// the machine names distinct. Plan and Run call it first.
+func (b *Batch) Validate() error {
 	if len(b.Scenarios) == 0 {
 		return fmt.Errorf("experiment: batch has no workloads")
 	}
@@ -173,7 +176,7 @@ func (b *Batch) runnerFor(seed uint64, speedup func(*task.Thread) float64) *Runn
 // (the kernel run loop itself is context-checked) and surfaces a wrapped
 // ctx.Err().
 func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
-	if err := b.validate(); err != nil {
+	if err := b.Validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {

@@ -149,7 +149,7 @@ func TestFleetMatchesLocalRun(t *testing.T) {
 	runAndCheck(t, tf, testSpec())
 	ran := 0
 	for _, w := range tf.workers {
-		if w.Stats().ShardsRun > 0 {
+		if w.Stats().Requests > 0 {
 			ran++
 		}
 	}
@@ -263,7 +263,7 @@ func TestFleetLateWorkerRescuesRun(t *testing.T) {
 	if len(cells) != len(ref) {
 		t.Fatalf("rescued run assembled %d cells, want %d", len(cells), len(ref))
 	}
-	if resc.Stats().ShardsRun == 0 {
+	if resc.Stats().Requests == 0 {
 		t.Error("late worker never ran a shard")
 	}
 }
@@ -356,11 +356,15 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s -> %s, want 400", tc.name, resp.Status)
 		}
 	}
-	if resp, err := http.Get(wts.URL + "/run"); err == nil {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("GET /run -> %s, want 405", resp.Status)
-		}
+	// A GET is a query, and one without a workload names the parameter.
+	resp, err := http.Get(wts.URL + "/run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "workload") {
+		t.Errorf("GET /run -> %s %q, want 400 naming workload", resp.Status, body)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/url"
 	"strings"
 	"testing"
 )
@@ -70,5 +71,61 @@ func FuzzStreamLine(f *testing.F) {
 		if out.Cell != in {
 			t.Fatalf("cell changed on the wire: %+v vs %+v", out.Cell, in)
 		}
+	})
+}
+
+// FuzzQuery feeds raw query strings through url.ParseQuery and the /run
+// query decoder. The decoder must never panic, every rejection must name
+// a parameter or a value of the query, and every accepted query must
+// yield a batch whose plan succeeds.
+func FuzzQuery(f *testing.F) {
+	for _, seed := range []string{
+		"workload=Sync-1&policy=linux,wash&seed=1,2",
+		"workload=ferret:4%2Bbodytrack:8&policy=wash.labeler",
+		"workload=+ferret:4+%2B+bodytrack:8+&policy=linux.selector%2Bwash.labeler%2Blinux.allocator",
+		"workload=Sync-1&policy=linux,wash&seed=1,2&shard_index=1&shard_count=2",
+		"workload=interactive-burst,memory-churn&policy=linux,wash&classes=1",
+		"workload=Sync-1&workload=Comp-1&machine=2B2M2S&workers=2&classes=false",
+		"workload=Sync-1&machine=2B2S,2B2S",
+		"workload=Sync-1&machine=9B9S",
+		"workload=Sync-1&seed=minusone",
+		"workload=Sync-1&workers=0",
+		"workload=Sync-1&workers=1&workers=2",
+		"workload=Sync-1&classes=0&classes=1",
+		"workload=Sync-1&shard_index=5&shard_count=2",
+		"workload=Sync-1&shard_index=-1&shard_count=2",
+		"workload=Sync-1&shard_index=0",
+		"workload=Sync-1&policy=no-such-policy",
+		"workload=Sync-1&policy=colab.labeler%2B",
+		"workload=no-such-benchmark:4",
+		"workload=dedup:2*2@arrive=tracefile(x)",
+		"policy=linux",
+		"",
+		"%zz=1&workload=Sync-1",
+	} {
+		f.Add(seed)
+	}
+	params := []string{"workload", "machine", "policy", "seed", "workers", "shard_index", "shard_count", "classes"}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw) // what parses is decoded, as ParseForm would
+		b, _, err := batchFromQuery(q)
+		if err == nil {
+			if _, err := b.Plan(); err != nil {
+				t.Fatalf("accepted query %q does not plan: %v", raw, err)
+			}
+			return
+		}
+		msg := err.Error()
+		for _, name := range params {
+			if strings.Contains(msg, name) {
+				return
+			}
+			for _, v := range splitList(q[name]) {
+				if strings.Contains(msg, v) {
+					return
+				}
+			}
+		}
+		t.Fatalf("rejection of %q names no parameter or value: %v", raw, err)
 	})
 }

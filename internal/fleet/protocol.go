@@ -17,10 +17,7 @@
 package fleet
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"strings"
 
 	"colab/internal/cpu"
@@ -54,67 +51,68 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// resolve materialises the spec's axes through the process-wide
-// registries. The coordinator (to plan), every worker (to run) and
-// colab-serve (to answer a query) resolve specs the same way, so they
-// agree on the plan by construction. Errors carry no prefix; each front
-// end adds its own.
-func (s Spec) resolve() (specs []workload.Spec, cfgs []cpu.Config, err error) {
-	if len(s.Workloads) == 0 || len(s.Machines) == 0 || len(s.Policies) == 0 || len(s.Seeds) == 0 {
-		return nil, nil, fmt.Errorf("spec needs at least one workload, machine, policy and seed")
-	}
-	for _, w := range s.Workloads {
-		spec, err := workload.ResolveSpec(w)
-		if err != nil {
-			return nil, nil, err
-		}
-		if terms := spec.TraceFiles(); len(terms) != 0 {
-			return nil, nil, fmt.Errorf("workload %q replays the local trace file of term %q; sweeps resolve workloads by name, so inline the times with @arrive=trace(...)", w, terms[0])
-		}
-		specs = append(specs, spec)
-	}
-	for _, name := range s.Machines {
-		cfg, ok := cpu.ConfigByName(name)
-		if !ok {
-			known := make([]string, 0, 4)
+// Machines resolves named machine shapes, naming the known ones when a
+// name is not among them.
+func Machines(names []string) ([]cpu.Config, error) {
+	cfgs := make([]cpu.Config, len(names))
+	for i, name := range names {
+		var ok bool
+		if cfgs[i], ok = cpu.ConfigByName(name); !ok {
+			var known []string
 			for _, c := range cpu.NamedConfigs() {
 				known = append(known, c.Name)
 			}
-			return nil, nil, fmt.Errorf("unknown machine %q (known: %s)", name, strings.Join(known, ", "))
+			return nil, fmt.Errorf("unknown machine %q (known: %s)", name, strings.Join(known, ", "))
 		}
-		cfgs = append(cfgs, cfg)
 	}
-	return specs, cfgs, nil
+	return cfgs, nil
 }
 
-// Batch builds the experiment batch of the spec's shard shardIndex of
-// shardCount. The coordinator plans from it (ShardCount = fleet width),
-// and the worker and colab-serve run it.
+// Batch builds and validates the experiment batch of the spec's shard
+// shardIndex of shardCount, resolving the axes through the process-wide
+// registries. The coordinator plans from it (ShardCount = fleet width)
+// and every worker runs it, so they agree on the plan by construction.
+// Errors carry no prefix.
 func (s Spec) Batch(shardIndex, shardCount int) (*experiment.Batch, error) {
-	specs, cfgs, err := s.resolve()
-	if err != nil {
-		return nil, err
+	if len(s.Workloads) == 0 || len(s.Machines) == 0 || len(s.Policies) == 0 || len(s.Seeds) == 0 {
+		return nil, fmt.Errorf("spec needs at least one workload, machine, policy and seed")
 	}
-	return &experiment.Batch{
-		Scenarios:  specs,
-		Configs:    cfgs,
+	b := &experiment.Batch{
 		Policies:   s.Policies,
 		Seeds:      s.Seeds,
 		Params:     s.Params,
 		Workers:    s.Workers,
 		ShardIndex: shardIndex,
 		ShardCount: shardCount,
-	}, nil
+	}
+	for _, w := range s.Workloads {
+		spec, err := workload.ResolveSpec(w)
+		if err != nil {
+			return nil, err
+		}
+		if terms := spec.TraceFiles(); len(terms) != 0 {
+			return nil, fmt.Errorf("workload %q replays the local trace file of term %q; sweeps resolve workloads by name, so inline the times with @arrive=trace(...)", w, terms[0])
+		}
+		b.Scenarios = append(b.Scenarios, spec)
+	}
+	var err error
+	if b.Configs, err = Machines(s.Machines); err != nil {
+		return nil, err
+	}
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
-// Cell is the one NDJSON line type of every /run stream — a fleet
-// worker's, colab-serve's, and colab-fleet's stdout: the sweep
-// coordinates, the scenario's @class= label (set by colab-serve only,
-// omitted when empty), the auto-baselined scores, the canonical content
-// address, and whether the cell was answered from a cache or a
-// checkpoint journal rather than simulated. Scores travel as JSON numbers
-// in shortest-round-trip form, so a decoded cell is bit-identical to the
-// computed one.
+// Cell is the one NDJSON line type of every /run stream and of
+// colab-fleet's stdout: the sweep coordinates, the scenario's @class=
+// label (set on every /run stream, omitted when empty; the coordinator
+// and colab-fleet's stdout ignore it), the auto-baselined scores, the
+// canonical content address, and whether the cell was answered from a
+// cache or a checkpoint journal rather than simulated. Scores travel as
+// JSON numbers in shortest-round-trip form, so a decoded cell is
+// bit-identical to the computed one.
 type Cell struct {
 	Workload string  `json:"workload"`
 	Class    string  `json:"class,omitempty"`
@@ -140,76 +138,11 @@ type runRequest struct {
 }
 
 // streamLine decodes one line of a /run stream: a Cell, or the terminal
-// {"error": ...} line Stream writes when a run fails after streaming
+// {"error": ...} line a worker writes when a run fails after streaming
 // began.
 type streamLine struct {
 	Cell
 	Error string `json:"error,omitempty"`
-}
-
-// Stream runs b and writes its cells to rw as NDJSON, one Cell per line
-// in the batch's deterministic order, flushed as each lands. The 200
-// header goes out with the first cell, so a run that fails before any
-// cell is a clean 400 (its message prefixed with prefix), and one that
-// fails later ends the stream with an in-band {"error": ...} line. Every
-// cell passes through each (when non-nil) before it is written: each may
-// amend the line, and an error from it stops the run with nothing more
-// written, leaving the caller to end the response. Stream returns the
-// run's error, or the one that stopped it.
-func Stream(ctx context.Context, rw http.ResponseWriter, b *experiment.Batch, prefix string, each func(*Cell) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	enc := json.NewEncoder(rw)
-	flusher, _ := rw.(http.Flusher)
-	var (
-		streamed int
-		stopped  error
-	)
-	b.Observer = func(bc experiment.BatchCell) {
-		if stopped != nil {
-			return
-		}
-		c := Cell{
-			Workload: bc.Key.Workload,
-			Machine:  bc.Key.Config,
-			Policy:   bc.Key.Policy,
-			Seed:     bc.Key.Seed,
-			HANTT:    bc.Score.HANTT,
-			HSTP:     bc.Score.HSTP,
-			Key:      bc.CellKey.String(),
-			Cached:   bc.Cached,
-		}
-		if each != nil {
-			if stopped = each(&c); stopped != nil {
-				cancel()
-				return
-			}
-		}
-		if streamed == 0 {
-			rw.Header().Set("Content-Type", "application/x-ndjson")
-			rw.WriteHeader(http.StatusOK)
-		}
-		streamed++
-		if stopped = enc.Encode(c); stopped != nil {
-			cancel() // the client hung up; stop computing for nobody
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	_, err := b.Run(ctx)
-	if stopped != nil {
-		return stopped
-	}
-	if err != nil {
-		if streamed == 0 {
-			http.Error(rw, prefix+err.Error(), http.StatusBadRequest)
-		} else {
-			enc.Encode(map[string]string{"error": err.Error()})
-		}
-	}
-	return err
 }
 
 // registration is the body of a worker's POST to the coordinator's
@@ -219,12 +152,18 @@ type registration struct {
 }
 
 // WorkerStats is a point-in-time snapshot of a worker daemon's counters,
-// served on its /stats endpoint next to its cell-cache stats.
+// served on its /stats endpoint. They cover coordinator shards and
+// queries alike.
 type WorkerStats struct {
-	// ShardsRun counts /run requests accepted (including failed ones).
-	ShardsRun uint64 `json:"shards_run"`
-	// CellsStreamed counts result cells streamed back to coordinators.
-	CellsStreamed uint64 `json:"cells_streamed"`
+	// Requests counts /run requests received, rejected and failed ones
+	// included.
+	Requests uint64 `json:"requests"`
+	// CellsServed counts cells streamed back.
+	CellsServed uint64 `json:"cells_served"`
+	// Rejected counts requests shed with 429 at the MaxConcurrent bound.
+	Rejected uint64 `json:"rejected"`
+	// Inflight counts /run requests being served (and, briefly, one being shed).
+	Inflight int64 `json:"inflight"`
 	// JournalSeeded counts checkpoint records received from coordinators
 	// on shard reassignment and replayed instead of recomputed.
 	JournalSeeded uint64 `json:"journal_seeded"`

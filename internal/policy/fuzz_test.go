@@ -24,7 +24,7 @@ func policyNameSeeds() []string {
 			seeds = append(seeds, comp)
 		}
 	}
-	for _, v := range experiment.StageAblationVariants() {
+	for _, v := range experiment.AblationVariants() {
 		seeds = append(seeds, v.Composition)
 	}
 	return seeds
