@@ -3,6 +3,8 @@ package experiment
 import (
 	"context"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"colab/internal/cpu"
@@ -10,53 +12,87 @@ import (
 	"colab/internal/workload"
 )
 
-// The ablation table on a reduced scope: every variant must produce
-// finite positive scores under both normalisations; disabling the
-// biased-global selector must cost COLAB against Linux (the coordination
-// is the contribution); the full-COLAB row must normalise to exactly 1
-// against itself; and the governor rows must stay at exactly 1.000
-// against COLAB on the fixed-frequency paper machine (composing a
-// governor must not perturb a machine with no ladders).
-func TestAblationTable(t *testing.T) {
+// reducedAblation runs the ablation table once on a reduced scope (Sync-2
+// on 2B2S) and shares it between the tests that read it.
+var reducedAblation struct {
+	once sync.Once
+	tab  *Table
+	err  error
+}
+
+func reducedAblationTable(t *testing.T) *Table {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("ablation sweep is not -short friendly")
 	}
-	r := testRunner(t)
-	sync2, _ := workload.CompositionByIndex("Sync-2")
-	tab, err := r.ablationTable(context.Background(), []workload.Composition{sync2}, []cpu.Config{cpu.Config2B2S})
-	if err != nil {
-		t.Fatal(err)
+	reducedAblation.once.Do(func() {
+		r, err := NewRunner(1)
+		if err != nil {
+			reducedAblation.err = err
+			return
+		}
+		sync2, _ := workload.CompositionByIndex("Sync-2")
+		reducedAblation.tab, reducedAblation.err = r.ablationTable(context.Background(),
+			[]workload.Composition{sync2}, []cpu.Config{cpu.Config2B2S})
+	})
+	if reducedAblation.err != nil {
+		t.Fatal(reducedAblation.err)
 	}
+	tab := reducedAblation.tab
 	if len(tab.Rows) != len(AblationVariants()) {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(AblationVariants()))
 	}
-	cell := func(row []string, col int) float64 {
-		v, err := strconv.ParseFloat(row[col], 64)
-		if err != nil {
-			t.Fatalf("parse %q: %v", row[col], err)
-		}
-		return v
+	return tab
+}
+
+func ablationCell(t *testing.T, row []string, col int) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(row[col], 64)
+	if err != nil {
+		t.Fatalf("parse %q: %v", row[col], err)
 	}
+	return v
+}
+
+// The design-choice rows: disabling the biased-global selector must cost
+// COLAB against Linux (the coordination is the contribution), and every
+// design-choice variant must be in the table.
+func TestOptionsAblationTable(t *testing.T) {
+	tab := reducedAblationTable(t)
 	vsLinux := map[string]float64{}
 	for _, row := range tab.Rows {
-		for col := 2; col <= 5; col++ {
-			if cell(row, col) <= 0 {
-				t.Errorf("%s: degenerate normalised score in column %s: %s", row[1], tab.Header[col], row[col])
-			}
-		}
-		vsLinux[row[1]] = cell(row, 2)
-		switch row[1] {
-		case SchedCOLAB, "governor -> colab", "governor -> eas":
-			// The reference row, and governors on a ladder-less machine:
-			// the composition must be score-identical to full COLAB.
-			if antt, stp := cell(row, 4), cell(row, 5); antt != 1 || stp != 1 {
-				t.Errorf("%s on 2B2S: want exact 1.000/1.000 against COLAB, got %v/%v", row[1], antt, stp)
-			}
-		}
+		vsLinux[row[1]] = ablationCell(t, row, 2)
 	}
 	if vsLinux[SchedCOLABLocal] <= vsLinux[SchedCOLAB] {
 		t.Errorf("local-only selector (%v) should be worse than full COLAB (%v) against Linux",
 			vsLinux[SchedCOLABLocal], vsLinux[SchedCOLAB])
+	}
+	if !strings.Contains(tab.String(), "colab-noscale") {
+		t.Errorf("ablation table missing variants")
+	}
+}
+
+// Every row: finite positive scores under both normalisations; the
+// full-COLAB row must normalise to exactly 1 against itself; and the
+// governor rows must stay at exactly 1.000 against COLAB on the
+// fixed-frequency paper machine (composing a governor must not perturb a
+// machine with no ladders).
+func TestStageAblationTable(t *testing.T) {
+	tab := reducedAblationTable(t)
+	for _, row := range tab.Rows {
+		for col := 2; col <= 5; col++ {
+			if ablationCell(t, row, col) <= 0 {
+				t.Errorf("%s: degenerate normalised score in column %s: %s", row[1], tab.Header[col], row[col])
+			}
+		}
+		switch row[1] {
+		case SchedCOLAB, "governor -> colab", "governor -> eas":
+			// The reference row, and governors on a ladder-less machine:
+			// the composition must be score-identical to full COLAB.
+			if antt, stp := ablationCell(t, row, 4), ablationCell(t, row, 5); antt != 1 || stp != 1 {
+				t.Errorf("%s on 2B2S: want exact 1.000/1.000 against COLAB, got %v/%v", row[1], antt, stp)
+			}
+		}
 	}
 }
 
