@@ -145,6 +145,11 @@ func TestBatchRunsEachBaselineOnce(t *testing.T) {
 	if r.baselines.misses != len(keys) {
 		t.Errorf("%d baseline runs for %d distinct baseline keys", r.baselines.misses, len(keys))
 	}
+	for k := range r.baselines.done {
+		if !keys[k] {
+			t.Errorf("baseline filed under %q, which is no BaselineKey of the batch", k)
+		}
+	}
 }
 
 // A baseline leader whose context is cancelled must hand the key to a

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -116,6 +117,25 @@ func TestBaselineKeySharedAcrossArrivalVariants(t *testing.T) {
 	}
 	if !strings.Contains(closed, "|app=0") {
 		t.Errorf("baseline key misses app suffix: %s", closed)
+	}
+}
+
+// A baseline key is the CellKey of the closed scenario under linux on the
+// symmetric big machine, suffixed with the app index; the batch's
+// per-group key lists render the same strings.
+func TestBaselineKeyFormat(t *testing.T) {
+	p := kernel.Params{}
+	spec := specFor(t, "Sync-2@arrive=poisson(5ms)")
+	r := &Runner{Seed: 3, Params: p}
+	keys := r.baselineKeys(spec, 6)
+	if len(keys) != spec.NumApps() {
+		t.Fatalf("%d keys for %d apps", len(keys), spec.NumApps())
+	}
+	for i, got := range keys {
+		want := fmt.Sprintf("%s|app=%d", NewCellKey(spec.Closed(), SchedLinux, cpu.NewSymmetric(cpu.Big, 6), 3, p), i)
+		if got != want || BaselineKey(spec, i, 6, 3, p) != want {
+			t.Errorf("app %d: list key %q, BaselineKey %q, want %q", i, got, BaselineKey(spec, i, 6, 3, p), want)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
@@ -139,12 +140,13 @@ func specAlone(spec workload.Spec, closed *task.Workload, appIdx int) (*task.Wor
 // Each memo key is the CellKey of the baseline run itself — the closed
 // canonical form of the scenario under linux on the symmetric big machine
 // — plus the app index, so arrival variants of one mix share their
-// baselines and every shard derives the same keys independently.
-func (r *Runner) specBaselines(ctx context.Context, spec workload.Spec, closed *task.Workload, cfg cpu.Config) ([]sim.Time, error) {
+// baselines and every shard derives the same keys independently. keys
+// holds those memo keys: r.baselineKeys of spec and cfg's core count.
+func (r *Runner) specBaselines(ctx context.Context, spec workload.Spec, closed *task.Workload, cfg cpu.Config, keys []string) ([]sim.Time, error) {
 	n := cfg.NumCores()
 	bases := make([]sim.Time, spec.NumApps())
 	for i := range bases {
-		v, err := r.baseline(ctx, BaselineKey(spec, i, n, r.Seed, r.Params), n, func() (*task.Workload, error) {
+		v, err := r.baseline(ctx, keys[i], n, func() (*task.Workload, error) {
 			return specAlone(spec, closed, i)
 		})
 		if err != nil {
@@ -183,8 +185,29 @@ func (r *Runner) baseline(ctx context.Context, key string, cores int, alone func
 // baseline keys, which is what lets shards and the serve cache dedup the
 // shared baseline work.
 func BaselineKey(spec workload.Spec, appIdx, cores int, seed uint64, params kernel.Params) string {
-	k := NewCellKey(spec.Closed(), SchedLinux, cpu.NewSymmetric(cpu.Big, cores), seed, params)
-	return fmt.Sprintf("%s|app=%d", k, appIdx)
+	return appBaselineKey(baselineCellKey(spec, cores, seed, params), appIdx)
+}
+
+// baselineCellKey renders the CellKey every BaselineKey of spec on cores
+// cores starts with.
+func baselineCellKey(spec workload.Spec, cores int, seed uint64, params kernel.Params) string {
+	return NewCellKey(spec.Closed(), SchedLinux, cpu.NewSymmetric(cpu.Big, cores), seed, params).String()
+}
+
+func appBaselineKey(cellKey string, appIdx int) string {
+	return cellKey + "|app=" + strconv.Itoa(appIdx)
+}
+
+// baselineKeys returns the BaselineKey of every app of spec on a machine
+// of the given core count at the runner's seed and params, rendering the
+// closed scenario's CellKey once for all of them.
+func (r *Runner) baselineKeys(spec workload.Spec, cores int) []string {
+	k := baselineCellKey(spec, cores, r.Seed, r.Params)
+	keys := make([]string, spec.NumApps())
+	for i := range keys {
+		keys[i] = appBaselineKey(k, i)
+	}
+	return keys
 }
 
 // score is the one scoring of a mix result: H_ANTT / H_STP of res
@@ -205,13 +228,14 @@ func mixInstance(spec workload.Spec, closed *task.Workload, seed uint64, cfg cpu
 
 // specScore simulates one cell: both core orders of the mix (§5.1),
 // each an instance of closed (the spec's closed build) with the spec's
-// arrivals for that machine, scored against the (memoised) baselines. The
+// arrivals for that machine, scored against the (memoised) baselines
+// filed under keys (see specBaselines). The
 // mix runs come first, so a worker whose baselines another worker is
 // running keeps simulating instead of waiting. It memoises nothing itself
 // — callers route it through a Cache. A non-nil tracer receives every
 // scheduling event of the two mix runs (baseline runs are not traced); a
 // non-nil onRun receives each mix run's result.
-func (r *Runner) specScore(ctx context.Context, spec workload.Spec, closed *task.Workload, cfg cpu.Config, kind string, tracer func(bigFirst bool, ev kernel.TraceEvent), onRun func(bigFirst bool, res *kernel.Result)) (metrics.MixScore, error) {
+func (r *Runner) specScore(ctx context.Context, spec workload.Spec, closed *task.Workload, cfg cpu.Config, kind string, keys []string, tracer func(bigFirst bool, ev kernel.TraceEvent), onRun func(bigFirst bool, res *kernel.Result)) (metrics.MixScore, error) {
 	orders := []bool{true, false} // big-first, little-first
 	runs := make([]*kernel.Result, len(orders))
 	for i, bigFirst := range orders {
@@ -231,7 +255,7 @@ func (r *Runner) specScore(ctx context.Context, spec workload.Spec, closed *task
 		}
 		runs[i] = res
 	}
-	bases, err := r.specBaselines(ctx, spec, closed, cfg)
+	bases, err := r.specBaselines(ctx, spec, closed, cfg, keys)
 	if err != nil {
 		return metrics.MixScore{}, err
 	}

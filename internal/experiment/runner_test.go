@@ -25,7 +25,7 @@ func (r *Runner) ScenarioScore(spec workload.Spec, cfg cpu.Config, kind string) 
 		if err != nil {
 			return metrics.MixScore{}, err
 		}
-		return r.specScore(ctx, spec, closed, cfg, kind, nil, nil)
+		return r.specScore(ctx, spec, closed, cfg, kind, r.baselineKeys(spec, cfg.NumCores()), nil, nil)
 	})
 	return score, err
 }

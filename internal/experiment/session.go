@@ -296,7 +296,8 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 						if b.Tracer != nil {
 							tracer = func(bigFirst bool, ev kernel.TraceEvent) { b.Tracer(j.key, bigFirst, ev) }
 						}
-						return j.rn.specScore(runCtx, j.spec, closed, j.cfg, j.key.Policy, tracer, nil)
+						keys := j.bases.get(func() []string { return j.rn.baselineKeys(j.spec, j.cfg.NumCores()) })
+						return j.rn.specScore(runCtx, j.spec, closed, j.cfg, j.key.Policy, keys, tracer, nil)
 					}
 					if b.Cache != nil {
 						score, cached, err = b.Cache.Do(runCtx, j.ck, compute)

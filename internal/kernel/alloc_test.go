@@ -137,3 +137,87 @@ func TestRunQueueInsertionDoesNotAllocate(t *testing.T) {
 		t.Fatalf("steal cycle allocates: %.2f allocs/op, want 0", avg)
 	}
 }
+
+// selPreempting is selLeftmost with wake-up preemption always granted, so
+// every deferred preemption check that finds its core busy preempts it.
+type selPreempting struct{ selLeftmost }
+
+func (s *selPreempting) WakeupPreempt(c *Core, t *task.Thread) bool { return true }
+
+// syncSpin builds a 4-core machine running one 8-thread app that loops
+// through every futex path: four producers and four consumers share a
+// lock, hand items through a one-slot bounded queue and meet at an
+// 8-party barrier each round. With twice as many threads as cores, most
+// wake-ups land on busy cores and schedule preemption checks.
+func syncSpin(t testing.TB) *Machine {
+	const rounds = 4000
+	profile := cpu.WorkProfile{ILP: 0.5, BranchRate: 0.1, MemIntensity: 0.3, FPRate: 0.2}
+	app := &task.App{ID: 0, Name: "sync", Queues: []task.QueueSpec{{ID: 2, Capacity: 1}}}
+	for i := 0; i < 8; i++ {
+		handoff := task.Op(task.Put{ID: 2})
+		if i >= 4 {
+			handoff = task.Get{ID: 2}
+		}
+		var prog task.Program
+		for r := 0; r < rounds; r++ {
+			prog = append(prog,
+				task.Compute{Work: float64(20000 + 5000*i)},
+				task.Lock{ID: 0},
+				task.Compute{Work: 10000},
+				task.Unlock{ID: 0},
+				handoff,
+				task.Barrier{ID: 1, Parties: 8},
+			)
+		}
+		app.Threads = append(app.Threads, &task.Thread{App: app, Name: "sync", Profile: profile, Program: prog})
+	}
+	w := &task.Workload{Name: "sync", Apps: []*task.App{app}}
+	sched, err := NewPipeline("sync-probe", nil, &allocLeastLoaded{}, &selPreempting{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(cpu.NewConfig(2, 2, true), sched, w, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestSyncSteadyStateDoesNotAllocate drives the futex paths — lock
+// handoff, barrier release, bounded-queue handoff in both directions — and
+// the wake-up preemption checks they schedule: once the wait queues, the
+// per-core pending-check FIFOs and the event slab have grown, the loop
+// runs allocation-free.
+func TestSyncSteadyStateDoesNotAllocate(t *testing.T) {
+	m := syncSpin(t)
+	m.start()
+	eng := m.Engine()
+	for i := 0; i < 20000; i++ {
+		if !eng.Step() {
+			t.Fatalf("engine drained during warm-up at event %d", i)
+		}
+	}
+	preemptions := func() (n int) {
+		for _, th := range m.threads {
+			n += th.Preemptions
+		}
+		return n
+	}
+	before := preemptions()
+	avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ {
+			if !eng.Step() {
+				t.Fatalf("engine drained during measurement")
+			}
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("sync steady state allocates: %.2f allocs per 100 events, want 0", avg)
+	}
+	if preemptions() == before {
+		t.Fatal("no wake-up preemption during measurement: the checks are off the measured path")
+	}
+	if m.done {
+		t.Fatal("workload finished during measurement")
+	}
+}

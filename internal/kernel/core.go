@@ -41,9 +41,15 @@ type Core struct {
 
 	// Pre-bound event callbacks (built once at machine construction) so the
 	// steady-state dispatch loop schedules events without allocating a new
-	// closure per burst or resched.
+	// closure per burst, resched or wake-up preemption check.
 	burstEndFn func()
 	reschedFn  func()
+	preemptFn  func()
+	// woken holds the IDs of the threads whose wake-up preemption checks
+	// are queued on this core, oldest first from wokenHead: each preemptFn
+	// event takes the oldest, so the checks see their threads in push order.
+	woken     []int32
+	wokenHead int
 
 	// Accounting.
 	BusyTime   sim.Time

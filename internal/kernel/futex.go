@@ -13,23 +13,38 @@ import (
 // accumulated "time this thread made others wait" is the criticality /
 // blocking metric both WASH and COLAB consume.
 
+// Wait queues hold thread IDs (indexes of Machine.threads), not pointers:
+// queueing and waking write no heap pointers, and the FIFOs shift in place
+// so they keep their capacity across waits.
+
 // flock is a futex-backed mutex with FIFO handoff.
 type flock struct {
 	owner   *task.Thread
-	waiters []*task.Thread
+	waiters []int32
 }
 
-// fbarrier collects arrivals until the party count is met.
+// fbarrier collects arrivals until the party count is met. spare is the
+// previous round's arrival buffer, reused by the next round.
 type fbarrier struct {
-	arrived []*task.Thread
+	arrived []int32
+	spare   []int32
 }
 
 // fqueue is a bounded FIFO used by pipeline benchmarks.
 type fqueue struct {
 	capacity   int
 	items      int
-	getWaiters []*task.Thread
-	putWaiters []*task.Thread
+	getWaiters []int32
+	putWaiters []int32
+}
+
+// popFront removes and returns the oldest ID of a non-empty wait queue,
+// shifting the rest down in place.
+func popFront(ws *[]int32) int32 {
+	q := *ws
+	id := q[0]
+	*ws = q[:copy(q, q[1:])]
+	return id
 }
 
 // appFutexes is the futex state of one application: synchronisation IDs
@@ -119,7 +134,7 @@ func (m *Machine) doLock(t *task.Thread, id int) bool {
 		t.PC++
 		return false
 	}
-	l.waiters = append(l.waiters, t)
+	l.waiters = append(l.waiters, int32(t.ID))
 	m.blockThread(t)
 	return true
 }
@@ -134,8 +149,7 @@ func (m *Machine) doUnlock(t *task.Thread, id int) {
 	l.owner = nil
 	t.PC++
 	if len(l.waiters) > 0 {
-		w := l.waiters[0]
-		l.waiters = l.waiters[1:]
+		w := m.threads[popFront(&l.waiters)]
 		l.owner = w
 		m.wakeThread(w, t)
 	}
@@ -151,15 +165,21 @@ func (m *Machine) doBarrier(t *task.Thread, id, parties int) bool {
 	}
 	b := m.futexes[t.ID].barrier(id)
 	if len(b.arrived)+1 >= parties {
+		// wakeThread advances each woken thread synchronously, and one that
+		// reaches this barrier again appends to b.arrived mid-loop. The next
+		// round therefore collects into the spare buffer, and spare is nil
+		// until the loop ends, so a round released inside the loop collects
+		// into a fresh buffer instead of the one being walked.
 		waiters := b.arrived
-		b.arrived = nil
+		b.arrived, b.spare = b.spare[:0], nil
 		t.PC++
 		for _, w := range waiters {
-			m.wakeThread(w, t)
+			m.wakeThread(m.threads[w], t)
 		}
+		b.spare = waiters
 		return false
 	}
-	b.arrived = append(b.arrived, t)
+	b.arrived = append(b.arrived, int32(t.ID))
 	m.blockThread(t)
 	return true
 }
@@ -169,8 +189,7 @@ func (m *Machine) doPut(t *task.Thread, id int) bool {
 	q := m.futexes[t.ID].queue(id)
 	if len(q.getWaiters) > 0 {
 		// Direct handoff to a starving consumer; the producer ended its wait.
-		w := q.getWaiters[0]
-		q.getWaiters = q.getWaiters[1:]
+		w := m.threads[popFront(&q.getWaiters)]
 		t.PC++
 		m.wakeThread(w, t)
 		return false
@@ -180,7 +199,7 @@ func (m *Machine) doPut(t *task.Thread, id int) bool {
 		t.PC++
 		return false
 	}
-	q.putWaiters = append(q.putWaiters, t)
+	q.putWaiters = append(q.putWaiters, int32(t.ID))
 	m.blockThread(t)
 	return true
 }
@@ -190,8 +209,7 @@ func (m *Machine) doGet(t *task.Thread, id int) bool {
 	q := m.futexes[t.ID].queue(id)
 	if len(q.putWaiters) > 0 {
 		// A producer was blocked on a full queue: take its item directly.
-		w := q.putWaiters[0]
-		q.putWaiters = q.putWaiters[1:]
+		w := m.threads[popFront(&q.putWaiters)]
 		t.PC++
 		m.wakeThread(w, t)
 		return false
@@ -201,7 +219,7 @@ func (m *Machine) doGet(t *task.Thread, id int) bool {
 		t.PC++
 		return false
 	}
-	q.getWaiters = append(q.getWaiters, t)
+	q.getWaiters = append(q.getWaiters, int32(t.ID))
 	m.blockThread(t)
 	return true
 }

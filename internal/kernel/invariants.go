@@ -22,7 +22,9 @@ import (
 //     start no later than now.
 //  7. The occupancy index holds exactly the cores with a Current thread.
 //  8. Under a pipeline scheduler, the run queues' non-empty index holds
-//     exactly the non-empty queues and Total is the sum of their lengths.
+//     exactly the non-empty queues, Total is the sum of their lengths,
+//     and the by-ID index places every queued thread, and only those, on
+//     its queue.
 //  9. Every thread's prepared accrual state (counter profile and per-tier
 //     speedups) equals the state derived fresh from its current Profile.
 //  10. The resched-pending index holds only idle cores: only schedule(c)
@@ -56,7 +58,7 @@ func (m *Machine) CheckInvariants() []string {
 	}
 	alive := 0
 	now := m.eng.Now()
-	for _, t := range m.workload.Threads() {
+	for _, t := range m.threads {
 		violations = append(violations, m.checkPrepared(t)...)
 		switch t.State {
 		case task.Done:
@@ -105,7 +107,8 @@ func (m *Machine) checkPrepared(t *task.Thread) []string {
 	return violations
 }
 
-// checkIndex verifies the non-empty index and Total against the queues.
+// checkIndex verifies the non-empty index, Total and the by-ID index
+// against the queues.
 func (q *RunQueues) checkIndex() []string {
 	var violations []string
 	total := 0
@@ -114,9 +117,23 @@ func (q *RunQueues) checkIndex() []string {
 		if q.nonEmpty.has(i) != (q.Len(i) > 0) {
 			violations = append(violations, fmt.Sprintf("queue %d non-empty bit %v, length %d", i, q.nonEmpty.has(i), q.Len(i)))
 		}
+		for _, e := range q.qs[i] {
+			if at := q.QueuedOn(e.t); at != i {
+				violations = append(violations, fmt.Sprintf("%v queued on cpu%d, indexed on %d", e.t, i, at))
+			}
+		}
 	}
 	if q.Total() != total {
 		violations = append(violations, fmt.Sprintf("queue total %d, lengths sum to %d", q.Total(), total))
+	}
+	indexed := 0
+	for _, at := range q.where {
+		if at != 0 {
+			indexed++
+		}
+	}
+	if indexed != total {
+		violations = append(violations, fmt.Sprintf("%d threads indexed as queued, lengths sum to %d", indexed, total))
 	}
 	return violations
 }

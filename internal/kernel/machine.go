@@ -24,7 +24,8 @@ type Machine struct {
 	cores    []*Core
 	sched    Scheduler
 	workload *task.Workload
-	futexes  []*appFutexes // per thread ID, its app's futex state
+	threads  []*task.Thread // by thread ID
+	futexes  []*appFutexes  // per thread ID, its app's futex state
 	ctrRNG   *mathx.RNG
 	params   Params
 
@@ -128,6 +129,7 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 			m.pending.remove(c.ID)
 			m.schedule(c)
 		}
+		c.preemptFn = func() { m.preemptCheck(c) }
 		m.cores = append(m.cores, c)
 	}
 	tp := cfg.Topology()
@@ -152,6 +154,7 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 			m.migPenaltyNS[i] = tp.PenaltyCycles * 1000 / float64(c.Tier.FreqMHz)
 		}
 	}
+	m.threads = make([]*task.Thread, 0, w.NumThreads())
 	m.ctrProf = make([]cpu.CounterProfile, w.NumThreads())
 	m.speedup = make([]float64, w.NumThreads()*len(m.tiers))
 	id := 0
@@ -168,6 +171,7 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 			}
 			t.ID = id
 			id++
+			m.threads = append(m.threads, t)
 			m.prepare(t)
 			t.CoreID = -1
 			if t.Affinity.IsEmpty() {
@@ -369,7 +373,7 @@ func (m *Machine) start() {
 		}
 	}
 	// Admit threads: process leading sync ops; enqueue the runnable ones.
-	for _, t := range m.workload.Threads() {
+	for _, t := range m.threads {
 		if t.App.Arrival > 0 {
 			continue
 		}
@@ -575,16 +579,28 @@ func (m *Machine) makeReady(t *task.Thread, wakeup bool) {
 }
 
 // deferPreemptCheck re-evaluates wake-up preemption after the current event
-// handler finishes, avoiding reentrant core mutation mid-advance.
+// handler finishes, avoiding reentrant core mutation mid-advance. Every
+// After(0) event goes through the engine's same-instant FIFO, so c's
+// checks fire in push order and each takes the oldest entry of c.woken.
 func (m *Machine) deferPreemptCheck(c *Core, t *task.Thread) {
-	m.eng.After(0, func() {
-		if m.done || t.State != task.Ready || c.Current == nil || c.Current == t {
-			return
-		}
-		if m.sched.WakeupPreempt(c, t) {
-			m.preemptCore(c)
-		}
-	})
+	c.woken = append(c.woken, int32(t.ID))
+	m.eng.After(0, c.preemptFn)
+}
+
+// preemptCheck is c.preemptFn: the deferred wake-up preemption check of
+// the oldest thread queued on c.woken.
+func (m *Machine) preemptCheck(c *Core) {
+	t := m.threads[c.woken[c.wokenHead]]
+	c.wokenHead++
+	if c.wokenHead == len(c.woken) {
+		c.woken, c.wokenHead = c.woken[:0], 0
+	}
+	if m.done || t.State != task.Ready || c.Current == nil || c.Current == t {
+		return
+	}
+	if m.sched.WakeupPreempt(c, t) {
+		m.preemptCore(c)
+	}
 }
 
 // preemptCore stops the core's current thread and re-queues it.

@@ -166,11 +166,17 @@ type rqEntry struct {
 // order COLAB-style criticality scans walk) while (vruntime, push-sequence)
 // gives CFS-style timeline ordering for PopMinAllowed/StealMaxAllowed. An
 // index of the non-empty queues lets steal scans visit only queued work.
+//
+// Queued threads are indexed by Thread.ID, so the threads queued at one
+// time must have distinct IDs (NewMachine numbers them 0..n-1).
 type RunQueues struct {
-	qs       [][]rqEntry
-	seqs     []uint64
-	minVR    []sim.Time
-	where    map[*task.Thread]int
+	qs    [][]rqEntry
+	seqs  []uint64
+	minVR []sim.Time
+	// where[id] is the core whose queue holds thread id, plus one (0: not
+	// queued); it grows like HintBoard when a larger ID arrives.
+	where    []int32
+	total    int
 	nonEmpty coreSet // bit i set iff qs[i] is non-empty
 }
 
@@ -180,7 +186,6 @@ func NewRunQueues(n int) *RunQueues {
 		qs:       make([][]rqEntry, n),
 		seqs:     make([]uint64, n),
 		minVR:    make([]sim.Time, n),
-		where:    make(map[*task.Thread]int, 16),
 		nonEmpty: newCoreSet(n),
 	}
 }
@@ -192,7 +197,7 @@ func (q *RunQueues) NumQueues() int { return len(q.qs) }
 func (q *RunQueues) Len(core int) int { return len(q.qs[core]) }
 
 // Total returns the number of threads queued on all cores.
-func (q *RunQueues) Total() int { return len(q.where) }
+func (q *RunQueues) Total() int { return q.total }
 
 // NextNonEmpty returns the smallest core >= from whose queue holds a
 // thread, or -1. Walking
@@ -212,12 +217,16 @@ func (q *RunQueues) MinVR(core int) sim.Time { return q.minVR[core] }
 // Push appends t to core's queue. Double-queueing a thread is a bug in the
 // calling allocator.
 func (q *RunQueues) Push(core int, t *task.Thread) {
-	if at, dup := q.where[t]; dup {
-		panic(fmt.Sprintf("kernel: thread %v enqueued on cpu%d while queued on cpu%d", t, core, at))
+	if t.ID >= len(q.where) {
+		q.where = append(q.where, make([]int32, t.ID+1-len(q.where))...)
+	}
+	if at := q.where[t.ID]; at != 0 {
+		panic(fmt.Sprintf("kernel: thread %v enqueued on cpu%d while queued on cpu%d", t, core, at-1))
 	}
 	q.seqs[core]++
 	q.qs[core] = append(q.qs[core], rqEntry{t: t, vr: t.VRuntime, seq: q.seqs[core]})
-	q.where[t] = core
+	q.where[t.ID] = int32(core + 1)
+	q.total++
 	q.nonEmpty.add(core)
 }
 
@@ -235,7 +244,8 @@ func (q *RunQueues) removeAt(core, i int) *task.Thread {
 	if len(es) == 1 {
 		q.nonEmpty.remove(core)
 	}
-	delete(q.where, t)
+	q.where[t.ID] = 0
+	q.total--
 	return t
 }
 
@@ -293,8 +303,8 @@ func (q *RunQueues) Thread(core, i int) *task.Thread { return q.qs[core][i].t }
 // Remove deletes t from whichever queue holds it, reporting whether it was
 // queued. The vruntime floor is untouched (matching CFS dequeue).
 func (q *RunQueues) Remove(t *task.Thread) bool {
-	core, ok := q.where[t]
-	if !ok {
+	core := q.QueuedOn(t)
+	if core < 0 {
 		return false
 	}
 	for i, e := range q.qs[core] {
@@ -308,11 +318,10 @@ func (q *RunQueues) Remove(t *task.Thread) bool {
 
 // QueuedOn returns the core whose queue currently holds t, or -1.
 func (q *RunQueues) QueuedOn(t *task.Thread) int {
-	core, ok := q.where[t]
-	if !ok {
+	if t.ID >= len(q.where) {
 		return -1
 	}
-	return core
+	return int(q.where[t.ID]) - 1
 }
 
 // Each calls fn for every thread queued on core, in insertion order.

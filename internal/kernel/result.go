@@ -90,7 +90,7 @@ func (m *Machine) buildResult() *Result {
 			Turnaround: a.TurnaroundTime(),
 		})
 	}
-	for _, t := range m.workload.Threads() {
+	for _, t := range m.threads {
 		r.Threads = append(r.Threads, ThreadResult{
 			Name:            t.Name,
 			ID:              t.ID,

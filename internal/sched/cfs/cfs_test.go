@@ -175,13 +175,18 @@ func TestLeastLoadedPlacement(t *testing.T) {
 		{"mask matching no core falls back to every core", []int{1, 1, 0, 1, 0, 0}, []int{9}, 2},
 	}
 	alloc := cfs.NewAllocator()
+	a := app(0, []task.Program{cpuBound(1e6)}, plain)
 	probe := func(pc *kernel.PipelineContext) {
 		q := pc.Queues()
 		for _, c := range cases {
+			// Staged threads get distinct IDs past the workload's, as
+			// NewMachine would number them: RunQueues indexes by ID.
+			id := len(a.Threads)
 			var staged []*task.Thread
 			for core, n := range c.loads {
 				for i := 0; i < n; i++ {
-					th := &task.Thread{Affinity: task.MaskAll()}
+					th := &task.Thread{ID: id, Affinity: task.MaskAll()}
+					id++
 					q.Push(core, th)
 					staged = append(staged, th)
 				}
@@ -210,7 +215,6 @@ func TestLeastLoadedPlacement(t *testing.T) {
 			}
 		}
 	}
-	a := app(0, []task.Program{cpuBound(1e6)}, plain)
 	sched, err := kernel.NewPipeline("probe", nil, alloc, probeSelector{cfs.NewSelector(), probe}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@ package colab
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
@@ -35,6 +35,12 @@ type LabelerStage struct {
 	// useTierPred reports whether tierSpeedup applies to this machine
 	// (set in Start after the palette check).
 	useTierPred bool
+	// labelFn is label bound once in Start; the per-tick buffers below are
+	// reused by every labeling pass so a tick does not allocate.
+	labelFn func()
+	order   []*task.Thread
+	preds   []float64
+	blames  []float64
 }
 
 // NewLabeler returns the COLAB labeler stage. speedup predicts the
@@ -58,7 +64,8 @@ func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 	l.threads = make(map[*task.Thread]struct{})
 	l.useTierPred = l.tierSpeedup != nil &&
 		(l.tierTiers == nil || paletteMatches(l.tierTiers, pc.Machine().Tiers()))
-	pc.Machine().Engine().After(interval, l.label)
+	l.labelFn = l.label
+	pc.Machine().Engine().After(interval, l.labelFn)
 }
 
 // Admit implements kernel.Labeler. The fresh thread keeps the board's
@@ -77,19 +84,19 @@ func (l *LabelerStage) label() {
 	if m.Done() {
 		return
 	}
-	defer m.Engine().After(interval, l.label)
+	defer m.Engine().After(interval, l.labelFn)
 	if len(l.threads) == 0 {
 		return
 	}
 	// Iterate in thread-ID order: map order would randomise the float
 	// summation behind the thresholds and break run-to-run determinism.
-	threads := make([]*task.Thread, 0, len(l.threads))
+	threads := l.order[:0]
 	for t := range l.threads {
 		threads = append(threads, t)
 	}
-	sort.Slice(threads, func(i, j int) bool { return threads[i].ID < threads[j].ID })
-	preds := make([]float64, 0, len(threads))
-	blames := make([]float64, 0, len(threads))
+	slices.SortFunc(threads, task.ByID)
+	l.order = threads
+	preds, blames := l.preds[:0], l.blames[:0]
 	nt := m.NumTiers()
 	board := l.pc.Hints()
 	for _, t := range threads {
@@ -111,6 +118,7 @@ func (l *LabelerStage) label() {
 		preds = append(preds, h.Pred)
 		blames = append(blames, h.Crit)
 	}
+	l.preds, l.blames = preds, blames
 	pMean, pStd := mathx.Mean(preds), mathx.Std(preds)
 	bMean := mathx.Mean(blames)
 	// Degenerate distributions (all threads alike) must not label everyone

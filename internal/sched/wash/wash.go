@@ -14,7 +14,7 @@
 package wash
 
 import (
-	"sort"
+	"slices"
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
@@ -66,6 +66,17 @@ type LabelerStage struct {
 	tierCount    []int
 	totalCores   int
 	domTierMasks [][]task.Mask // [domain][tier] = tier ∩ domain cores
+
+	// labelFn is label bound once in Start; the per-tick buffers below are
+	// reused by every labeling pass so a tick does not allocate.
+	labelFn    func()
+	order      []*task.Thread
+	preds      []float64
+	blames     []float64
+	scores     []float64
+	bottleneck []bool
+	rankOrder  []int
+	quota      []int
 }
 
 // NewLabeler returns the WASH labeler stage driven by the speedup
@@ -96,6 +107,7 @@ func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 		nt := m.NumTiers()
 		l.tierMasks = make([]task.Mask, nt)
 		l.tierCount = make([]int, nt)
+		l.quota = make([]int, nt)
 		for k := 0; k < nt; k++ {
 			ids := m.TierCoreIDs(k)
 			l.tierMasks[k] = task.MaskOf(ids)
@@ -112,7 +124,8 @@ func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 			}
 		}
 	}
-	m.Engine().After(interval, l.label)
+	l.labelFn = l.label
+	m.Engine().After(interval, l.labelFn)
 }
 
 // Admit implements kernel.Labeler.
@@ -131,19 +144,19 @@ func (l *LabelerStage) label() {
 	if m.Done() {
 		return
 	}
-	defer m.Engine().After(interval, l.label)
+	defer m.Engine().After(interval, l.labelFn)
 	if len(l.threads) == 0 {
 		return
 	}
 	// Iterate in thread-ID order: map order would randomise both the
 	// score-normalisation sums and the affinity re-queue sequence.
-	threads := make([]*task.Thread, 0, len(l.threads))
+	threads := l.order[:0]
 	for t := range l.threads {
 		threads = append(threads, t)
 	}
-	sort.Slice(threads, func(i, j int) bool { return threads[i].ID < threads[j].ID })
-	preds := make([]float64, 0, len(threads))
-	blames := make([]float64, 0, len(threads))
+	slices.SortFunc(threads, task.ByID)
+	l.order = threads
+	preds, blames := l.preds[:0], l.blames[:0]
 	for _, t := range threads {
 		in := l.threads[t]
 		in.pred = l.speedup(t)
@@ -156,10 +169,12 @@ func (l *LabelerStage) label() {
 		preds = append(preds, in.pred)
 		blames = append(blames, in.blameEWMA)
 	}
+	l.preds, l.blames = preds, blames
 	pMean, pStd := mathx.Mean(preds), mathx.Std(preds)
 	bMean, bStd := mathx.Mean(blames), mathx.Std(blames)
-	scores := make([]float64, len(threads))
-	bottleneck := make([]bool, len(threads))
+	scores := slices.Grow(l.scores[:0], len(threads))[:len(threads)]
+	bottleneck := slices.Grow(l.bottleneck[:0], len(threads))[:len(threads)]
+	l.scores, l.bottleneck = scores, bottleneck
 	for i, t := range threads {
 		in := l.threads[t]
 		score := speedupWeight*zscore(in.pred, pMean, pStd) +
@@ -212,7 +227,7 @@ func (l *LabelerStage) setMask(t *task.Thread, mask task.Mask) {
 // tier when the domain has no such cores). Undifferentiated threads keep
 // full affinity, exactly like the flat dead-zone.
 func (l *LabelerStage) applyRanked(threads []*task.Thread, scores []float64, bottleneck []bool) {
-	ranked := make([]int, 0, len(threads))
+	ranked := l.rankOrder[:0]
 	for i := range threads {
 		if bottleneck[i] || scores[i] > band || scores[i] < -band {
 			ranked = append(ranked, i)
@@ -220,23 +235,29 @@ func (l *LabelerStage) applyRanked(threads []*task.Thread, scores []float64, bot
 			l.setMask(threads[i], task.MaskAll())
 		}
 	}
+	l.rankOrder = ranked
 	if len(ranked) == 0 {
 		return
 	}
-	sort.Slice(ranked, func(a, b int) bool {
-		ia, ib := ranked[a], ranked[b]
+	slices.SortFunc(ranked, func(ia, ib int) int {
 		if bottleneck[ia] != bottleneck[ib] {
-			return bottleneck[ia]
+			if bottleneck[ia] {
+				return -1
+			}
+			return 1
 		}
 		if scores[ia] != scores[ib] {
-			return scores[ia] > scores[ib]
+			if scores[ia] > scores[ib] {
+				return -1
+			}
+			return 1
 		}
-		return threads[ia].ID < threads[ib].ID
+		return threads[ia].ID - threads[ib].ID
 	})
 	// Integer tier quotas proportional to tier width, remainders handed to
 	// the widest-possible upper tiers first: deterministic, sums to n.
 	n := len(ranked)
-	quota := make([]int, len(l.tierCount))
+	quota := l.quota
 	assigned := 0
 	for k := range quota {
 		quota[k] = n * l.tierCount[k] / l.totalCores

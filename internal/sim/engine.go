@@ -37,25 +37,30 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Event is a scheduled callback. Events are single-shot; cancelling an event
 // that already fired is a no-op.
 //
-// Handle lifetime: the engine recycles Event objects through an internal
-// freelist so steady-state scheduling does not allocate. A handle returned
-// by At/After is valid until its callback fires or it is cancelled; after
-// either, the holder must drop the handle — the same object may be reissued
-// for a later, unrelated scheduling, and a stale Cancel would then kill
-// that event.
+// Handle lifetime: events live in an engine-owned slab and the engine
+// reissues their slots through a freelist so steady-state scheduling does
+// not allocate. A handle returned by At/After is valid until its callback
+// fires or it is cancelled; after either, the holder must drop the handle —
+// the same slot may be reissued for a later, unrelated scheduling, and a
+// stale Cancel would then kill that event.
 type Event struct {
-	at       Time
 	fn       func()
 	canceled bool
 }
 
+// chunkSize is the number of events in one slab chunk. A chunk is never
+// reallocated, so an *Event handle into it stays valid as the slab grows.
+const chunkSize = 64
+
 // entry is one slot of the event heap or FIFO. The (at, seq) key is stored
-// inline so sifting compares slots without dereferencing the Event; seq breaks
+// inline so sifting compares slots without touching the slab; seq breaks
 // timestamp ties FIFO, which makes the key unique and the pop order total.
+// The event is named by its slab slot, not a pointer, so the queues hold no
+// pointers: the GC does not scan them and sifting writes no heap pointers.
 type entry struct {
-	at  Time
-	seq uint64
-	ev  *Event
+	at   Time
+	seq  uint64
+	slot int32
 }
 
 func (a entry) less(b entry) bool {
@@ -85,14 +90,12 @@ func (r *ring) push(x entry) {
 	r.n++
 }
 
-// pop removes and returns the oldest entry's event; the ring must be
-// non-empty.
-func (r *ring) pop() *Event {
-	ev := r.buf[r.head].ev
-	r.buf[r.head] = entry{}
+// pop removes and returns the oldest entry; the ring must be non-empty.
+func (r *ring) pop() entry {
+	x := r.buf[r.head]
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return ev
+	return x
 }
 
 // Engine is the event loop. The zero value is not usable; call NewEngine.
@@ -108,9 +111,11 @@ func (r *ring) pop() *Event {
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []entry  // binary min-heap on (at, seq) of events after their push instant
-	fifo    ring     // events pushed at their own instant, all at now
-	free    []*Event // fired/collected events awaiting reuse
+	heap    []entry             // binary min-heap on (at, seq) of events after their push instant
+	fifo    ring                // events pushed at their own instant, all at now
+	slab    []*[chunkSize]Event // event storage; slot i is slab[i/chunkSize][i%chunkSize]
+	used    int32               // slots ever issued: the slab's high-water mark
+	free    []int32             // fired/collected slots awaiting reuse
 	stopped bool
 	// Processed counts fired (non-cancelled) events, for tests and stats.
 	Processed uint64
@@ -128,6 +133,11 @@ func NewEngine() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
+// event returns the slab event at slot.
+func (e *Engine) event(slot int32) *Event {
+	return &e.slab[uint32(slot)/chunkSize][uint32(slot)%chunkSize]
+}
+
 // At schedules fn at absolute time t (>= Now) and returns a cancellable
 // handle. Scheduling in the past panics: it would silently corrupt
 // causality.
@@ -135,15 +145,20 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	var ev *Event
+	var slot int32
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
+		slot = e.free[n-1]
 		e.free = e.free[:n-1]
-		*ev = Event{at: t, fn: fn}
 	} else {
-		ev = &Event{at: t, fn: fn}
+		if int(e.used) == len(e.slab)*chunkSize {
+			e.slab = append(e.slab, new([chunkSize]Event))
+		}
+		slot = e.used
+		e.used++
 	}
-	if x := (entry{at: t, seq: e.seq, ev: ev}); t == e.now {
+	ev := e.event(slot)
+	ev.fn, ev.canceled = fn, false
+	if x := (entry{at: t, seq: e.seq, slot: slot}); t == e.now {
 		e.fifo.push(x)
 	} else {
 		e.push(x)
@@ -168,14 +183,12 @@ func (e *Engine) push(x entry) {
 	e.heap = h
 }
 
-// pop removes and returns the minimum entry's event; the heap must be
-// non-empty.
-func (e *Engine) pop() *Event {
+// pop removes and returns the minimum entry; the heap must be non-empty.
+func (e *Engine) pop() entry {
 	h := e.heap
-	top := h[0].ev
+	top := h[0]
 	n := len(h) - 1
 	x := h[n]
-	h[n] = entry{}
 	h = h[:n]
 	i := 0
 	for {
@@ -218,37 +231,33 @@ func (e *Engine) Cancel(ev *Event) {
 // Stop makes the current Run call return after the in-flight event.
 func (e *Engine) Stop() { e.stopped = true }
 
-// recycle returns a popped event to the freelist, dropping its closure so
-// captured state does not outlive the event.
-func (e *Engine) recycle(ev *Event) {
-	ev.fn = nil
-	e.free = append(e.free, ev)
-}
-
 // Step fires the next pending event. It reports whether an event fired
-// (false when the queue is empty).
+// (false when the queue is empty). A fired or cancelled slot goes back on
+// the freelist with its callback still set: clearing it would cost a write
+// barrier per event, and the next At on the slot overwrites it.
 func (e *Engine) Step() bool {
 	for {
-		var ev *Event
+		var x entry
 		switch {
 		case e.fifo.n > 0 && (len(e.heap) == 0 || e.fifo.buf[e.fifo.head].less(e.heap[0])):
-			ev = e.fifo.pop()
+			x = e.fifo.pop()
 		case len(e.heap) > 0:
-			ev = e.pop()
+			x = e.pop()
 		default:
 			return false
 		}
+		ev := e.event(x.slot)
 		if ev.canceled {
-			e.recycle(ev)
+			e.free = append(e.free, x.slot)
 			continue
 		}
-		e.now = ev.at
+		e.now = x.at
 		e.Processed++
 		ev.fn()
 		if e.PostStep != nil {
 			e.PostStep()
 		}
-		e.recycle(ev)
+		e.free = append(e.free, x.slot)
 		return true
 	}
 }

@@ -472,3 +472,46 @@ func BenchmarkEngineZeroDelay(b *testing.B) {
 		e.Step()
 	}
 }
+
+// Handles stay valid while the slab grows: callbacks schedule more events
+// than one slab chunk holds, keeping every earlier handle, and cancelling
+// a spread of them through those handles skips exactly the cancelled ones.
+func TestHandlesSurviveSlabGrowth(t *testing.T) {
+	const n = 3*chunkSize + 5
+	e := NewEngine()
+	var handles []*Event
+	fired := make([]bool, n)
+	var spawn func()
+	spawn = func() {
+		// Each callback schedules the next event from inside the loop, so
+		// the slab grows while earlier handles are held and still pending.
+		i := len(handles)
+		handles = append(handles, e.After(Time(n-i), func() { fired[i] = true }))
+		if len(handles) < n {
+			e.After(0, spawn)
+		}
+	}
+	e.After(0, spawn)
+	for len(handles) < n {
+		if !e.Step() {
+			t.Fatal("engine drained while spawning")
+		}
+	}
+	if len(e.slab) < 2 {
+		t.Fatalf("%d events fit in %d slab chunk(s); the test must outgrow one", n, len(e.slab))
+	}
+	cancelled := make(map[int]bool)
+	for i := 0; i < n; i += 7 {
+		e.Cancel(handles[i])
+		cancelled[i] = true
+	}
+	e.Run(0)
+	for i := range fired {
+		if fired[i] == cancelled[i] {
+			t.Errorf("event %d: fired %v, cancelled %v", i, fired[i], cancelled[i])
+		}
+	}
+	if want := uint64(2*n - len(cancelled)); e.Processed != want {
+		t.Fatalf("processed %d events, want %d", e.Processed, want)
+	}
+}
