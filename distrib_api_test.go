@@ -104,6 +104,46 @@ func TestMergeShardsValidation(t *testing.T) {
 	}
 }
 
+// A session that repeats an axis value runs the repeated cells once per
+// occurrence; merging its shards must still reproduce the unsharded run
+// byte for byte. An invalid session spec fails the merge as it fails Run.
+func TestMergeShardsRepeatedAxis(t *testing.T) {
+	session := func(extra ...colab.ExperimentOption) *colab.Experiment {
+		opts := []colab.ExperimentOption{
+			colab.WithWorkloads("Sync-1", "Comp-1"),
+			colab.WithPolicies("linux", "colab", "linux"),
+		}
+		return colab.NewExperiment(append(opts, extra...)...)
+	}
+	ref := runCSV(t, session())
+	var pieces []*colab.ExperimentResults
+	for idx := 0; idx < 2; idx++ {
+		res, err := session(colab.WithShard(idx, 2)).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Cells) == 0 {
+			t.Fatalf("shard %d ran no cells; the merge would not interleave shards", idx)
+		}
+		pieces = append(pieces, res)
+	}
+	merged, err := session().MergeShards(pieces...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := merged.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != ref {
+		t.Errorf("merged shards differ from the unsharded run:\n--- unsharded\n%s\n--- merged\n%s", ref, buf.String())
+	}
+	if _, err := session(colab.WithPolicies("nope")).MergeShards(pieces...); err == nil ||
+		!strings.Contains(err.Error(), "nope") {
+		t.Errorf("merge of an invalid session must name the bad policy, got: %v", err)
+	}
+}
+
 func TestShardValidation(t *testing.T) {
 	if _, err := goldenSubset(colab.WithShard(2, 2)).Run(context.Background()); err == nil ||
 		!strings.Contains(err.Error(), "shard") {

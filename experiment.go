@@ -288,11 +288,16 @@ func (e *Experiment) Run(ctx context.Context) (*ExperimentResults, error) {
 // MergeShards reassembles the full result set from per-shard runs of the
 // same session spec: the union of the shards' cells, reordered into the
 // session's cross-product order — byte-identical (WriteCSV/WriteTable) to
-// what an unsharded Run returns. It errors when the shards do not cover
-// the sweep exactly (a missing shard, a shard run against a different
-// spec, or the same shard twice).
+// what an unsharded Run returns. It errors when the session spec itself is
+// invalid (as Run would) or when the shards do not cover the sweep exactly
+// (a missing shard, a shard run against a different spec, or the same
+// shard twice).
 func (e *Experiment) MergeShards(shards ...*ExperimentResults) (*ExperimentResults, error) {
 	specs, machines, policies, seeds, err := e.matrix()
+	if err != nil {
+		return nil, err
+	}
+	plan, err := (&experiment.Batch{Scenarios: specs, Configs: machines, Policies: policies, Seeds: seeds, Params: e.params}).Plan()
 	if err != nil {
 		return nil, err
 	}
@@ -307,23 +312,17 @@ func (e *Experiment) MergeShards(shards ...*ExperimentResults) (*ExperimentResul
 			total++
 		}
 	}
-	out := &ExperimentResults{}
-	for _, seed := range seeds {
-		for _, spec := range specs {
-			for _, cfg := range machines {
-				for _, kind := range policies {
-					run := ExperimentRun{Workload: spec.Name, Machine: cfg.Name, Policy: kind, Seed: seed}
-					cells := pool[run]
-					if len(cells) == 0 {
-						return nil, fmt.Errorf("colab: merge is missing cell %s/%s/%s seed %d (were all shards of this session run?)",
-							run.Workload, run.Machine, run.Policy, run.Seed)
-					}
-					out.Cells = append(out.Cells, cells[0])
-					pool[run] = cells[1:]
-					total--
-				}
-			}
+	out := &ExperimentResults{Cells: make([]ExperimentResult, 0, len(plan))}
+	for _, pc := range plan {
+		run := runFromKey(pc.Key)
+		cells := pool[run]
+		if len(cells) == 0 {
+			return nil, fmt.Errorf("colab: merge is missing cell %s/%s/%s seed %d (were all shards of this session run?)",
+				run.Workload, run.Machine, run.Policy, run.Seed)
 		}
+		out.Cells = append(out.Cells, cells[0])
+		pool[run] = cells[1:]
+		total--
 	}
 	if total != 0 {
 		return nil, fmt.Errorf("colab: merge has %d surplus cells beyond the session's sweep (same shard merged twice, or a different session spec?)", total)

@@ -9,7 +9,6 @@ import (
 	"colab/internal/cpu"
 	"colab/internal/experiment"
 	"colab/internal/fleet"
-	"colab/internal/workload"
 )
 
 // Fleet is a multi-host sweep coordinator: an http.Handler that workers
@@ -106,21 +105,11 @@ func (e *Experiment) fleetSpec() (fleet.Spec, error) {
 	case e.shardCount != 0 || e.shardIdx != 0:
 		return fleet.Spec{}, fmt.Errorf("colab: WithShard cannot combine with WithFleet (the fleet shards the sweep itself)")
 	}
-	if len(e.workloads) == 0 {
-		return fleet.Spec{}, fmt.Errorf("colab: experiment has no workloads (use WithWorkloads)")
-	}
-	for _, w := range e.workloads {
-		spec, err := workload.ResolveSpec(w)
-		if err != nil {
-			continue // Run reports unresolvable workloads with full context.
-		}
-		if terms := spec.TraceFiles(); len(terms) != 0 {
-			return fleet.Spec{}, fmt.Errorf("colab: workload %q replays the local trace file of term %q and cannot travel the fleet wire by name (inline the times with @arrive=trace(...) instead)", w, terms[0])
-		}
-	}
-	machines := e.machines
-	if len(machines) == 0 {
-		machines = []Config{Config2B2S}
+	// Workloads travel as written; the coordinator resolves them (and
+	// rejects trace-file replays) before it contacts any worker.
+	_, machines, policies, seeds, err := e.matrix()
+	if err != nil {
+		return fleet.Spec{}, err
 	}
 	names := make([]string, len(machines))
 	for i, cfg := range machines {
@@ -132,14 +121,6 @@ func (e *Experiment) fleetSpec() (fleet.Spec, error) {
 			return fleet.Spec{}, fmt.Errorf("colab: machine %q differs structurally from the named shape of that name; fleet workers would simulate the wrong machine", cfg.Name)
 		}
 		names[i] = cfg.Name
-	}
-	policies := e.policies
-	if len(policies) == 0 {
-		policies = PaperPolicies()
-	}
-	seeds := e.seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{1}
 	}
 	return fleet.Spec{
 		Workloads: e.workloads,

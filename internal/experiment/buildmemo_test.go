@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -142,10 +141,10 @@ func TestBatchRunsEachBaselineOnce(t *testing.T) {
 			}
 		}
 	}
-	if r.baselines.misses != len(keys) {
+	if r.baselines.misses != uint64(len(keys)) {
 		t.Errorf("%d baseline runs for %d distinct baseline keys", r.baselines.misses, len(keys))
 	}
-	for k := range r.baselines.done {
+	for k := range r.baselines.items {
 		if !keys[k] {
 			t.Errorf("baseline filed under %q, which is no BaselineKey of the batch", k)
 		}
@@ -176,20 +175,17 @@ func TestCancelledBaselineLeaderHandsOff(t *testing.T) {
 		}
 	}()
 	<-inLeader
+	waiterCtx := &waitingCtx{Context: context.Background(), waiting: make(chan struct{})}
 	waiterDone := make(chan sim.Time, 1)
 	go func() {
-		v, err := r.baseline(context.Background(), key, 2, func() (*task.Workload, error) { return alone.Instance(), nil })
+		v, err := r.baseline(waiterCtx, key, 2, func() (*task.Workload, error) { return alone.Instance(), nil })
 		if err != nil {
 			t.Error(err)
 		}
 		waiterDone <- v
 	}()
 	// Cancel the leader only once the waiter waits on it.
-	for waiting := 0; waiting == 0; runtime.Gosched() {
-		r.baselines.mu.Lock()
-		waiting = r.baselines.waits
-		r.baselines.mu.Unlock()
-	}
+	<-waiterCtx.waiting
 	cancelLeader()
 	<-leaderDone
 	got := <-waiterDone
@@ -209,5 +205,46 @@ func TestCancelledBaselineLeaderHandsOff(t *testing.T) {
 	}
 	if r.baselines.misses != 2 {
 		t.Errorf("%d baseline computations, want the cancelled leader's and the waiter's", r.baselines.misses)
+	}
+}
+
+// waitingCtx closes waiting the first time its Done channel is asked for.
+// store.Do asks for it only while it waits on another caller's compute,
+// so a test can act once a caller has become a waiter.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// After forget, a Do of the key computes it again and counts a miss.
+func TestStoreForgetRecomputes(t *testing.T) {
+	var s store[int, string]
+	ctx := context.Background()
+	computes := 0
+	compute := func() (string, error) {
+		computes++
+		return "v", nil
+	}
+	for i := 0; i < 2; i++ {
+		if v, cached, err := s.Do(ctx, 1, compute); err != nil || v != "v" || cached != (i == 1) {
+			t.Fatalf("Do #%d = (%q, %v, %v)", i, v, cached, err)
+		}
+	}
+	s.forget(1)
+	s.forget(2) // forgetting an absent key is a no-op
+	if v, cached, err := s.Do(ctx, 1, compute); err != nil || v != "v" || cached {
+		t.Fatalf("Do after forget = (%q, %v, %v), want a fresh compute", v, cached, err)
+	}
+	if computes != 2 || s.misses != 2 || s.hits != 1 {
+		t.Errorf("%d computes, %d misses, %d hits; want 2, 2, 1", computes, s.misses, s.hits)
+	}
+	if len(s.items) != 1 || s.lru.Len() != 1 {
+		t.Errorf("store holds %d items over %d LRU entries, want 1 and 1", len(s.items), s.lru.Len())
 	}
 }

@@ -38,80 +38,23 @@ type CacheStats struct {
 // computed fill refreshes a cell's recency). In-flight computations are
 // never evicted — only completed cells count against the limit.
 type Cache struct {
-	mu       sync.Mutex
-	cells    map[string]*list.Element // -> *cacheEntry, also held in lru
-	lru      *list.List               // front = most recently used
-	limit    int
-	inflight map[string]*inflightCell
-	hits     uint64
-	misses   uint64
-	evicted  uint64
-}
-
-type cacheEntry struct {
-	key   string
-	score metrics.MixScore
-}
-
-type inflightCell struct {
-	done  chan struct{}
-	score metrics.MixScore
-	err   error
+	cells store[string, metrics.MixScore]
 }
 
 // NewCache returns an empty, unbounded cell cache.
-func NewCache() *Cache {
-	return &Cache{
-		cells:    make(map[string]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[string]*inflightCell),
-	}
-}
+func NewCache() *Cache { return &Cache{} }
 
 // SetLimit bounds the cache to at most maxEntries cells, evicting the
 // least recently used cells immediately if it already holds more;
 // maxEntries <= 0 removes the bound. Safe to call at any time.
-func (c *Cache) SetLimit(maxEntries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if maxEntries < 0 {
-		maxEntries = 0
-	}
-	c.limit = maxEntries
-	c.evictOverflow()
-}
-
-// evictOverflow drops least-recently-used cells until the limit holds.
-// Callers hold c.mu.
-func (c *Cache) evictOverflow() {
-	if c.limit <= 0 {
-		return
-	}
-	for c.lru.Len() > c.limit {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.cells, oldest.Value.(*cacheEntry).key)
-		c.evicted++
-	}
-}
-
-// insert stores (or refreshes) a scored cell and applies the LRU bound.
-// Callers hold c.mu.
-func (c *Cache) insert(ks string, score metrics.MixScore) {
-	if el, ok := c.cells[ks]; ok {
-		el.Value.(*cacheEntry).score = score
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.cells[ks] = c.lru.PushFront(&cacheEntry{key: ks, score: score})
-	c.evictOverflow()
-}
+func (c *Cache) SetLimit(maxEntries int) { c.cells.setLimit(maxEntries) }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Cells: len(c.cells), Hits: c.hits, Misses: c.misses, Evictions: c.evicted, Limit: c.limit}
+	s := &c.cells
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return CacheStats{Cells: len(s.items), Hits: s.hits, Misses: s.misses, Evictions: s.evictions, Limit: s.limit}
 }
 
 // Do returns the cell's score, computing it via compute on a miss. The
@@ -120,53 +63,142 @@ func (c *Cache) Stats() CacheStats {
 // caller's compute. Cancelling ctx abandons only this caller's wait;
 // compute itself is expected to honour the same ctx.
 func (c *Cache) Do(ctx context.Context, key CellKey, compute func() (metrics.MixScore, error)) (metrics.MixScore, bool, error) {
-	ks := key.String()
+	return c.cells.Do(ctx, key.String(), compute)
+}
+
+// store is the one single-flight memo of the sweep engine: the cell Cache,
+// Runner's baselines and Batch.Run's closed builds are each an instance.
+// Concurrent callers of one key share one compute; a leader that fails
+// (its context cancelled, say) stores nothing and hands the key to a
+// waiter, so one aborted caller never poisons another. An optional LRU
+// bound (setLimit) evicts only completed entries, never in-flight work;
+// forget drops an entry. The zero value is ready and unbounded.
+type store[K comparable, V any] struct {
+	mu       sync.Mutex
+	items    map[K]*list.Element // -> *storeEntry[K, V], also held in lru
+	lru      list.List           // front = most recently used
+	limit    int
+	inflight map[K]*flight[V]
+	// hits counts callers answered with a stored or in-flight value (a
+	// waiter only once it gets one), misses the computes started and
+	// evictions the entries the LRU bound dropped.
+	hits, misses, evictions uint64
+}
+
+type storeEntry[K comparable, V any] struct {
+	key K
+	v   V
+}
+
+type flight[V any] struct {
+	done chan struct{}
+	v    V
+	err  error
+}
+
+// Do returns key's value, computing it via compute when no caller holds
+// or is computing it. The second result reports whether the value came
+// from the store (directly or by waiting on another caller's compute).
+// Cancelling ctx abandons only this caller's wait; compute itself is
+// expected to honour the same ctx.
+func (s *store[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) (V, bool, error) {
+	var zero V
 	for {
-		c.mu.Lock()
-		if el, ok := c.cells[ks]; ok {
-			c.hits++
-			c.lru.MoveToFront(el)
-			score := el.Value.(*cacheEntry).score
-			c.mu.Unlock()
-			return score, true, nil
+		s.mu.Lock()
+		if el, ok := s.items[key]; ok {
+			s.hits++
+			s.lru.MoveToFront(el)
+			v := el.Value.(*storeEntry[K, V]).v
+			s.mu.Unlock()
+			return v, true, nil
 		}
-		if fl, ok := c.inflight[ks]; ok {
-			c.mu.Unlock()
+		if fl, ok := s.inflight[key]; ok {
+			s.mu.Unlock()
 			select {
 			case <-fl.done:
 			case <-ctx.Done():
-				return metrics.MixScore{}, false, ctx.Err()
+				return zero, false, ctx.Err()
 			}
 			if fl.err == nil {
-				// The leader stored the cell. Under a tight LRU bound it may
+				// The leader stored the value. Under a tight LRU bound it may
 				// already have been evicted again, so return the in-flight
 				// result directly — still a hit, never a recompute.
-				c.mu.Lock()
-				c.hits++
-				c.insert(ks, fl.score)
-				c.mu.Unlock()
-				return fl.score, true, nil
+				s.mu.Lock()
+				s.hits++
+				s.insert(key, fl.v)
+				s.mu.Unlock()
+				return fl.v, true, nil
 			}
 			if err := ctx.Err(); err != nil {
-				return metrics.MixScore{}, false, err
+				return zero, false, err
 			}
-			// The leader failed — likely its own request was cancelled.
+			// The leader failed — likely its own caller was cancelled.
 			// Loop and try to become the leader ourselves.
 			continue
 		}
-		fl := &inflightCell{done: make(chan struct{})}
-		c.inflight[ks] = fl
-		c.misses++
-		c.mu.Unlock()
-		score, err := compute()
-		c.mu.Lock()
-		delete(c.inflight, ks)
-		if err == nil {
-			c.insert(ks, score)
+		if s.inflight == nil {
+			s.items = make(map[K]*list.Element)
+			s.inflight = make(map[K]*flight[V])
 		}
-		c.mu.Unlock()
-		fl.score, fl.err = score, err
+		fl := &flight[V]{done: make(chan struct{})}
+		s.inflight[key] = fl
+		s.misses++
+		s.mu.Unlock()
+		v, err := compute()
+		s.mu.Lock()
+		delete(s.inflight, key)
+		if err == nil {
+			s.insert(key, v)
+		}
+		s.mu.Unlock()
+		fl.v, fl.err = v, err
 		close(fl.done)
-		return score, false, err
+		return v, false, err
+	}
+}
+
+// insert stores (or refreshes) key's value and applies the LRU bound.
+// Callers hold s.mu.
+func (s *store[K, V]) insert(key K, v V) {
+	if el, ok := s.items[key]; ok {
+		el.Value.(*storeEntry[K, V]).v = v
+		s.lru.MoveToFront(el)
+		return
+	}
+	s.items[key] = s.lru.PushFront(&storeEntry[K, V]{key: key, v: v})
+	s.evictOverflow()
+}
+
+// setLimit bounds the store to at most maxEntries completed entries,
+// evicting the least recently used at once; maxEntries <= 0 removes the
+// bound.
+func (s *store[K, V]) setLimit(maxEntries int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.limit = max(maxEntries, 0)
+	s.evictOverflow()
+}
+
+// evictOverflow drops least-recently-used entries until the limit holds.
+// Callers hold s.mu.
+func (s *store[K, V]) evictOverflow() {
+	if s.limit <= 0 {
+		return
+	}
+	for s.lru.Len() > s.limit {
+		oldest := s.lru.Back()
+		s.lru.Remove(oldest)
+		delete(s.items, oldest.Value.(*storeEntry[K, V]).key)
+		s.evictions++
+	}
+}
+
+// forget drops key's stored value; the next Do of key computes it again.
+func (s *store[K, V]) forget(key K) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.items[key]; ok {
+		s.lru.Remove(el)
+		delete(s.items, key)
 	}
 }

@@ -134,9 +134,9 @@ func storeCell(t *testing.T, c *Cache, key CellKey, score metrics.MixScore) {
 // holdsCell reports whether c holds key, without touching its recency or the
 // hit and miss counters.
 func holdsCell(c *Cache, key CellKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.cells[key.String()]
+	c.cells.mu.Lock()
+	defer c.cells.mu.Unlock()
+	_, ok := c.cells.items[key.String()]
 	return ok
 }
 

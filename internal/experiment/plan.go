@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 
 	"colab/internal/cpu"
 	"colab/internal/workload"
@@ -21,22 +20,6 @@ type planCell struct {
 	shard int
 	key   BatchKey
 	ck    CellKey
-	// bases is shared by the group's cells of one core count: their
-	// baselines are the same runs under the same keys.
-	bases *baselineKeyList
-}
-
-// baselineKeyList is the BaselineKey of every app of one baseline-sharing
-// group on one core count, derived by the first cell that needs it.
-type baselineKeyList struct {
-	once sync.Once
-	keys []string
-}
-
-// get returns the keys, deriving them with derive on the first call.
-func (l *baselineKeyList) get(derive func() []string) []string {
-	l.once.Do(func() { l.keys = derive() })
-	return l.keys
 }
 
 // planCells enumerates the full cross-product in deterministic order
@@ -48,7 +31,6 @@ func (l *baselineKeyList) get(derive func() []string) []string {
 // first-appearance order and dealt round-robin.
 func (b *Batch) planCells() []planCell {
 	groups := make(map[string]int)
-	bases := make(map[[2]int]*baselineKeyList) // by (group, core count)
 	var cells []planCell
 	for _, seed := range b.Seeds {
 		for _, spec := range b.Scenarios {
@@ -63,10 +45,6 @@ func (b *Batch) planCells() []planCell {
 				shard = gi % b.ShardCount
 			}
 			for _, cfg := range b.Configs {
-				gc := [2]int{gi, cfg.NumCores()}
-				if bases[gc] == nil {
-					bases[gc] = &baselineKeyList{}
-				}
 				for _, kind := range b.Policies {
 					cells = append(cells, planCell{
 						spec:  spec,
@@ -76,7 +54,6 @@ func (b *Batch) planCells() []planCell {
 						shard: shard,
 						key:   BatchKey{Workload: spec.Name, Config: cfg.Name, Policy: kind, Seed: seed},
 						ck:    NewCellKey(spec, kind, cfg, seed, b.Params),
-						bases: bases[gc],
 					})
 				}
 			}

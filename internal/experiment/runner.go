@@ -61,7 +61,7 @@ type Runner struct {
 
 	// baselines single-flights the big-only-alone turnarounds by
 	// BaselineKey, so workers that reach one key at once run it once.
-	baselines memo[string, sim.Time]
+	baselines store[string, sim.Time]
 	// cache memoises the runner's scored cells (the matrix methods'
 	// batches). Runners a Batch builds for itself
 	// have none: the batch's own Cache, if any, is their memo.
@@ -162,7 +162,7 @@ func (r *Runner) specBaselines(ctx context.Context, spec workload.Spec, closed *
 // symmetric big machine of the given core count under linux and files it.
 // Concurrent callers of one key share one run.
 func (r *Runner) baseline(ctx context.Context, key string, cores int, alone func() (*task.Workload, error)) (sim.Time, error) {
-	return r.baselines.Do(ctx, key, func() (sim.Time, error) {
+	v, _, err := r.baselines.Do(ctx, key, func() (sim.Time, error) {
 		w, err := alone()
 		if err != nil {
 			return 0, err
@@ -173,6 +173,7 @@ func (r *Runner) baseline(ctx context.Context, key string, cores int, alone func
 		}
 		return res.Apps[0].Turnaround, nil
 	})
+	return v, err
 }
 
 // ---------------------------------------------------------------------------

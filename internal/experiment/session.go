@@ -213,7 +213,10 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 	// group instances it. left counts each group's unfinished cells in
 	// this shard; the last one to finish (computed, cached or replayed)
 	// drops the build, so memory holds only the groups in flight.
-	var builds memo[int, *task.Workload]
+	var builds store[int, *task.Workload]
+	// baseKeys holds the BaselineKey list of every (group, core count),
+	// derived by the first cell that needs it and shared by the rest.
+	var baseKeys store[[2]int, []string]
 	left := make([]atomic.Int32, groups)
 	for _, j := range jobs {
 		left[j.group].Add(1)
@@ -286,7 +289,7 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 				}
 				if !cached {
 					compute := func() (metrics.MixScore, error) {
-						closed, err := builds.Do(runCtx, j.group, func() (*task.Workload, error) {
+						closed, _, err := builds.Do(runCtx, j.group, func() (*task.Workload, error) {
 							return j.spec.Closed().BuildClosed(j.seed)
 						})
 						if err != nil {
@@ -296,7 +299,12 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 						if b.Tracer != nil {
 							tracer = func(bigFirst bool, ev kernel.TraceEvent) { b.Tracer(j.key, bigFirst, ev) }
 						}
-						keys := j.bases.get(func() []string { return j.rn.baselineKeys(j.spec, j.cfg.NumCores()) })
+						keys, _, err := baseKeys.Do(runCtx, [2]int{j.group, j.cfg.NumCores()}, func() ([]string, error) {
+							return j.rn.baselineKeys(j.spec, j.cfg.NumCores()), nil
+						})
+						if err != nil {
+							return metrics.MixScore{}, err
+						}
 						return j.rn.specScore(runCtx, j.spec, closed, j.cfg, j.key.Policy, keys, tracer, nil)
 					}
 					if b.Cache != nil {

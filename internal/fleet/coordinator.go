@@ -393,6 +393,12 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, ce
 		c.mu.Unlock()
 	}()
 
+	// Validate the spec before waiting for workers, so a bad axis fails
+	// at once and by name even on an empty fleet.
+	b, err := spec.Batch(0, 0)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
 	shards := c.opts.Shards
 	if shards <= 0 {
 		// Deal one shard per live worker. An empty fleet waits here (up to
@@ -406,10 +412,7 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, ce
 		}
 		shards = c.liveCount()
 	}
-	b, err := spec.Batch(0, shards)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
+	b.ShardCount = shards
 	planned, err := b.Plan()
 	if err != nil {
 		return nil, err

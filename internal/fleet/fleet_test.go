@@ -280,6 +280,23 @@ func TestFleetNoWorkersFailsFast(t *testing.T) {
 	}
 }
 
+// An invalid spec fails at once with the bad input named, even on an
+// empty fleet: validation comes before the wait for workers.
+func TestFleetRejectsBadSpecBeforeWaiting(t *testing.T) {
+	opts := fastOptions()
+	c := NewCoordinator(opts)
+	spec := testSpec()
+	spec.Policies = []string{"nope"}
+	start := time.Now()
+	_, err := c.Run(context.Background(), spec, nil)
+	if err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Fatalf("unknown policy must be named, got: %v", err)
+	}
+	if took := time.Since(start); took > opts.WorkerWaitTimeout/4 {
+		t.Errorf("rejection took %v, want well inside WorkerWaitTimeout %v", took, opts.WorkerWaitTimeout)
+	}
+}
+
 // A shard that keeps dying exhausts MaxAttempts and fails the run with
 // the shard named.
 func TestFleetExhaustedRetriesFailRun(t *testing.T) {

@@ -221,3 +221,69 @@ func TestSyncSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatal("workload finished during measurement")
 	}
 }
+
+// sleepSpin builds a 4-core machine running four threads that alternate
+// compute bursts with sleeps, so every round blocks each thread on a
+// timed wake-up.
+func sleepSpin(t testing.TB) *Machine {
+	const rounds = 20000
+	profile := cpu.WorkProfile{ILP: 0.5, BranchRate: 0.1, MemIntensity: 0.3, FPRate: 0.2}
+	app := &task.App{ID: 0, Name: "sleep"}
+	for i := 0; i < 4; i++ {
+		var prog task.Program
+		for r := 0; r < rounds; r++ {
+			prog = append(prog,
+				task.Compute{Work: float64(20000 + 5000*i)},
+				task.Sleep{Duration: sim.Time(10+5*i) * sim.Microsecond},
+			)
+		}
+		app.Threads = append(app.Threads, &task.Thread{App: app, Name: "sleep", Profile: profile, Program: prog})
+	}
+	w := &task.Workload{Name: "sleep", Apps: []*task.App{app}}
+	sched, err := NewPipeline("sleep-probe", nil, &allocLeastLoaded{}, &selLeftmost{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(cpu.NewConfig(2, 2, true), sched, w, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestSleepSteadyStateDoesNotAllocate drives the task.Sleep path: a
+// sleep's timed wake-up reuses the callback bound at the thread's first
+// sleep, so the compute/sleep loop runs allocation-free.
+func TestSleepSteadyStateDoesNotAllocate(t *testing.T) {
+	m := sleepSpin(t)
+	m.start()
+	eng := m.Engine()
+	for i := 0; i < 20000; i++ {
+		if !eng.Step() {
+			t.Fatalf("engine drained during warm-up at event %d", i)
+		}
+	}
+	blocked := func() (d sim.Time) {
+		for _, th := range m.threads {
+			d += th.BlockedTime
+		}
+		return d
+	}
+	before := blocked()
+	avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ {
+			if !eng.Step() {
+				t.Fatalf("engine drained during measurement")
+			}
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("sleep steady state allocates: %.2f allocs per 100 events, want 0", avg)
+	}
+	if blocked() == before {
+		t.Fatal("no thread slept during measurement: the sleep path is off the measured path")
+	}
+	if m.done {
+		t.Fatal("workload finished during measurement")
+	}
+}

@@ -1,7 +1,8 @@
 package kernel_test
 
 // Allocation assertions for the periodic labeling passes of the two
-// multi-factor labelers the paper evaluates. Each case installs a labeler
+// multi-factor labelers the paper evaluates and of the GTS and EAS
+// comparison labelers. Each case installs a labeler
 // with the CFS allocator and selector, admits a mixed workload without
 // starting the machine, and steps the engine: the labeling tick is then
 // the only event, so the measured loop is the pass itself.
@@ -14,6 +15,8 @@ import (
 	"colab/internal/perfmodel"
 	"colab/internal/sched/cfs"
 	"colab/internal/sched/colab"
+	"colab/internal/sched/eas"
+	"colab/internal/sched/gts"
 	"colab/internal/sched/wash"
 	"colab/internal/sim"
 	"colab/internal/task"
@@ -80,4 +83,14 @@ func TestWASHLabelerTickDoesNotAllocate(t *testing.T) {
 	// An active topology takes the tier-ranked arm.
 	numa := cpu.NewConfig(4, 4, true).WithTopology(topo.Uniform(2, 1, 4, 200))
 	assertLabelerTicksDoNotAllocate(t, wash.NewLabeler(perfmodel.Oracle()), numa)
+}
+
+func TestGTSLabelerTickDoesNotAllocate(t *testing.T) {
+	tri := cpu.NewTieredConfig(cpu.TriGearTiers(), []int{2, 2, 2}, true)
+	assertLabelerTicksDoNotAllocate(t, gts.NewLabeler(), tri)
+}
+
+func TestEASLabelerTickDoesNotAllocate(t *testing.T) {
+	tri := cpu.NewTieredConfig(cpu.TriGearTiers(), []int{2, 2, 2}, true)
+	assertLabelerTicksDoNotAllocate(t, eas.NewLabeler(), tri)
 }

@@ -26,6 +26,7 @@ type Machine struct {
 	workload *task.Workload
 	threads  []*task.Thread // by thread ID
 	futexes  []*appFutexes  // per thread ID, its app's futex state
+	wakeFns  []func()       // per thread ID, its sleep's wake-up, bound at its first sleep
 	ctrRNG   *mathx.RNG
 	params   Params
 
@@ -516,11 +517,19 @@ func (m *Machine) doSleep(t *task.Thread, d sim.Time) {
 		d = 0
 	}
 	m.blockThread(t)
-	m.eng.After(d, func() {
-		if t.State == task.Blocked {
-			m.wakeThread(t, nil)
+	if m.wakeFns == nil {
+		m.wakeFns = make([]func(), len(m.threads))
+	}
+	wake := m.wakeFns[t.ID]
+	if wake == nil {
+		wake = func() {
+			if t.State == task.Blocked {
+				m.wakeThread(t, nil)
+			}
 		}
-	})
+		m.wakeFns[t.ID] = wake
+	}
+	m.eng.After(d, wake)
 }
 
 // wakeThread ends t's futex wait. blamer, when non-nil, is the thread that

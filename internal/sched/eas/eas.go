@@ -95,6 +95,8 @@ type LabelerStage struct {
 	pc      *kernel.PipelineContext
 	threads map[*task.Thread]*info
 	lastAt  sim.Time
+	// sampleFn is sample bound once in Start, so a tick does not allocate.
+	sampleFn func()
 }
 
 // NewLabeler returns the EAS utilisation-sampling labeler stage.
@@ -108,7 +110,8 @@ func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 	l.pc = pc
 	l.threads = make(map[*task.Thread]*info)
 	l.lastAt = 0
-	pc.Machine().Engine().After(interval, l.sample)
+	l.sampleFn = l.sample
+	pc.Machine().Engine().After(interval, l.sampleFn)
 }
 
 // Admit implements kernel.Labeler. New threads keep the modest default
@@ -128,7 +131,7 @@ func (l *LabelerStage) sample() {
 	if m.Done() {
 		return
 	}
-	defer m.Engine().After(interval, l.sample)
+	defer m.Engine().After(interval, l.sampleFn)
 	now := m.Now()
 	wall := float64(now - l.lastAt)
 	l.lastAt = now

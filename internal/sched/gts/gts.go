@@ -15,7 +15,7 @@
 package gts
 
 import (
-	"sort"
+	"slices"
 
 	"colab/internal/kernel"
 	"colab/internal/sim"
@@ -54,6 +54,11 @@ type LabelerStage struct {
 	// above), so symmetric machines degenerate to a single rung.
 	tierMask []task.Mask
 	topTier  int
+
+	// sampleFn is sample bound once in Start and order its reused
+	// per-tick buffer, so a tick does not allocate.
+	sampleFn func()
+	order    []*task.Thread
 }
 
 // NewLabeler returns the GTS labeler stage.
@@ -78,7 +83,8 @@ func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 			l.tierMask[tier] = l.nearestMask(tier)
 		}
 	}
-	m.Engine().After(interval, l.sample)
+	l.sampleFn = l.sample
+	m.Engine().After(interval, l.sampleFn)
 }
 
 // nearestMask finds the mask of the nearest populated tier, preferring
@@ -113,7 +119,7 @@ func (l *LabelerStage) sample() {
 	if m.Done() {
 		return
 	}
-	defer m.Engine().After(interval, l.sample)
+	defer m.Engine().After(interval, l.sampleFn)
 	now := m.Now()
 	wall := float64(now - l.lastAt)
 	l.lastAt = now
@@ -122,11 +128,12 @@ func (l *LabelerStage) sample() {
 	}
 	// Iterate in thread-ID order: map order would randomise the affinity
 	// re-queue sequence and break run-to-run determinism.
-	threads := make([]*task.Thread, 0, len(l.threads))
+	threads := l.order[:0]
 	for t := range l.threads {
 		threads = append(threads, t)
 	}
-	sort.Slice(threads, func(i, j int) bool { return threads[i].ID < threads[j].ID })
+	slices.SortFunc(threads, task.ByID)
+	l.order = threads
 	for _, t := range threads {
 		in := l.threads[t]
 		running := float64(t.SumExec - in.lastExec)
