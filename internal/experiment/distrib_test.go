@@ -229,9 +229,10 @@ func TestCacheLeaderFailurePromotesWaiter(t *testing.T) {
 		}
 	}()
 	<-inLeader
+	waiterCtx := &waitingCtx{Context: context.Background(), waiting: make(chan struct{})}
 	waiterDone := make(chan metrics.MixScore, 1)
 	go func() {
-		v, _, err := c.Do(context.Background(), testKey(1), func() (metrics.MixScore, error) {
+		v, _, err := c.Do(waiterCtx, testKey(1), func() (metrics.MixScore, error) {
 			return metrics.MixScore{HANTT: 5, HSTP: 5}, nil
 		})
 		if err != nil {
@@ -239,10 +240,16 @@ func TestCacheLeaderFailurePromotesWaiter(t *testing.T) {
 		}
 		waiterDone <- v
 	}()
+	// Cancel the leader only once the waiter waits on it, so the waiter
+	// is handed the key rather than arriving after the failure and leading.
+	<-waiterCtx.waiting
 	cancelLeader()
 	<-leaderDone
 	if v := <-waiterDone; (v != metrics.MixScore{HANTT: 5, HSTP: 5}) {
 		t.Errorf("promoted waiter got %v", v)
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Hits != 0 {
+		t.Errorf("stats = %+v, want the cancelled leader's and the waiter's misses and no hit", s)
 	}
 }
 

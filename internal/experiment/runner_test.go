@@ -9,6 +9,7 @@ import (
 	"colab/internal/cpu"
 	"colab/internal/metrics"
 	"colab/internal/perfmodel"
+	"colab/internal/policy"
 	"colab/internal/workload"
 )
 
@@ -57,6 +58,31 @@ func TestNewSchedulerKinds(t *testing.T) {
 	}
 	if _, err := r.NewScheduler("bogus"); err == nil {
 		t.Errorf("unknown kind must error")
+	}
+}
+
+// runPolicy synthesises counters exactly for the kinds that consult a
+// speedup predictor: a predictor-blind run leaves every counter zero, and
+// a predictor run fills them, as its labeler needs.
+func TestRunPolicyCountersFollowNeedsSpeedup(t *testing.T) {
+	r := testRunner(t)
+	spec, err := workload.ResolveSpec("Sync-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{SchedLinux, SchedGTS, SchedEAS, SchedCOLABOracle, SchedWASH, SchedCOLAB} {
+		w, err := spec.Build(r.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.runPolicy(context.Background(), cpu.Config2B2S, kind, w, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, th := range w.Threads() {
+			if got, want := th.TotalCounters[cpu.CtrCommittedInsts] > 0, policy.NeedsSpeedup(kind); got != want {
+				t.Errorf("%s: thread %s has counters = %v, want %v", kind, th.Name, got, want)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"colab/internal/kernel"
 	"colab/internal/mathx"
 	"colab/internal/metrics"
+	"colab/internal/policy"
 	"colab/internal/sim"
 	"colab/internal/task"
 	"colab/internal/workload"
@@ -191,7 +192,7 @@ func (r *Runner) OPPSweepTable() (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		res, err := r.run(ctx, cfg, s, w, nil)
+		res, err := r.run(ctx, cfg, s, w, nil, policy.NeedsSpeedup(kind))
 		if err != nil {
 			return row{}, fmt.Errorf("experiment: OPP sweep %s: %w", name, err)
 		}

@@ -33,6 +33,8 @@ type Machine struct {
 	live   int
 	done   bool
 	tracer func(TraceEvent)
+	// noCounters switches counter synthesis off (SetCounters).
+	noCounters bool
 
 	tiers    []cpu.Tier // the config's palette, ascending capacity
 	tierIDs  [][]int    // per tier index, core IDs in core order
@@ -305,6 +307,13 @@ func (m *Machine) Kick(core int) {
 	}
 }
 
+// SetCounters switches the synthesis of each thread's performance
+// counters on or off; it is on by default and must be set before Run. Only
+// a speedup predictor reads counters, and only counter synthesis draws
+// from the counter RNG, so a run whose policy never consults a predictor
+// schedules identically without them and leaves every counter zero.
+func (m *Machine) SetCounters(on bool) { m.noCounters = !on }
+
 // Run admits applications (at time zero, or at their App.Arrival times for
 // open-system workloads), drives the simulation to completion and returns
 // the result. It fails when the event budget is exhausted or the system
@@ -542,10 +551,12 @@ func (m *Machine) wakeThread(t *task.Thread, blamer *task.Thread) {
 	if blamer != nil {
 		blamer.BlockBlame += dur
 	}
-	// The wait shows up as quiesce cycles on the thread's counters.
-	q := float64(dur) * float64(cpu.LittleSpec.FreqMHz) / 1000.0
-	t.TotalCounters[cpu.CtrQuiesceCycles] += q
-	t.IntervalCounters[cpu.CtrQuiesceCycles] += q
+	if !m.noCounters {
+		// The wait shows up as quiesce cycles on the thread's counters.
+		q := float64(dur) * float64(cpu.LittleSpec.FreqMHz) / 1000.0
+		t.TotalCounters[cpu.CtrQuiesceCycles] += q
+		t.IntervalCounters[cpu.CtrQuiesceCycles] += q
+	}
 	t.PC++ // the blocking op completed
 	m.emitT(TraceWake, -1, t)
 	// Advance through the ops that follow: initialise the next compute
@@ -805,7 +816,8 @@ func (m *Machine) continueBurst(c *Core) {
 }
 
 // accrueExec charges d nanoseconds of execution on c to t: work retired,
-// vruntime growth (policy-scaled), busy time, and synthetic counters.
+// vruntime growth (policy-scaled), busy time, and synthetic counters
+// unless SetCounters switched them off.
 func (m *Machine) accrueExec(c *Core, t *task.Thread, d sim.Time) {
 	if d <= 0 {
 		return
@@ -830,6 +842,9 @@ func (m *Machine) accrueExec(c *Core, t *task.Thread, d sim.Time) {
 	}
 	t.VRuntime += sim.Time(float64(d) * scale)
 	c.accrueBusy(d)
+	if m.noCounters {
+		return
+	}
 	cycles := float64(d) * c.FreqGHz()
 	vec := m.ctrProf[t.ID].Sample(m.ctrRNG, c.l2Mult, work, cycles, 0)
 	t.TotalCounters.Add(&vec)

@@ -80,6 +80,9 @@ func (m *Machine) buildResult() *Result {
 		Config:   m.config.Name,
 		EndTime:  m.eng.Now(),
 		Events:   m.eng.Processed,
+		Apps:     make([]AppResult, 0, len(m.workload.Apps)),
+		Threads:  make([]ThreadResult, 0, len(m.threads)),
+		Cores:    make([]CoreResult, 0, len(m.cores)),
 	}
 	for _, a := range m.workload.Apps {
 		r.Apps = append(r.Apps, AppResult{

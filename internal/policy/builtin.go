@@ -33,8 +33,9 @@ const (
 
 // NeedsSpeedup reports whether the named policy's factory consumes
 // Context.Speedup, letting batch drivers skip training the model for
-// sweeps of speedup-blind policies. Unknown (user-registered) policies
-// conservatively report true.
+// sweeps of speedup-blind policies and counter synthesis in their runs
+// (only a speedup predictor reads counters). Unknown (user-registered)
+// policies conservatively report true.
 func NeedsSpeedup(name string) bool {
 	switch name {
 	case Linux, GTS, EAS, COLABOracle:

@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"colab/internal/cpu"
 	"colab/internal/kernel"
 	"colab/internal/sched/cfs"
+	"colab/internal/task"
+	"colab/internal/workload"
 )
 
 func TestBuiltinsRegistered(t *testing.T) {
@@ -125,6 +128,53 @@ func TestNeedsSpeedup(t *testing.T) {
 	} {
 		if got := NeedsSpeedup(name); got != want {
 			t.Errorf("NeedsSpeedup(%s) = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestNeedsSpeedupIsTruthful holds NeedsSpeedup to what the policies do:
+// the sweep harness trains no model and synthesises no counters for a
+// policy it reports false for, so each such built-in must schedule a Sync
+// and a Rand mix, on the paper shape and the tri-gear palette, without
+// ever calling its context's predictors.
+func TestNeedsSpeedupIsTruthful(t *testing.T) {
+	ctx := Context{
+		Speedup:     func(*task.Thread) float64 { panic("Speedup called") },
+		TierSpeedup: func(*task.Thread, int) float64 { panic("TierSpeedup called") },
+	}
+	for _, name := range Names() {
+		if NeedsSpeedup(name) {
+			continue
+		}
+		for _, cfg := range []cpu.Config{cpu.Config2B2S, cpu.Config2B2M2S} {
+			for _, mix := range []string{"Sync-2", "Rand-7"} {
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Errorf("%s on %s under %s: %v, but NeedsSpeedup(%q) is false", mix, cfg.Name, name, p, name)
+						}
+					}()
+					spec, err := workload.ResolveSpec(mix)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w, err := spec.Build(1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s, err := New(name, ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, err := kernel.NewMachine(cfg, s, w, kernel.Params{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := m.Run(); err != nil {
+						t.Fatalf("%s on %s under %s: %v", mix, cfg.Name, name, err)
+					}
+				}()
+			}
 		}
 	}
 }
