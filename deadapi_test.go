@@ -30,6 +30,8 @@ var keptInternalAPI = map[string]string{
 	"kernel.Machine.Workload":        "read accessor custom policies use through colab.Machine",
 	"kernel.Machine.Topology":        "read accessor custom policies use through colab.Machine",
 	"kernel.Core.FreqMHz":            "read accessor custom policies use through colab.Core",
+	"kernel.Machine.Engine":          "custom Scheduler policies arm their periodic work on it through colab.Machine (a pipeline's labeling pass is armed by the pipeline)",
+	"kernel.Machine.Done":            "custom Scheduler policies end their periodic work on it through colab.Machine",
 }
 
 // stdInterfaces are the standard-library interfaces whose methods count as

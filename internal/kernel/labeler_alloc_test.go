@@ -1,11 +1,11 @@
 package kernel_test
 
-// Allocation assertions for the periodic labeling passes of the two
-// multi-factor labelers the paper evaluates and of the GTS and EAS
-// comparison labelers. Each case installs a labeler
-// with the CFS allocator and selector, admits a mixed workload without
-// starting the machine, and steps the engine: the labeling tick is then
-// the only event, so the measured loop is the pass itself.
+// Allocation assertions for the pipeline's periodic labeling pass under
+// the two multi-factor labelers the paper evaluates and under the GTS and
+// EAS comparison labelers. Each case installs a labeler with the CFS
+// allocator and selector, admits a mixed workload without starting the
+// machine, and steps the engine: the labeling pass is then the only event,
+// so the measured loop is the pipeline's pass with the labeler's Label.
 
 import (
 	"testing"
@@ -25,7 +25,7 @@ import (
 
 // assertLabelerTicksDoNotAllocate admits 12 threads of mixed core
 // sensitivity under lab on cfg and asserts that, after a few warm-up
-// ticks, a labeling tick allocates nothing. Every tick first charges the
+// ticks, a labeling pass allocates nothing. Every tick first charges the
 // threads fresh blocking blame so scores, labels and masks keep moving.
 func assertLabelerTicksDoNotAllocate(t *testing.T, lab kernel.Labeler, cfg cpu.Config) {
 	t.Helper()
@@ -62,7 +62,7 @@ func assertLabelerTicksDoNotAllocate(t *testing.T, lab kernel.Labeler, cfg cpu.C
 		}
 		before := eng.Processed
 		if !eng.Step() || eng.Processed != before+1 {
-			t.Fatal("the labeler stopped re-arming its tick")
+			t.Fatal("the pipeline stopped re-arming the labeling pass")
 		}
 	}
 	for i := 0; i < 10; i++ {

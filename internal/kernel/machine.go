@@ -196,7 +196,7 @@ func (m *Machine) prepare(t *task.Thread) {
 	}
 }
 
-// Engine exposes the event engine (policies schedule periodic labeling on it).
+// Engine exposes the event engine (custom policies schedule periodic work on it).
 func (m *Machine) Engine() *sim.Engine { return m.eng }
 
 // Now returns the current simulated time.

@@ -30,16 +30,21 @@ type Stage interface {
 	Start(pc *PipelineContext)
 }
 
+// LabelInterval is the period of the labeling pass the pipeline drives for
+// its labeler stage (the paper's 10 ms, §3.2).
+const LabelInterval = 10 * sim.Millisecond
+
 // Labeler is the periodic labeling stage (~ the paper's multi-factor
 // labeler added to __sched__schedule). It observes threads, refreshes the
 // runtime models and publishes per-thread Hints; it may also steer thread
 // affinity (WASH/GTS style) through PipelineContext.Requeue.
 type Labeler interface {
 	Stage
-	// Admit introduces a thread (state New) prior to its first Enqueue.
-	Admit(t *task.Thread)
-	// ThreadDone notifies the stage a thread retired.
-	ThreadDone(t *task.Thread)
+	// Label is one labeling pass. The pipeline calls it at every multiple
+	// of LabelInterval until the machine is done, with the admitted,
+	// unretired threads in ascending ID order (possibly none). The slice
+	// is reused by the next pass.
+	Label(threads []*task.Thread)
 }
 
 // Allocator is the core-allocation stage (~ select_task_rq_fair): it places
@@ -380,6 +385,12 @@ type Pipeline struct {
 	sel   Selector
 	gov   Governor
 	pc    *PipelineContext
+
+	// live[id] is admitted, unretired thread id, else nil. labelPass, bound
+	// once as passFn, gathers them into pass, reused so it does not allocate.
+	live   []*task.Thread
+	pass   []*task.Thread
+	passFn func()
 }
 
 // governedPipeline adds the DVFSGovernor extension when (and only when) a
@@ -419,14 +430,17 @@ func NewPipeline(name string, lab Labeler, alloc Allocator, sel Selector, gov Go
 func (p *Pipeline) Name() string { return p.name }
 
 // Start implements Scheduler: it builds the shared state and starts the
-// stages in slot order (labeler first, so its periodic pass is scheduled
-// ahead of any same-time machine events).
+// stages in slot order (labeler first, with its periodic pass armed right
+// after, so the pass is scheduled ahead of any same-time machine events).
 func (p *Pipeline) Start(m *Machine) {
 	pc := &PipelineContext{m: m, queues: NewRunQueues(len(m.Cores())), hints: NewHintBoard(m.workload.NumThreads()), alloc: p.alloc}
 	p.pc = pc
 	m.queues = pc.queues
+	p.live = make([]*task.Thread, m.workload.NumThreads())
 	if p.lab != nil {
 		p.lab.Start(pc)
+		p.passFn = p.labelPass
+		m.eng.After(LabelInterval, p.passFn)
 	}
 	p.alloc.Start(pc)
 	p.sel.Start(pc)
@@ -435,19 +449,33 @@ func (p *Pipeline) Start(m *Machine) {
 	}
 }
 
+// labelPass runs the labeler over the live threads in ID order and re-arms
+// itself; it lapses once the machine is done.
+func (p *Pipeline) labelPass() {
+	m := p.pc.m
+	if m.done {
+		return
+	}
+	threads := p.pass[:0]
+	for _, t := range p.live {
+		if t != nil {
+			threads = append(threads, t)
+		}
+	}
+	p.pass = threads
+	p.lab.Label(threads)
+	m.eng.After(LabelInterval, p.passFn)
+}
+
 // Admit implements Scheduler.
 func (p *Pipeline) Admit(t *task.Thread) {
 	p.pc.hints.Get(t) // materialise the neutral hint for the thread's lifetime
-	if p.lab != nil {
-		p.lab.Admit(t)
-	}
+	p.live[t.ID] = t
 }
 
 // ThreadDone implements Scheduler.
 func (p *Pipeline) ThreadDone(t *task.Thread) {
-	if p.lab != nil {
-		p.lab.ThreadDone(t)
-	}
+	p.live[t.ID] = nil
 	p.pc.hints.Drop(t)
 }
 

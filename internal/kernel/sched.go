@@ -33,7 +33,8 @@ import (
 //     the thread's vruntime (COLAB's scale-slice equal-progress mechanism).
 //   - WakeupPreempt reports whether newly woken t should preempt c.Current.
 //   - Rebalance-style periodic work (labeling) is scheduled by the policy
-//     itself in Start via m.Engine().
+//     itself in Start via m.Engine(); a Pipeline does it for its labeler,
+//     calling Labeler.Label every LabelInterval.
 type Scheduler interface {
 	Name() string
 	// Start installs the policy on a machine before any thread is admitted.

@@ -34,15 +34,33 @@ const (
 // NeedsSpeedup reports whether the named policy's factory consumes
 // Context.Speedup, letting batch drivers skip training the model for
 // sweeps of speedup-blind policies and counter synthesis in their runs
-// (only a speedup predictor reads counters). Unknown (user-registered)
-// policies conservatively report true.
+// (only a speedup predictor reads counters). It answers from the stages of
+// the name's canonical composition (a built-in name through
+// CanonicalComposition): only the wash, colab and colab-dvfs labelers read
+// a predictor. User-registered policies and stages, and names that do not
+// parse, conservatively report true.
 func NeedsSpeedup(name string) bool {
-	switch name {
-	case Linux, GTS, EAS, COLABOracle:
-		return false
+	comp := Canonical(name)
+	if c, ok := CanonicalComposition(comp); ok {
+		comp = c
+	} else if registered(comp) {
+		return true // a user policy
 	}
-	return true
+	stages, err := parsePipeline(comp)
+	if err != nil {
+		return true // no policy name at all
+	}
+	for slot, stage := range stages {
+		if !blindStages[stage+"."+string(slot)] {
+			return true
+		}
+	}
+	return false
 }
+
+// blindStages holds every built-in stage ("<name>.<slot>") that reads no
+// speedup predictor: all but the wash, colab and colab-dvfs labelers.
+var blindStages = map[string]bool{}
 
 // builtins is the one definition of every built-in policy: each name
 // builds its composition, through the same path as a composition-grammar
@@ -74,6 +92,14 @@ func CanonicalComposition(name string) (string, bool) {
 
 func init() {
 	registerBuiltinStages()
+	for slot, names := range stageFactories {
+		for name := range names {
+			blindStages[name+"."+string(slot)] = true
+		}
+	}
+	for _, name := range []string{WASH, COLAB, COLABDVFS} {
+		delete(blindStages, name+"."+string(SlotLabeler))
+	}
 	for name, comp := range builtins {
 		build, err := compile(name, comp)
 		if err != nil {

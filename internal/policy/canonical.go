@@ -22,10 +22,7 @@ import "strings"
 // errors, and callers that validate do so through Check.
 func Canonical(name string) string {
 	name = strings.TrimSpace(name)
-	mu.RLock()
-	_, whole := factories[name]
-	mu.RUnlock()
-	if whole || !IsComposition(name) {
+	if registered(name) || !IsComposition(name) {
 		return name
 	}
 	comp, err := parsePipeline(name)

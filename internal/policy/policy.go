@@ -85,6 +85,14 @@ func MustRegister(name string, f Factory) {
 	}
 }
 
+// registered reports whether name is a registered whole policy.
+func registered(name string) bool {
+	mu.RLock()
+	defer mu.RUnlock()
+	_, ok := factories[name]
+	return ok
+}
+
 // Names returns every registered policy name in sorted order.
 func Names() []string {
 	mu.RLock()

@@ -121,10 +121,30 @@ func TestFactoryErrorWrapped(t *testing.T) {
 }
 
 func TestNeedsSpeedup(t *testing.T) {
+	// The registrations fail harmlessly when -count repeats the test. A
+	// user policy that shadows a blind composition is a user policy.
+	_ = RegisterStage(SlotSelector, "test-needs-speedup", func(Context) (kernel.Stage, error) {
+		return cfs.NewSelector(), nil
+	})
+	_ = Register("linux.allocator+gts.labeler", func(Context) (kernel.Scheduler, error) { return cfs.New(), nil })
 	for name, want := range map[string]bool{
 		Linux: false, GTS: false, EAS: false, COLABOracle: false,
 		WASH: true, COLAB: true, COLABDVFS: true, COLABNoScale: true,
-		"some-user-policy": true, // conservative for unknown names
+		// Names answer from the stages they run.
+		" linux ":                        false,
+		"linux.allocator+linux.selector": false,
+		"gts.labeler+linux.allocator+linux.selector": false,
+		"eas.labeler+colab.governor":                 false,
+		" wash ":                                     true,
+		"colab.labeler+linux.selector":               true,
+		"colab-dvfs.labeler":                         true,
+		// Conservative for user stages and policies and for unknown or
+		// malformed names.
+		"gts.labeler+test-needs-speedup.selector": true,
+		"linux.allocator+gts.labeler":             true,
+		"some-user-policy":                        true,
+		"nosuch.labeler":                          true,
+		"gts.labeler+eas.labeler":                 true,
 	} {
 		if got := NeedsSpeedup(name); got != want {
 			t.Errorf("NeedsSpeedup(%s) = %v, want %v", name, got, want)
@@ -142,7 +162,15 @@ func TestNeedsSpeedupIsTruthful(t *testing.T) {
 		Speedup:     func(*task.Thread) float64 { panic("Speedup called") },
 		TierSpeedup: func(*task.Thread, int) float64 { panic("TierSpeedup called") },
 	}
-	for _, name := range Names() {
+	// Beyond the registered names: a padded built-in and two compositions
+	// of blind stages, which NeedsSpeedup answers from their stages.
+	extra := []string{" linux ", "linux.allocator+linux.selector", "gts.labeler+linux.allocator+linux.selector"}
+	for _, name := range extra {
+		if NeedsSpeedup(name) {
+			t.Errorf("NeedsSpeedup(%q) = true, but none of its stages reads a predictor", name)
+		}
+	}
+	for _, name := range append(Names(), extra...) {
 		if NeedsSpeedup(name) {
 			continue
 		}

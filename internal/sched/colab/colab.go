@@ -77,12 +77,11 @@ func (l Label) String() string {
 	}
 }
 
-// The fixed parameters of the paper's COLAB configuration. The slice layer
-// under the selector is CFS's (cfs.TargetLatency, cfs.MinGranularity,
+// The fixed parameters of the paper's COLAB configuration. The labeling
+// period is the pipeline's kernel.LabelInterval; the slice layer under the
+// selector is CFS's (cfs.TargetLatency, cfs.MinGranularity,
 // cfs.WakeupGranularity).
 const (
-	// interval is the labeling period (paper: 10 ms).
-	interval = 10 * sim.Millisecond
 	// highSpeedupZ sets the high-speedup threshold at mean + z*std of the
 	// current ready-thread speedup distribution.
 	highSpeedupZ float64 = 0.5

@@ -19,10 +19,10 @@ func (s *SelectorStage) FairnessWindow() sim.Time { return s.fairnessWindow }
 func (g *GovernorStage) SetHold(h sim.Time) { g.hold = h }
 
 // Labels returns a snapshot of the labeler's current label of every live
-// thread.
+// (admitted, unretired) thread.
 func (l *LabelerStage) Labels() map[*task.Thread]Label {
-	out := make(map[*task.Thread]Label, len(l.threads))
-	for t := range l.threads {
+	out := make(map[*task.Thread]Label)
+	for _, t := range l.live() {
 		out[t] = Label(l.pc.Hints().Get(t).Label)
 	}
 	return out
@@ -31,9 +31,21 @@ func (l *LabelerStage) Labels() map[*task.Thread]Label {
 // TargetTiers returns a snapshot of every live thread's allocation target
 // tier (-1 = free).
 func (l *LabelerStage) TargetTiers() map[*task.Thread]int {
-	out := make(map[*task.Thread]int, len(l.threads))
-	for t := range l.threads {
+	out := make(map[*task.Thread]int)
+	for _, t := range l.live() {
 		out[t] = l.pc.Hints().Get(t).TargetTier
+	}
+	return out
+}
+
+// live lists the machine's admitted, unretired threads: the pipeline, not
+// the labeler, tracks them.
+func (l *LabelerStage) live() []*task.Thread {
+	var out []*task.Thread
+	for _, t := range l.pc.Machine().Workload().Threads() {
+		if t.State != task.New && t.State != task.Done {
+			out = append(out, t)
+		}
 	}
 	return out
 }

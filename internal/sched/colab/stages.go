@@ -2,7 +2,6 @@ package colab
 
 import (
 	"fmt"
-	"slices"
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
@@ -31,16 +30,13 @@ type LabelerStage struct {
 	tierSpeedup func(*task.Thread, int) float64
 	tierTiers   []cpu.Tier
 	pc          *kernel.PipelineContext
-	threads     map[*task.Thread]struct{}
 	// useTierPred reports whether tierSpeedup applies to this machine
 	// (set in Start after the palette check).
 	useTierPred bool
-	// labelFn is label bound once in Start; the per-tick buffers below are
-	// reused by every labeling pass so a tick does not allocate.
-	labelFn func()
-	order   []*task.Thread
-	preds   []float64
-	blames  []float64
+	// preds and blames are reused by every labeling pass so a pass does
+	// not allocate.
+	preds  []float64
+	blames []float64
 }
 
 // NewLabeler returns the COLAB labeler stage. speedup predicts the
@@ -52,7 +48,7 @@ func NewLabeler(speedup func(*task.Thread) float64, tierSpeedup func(*task.Threa
 	if speedup == nil {
 		speedup = func(*task.Thread) float64 { return kernel.NeutralPred }
 	}
-	return &LabelerStage{speedup: speedup, tierSpeedup: tierSpeedup, tierTiers: tierTiers, threads: make(map[*task.Thread]struct{})}
+	return &LabelerStage{speedup: speedup, tierSpeedup: tierSpeedup, tierTiers: tierTiers}
 }
 
 // Name implements kernel.Stage.
@@ -61,41 +57,13 @@ func (l *LabelerStage) Name() string { return "colab.labeler" }
 // Start implements kernel.Stage.
 func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 	l.pc = pc
-	l.threads = make(map[*task.Thread]struct{})
 	l.useTierPred = l.tierSpeedup != nil &&
 		(l.tierTiers == nil || paletteMatches(l.tierTiers, pc.Machine().Tiers()))
-	l.labelFn = l.label
-	pc.Machine().Engine().After(interval, l.labelFn)
 }
 
-// Admit implements kernel.Labeler. The fresh thread keeps the board's
-// neutral hint (free label, no target tier, neutral prediction).
-func (l *LabelerStage) Admit(t *task.Thread) {
-	l.threads[t] = struct{}{}
-}
-
-// ThreadDone implements kernel.Labeler.
-func (l *LabelerStage) ThreadDone(t *task.Thread) {
-	delete(l.threads, t)
-}
-
-func (l *LabelerStage) label() {
+// Label implements kernel.Labeler.
+func (l *LabelerStage) Label(threads []*task.Thread) {
 	m := l.pc.Machine()
-	if m.Done() {
-		return
-	}
-	defer m.Engine().After(interval, l.labelFn)
-	if len(l.threads) == 0 {
-		return
-	}
-	// Iterate in thread-ID order: map order would randomise the float
-	// summation behind the thresholds and break run-to-run determinism.
-	threads := l.order[:0]
-	for t := range l.threads {
-		threads = append(threads, t)
-	}
-	slices.SortFunc(threads, task.ByID)
-	l.order = threads
 	preds, blames := l.preds[:0], l.blames[:0]
 	nt := m.NumTiers()
 	board := l.pc.Hints()

@@ -34,8 +34,6 @@ import (
 
 // The EAS placement and governor parameters.
 const (
-	// interval is the utilisation-sampling period.
-	interval = 10 * sim.Millisecond
 	// littleCapacity is the utilisation above which a thread no longer
 	// "fits" a base-tier core and is up-placed (EAS's fits_capacity rule,
 	// expressed as a runnable-time fraction). Middle tiers interpolate
@@ -90,13 +88,11 @@ type info struct {
 
 // LabelerStage samples every thread's runnable-time fraction each interval
 // and publishes the EWMA as Hint.Util — the signal the EAS allocator and
-// governor (and any hybrid pipeline) consume.
+// governor (and any hybrid pipeline) consume. New threads start at
+// kernel.NeutralUtil, on the cheap tiers: the energy-first default.
 type LabelerStage struct {
-	pc      *kernel.PipelineContext
-	threads map[*task.Thread]*info
-	lastAt  sim.Time
-	// sampleFn is sample bound once in Start, so a tick does not allocate.
-	sampleFn func()
+	pc   *kernel.PipelineContext
+	info []info // sampling state, indexed by thread ID
 }
 
 // NewLabeler returns the EAS utilisation-sampling labeler stage.
@@ -108,37 +104,14 @@ func (l *LabelerStage) Name() string { return "eas.labeler" }
 // Start implements kernel.Stage.
 func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 	l.pc = pc
-	l.threads = make(map[*task.Thread]*info)
-	l.lastAt = 0
-	l.sampleFn = l.sample
-	pc.Machine().Engine().After(interval, l.sampleFn)
+	l.info = make([]info, pc.Machine().Workload().NumThreads())
 }
 
-// Admit implements kernel.Labeler. New threads keep the modest default
-// utilisation (kernel.NeutralUtil) so they begin on the cheap tiers, the
-// energy-first default.
-func (l *LabelerStage) Admit(t *task.Thread) {
-	l.threads[t] = &info{}
-}
-
-// ThreadDone implements kernel.Labeler.
-func (l *LabelerStage) ThreadDone(t *task.Thread) {
-	delete(l.threads, t)
-}
-
-func (l *LabelerStage) sample() {
-	m := l.pc.Machine()
-	if m.Done() {
-		return
-	}
-	defer m.Engine().After(interval, l.sampleFn)
-	now := m.Now()
-	wall := float64(now - l.lastAt)
-	l.lastAt = now
-	if wall <= 0 {
-		return
-	}
-	for t, in := range l.threads {
+// Label implements kernel.Labeler: the periodic utilisation-sampling pass.
+func (l *LabelerStage) Label(threads []*task.Thread) {
+	const wall = float64(kernel.LabelInterval)
+	for _, t := range threads {
+		in := &l.info[t.ID]
 		inst := (float64(t.SumExec-in.lastExec) + float64(t.ReadyTime-in.lastRdy)) / wall
 		in.lastExec = t.SumExec
 		in.lastRdy = t.ReadyTime

@@ -15,8 +15,6 @@
 package gts
 
 import (
-	"slices"
-
 	"colab/internal/kernel"
 	"colab/internal/sim"
 	"colab/internal/task"
@@ -24,8 +22,6 @@ import (
 
 // The GTS load-tracking parameters.
 const (
-	// interval is the load-sampling period.
-	interval = 10 * sim.Millisecond
 	// upThreshold and downThreshold bound the hysteresis band on the
 	// runnable-fraction load average.
 	upThreshold   float64 = 0.75
@@ -45,20 +41,14 @@ type info struct {
 // It publishes each thread's ladder rung (TargetTier) and load (Util) as
 // hints for downstream stages in hybrid pipelines.
 type LabelerStage struct {
-	pc      *kernel.PipelineContext
-	threads map[*task.Thread]*info
-	lastAt  sim.Time
+	pc   *kernel.PipelineContext
+	info []info // load-tracking state, indexed by thread ID
 
 	// tierMask[k] is the affinity mask of tier k's cores; unpopulated
 	// tiers borrow the nearest populated tier's mask (below first, then
 	// above), so symmetric machines degenerate to a single rung.
 	tierMask []task.Mask
 	topTier  int
-
-	// sampleFn is sample bound once in Start and order its reused
-	// per-tick buffer, so a tick does not allocate.
-	sampleFn func()
-	order    []*task.Thread
 }
 
 // NewLabeler returns the GTS labeler stage.
@@ -67,13 +57,18 @@ func NewLabeler() *LabelerStage { return &LabelerStage{} }
 // Name implements kernel.Stage.
 func (l *LabelerStage) Name() string { return "gts.labeler" }
 
-// Start implements kernel.Stage.
+// Start implements kernel.Stage. Threads boot heavy on the fastest tier
+// with full affinity (GTS's optimistic start).
 func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 	l.pc = pc
 	m := pc.Machine()
-	l.threads = make(map[*task.Thread]*info)
-	l.lastAt = 0
 	l.topTier = m.NumTiers() - 1
+	threads := m.Workload().Threads()
+	l.info = make([]info, len(threads))
+	for _, t := range threads {
+		l.info[t.ID] = info{load: 1, tier: l.topTier}
+		t.Affinity = task.MaskAll()
+	}
 	l.tierMask = make([]task.Mask, m.NumTiers())
 	for tier := range l.tierMask {
 		l.tierMask[tier] = task.MaskOf(m.TierCoreIDs(tier))
@@ -83,8 +78,6 @@ func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 			l.tierMask[tier] = l.nearestMask(tier)
 		}
 	}
-	l.sampleFn = l.sample
-	m.Engine().After(interval, l.sampleFn)
 }
 
 // nearestMask finds the mask of the nearest populated tier, preferring
@@ -101,41 +94,11 @@ func (l *LabelerStage) nearestMask(tier int) task.Mask {
 	return task.MaskAll()
 }
 
-// Admit implements kernel.Labeler.
-func (l *LabelerStage) Admit(t *task.Thread) {
-	// New threads start heavy (GTS boots threads on the fastest tier):
-	// optimistic load.
-	l.threads[t] = &info{load: 1, tier: l.topTier}
-	t.Affinity = task.MaskAll()
-}
-
-// ThreadDone implements kernel.Labeler.
-func (l *LabelerStage) ThreadDone(t *task.Thread) {
-	delete(l.threads, t)
-}
-
-func (l *LabelerStage) sample() {
-	m := l.pc.Machine()
-	if m.Done() {
-		return
-	}
-	defer m.Engine().After(interval, l.sampleFn)
-	now := m.Now()
-	wall := float64(now - l.lastAt)
-	l.lastAt = now
-	if wall <= 0 || len(l.threads) == 0 {
-		return
-	}
-	// Iterate in thread-ID order: map order would randomise the affinity
-	// re-queue sequence and break run-to-run determinism.
-	threads := l.order[:0]
-	for t := range l.threads {
-		threads = append(threads, t)
-	}
-	slices.SortFunc(threads, task.ByID)
-	l.order = threads
+// Label implements kernel.Labeler: the periodic load-sampling pass.
+func (l *LabelerStage) Label(threads []*task.Thread) {
+	const wall = float64(kernel.LabelInterval)
 	for _, t := range threads {
-		in := l.threads[t]
+		in := &l.info[t.ID]
 		running := float64(t.SumExec - in.lastExec)
 		ready := float64(t.ReadyTime - in.lastRdy)
 		in.lastExec = t.SumExec

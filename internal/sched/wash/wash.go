@@ -19,14 +19,11 @@ import (
 	"colab/internal/cpu"
 	"colab/internal/kernel"
 	"colab/internal/mathx"
-	"colab/internal/sim"
 	"colab/internal/task"
 )
 
 // The WASH heuristic's fixed parameters.
 const (
-	// interval is the labeling period (the paper's 10 ms).
-	interval = 10 * sim.Millisecond
 	// Score weights: z(speedup), z(blocking), big-share fairness penalty.
 	speedupWeight float64 = 1.0
 	blockWeight   float64 = 1.0
@@ -37,21 +34,15 @@ const (
 	band float64 = 0.4
 )
 
-type info struct {
-	pred      float64
-	blameEWMA float64
-	lastBlame sim.Time
-}
-
 // LabelerStage is the periodic WASH heuristic as a pipeline stage: one
 // mixed multi-factor score per thread, top scorers pinned to big cores, the
 // rest to little cores, undifferentiated threads left to the underlying
-// scheduler. It publishes each thread's predicted speedup and blame EWMA as
-// hints for downstream stages in hybrid pipelines.
+// scheduler. Its per-thread state lives on the hint board — the predicted
+// speedup (Pred), the blame EWMA (Crit) and the blame already folded in
+// (LastBlame) — where downstream stages of hybrid pipelines read it.
 type LabelerStage struct {
 	speedup func(*task.Thread) float64
 	pc      *kernel.PipelineContext
-	threads map[*task.Thread]*info
 
 	bigMask    task.Mask
 	littleMask task.Mask
@@ -67,10 +58,8 @@ type LabelerStage struct {
 	totalCores   int
 	domTierMasks [][]task.Mask // [domain][tier] = tier ∩ domain cores
 
-	// labelFn is label bound once in Start; the per-tick buffers below are
-	// reused by every labeling pass so a tick does not allocate.
-	labelFn    func()
-	order      []*task.Thread
+	// The per-pass buffers are reused by every labeling pass so a pass
+	// does not allocate.
 	preds      []float64
 	blames     []float64
 	scores     []float64
@@ -95,7 +84,6 @@ func (l *LabelerStage) Name() string { return "wash.labeler" }
 func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 	l.pc = pc
 	m := pc.Machine()
-	l.threads = make(map[*task.Thread]*info)
 	l.bigMask = task.MaskOf(m.BigCoreIDs())
 	l.littleMask = task.MaskOf(m.LittleCoreIDs())
 	if l.littleMask.IsEmpty() { // symmetric all-big machine: nothing to steer
@@ -124,50 +112,21 @@ func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 			}
 		}
 	}
-	l.labelFn = l.label
-	m.Engine().After(interval, l.labelFn)
 }
 
-// Admit implements kernel.Labeler.
-func (l *LabelerStage) Admit(t *task.Thread) {
-	l.threads[t] = &info{pred: kernel.NeutralPred}
-}
-
-// ThreadDone implements kernel.Labeler.
-func (l *LabelerStage) ThreadDone(t *task.Thread) {
-	delete(l.threads, t)
-}
-
-// label is the periodic scoring pass.
-func (l *LabelerStage) label() {
-	m := l.pc.Machine()
-	if m.Done() {
-		return
-	}
-	defer m.Engine().After(interval, l.labelFn)
-	if len(l.threads) == 0 {
-		return
-	}
-	// Iterate in thread-ID order: map order would randomise both the
-	// score-normalisation sums and the affinity re-queue sequence.
-	threads := l.order[:0]
-	for t := range l.threads {
-		threads = append(threads, t)
-	}
-	slices.SortFunc(threads, task.ByID)
-	l.order = threads
+// Label implements kernel.Labeler: the periodic scoring pass.
+func (l *LabelerStage) Label(threads []*task.Thread) {
 	preds, blames := l.preds[:0], l.blames[:0]
+	board := l.pc.Hints()
 	for _, t := range threads {
-		in := l.threads[t]
-		in.pred = l.speedup(t)
-		intervalBlame := float64(t.BlockBlame - in.lastBlame)
-		in.lastBlame = t.BlockBlame
-		in.blameEWMA = blameDecay*in.blameEWMA + (1-blameDecay)*intervalBlame
+		h := board.Get(t)
+		h.Pred = l.speedup(t)
+		intervalBlame := float64(t.BlockBlame - h.LastBlame)
+		h.LastBlame = t.BlockBlame
+		h.Crit = blameDecay*h.Crit + (1-blameDecay)*intervalBlame
 		t.IntervalCounters = cpu.Vec{}
-		h := l.pc.Hints().Get(t)
-		h.Pred, h.Crit, h.LastBlame = in.pred, in.blameEWMA, in.lastBlame
-		preds = append(preds, in.pred)
-		blames = append(blames, in.blameEWMA)
+		preds = append(preds, h.Pred)
+		blames = append(blames, h.Crit)
 	}
 	l.preds, l.blames = preds, blames
 	pMean, pStd := mathx.Mean(preds), mathx.Std(preds)
@@ -176,9 +135,8 @@ func (l *LabelerStage) label() {
 	bottleneck := slices.Grow(l.bottleneck[:0], len(threads))[:len(threads)]
 	l.scores, l.bottleneck = scores, bottleneck
 	for i, t := range threads {
-		in := l.threads[t]
-		score := speedupWeight*zscore(in.pred, pMean, pStd) +
-			blockWeight*zscore(in.blameEWMA, bMean, bStd)
+		score := speedupWeight*zscore(preds[i], pMean, pStd) +
+			blockWeight*zscore(blames[i], bMean, bStd)
 		if t.SumExec > 0 {
 			bigShare := float64(t.SumExecBig) / float64(t.SumExec)
 			score -= fairWeight * (2*bigShare - 1)
@@ -187,7 +145,7 @@ func (l *LabelerStage) label() {
 		// WASH's characteristic behaviour: every thread that looks like a
 		// bottleneck is pushed to the big cores in addition to the high
 		// scorers — the over-crowding COLAB's motivating example targets.
-		bottleneck[i] = in.blameEWMA > bMean && in.blameEWMA > 0
+		bottleneck[i] = blames[i] > bMean && blames[i] > 0
 	}
 	if l.ranked {
 		l.applyRanked(threads, scores, bottleneck)

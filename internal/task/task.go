@@ -10,7 +10,6 @@
 package task
 
 import (
-	"cmp"
 	"fmt"
 
 	"colab/internal/cpu"
@@ -282,6 +281,3 @@ func (w *Workload) Threads() []*Thread {
 	}
 	return out
 }
-
-// ByID orders threads by ascending ID; a comparison for slices.SortFunc.
-func ByID(a, b *Thread) int { return cmp.Compare(a.ID, b.ID) }

@@ -30,9 +30,9 @@ import (
 type (
 	// PipelineStage is the base contract of every stage (Name + Start).
 	PipelineStage = kernel.Stage
-	// Labeler is the periodic labeling stage: it observes threads,
-	// refreshes runtime models and publishes per-thread Hints (and may
-	// steer affinity through PipelineContext.Requeue).
+	// Labeler is the periodic labeling stage: every 10 ms its Label gets
+	// the live threads, refreshes runtime models and publishes per-thread
+	// Hints (and may steer affinity through PipelineContext.Requeue).
 	Labeler = kernel.Labeler
 	// Allocator is the core-allocation stage (~ select_task_rq_fair).
 	Allocator = kernel.Allocator

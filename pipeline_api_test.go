@@ -60,27 +60,15 @@ func TestPipelineFromRegistryStages(t *testing.T) {
 	}
 }
 
-// countingLabeler is a minimal user-defined stage: it counts labeling
-// passes and pins nothing.
+// countingLabeler is a minimal user-defined stage: it counts the labeling
+// passes the pipeline drives and pins nothing.
 type countingLabeler struct {
-	pc     *colab.PipelineContext
 	passes int
 }
 
-func (l *countingLabeler) Name() string { return "counting.labeler" }
-func (l *countingLabeler) Start(pc *colab.PipelineContext) {
-	l.pc = pc
-	pc.Machine().Engine().After(colab.Millisecond, l.tick)
-}
-func (l *countingLabeler) tick() {
-	if l.pc.Machine().Done() {
-		return
-	}
-	l.passes++
-	l.pc.Machine().Engine().After(colab.Millisecond, l.tick)
-}
-func (l *countingLabeler) Admit(t *colab.Thread)      {}
-func (l *countingLabeler) ThreadDone(t *colab.Thread) {}
+func (l *countingLabeler) Name() string                    { return "counting.labeler" }
+func (l *countingLabeler) Start(pc *colab.PipelineContext) {}
+func (l *countingLabeler) Label(threads []*colab.Thread)   { l.passes++ }
 
 // A user stage registered with RegisterStage becomes addressable through
 // the composition grammar everywhere a policy name is accepted.
