@@ -180,22 +180,6 @@ func DefaultTiers() []Tier { return []Tier{TierLittle, TierBig} }
 // capacity order, with DVFS ladders on every tier.
 func TriGearTiers() []Tier { return []Tier{TierLittleDVFS, TierMedium, TierBigDVFS} }
 
-// Spec describes one core instance (a flattened view of its tier).
-type Spec struct {
-	Kind    Kind
-	Name    string
-	FreqMHz int
-	// L1I, L1D and L2 sizes in KiB; informational (they shape the counter
-	// model constants) and reported by tooling.
-	L1IKB, L1DKB, L2KB int
-}
-
-// Standard core specs mirroring the paper's gem5 configuration (§5.1).
-var (
-	BigSpec    = Spec{Kind: Big, Name: "cortexa57", FreqMHz: 2000, L1IKB: 48, L1DKB: 32, L2KB: 2048}
-	LittleSpec = Spec{Kind: Little, Name: "cortexa53", FreqMHz: 1200, L1IKB: 32, L1DKB: 32, L2KB: 512}
-)
-
 // FreqRatio is the big/little clock ratio (2.0 GHz / 1.2 GHz).
 const FreqRatio = 2000.0 / 1200.0
 
@@ -301,29 +285,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// NewConfig builds a two-tier configuration with nBig big cores and nLittle
-// little cores. bigFirst selects the core ordering.
+// NewConfig builds a two-tier configuration on the default palette with
+// nBig big cores and nLittle little cores. bigFirst selects the core
+// ordering.
 func NewConfig(nBig, nLittle int, bigFirst bool) Config {
-	checkCoreCount(nBig+nLittle, fmt.Sprintf("config %dB%dS", nBig, nLittle))
-	name := fmt.Sprintf("%dB%dS", nBig, nLittle)
-	kinds := make([]Kind, 0, nBig+nLittle)
-	if bigFirst {
-		for i := 0; i < nBig; i++ {
-			kinds = append(kinds, Big)
-		}
-		for i := 0; i < nLittle; i++ {
-			kinds = append(kinds, Little)
-		}
-	} else {
-		for i := 0; i < nLittle; i++ {
-			kinds = append(kinds, Little)
-		}
-		for i := 0; i < nBig; i++ {
-			kinds = append(kinds, Big)
-		}
-		name += "-lf" // little-first ordering
-	}
-	return Config{Name: name, Kinds: kinds}
+	return NewTieredConfig(DefaultTiers(), []int{nLittle, nBig}, bigFirst)
 }
 
 // NewTieredConfig builds a machine over an arbitrary ascending-capacity
@@ -337,10 +303,6 @@ func NewTieredConfig(tiers []Tier, counts []int, bigFirst bool) Config {
 		panic(fmt.Sprintf("cpu: NewTieredConfig got %d tiers but %d counts", len(tiers), len(counts)))
 	}
 	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	checkCoreCount(total, "NewTieredConfig palette")
 	name := ""
 	for i := len(tiers) - 1; i >= 0; i-- {
 		sym := tiers[i].Symbol
@@ -348,24 +310,30 @@ func NewTieredConfig(tiers []Tier, counts []int, bigFirst bool) Config {
 			sym = "?"
 		}
 		name += fmt.Sprintf("%d%s", counts[i], sym)
+		total += counts[i]
 	}
-	var kinds []Kind
-	appendTier := func(i int) {
-		for n := 0; n < counts[i]; n++ {
-			kinds = append(kinds, Kind(i))
-		}
-	}
-	if bigFirst {
-		for i := len(tiers) - 1; i >= 0; i-- {
-			appendTier(i)
-		}
-	} else {
-		for i := 0; i < len(tiers); i++ {
-			appendTier(i)
-		}
+	if !bigFirst {
 		name += "-lf"
 	}
+	checkCoreCount(total, "config "+name)
+	kinds := make([]Kind, 0, total)
+	layTierBlocks(counts, bigFirst, func(k Kind) { kinds = append(kinds, k) })
 	return Config{Name: name, Kinds: kinds, TierSet: tiers}
+}
+
+// layTierBlocks lays out a machine's cores tier by tier: put receives
+// counts[i] copies of Kind(i) per tier, the tier blocks in descending
+// capacity order when bigFirst and ascending otherwise.
+func layTierBlocks(counts []int, bigFirst bool, put func(Kind)) {
+	for j := range counts {
+		i := j
+		if bigFirst {
+			i = len(counts) - 1 - j
+		}
+		for n := 0; n < counts[i]; n++ {
+			put(Kind(i))
+		}
+	}
 }
 
 // NewNUMAConfig builds a multi-socket machine: every socket carries the
@@ -460,51 +428,29 @@ func coreRangeString(ids []int) string {
 // On a topology config the regrouping happens within each LLC domain, so
 // the socket layout — and every domain's tier composition — is preserved.
 func (c Config) Ordered(bigFirst bool) Config {
+	counts := make([]int, c.NumTiers())
 	var kinds []Kind
 	if c.Topo.IsFlat() {
-		counts := make([]int, c.NumTiers())
 		for _, k := range c.Kinds {
 			counts[k]++
 		}
 		kinds = make([]Kind, 0, len(c.Kinds))
-		if bigFirst {
-			for i := len(counts) - 1; i >= 0; i-- {
-				for n := 0; n < counts[i]; n++ {
-					kinds = append(kinds, Kind(i))
-				}
-			}
-		} else {
-			for i := 0; i < len(counts); i++ {
-				for n := 0; n < counts[i]; n++ {
-					kinds = append(kinds, Kind(i))
-				}
-			}
-		}
+		layTierBlocks(counts, bigFirst, func(k Kind) { kinds = append(kinds, k) })
 	} else {
 		kinds = make([]Kind, len(c.Kinds))
+		var ids []int
 		for _, d := range c.Topo.Domains {
-			ids := append([]int(nil), d.Cores...)
+			ids = append(ids[:0], d.Cores...)
 			sort.Ints(ids)
-			counts := make([]int, c.NumTiers())
+			clear(counts)
 			for _, id := range ids {
 				counts[c.Kinds[id]]++
 			}
 			pos := 0
-			write := func(tier int) {
-				for n := 0; n < counts[tier]; n++ {
-					kinds[ids[pos]] = Kind(tier)
-					pos++
-				}
-			}
-			if bigFirst {
-				for i := len(counts) - 1; i >= 0; i-- {
-					write(i)
-				}
-			} else {
-				for i := 0; i < len(counts); i++ {
-					write(i)
-				}
-			}
+			layTierBlocks(counts, bigFirst, func(k Kind) {
+				kinds[ids[pos]] = k
+				pos++
+			})
 		}
 	}
 	name := c.Name
@@ -544,37 +490,31 @@ func (c Config) TierIndices(tier int) []int {
 	return out
 }
 
-// Spec returns the flattened core spec for core index i.
-func (c Config) Spec(i int) Spec {
-	t := c.Tier(i)
-	return Spec{Kind: c.Kinds[i], Name: t.Model, FreqMHz: t.FreqMHz,
-		L1IKB: t.L1IKB, L1DKB: t.L1DKB, L2KB: t.L2KB}
-}
-
-// NewSymmetric builds an n-core machine of a single core kind from the
-// default palette — the symmetric big-only / little-only configurations the
-// speedup model is trained on (§4.1) and the all-big metric baseline runs
-// on.
+// NewSymmetric builds an n-core machine of a single core kind over the
+// default palette: NewSymmetric(Big, n) is the all-big machine the metric
+// baselines run on. Its "<n>big" name is part of every baseline key.
 func NewSymmetric(kind Kind, n int) Config {
-	checkCoreCount(n, "NewSymmetric machine")
+	name := fmt.Sprintf("%d%s", n, kind)
+	checkCoreCount(n, "config "+name)
 	kinds := make([]Kind, n)
 	for i := range kinds {
 		kinds[i] = kind
 	}
-	return Config{Name: fmt.Sprintf("%d%s", n, kind), Kinds: kinds}
+	return Config{Name: name, Kinds: kinds, TierSet: DefaultTiers()}
 }
 
 // NewSymmetricTier builds an n-core machine whose cores all belong to the
-// given tier — the single-tier training machines per-tier speedup models
-// collect their counter runs on (the multi-tier analogue of NewSymmetric).
+// given tier — the single-tier machines the speedup models are trained on
+// (§4.1): one benchmark alone per tier, the base tier's run against each
+// upper tier's.
 func NewSymmetricTier(t Tier, n int) Config {
-	checkCoreCount(n, "NewSymmetricTier machine")
-	kinds := make([]Kind, n)
 	sym := t.Symbol
 	if sym == "" {
 		sym = t.Name
 	}
-	return Config{Name: fmt.Sprintf("%d%s-sym", n, sym), Kinds: kinds, TierSet: []Tier{t}}
+	name := fmt.Sprintf("%d%s-sym", n, sym)
+	checkCoreCount(n, "config "+name)
+	return Config{Name: name, Kinds: make([]Kind, n), TierSet: []Tier{t}}
 }
 
 // The four evaluated platform shapes (§5.1): xB yS = x big + y little cores.

@@ -53,8 +53,8 @@ func TestAllBigAndSymmetric(t *testing.T) {
 	if len(sym.TierIndices(int(Little))) != 3 || len(sym.TierIndices(int(Big))) != 0 {
 		t.Fatalf("symmetric = %v", sym.Kinds)
 	}
-	if Config2B2S.Spec(0).Kind != Big || Config2B2S.Spec(3).Kind != Little {
-		t.Fatalf("Spec kind mismatch")
+	if Config2B2S.Tier(0).Model != "cortexa57" || Config2B2S.Tier(3).Model != "cortexa53" {
+		t.Fatalf("tier model mismatch: %s, %s", Config2B2S.Tier(0).Model, Config2B2S.Tier(3).Model)
 	}
 }
 

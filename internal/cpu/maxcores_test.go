@@ -7,9 +7,9 @@ import (
 
 // Machines beyond MaxCores exceed the affinity mask-set universe; every
 // construction path must refuse them loudly instead of corrupting affinity
-// state downstream.
+// state downstream. The panic names the shape it refused.
 func TestMaxCoresGuards(t *testing.T) {
-	mustPanic := func(name string, f func()) {
+	mustPanic := func(name, shape string, f func()) {
 		t.Helper()
 		defer func() {
 			r := recover()
@@ -17,16 +17,21 @@ func TestMaxCoresGuards(t *testing.T) {
 				t.Errorf("%s: want panic on >%d cores", name, MaxCores)
 				return
 			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, "max 1024 supported") {
+			msg, ok := r.(string)
+			if !ok || !strings.Contains(msg, "max 1024 supported") {
 				t.Errorf("%s: panic %v does not explain the core limit", name, r)
+			}
+			if !strings.Contains(msg, shape) {
+				t.Errorf("%s: panic %q does not name the shape %q", name, msg, shape)
 			}
 		}()
 		f()
 	}
-	mustPanic("NewConfig", func() { NewConfig(520, 520, true) })
-	mustPanic("NewTieredConfig", func() { NewTieredConfig(TriGearTiers(), []int{400, 400, 400}, true) })
-	mustPanic("NewSymmetric", func() { NewSymmetric(Big, MaxCores+1) })
-	mustPanic("NewSymmetricTier", func() { NewSymmetricTier(TierBig, MaxCores+1) })
+	mustPanic("NewConfig", "config 520B520S has 1040 cores", func() { NewConfig(520, 520, true) })
+	mustPanic("NewConfig little-first", "config 520B520S-lf has 1040 cores", func() { NewConfig(520, 520, false) })
+	mustPanic("NewTieredConfig", "config 400B400M400S has 1200 cores", func() { NewTieredConfig(TriGearTiers(), []int{400, 400, 400}, true) })
+	mustPanic("NewSymmetric", "config 1025big has 1025 cores", func() { NewSymmetric(Big, MaxCores+1) })
+	mustPanic("NewSymmetricTier", "config 1025B-sym has 1025 cores", func() { NewSymmetricTier(TierBig, MaxCores+1) })
 
 	// A hand-built oversized Config fails Validate with the same clarity.
 	kinds := make([]Kind, MaxCores+1)

@@ -87,7 +87,7 @@ func (t Tier) RelSpeedup(pred float64) float64 {
 	if t.Uarch <= 0 && t.FreqMHz == RefFreqMHz {
 		return 1.0
 	}
-	if t.Uarch >= 1 && t.FreqMHz == BigSpec.FreqMHz {
+	if t.Uarch >= 1 && t.FreqMHz == TierBig.FreqMHz {
 		return pred
 	}
 	uarch := pred / FreqRatio // recover the microarchitectural factor
@@ -113,5 +113,5 @@ func (p WorkProfile) InstPerWorkUnit() float64 {
 	// In-order IPC model: base 0.9, helped by ILP up to ~1.3, hurt by
 	// memory stalls down to ~0.4.
 	ipc := mathx.Clamp(0.9+0.4*p.ILP-0.5*p.MemIntensity, 0.35, 1.35)
-	return ipc * (float64(LittleSpec.FreqMHz) / 1000.0) // instructions per ns of little-core time
+	return ipc * (float64(RefFreqMHz) / 1000.0) // instructions per ns of little-core time
 }

@@ -14,7 +14,6 @@ type Core struct {
 	ID   int
 	Kind cpu.Kind // tier index into the config's palette
 	Tier cpu.Tier
-	Spec cpu.Spec
 
 	// Current is the thread occupying the core (nil when idle).
 	Current *task.Thread

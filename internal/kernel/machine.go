@@ -120,7 +120,7 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 		tier := cfg.Tier(i)
 		ladder := tier.Ladder()
 		c := &Core{
-			ID: i, Kind: kind, Tier: tier, Spec: cfg.Spec(i),
+			ID: i, Kind: kind, Tier: tier,
 			ladder:    ladder,
 			opp:       len(ladder) - 1, // boot at nominal
 			l2Mult:    tier.L2MissMult(),
@@ -220,12 +220,6 @@ func (m *Machine) TierCoreIDs(tier int) []int { return m.tierIDs[tier] }
 
 // TopTier returns the index of the highest-capacity tier in the palette.
 func (m *Machine) TopTier() int { return m.topTier }
-
-// BigCoreIDs returns indices of top-tier cores in core order.
-func (m *Machine) BigCoreIDs() []int { return m.tierIDs[m.topTier] }
-
-// LittleCoreIDs returns indices of base-tier cores in core order.
-func (m *Machine) LittleCoreIDs() []int { return m.tierIDs[0] }
 
 // Topology returns the machine's socket/LLC-domain layout (the zero-value
 // flat topology on pre-topology configs).
@@ -553,7 +547,7 @@ func (m *Machine) wakeThread(t *task.Thread, blamer *task.Thread) {
 	}
 	if !m.noCounters {
 		// The wait shows up as quiesce cycles on the thread's counters.
-		q := float64(dur) * float64(cpu.LittleSpec.FreqMHz) / 1000.0
+		q := float64(dur) * float64(cpu.RefFreqMHz) / 1000.0
 		t.TotalCounters[cpu.CtrQuiesceCycles] += q
 		t.IntervalCounters[cpu.CtrQuiesceCycles] += q
 	}

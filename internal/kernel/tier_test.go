@@ -36,13 +36,6 @@ func TestTierCoreLayout(t *testing.T) {
 			t.Errorf("tier %d cores %v, want %v", tier, got, want)
 		}
 	}
-	// Legacy accessors map to the top/base tiers.
-	if ids := m.BigCoreIDs(); ids[0] != 0 || ids[1] != 1 {
-		t.Errorf("BigCoreIDs %v", ids)
-	}
-	if ids := m.LittleCoreIDs(); ids[0] != 4 || ids[1] != 5 {
-		t.Errorf("LittleCoreIDs %v", ids)
-	}
 	for _, c := range m.Cores() {
 		if c.NumOPPs() != 3 {
 			t.Errorf("%v: %d OPPs, want 3 (DVFS ladders on every tri-gear tier)", c, c.NumOPPs())

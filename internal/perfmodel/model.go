@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"colab/internal/cpu"
+	"colab/internal/kernel"
 	"colab/internal/mathx"
 	"colab/internal/task"
 )
@@ -26,11 +27,10 @@ const (
 	MaxSpeedup = 3.0
 )
 
-// DefaultNeutralSpeedup is returned for threads with no counter history.
-const DefaultNeutralSpeedup = 1.5
-
-// Sample is one training observation: the counter totals of a thread from a
-// big-only run and its measured big-vs-little speedup.
+// Sample is one training observation for an upper tier: a thread's counter
+// totals from a run on that tier alone and its measured speedup over the
+// same thread's run on the base tier (big-vs-little on the default
+// palette).
 type Sample struct {
 	Bench    string
 	Counters cpu.Vec
@@ -60,10 +60,11 @@ func (m *Model) linear(v cpu.Vec) float64 {
 }
 
 // Predict estimates the big-vs-little speedup from a raw counter vector.
-// Vectors without committed instructions yield the neutral default.
+// Vectors without committed instructions yield the neutral
+// kernel.NeutralPred.
 func (m *Model) Predict(v cpu.Vec) float64 {
 	if v[cpu.CtrCommittedInsts] <= 0 {
-		return DefaultNeutralSpeedup
+		return kernel.NeutralPred
 	}
 	return mathx.Clamp(m.linear(v), MinSpeedup, MaxSpeedup)
 }
@@ -72,16 +73,20 @@ func (m *Model) Predict(v cpu.Vec) float64 {
 // is too noisy and the cumulative counters are used instead.
 const minIntervalInsts = 10_000
 
-// ThreadPredictor adapts the model to the per-thread predictor signature
-// the policies consume. It prefers the current labeling interval's counters
-// (fresh phase behaviour) and falls back to the cumulative totals.
-func (m *Model) ThreadPredictor() func(*task.Thread) float64 {
-	return func(t *task.Thread) float64 {
-		if t.IntervalCounters[cpu.CtrCommittedInsts] >= minIntervalInsts {
-			return m.Predict(t.IntervalCounters)
-		}
-		return m.Predict(t.TotalCounters)
+// counterWindow returns the counters a prediction for t reads: the current
+// labeling interval's (fresh phase behaviour) once they hold
+// minIntervalInsts committed instructions, else the cumulative totals.
+func counterWindow(t *task.Thread) *cpu.Vec {
+	if t.IntervalCounters[cpu.CtrCommittedInsts] >= minIntervalInsts {
+		return &t.IntervalCounters
 	}
+	return &t.TotalCounters
+}
+
+// ThreadPredictor adapts the model to the per-thread predictor signature
+// the policies consume, predicting from the thread's counterWindow.
+func (m *Model) ThreadPredictor() func(*task.Thread) float64 {
+	return func(t *task.Thread) float64 { return m.Predict(*counterWindow(t)) }
 }
 
 // Oracle returns a predictor that reads the hidden ground-truth speedup.

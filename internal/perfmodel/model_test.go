@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"colab/internal/cpu"
+	"colab/internal/kernel"
 	"colab/internal/mathx"
 	"colab/internal/task"
 )
@@ -77,7 +78,7 @@ func TestPredictClampsAndDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	var empty cpu.Vec
-	if got := m.Predict(empty); got != DefaultNeutralSpeedup {
+	if got := m.Predict(empty); got != kernel.NeutralPred {
 		t.Fatalf("empty counters predict %v, want neutral", got)
 	}
 	// Absurd counter vectors must clamp into the physical envelope.
@@ -98,7 +99,7 @@ func TestPredictClampsAndDefaults(t *testing.T) {
 // the selected features gathered into a fresh slice, then LinReg.Predict.
 func referencePredict(m *Model, v cpu.Vec) float64 {
 	if v[cpu.CtrCommittedInsts] <= 0 {
-		return DefaultNeutralSpeedup
+		return kernel.NeutralPred
 	}
 	norm := v.NormalizeByInsts()
 	x := make([]float64, len(m.Features))
@@ -170,7 +171,7 @@ func TestThreadPredictorPrefersIntervalCounters(t *testing.T) {
 		t.Fatalf("interval counters not preferred: fresh=%v stale=%v", wantHi, wantLo)
 	}
 	// A never-run thread gets the neutral default.
-	if got := pred(&task.Thread{}); got != DefaultNeutralSpeedup {
+	if got := pred(&task.Thread{}); got != kernel.NeutralPred {
 		t.Fatalf("fresh thread predicts %v", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"colab/internal/cpu"
+	"colab/internal/kernel"
 	"colab/internal/mathx"
 	"colab/internal/task"
 	"colab/internal/workload"
@@ -112,21 +113,16 @@ func (tm *TieredModel) PredictTier(k int, v cpu.Vec) float64 {
 	}
 	t := tm.Tiers[k]
 	if v[cpu.CtrCommittedInsts] <= 0 {
-		return t.RelSpeedup(DefaultNeutralSpeedup)
+		return t.RelSpeedup(kernel.NeutralPred)
 	}
 	return mathx.Clamp(tm.Models[k].linear(v), t.MinSpeedup, t.MaxSpeedup)
 }
 
 // TierPredictor adapts the model to the per-thread per-tier predictor
-// signature the policies consume: interval counters when fresh enough,
-// cumulative totals otherwise (matching Model.ThreadPredictor).
+// signature the policies consume, predicting from the thread's
+// counterWindow (as Model.ThreadPredictor does).
 func (tm *TieredModel) TierPredictor() func(*task.Thread, int) float64 {
-	return func(t *task.Thread, k int) float64 {
-		if t.IntervalCounters[cpu.CtrCommittedInsts] >= minIntervalInsts {
-			return tm.PredictTier(k, t.IntervalCounters)
-		}
-		return tm.PredictTier(k, t.TotalCounters)
-	}
+	return func(t *task.Thread, k int) float64 { return tm.PredictTier(k, *counterWindow(t)) }
 }
 
 // Describe renders every per-tier model in Table 2 style.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"colab/internal/cpu"
+	"colab/internal/kernel"
 	"colab/internal/mathx"
 )
 
@@ -67,7 +68,7 @@ func TestTieredPredictionsOrderedAndClamped(t *testing.T) {
 		}
 	}
 	// Counter-free vectors fall back to the tier-interpolated neutral.
-	if got, want := tm.PredictTier(2, cpu.Vec{}), cpu.TierBigDVFS.RelSpeedup(DefaultNeutralSpeedup); got != want {
+	if got, want := tm.PredictTier(2, cpu.Vec{}), cpu.TierBigDVFS.RelSpeedup(kernel.NeutralPred); got != want {
 		t.Errorf("neutral big prediction %v, want %v", got, want)
 	}
 }

@@ -38,57 +38,17 @@ func (o CollectOptions) withDefaults() CollectOptions {
 // minTrainExec filters threads too short-lived to carry signal.
 const minTrainExec = sim.Millisecond
 
-// CollectSamples runs every benchmark in single-program mode on a big-only
-// and a little-only machine under CFS, records the big-run performance
-// counters of each thread and labels them with the measured little-vs-big
-// execution-time ratio — the paper's offline training-set construction
-// (§4.1).
+// CollectSamples builds the paper's offline training set (§4.1): the
+// big-tier entry of CollectTieredSamples over the default big.LITTLE
+// palette, that is every benchmark run alone on an all-big and an
+// all-little machine under CFS, each thread's big-run counters labelled
+// with its measured little-vs-big execution-time ratio.
 func CollectSamples(opt CollectOptions) ([]Sample, error) {
-	opt = opt.withDefaults()
-	var samples []Sample
-	for _, b := range workload.All() {
-		threads := opt.Threads
-		if threads == 0 {
-			threads = b.DefaultThreads
-		}
-		if b.MaxThreads > 0 && threads > b.MaxThreads {
-			threads = b.MaxThreads
-		}
-		bigRun, err := runSymmetric(b.Name, threads, cpu.Big, opt)
-		if err != nil {
-			return nil, err
-		}
-		littleRun, err := runSymmetric(b.Name, threads, cpu.Little, opt)
-		if err != nil {
-			return nil, err
-		}
-		bigThreads := bigRun.Threads()
-		littleThreads := littleRun.Threads()
-		if len(bigThreads) != len(littleThreads) {
-			return nil, fmt.Errorf("perfmodel: %s symmetric runs disagree on thread count", b.Name)
-		}
-		for i, bt := range bigThreads {
-			lt := littleThreads[i]
-			if bt.SumExec < minTrainExec || lt.SumExec < minTrainExec {
-				continue
-			}
-			samples = append(samples, Sample{
-				Bench:    b.Name,
-				Counters: bt.TotalCounters,
-				Speedup:  float64(lt.SumExec) / float64(bt.SumExec),
-			})
-		}
+	samples, err := CollectTieredSamples(cpu.DefaultTiers(), opt)
+	if err != nil {
+		return nil, err
 	}
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("perfmodel: no usable training samples collected")
-	}
-	return samples, nil
-}
-
-// runSymmetric executes one benchmark alone on an all-big or all-little
-// machine under CFS and returns the workload with populated accounting.
-func runSymmetric(bench string, threads int, kind cpu.Kind, opt CollectOptions) (*task.Workload, error) {
-	return runSingleOn(bench, threads, cpu.NewSymmetric(kind, opt.Cores), opt)
+	return samples[cpu.Big], nil
 }
 
 // runSingleOn executes one benchmark alone on an arbitrary machine under CFS

@@ -84,8 +84,8 @@ func (l *LabelerStage) Name() string { return "wash.labeler" }
 func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 	l.pc = pc
 	m := pc.Machine()
-	l.bigMask = task.MaskOf(m.BigCoreIDs())
-	l.littleMask = task.MaskOf(m.LittleCoreIDs())
+	l.bigMask = task.MaskOf(m.TierCoreIDs(m.TopTier()))
+	l.littleMask = task.MaskOf(m.TierCoreIDs(0))
 	if l.littleMask.IsEmpty() { // symmetric all-big machine: nothing to steer
 		l.littleMask = l.bigMask
 	}
