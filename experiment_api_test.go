@@ -147,8 +147,10 @@ func TestExperimentValidation(t *testing.T) {
 // policy by name.
 func TestExperimentWithRegisteredPolicy(t *testing.T) {
 	const name = "test-wrapped-linux"
-	if err := colab.RegisterPolicy(name, func(colab.PolicyContext) (colab.Scheduler, error) {
-		return colab.NewLinux(), nil
+	if err := registerOnce(name, func() error {
+		return colab.RegisterPolicy(name, func(colab.PolicyContext) (colab.Scheduler, error) {
+			return colab.NewLinux(), nil
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -34,11 +34,18 @@ func TestBuiltinsRegistered(t *testing.T) {
 	}
 }
 
+// Every built-in name builds. The test iterates the built-in table, not
+// Names(), which also lists what other tests register.
 func TestNewBuildsEveryBuiltin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("colab-dvfs trains the tiered model; not -short")
 	}
-	for _, name := range Names() {
+	names := make([]string, 0, len(builtins))
+	for name := range builtins {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		s, err := New(name, Context{})
 		if err != nil {
 			t.Errorf("New(%s): %v", name, err)
@@ -88,12 +95,17 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
+// customCalls counts the builds of the "test-custom-roundtrip" policy.
+var customCalls int
+
 func TestRegisterCustomRoundtrip(t *testing.T) {
 	const name = "test-custom-roundtrip"
-	called := 0
-	if err := Register(name, func(ctx Context) (kernel.Scheduler, error) {
-		called++
-		return cfs.New(), nil
+	customCalls = 0
+	if err := registerOnce(name, func() error {
+		return Register(name, func(ctx Context) (kernel.Scheduler, error) {
+			customCalls++
+			return cfs.New(), nil
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +113,8 @@ func TestRegisterCustomRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s == nil || called != 1 {
-		t.Fatalf("factory not invoked exactly once (called=%d)", called)
+	if s == nil || customCalls != 1 {
+		t.Fatalf("factory not invoked exactly once (called=%d)", customCalls)
 	}
 	if err := Register(name, func(Context) (kernel.Scheduler, error) { return nil, nil }); err == nil {
 		t.Fatal("re-registering the same custom name must error")
@@ -111,9 +123,13 @@ func TestRegisterCustomRoundtrip(t *testing.T) {
 
 func TestFactoryErrorWrapped(t *testing.T) {
 	const name = "test-factory-error"
-	MustRegister(name, func(Context) (kernel.Scheduler, error) {
-		return nil, fmt.Errorf("boom")
-	})
+	if err := registerOnce(name, func() error {
+		return Register(name, func(Context) (kernel.Scheduler, error) {
+			return nil, fmt.Errorf("boom")
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	_, err := New(name, Context{})
 	if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), name) {
 		t.Fatalf("factory error not wrapped with the policy name: %v", err)

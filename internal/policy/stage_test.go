@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"colab/internal/kernel"
@@ -91,20 +92,27 @@ func TestUnknownStageListsRegistry(t *testing.T) {
 	}
 }
 
+// shadowBuilds counts the builds of the "test-shadow.labeler" policy.
+var shadowBuilds int
+
 // A whole-policy registration shadows the composition grammar for the same
 // name string.
 func TestPolicyNameShadowsComposition(t *testing.T) {
 	const name = "test-shadow.labeler"
-	built := 0
-	MustRegister(name, func(Context) (kernel.Scheduler, error) {
-		built++
-		return cfs.New(), nil
-	})
+	shadowBuilds = 0
+	if err := registerOnce(name, func() error {
+		return Register(name, func(Context) (kernel.Scheduler, error) {
+			shadowBuilds++
+			return cfs.New(), nil
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := Check(name); err != nil {
 		t.Fatalf("registered name must check clean: %v", err)
 	}
-	if _, err := New(name, Context{}); err != nil || built != 1 {
-		t.Fatalf("whole-policy factory not used (err=%v, built=%d)", err, built)
+	if _, err := New(name, Context{}); err != nil || shadowBuilds != 1 {
+		t.Fatalf("whole-policy factory not used (err=%v, built=%d)", err, shadowBuilds)
 	}
 }
 
@@ -155,25 +163,34 @@ func TestRegisterStageValidation(t *testing.T) {
 // A stage registered under the wrong slot is rejected at build time, not
 // silently run.
 func TestCompositionRejectsWrongStageKind(t *testing.T) {
-	MustRegisterStage(SlotSelector, "test-notasel", func(Context) (kernel.Stage, error) {
-		return colab.NewLabeler(nil, nil, nil), nil // a labeler, not a selector
-	})
+	if err := registerOnce("test-notasel.selector", func() error {
+		return RegisterStage(SlotSelector, "test-notasel", func(Context) (kernel.Stage, error) {
+			return colab.NewLabeler(nil, nil, nil), nil // a labeler, not a selector
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	_, err := New("test-notasel.selector", Context{})
 	if err == nil || !strings.Contains(err.Error(), "does not implement the selector interface") {
 		t.Fatalf("wrong-kind stage error = %v", err)
 	}
 }
 
+// concurrentRuns numbers the runs of TestRegistryConcurrentAccess, whose
+// names are fresh in each run.
+var concurrentRuns atomic.Int64
+
 // Both registry levels must be safe under concurrent registration, lookup
 // and instantiation (run with -race in CI).
 func TestRegistryConcurrentAccess(t *testing.T) {
+	run := concurrentRuns.Add(1)
 	var wg sync.WaitGroup
 	for i := 0; i < 24; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			name := fmt.Sprintf("conc-%d", i)
+			name := fmt.Sprintf("conc%d-%d", run, i)
 			if err := Register("policy-"+name, func(Context) (kernel.Scheduler, error) {
 				return cfs.New(), nil
 			}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"colab/internal/task"
@@ -17,7 +18,9 @@ func testGen(b *Builder, n int) {
 
 func TestRegisterBenchmarkAndResolve(t *testing.T) {
 	name := "regtest-bench"
-	if err := Register(Benchmark{Name: name, Suite: "test", DefaultThreads: 2, Gen: testGen}); err != nil {
+	if err := registerOnce(name, func() error {
+		return Register(Benchmark{Name: name, Suite: "test", DefaultThreads: 2, Gen: testGen})
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ByName(name); !ok {
@@ -96,7 +99,7 @@ func TestRegisterScenarioAndResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterScenario(name, spec); err != nil {
+	if err := registerOnce(name, func() error { return RegisterScenario(name, spec) }); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ResolveSpec(name)
@@ -120,9 +123,14 @@ func TestRegisterScenarioAndResolve(t *testing.T) {
 	}
 }
 
+// concurrencyRuns numbers the runs of TestRegistryConcurrency, whose
+// benchmark names are fresh in each run.
+var concurrencyRuns atomic.Int64
+
 // The registries must be safe under concurrent registration and lookup
 // (run with -race).
 func TestRegistryConcurrency(t *testing.T) {
+	run := concurrencyRuns.Add(1)
 	var wg sync.WaitGroup
 	errs := make([]error, 0, 64)
 	var mu sync.Mutex
@@ -131,7 +139,7 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			err := Register(Benchmark{
-				Name: fmt.Sprintf("conc-bench-%d", i%8), Suite: "test",
+				Name: fmt.Sprintf("conc-bench%d-%d", run, i%8), Suite: "test",
 				DefaultThreads: 2, Gen: testGen,
 			})
 			mu.Lock()

@@ -255,14 +255,18 @@ func fingerprintApp(a *task.App) string {
 
 // A miscounting user generator surfaces as an error, not a panic.
 func TestMiscountingGeneratorErrors(t *testing.T) {
-	MustRegister(Benchmark{
-		Name: "spectest-short", Suite: "test", DefaultThreads: 4,
-		Gen: func(b *Builder, n int) {
-			for i := 0; i < n-1; i++ { // off by one
-				b.Thread(fmt.Sprintf("w%d", i), ComputeProfile(b.RNG()), task.Program{task.Compute{Work: 1e6}})
-			}
-		},
-	})
+	if err := registerOnce("spectest-short", func() error {
+		return Register(Benchmark{
+			Name: "spectest-short", Suite: "test", DefaultThreads: 4,
+			Gen: func(b *Builder, n int) {
+				for i := 0; i < n-1; i++ { // off by one
+					b.Thread(fmt.Sprintf("w%d", i), ComputeProfile(b.RNG()), task.Program{task.Compute{Work: 1e6}})
+				}
+			},
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := SingleProgram("spectest-short", 4, 1); err == nil || !strings.Contains(err.Error(), "emitted") {
 		t.Fatalf("miscounting generator must error, got %v", err)
 	}

@@ -66,6 +66,9 @@ type countingLabeler struct {
 	passes int
 }
 
+// lastCounting is the stage the "counting" factory built last.
+var lastCounting *countingLabeler
+
 func (l *countingLabeler) Name() string                    { return "counting.labeler" }
 func (l *countingLabeler) Start(pc *colab.PipelineContext) {}
 func (l *countingLabeler) Label(threads []*colab.Thread)   { l.passes++ }
@@ -73,10 +76,12 @@ func (l *countingLabeler) Label(threads []*colab.Thread)   { l.passes++ }
 // A user stage registered with RegisterStage becomes addressable through
 // the composition grammar everywhere a policy name is accepted.
 func TestRegisterStageGrammarRoundtrip(t *testing.T) {
-	var last *countingLabeler
-	if err := colab.RegisterStage(colab.SlotLabeler, "counting", func(colab.PolicyContext) (colab.PipelineStage, error) {
-		last = &countingLabeler{}
-		return last, nil
+	lastCounting = nil
+	if err := registerOnce("counting.labeler", func() error {
+		return colab.RegisterStage(colab.SlotLabeler, "counting", func(colab.PolicyContext) (colab.PipelineStage, error) {
+			lastCounting = &countingLabeler{}
+			return lastCounting, nil
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +105,8 @@ func TestRegisterStageGrammarRoundtrip(t *testing.T) {
 	if _, err := colab.Run(colab.Config2B2S, s, w); err != nil {
 		t.Fatal(err)
 	}
-	if last == nil || last.passes == 0 {
-		t.Fatalf("user labeler never ticked (stage=%v)", last)
+	if lastCounting == nil || lastCounting.passes == 0 {
+		t.Fatalf("user labeler never ticked (stage=%v)", lastCounting)
 	}
 
 	// Registration validation: grammar metacharacters and collisions.

@@ -14,20 +14,22 @@ import (
 // and then resolves everywhere workloads are named: BuildBenchmark, the
 // scenario grammar and an Experiment session.
 func TestRegisterBenchmarkEndToEnd(t *testing.T) {
-	err := colab.RegisterBenchmark(colab.Benchmark{
-		Name: "apitest-spin", Suite: "example", DefaultThreads: 2,
-		Gen: func(b *colab.AppBuilder, n int) {
-			lock := b.NewID()
-			for i := 0; i < n; i++ {
-				b.Thread(fmt.Sprintf("w%d", i), colab.ComputeProfile(b.RNG()), colab.Program{
-					colab.Compute{Work: 2e6},
-					colab.Lock{ID: lock},
-					colab.Compute{Work: 0.2e6},
-					colab.Unlock{ID: lock},
-					colab.Compute{Work: 2e6},
-				})
-			}
-		},
+	err := registerOnce("apitest-spin", func() error {
+		return colab.RegisterBenchmark(colab.Benchmark{
+			Name: "apitest-spin", Suite: "example", DefaultThreads: 2,
+			Gen: func(b *colab.AppBuilder, n int) {
+				lock := b.NewID()
+				for i := 0; i < n; i++ {
+					b.Thread(fmt.Sprintf("w%d", i), colab.ComputeProfile(b.RNG()), colab.Program{
+						colab.Compute{Work: 2e6},
+						colab.Lock{ID: lock},
+						colab.Compute{Work: 0.2e6},
+						colab.Unlock{ID: lock},
+						colab.Compute{Work: 2e6},
+					})
+				}
+			},
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
