@@ -63,7 +63,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addr        = fs.String("addr", ":8080", "listen address (coordinator and worker modes)")
 		coordinator = fs.String("coordinator", "", "coordinator base URL to register with (worker mode)")
 		advertise   = fs.String("advertise", "", "externally reachable URL of this worker (default: derived from -addr on 127.0.0.1)")
-		heartbeat   = fs.Duration("heartbeat", time.Second, "worker heartbeat interval")
 		cacheLimit  = fs.Int("cache-limit", 0, "bound the worker cell cache to this many cells, LRU-evicted (0 = unbounded)")
 		drain       = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget on SIGTERM")
 		compact     = fs.String("compact", "", "compact the checkpoint journal at this path and exit")
@@ -92,7 +91,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var err error
 	switch *mode {
 	case "worker":
-		err = runWorker(ctx, stderr, *addr, *coordinator, *advertise, *heartbeat, *drain, *cacheLimit)
+		err = runWorker(ctx, stderr, *addr, *coordinator, *advertise, *drain, *cacheLimit)
 	case "coordinator", "local":
 		var opts []colab.ExperimentOption
 		if opts, err = sweepOptions(*workloads, *machines, *policies, *seeds, *workers); err == nil {
@@ -130,9 +129,10 @@ func sweepOptions(workloads, machines, policies, seeds string, workers int) ([]c
 	}, nil
 }
 
-// runWorker serves a worker daemon until ctx is cancelled (SIGTERM),
-// then drains in-flight shards gracefully.
-func runWorker(ctx context.Context, stderr io.Writer, addr, coordinator, advertise string, heartbeat, drain time.Duration, cacheLimit int) error {
+// runWorker serves a worker daemon, heartbeating at RegisterFleetWorker's
+// default cadence, until ctx is cancelled (SIGTERM), then drains
+// in-flight shards gracefully.
+func runWorker(ctx context.Context, stderr io.Writer, addr, coordinator, advertise string, drain time.Duration, cacheLimit int) error {
 	if coordinator == "" {
 		return fmt.Errorf("worker mode needs -coordinator")
 	}
@@ -143,7 +143,7 @@ func runWorker(ctx context.Context, stderr io.Writer, addr, coordinator, adverti
 	if advertise == "" {
 		advertise = "http://" + hostPort(ln.Addr().String(), addr)
 	}
-	go colab.RegisterFleetWorker(ctx, nil, coordinator, advertise, heartbeat)
+	go colab.RegisterFleetWorker(ctx, nil, coordinator, advertise, 0)
 	fmt.Fprintf(stderr, "colab-fleet: worker %s registering with %s\n", advertise, coordinator)
 	w := colab.NewFleetWorker(colab.NewCellCache(colab.WithCellCacheLimit(cacheLimit)))
 	return fleet.Serve(ctx, ln, w, drain, stderr, "colab-fleet")

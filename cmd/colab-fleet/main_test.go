@@ -64,7 +64,7 @@ func TestFleetModeMatchesLocalMode(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go run(ctx, []string{
 			"-mode", "worker", "-addr", freePort(t),
-			"-coordinator", "http://" + coordAddr, "-heartbeat", "100ms",
+			"-coordinator", "http://" + coordAddr,
 		}, new(bytes.Buffer), new(bytes.Buffer))
 	}
 	fleetCSV := filepath.Join(dir, "fleet.csv")

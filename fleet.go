@@ -16,11 +16,13 @@ import (
 // deals deterministic shard assignments of an Experiment's sweep to the
 // live workers, streaming their per-cell results back and reassembling
 // the union byte-identical to an unsharded local Run. Failures are
-// survived: a shard whose worker dies mid-stream is retried with
-// exponential backoff on a surviving worker, shipping the already-
+// survived: a worker is live until its heartbeat is 5s old or a dispatch
+// to it fails, and a shard whose worker dies mid-stream is dealt to a
+// live worker (at most 5 attempts per shard), shipping the already-
 // completed cells as a checkpoint journal so they replay instead of
-// recomputing, and duplicate cells from retried shards are ingested
-// idempotently.
+// recomputing; duplicate cells from retried shards are ingested
+// idempotently. A failed worker is dealt nothing until its next
+// heartbeat.
 //
 // Serve it, point colab-fleet workers (or NewFleetWorker daemons) at it,
 // and attach it to a session with WithFleet:
@@ -35,9 +37,10 @@ import (
 //	).Run(ctx)
 type Fleet = fleet.Coordinator
 
-// FleetOptions tune a Fleet coordinator's sharding and failure handling;
-// the zero value selects sensible defaults (shard per live worker, 5
-// attempts per shard, 200ms base backoff, 5s heartbeat timeout).
+// FleetOptions set a Fleet coordinator's shard count (0: one shard per
+// live worker) and its dispatching HTTP client (nil: http.DefaultClient).
+// The failure bounds are fixed: a 5s heartbeat timeout, 5 attempts per
+// shard, and a 60s wait for a live worker.
 type FleetOptions = fleet.Options
 
 // NewFleet builds a coordinator from options.

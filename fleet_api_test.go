@@ -16,11 +16,7 @@ import (
 // waits until all have registered.
 func startFleet(t *testing.T, n int) *colab.Fleet {
 	t.Helper()
-	f := colab.NewFleet(colab.FleetOptions{
-		RetryBackoff:      20 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-		WorkerWaitTimeout: 10 * time.Second,
-	})
+	f := colab.NewFleet(colab.FleetOptions{})
 	cts := httptest.NewServer(f)
 	t.Cleanup(cts.Close)
 	for i := 0; i < n; i++ {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -22,58 +23,34 @@ type Options struct {
 	// number of live workers at Run time (at least 1). More shards than
 	// workers queue; surviving workers drain the queue.
 	Shards int
-	// MaxAttempts bounds how often one shard is tried before the run
-	// fails (default 5). Attempts that fail fast — a worker killed between
-	// heartbeats still holds its slot until the next dispatch errors —
-	// count too, so the bound must absorb a retry-to-the-corpse or two.
-	MaxAttempts int
-	// RetryBackoff is the delay before a shard's second attempt; it
-	// doubles per subsequent attempt (default 200ms).
-	RetryBackoff time.Duration
-	// MaxBackoff caps the exponential backoff (default 5s).
-	MaxBackoff time.Duration
-	// HeartbeatTimeout declares a worker dead when its last registration
-	// or heartbeat is older than this (default 5s). Dead workers get no
-	// new shards, and in-flight dispatches to them are cancelled and
-	// reassigned; a worker that beats again is live again.
-	HeartbeatTimeout time.Duration
-	// WorkerWaitTimeout bounds how long Run waits with shards outstanding,
-	// nothing in flight, and no live worker to dispatch to (default 60s) —
-	// the whole fleet being dead should fail the run, not hang it.
-	WorkerWaitTimeout time.Duration
 	// HTTPClient dispatches shard requests (default http.DefaultClient;
 	// per-attempt cancellation comes from contexts, so no client timeout
 	// is needed and a streaming-friendly client must not set one).
 	HTTPClient *http.Client
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 5
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 200 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 5 * time.Second
-	}
-	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 5 * time.Second
-	}
-	if o.WorkerWaitTimeout <= 0 {
-		o.WorkerWaitTimeout = 60 * time.Second
-	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = http.DefaultClient
-	}
-	return o
-}
+// The failure bounds of every Coordinator. A worker beating at
+// RegisterFleetWorker's default 1s cadence misses four beats before it
+// times out.
+const (
+	// heartbeatTimeout is how long a registration or heartbeat keeps a
+	// worker live.
+	heartbeatTimeout = 5 * time.Second
+	// maxAttempts bounds how often one shard is dispatched before the
+	// run fails.
+	maxAttempts = 5
+	// workerWaitTimeout bounds how long Run waits with shards
+	// outstanding, nothing in flight and no live worker: a dead fleet
+	// fails the run instead of hanging it.
+	workerWaitTimeout = 60 * time.Second
+)
 
 // WorkerInfo is one registered worker as reported by Workers and the
 // /workers endpoint.
 type WorkerInfo struct {
 	URL string `json:"url"`
-	// Live reports the worker heartbeat is fresh (within HeartbeatTimeout).
+	// Live reports the worker may be dealt shards: its last registration
+	// or heartbeat is fresh, and no dispatch to it has failed since.
 	Live bool `json:"live"`
 	// Busy reports a shard is currently dispatched to the worker.
 	Busy bool `json:"busy"`
@@ -85,16 +62,23 @@ type workerState struct {
 	url      string
 	lastBeat time.Time
 	busy     bool
+	// retired is set by a failed dispatch to the worker and cleared by its
+	// next registration or heartbeat.
+	retired bool
 }
 
 // Coordinator is the dispatching side of a fleet: it accepts worker
 // registrations and liveness heartbeats over HTTP, and Run deals the
-// shards of one sweep to the live workers — retrying failed shards with
-// exponential backoff, reassigning a dead worker's shard to a survivor
-// with the shard's checkpoint journal shipped along, and ingesting
-// results idempotently so duplicate cells from retried shards are
-// harmless. The assembled result is byte-identical to the same sweep run
-// unsharded in one process.
+// shards of one sweep to the live workers — reassigning a failed shard to
+// a live worker with the shard's checkpoint journal shipped along, and
+// ingesting results idempotently so duplicate cells from retried shards
+// are harmless.
+//
+// One rule decides liveness: a worker is live from a registration or
+// heartbeat until the heartbeat timeout passes or a dispatch to it fails,
+// whichever comes first. A dead worker is dealt no shard, and its
+// in-flight dispatch is cancelled and its shard reassigned. The assembled
+// result is byte-identical to the same sweep run unsharded in one process.
 //
 // Endpoints (mount the Coordinator as an http.Handler):
 //
@@ -109,6 +93,10 @@ type Coordinator struct {
 	opts Options
 	mux  *http.ServeMux
 
+	// The failure bounds: the package constants, which tests shorten.
+	heartbeatTimeout, workerWait time.Duration
+	maxAttempts                  int
+
 	mu      sync.Mutex
 	workers map[string]*workerState
 	running bool
@@ -116,7 +104,13 @@ type Coordinator struct {
 
 // NewCoordinator returns a coordinator with opts applied.
 func NewCoordinator(opts Options) *Coordinator {
-	c := &Coordinator{opts: opts.withDefaults(), mux: http.NewServeMux(), workers: make(map[string]*workerState)}
+	if opts.HTTPClient == nil {
+		opts.HTTPClient = http.DefaultClient
+	}
+	c := &Coordinator{
+		opts: opts, mux: http.NewServeMux(), workers: make(map[string]*workerState),
+		heartbeatTimeout: heartbeatTimeout, workerWait: workerWaitTimeout, maxAttempts: maxAttempts,
+	}
 	c.mux.HandleFunc("/register", c.handleRegister)
 	c.mux.HandleFunc("/heartbeat", c.handleRegister)
 	c.mux.HandleFunc("/workers", c.handleWorkers)
@@ -129,7 +123,7 @@ func NewCoordinator(opts Options) *Coordinator {
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
 
 // handleRegister serves /register and /heartbeat: both upsert the worker
-// and refresh its liveness, so registration is idempotent and a
+// and make it live again, so registration is idempotent and a
 // re-registering worker revives.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -137,18 +131,23 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var reg registration
-	if err := json.NewDecoder(r.Body).Decode(&reg); err != nil || !strings.HasPrefix(reg.URL, "http") {
+	if err := json.NewDecoder(r.Body).Decode(&reg); err != nil {
 		http.Error(w, "fleet: registration body must be {\"url\": \"http://...\"}", http.StatusBadRequest)
 		return
 	}
-	url := strings.TrimRight(reg.URL, "/")
+	if u, err := url.Parse(reg.URL); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		http.Error(w, fmt.Sprintf("fleet: registration url %q is not an http:// or https:// URL with a host", reg.URL), http.StatusBadRequest)
+		return
+	}
+	key := strings.TrimRight(reg.URL, "/")
 	c.mu.Lock()
-	ws, ok := c.workers[url]
+	ws, ok := c.workers[key]
 	if !ok {
-		ws = &workerState{url: url}
-		c.workers[url] = ws
+		ws = &workerState{url: key}
+		c.workers[key] = ws
 	}
 	ws.lastBeat = time.Now()
+	ws.retired = false
 	c.mu.Unlock()
 	fmt.Fprintln(w, "ok")
 }
@@ -156,6 +155,12 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(c.Workers())
+}
+
+// live is the one liveness rule of the Coordinator doc. Callers hold
+// c.mu.
+func (c *Coordinator) live(ws *workerState, now time.Time) bool {
+	return !ws.retired && now.Sub(ws.lastBeat) <= c.heartbeatTimeout
 }
 
 // Workers snapshots the registry, sorted by URL.
@@ -167,7 +172,7 @@ func (c *Coordinator) Workers() []WorkerInfo {
 	for _, ws := range c.workers {
 		out = append(out, WorkerInfo{
 			URL:         ws.url,
-			Live:        now.Sub(ws.lastBeat) <= c.opts.HeartbeatTimeout,
+			Live:        c.live(ws, now),
 			Busy:        ws.busy,
 			LastBeatAge: now.Sub(ws.lastBeat),
 		})
@@ -176,11 +181,14 @@ func (c *Coordinator) Workers() []WorkerInfo {
 	return out
 }
 
-// liveCount returns the number of workers with fresh heartbeats.
+// liveCount returns the number of live workers.
 func (c *Coordinator) liveCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := time.Now()
 	n := 0
-	for _, w := range c.Workers() {
-		if w.Live {
+	for _, ws := range c.workers {
+		if c.live(ws, now) {
 			n++
 		}
 	}
@@ -201,53 +209,43 @@ func (c *Coordinator) WaitWorkers(ctx context.Context, n int) error {
 	}
 }
 
-// claimWorker picks a free live worker, preferring one other than
-// exclude (the worker whose attempt on this shard just failed), marks it
-// busy and returns it; nil when none is available.
-func (c *Coordinator) claimWorker(exclude string) *workerState {
+// claimWorker picks a free live worker, marks it busy and returns it;
+// nil when none is available.
+func (c *Coordinator) claimWorker() *workerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
 	urls := make([]string, 0, len(c.workers))
-	for url := range c.workers {
-		urls = append(urls, url)
+	for u := range c.workers {
+		urls = append(urls, u)
 	}
 	sort.Strings(urls) // deterministic preference order
-	var fallback *workerState
-	for _, url := range urls {
-		ws := c.workers[url]
-		if ws.busy || now.Sub(ws.lastBeat) > c.opts.HeartbeatTimeout {
-			continue
+	for _, u := range urls {
+		if ws := c.workers[u]; !ws.busy && c.live(ws, now) {
+			ws.busy = true
+			return ws
 		}
-		if ws.url == exclude {
-			fallback = ws
-			continue
-		}
-		ws.busy = true
-		return ws
-	}
-	if fallback != nil {
-		fallback.busy = true
-		return fallback
 	}
 	return nil
 }
 
-func (c *Coordinator) releaseWorker(url string) {
+// releaseWorker frees a worker after a dispatch; failed retires it until
+// its next beat.
+func (c *Coordinator) releaseWorker(workerURL string, failed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ws, ok := c.workers[url]; ok {
+	if ws, ok := c.workers[workerURL]; ok {
 		ws.busy = false
+		ws.retired = ws.retired || failed
 	}
 }
 
-// isLive reports whether a worker's heartbeat is fresh (the in-flight
-// dispatch watchdog polls this to abandon attempts on dead workers).
-func (c *Coordinator) isLive(url string) bool {
+// isLive reports whether the worker at workerURL is live.
+func (c *Coordinator) isLive(workerURL string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ws, ok := c.workers[url]
-	return ok && time.Since(ws.lastBeat) <= c.opts.HeartbeatTimeout
+	ws, ok := c.workers[workerURL]
+	return ok && c.live(ws, time.Now())
 }
 
 // runState is the mutable result assembly of one Run: positional,
@@ -360,17 +358,18 @@ func (st *runState) abort() {
 	st.mu.Unlock()
 }
 
+// shardTask is one shard of a Run and, while it is in flight, the worker
+// it was dealt to and the cancel func of that attempt.
 type shardTask struct {
-	shard      int
-	attempts   int
-	readyAt    time.Time
-	lastWorker string
+	shard    int
+	attempts int
+	worker   string
+	cancel   context.CancelFunc
 }
 
 type attemptResult struct {
-	shard     int
-	workerURL string
-	err       error
+	shard int
+	err   error
 }
 
 // Run executes one sweep across the fleet and returns every cell of it in
@@ -402,9 +401,9 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, ce
 	shards := c.opts.Shards
 	if shards <= 0 {
 		// Deal one shard per live worker. An empty fleet waits here (up to
-		// WorkerWaitTimeout) rather than degenerating to a 1-shard plan
-		// that the first late worker would have to run whole.
-		waitCtx, cancel := context.WithTimeout(ctx, c.opts.WorkerWaitTimeout)
+		// the worker wait timeout) rather than degenerating to a 1-shard
+		// plan that the first late worker would have to run whole.
+		waitCtx, cancel := context.WithTimeout(ctx, c.workerWait)
 		err := c.WaitWorkers(waitCtx, 1)
 		cancel()
 		if err != nil {
@@ -420,9 +419,12 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, ce
 
 	st := newRunState(planned, shards, obs)
 
+	// Deferred in this order so the run is cancelled before it is
+	// aborted: an attempt that fails on the abort sees the cancellation
+	// and does not retire its worker.
+	defer st.abort() // late attempt goroutines must not touch obs after return
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
-	defer st.abort() // late attempt goroutines must not touch obs after return
 
 	var pending []*shardTask
 	remaining := 0
@@ -437,34 +439,40 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, ce
 	// Buffered to the shard count so attempt goroutines can always post
 	// their result and exit, even after Run has returned on error.
 	done := make(chan attemptResult, shards)
+	rescan := time.NewTicker(50 * time.Millisecond)
+	defer rescan.Stop()
 	var noWorkerSince time.Time
 
 	for remaining > 0 {
-		// Dispatch every ready pending shard a free live worker exists for.
-		now := time.Now()
-		for i := 0; i < len(pending); {
-			t := pending[i]
-			if now.Before(t.readyAt) {
-				i++
-				continue
-			}
-			ws := c.claimWorker(t.lastWorker)
+		// Deal pending shards, oldest first, while a free live worker exists.
+		for len(pending) > 0 {
+			ws := c.claimWorker()
 			if ws == nil {
 				break // no free live worker; wait for a beat or a completion
 			}
-			pending = append(pending[:i], pending[i+1:]...)
+			t := pending[0]
+			pending = pending[1:]
 			t.attempts++
-			t.lastWorker = ws.url
+			t.worker = ws.url
+			var actx context.Context
+			actx, t.cancel = context.WithCancel(runCtx)
 			inflight[t.shard] = t
-			go c.attempt(runCtx, ws.url, spec, t.shard, shards, len(st.seq[t.shard]), st, done)
+			go c.attempt(runCtx, actx, ws.url, spec, t.shard, shards, len(st.seq[t.shard]), st, done)
+		}
+		// A worker that died mid-shard must not hold the shard hostage.
+		for _, t := range inflight {
+			if !c.isLive(t.worker) {
+				t.cancel()
+			}
 		}
 
 		// A fleet with work outstanding, nothing in flight and no live
-		// worker is going nowhere: fail after WorkerWaitTimeout of that.
+		// worker is going nowhere: fail after the worker wait timeout.
+		now := time.Now()
 		if len(inflight) == 0 && c.liveCount() == 0 {
 			if noWorkerSince.IsZero() {
 				noWorkerSince = now
-			} else if now.Sub(noWorkerSince) > c.opts.WorkerWaitTimeout {
+			} else if now.Sub(noWorkerSince) > c.workerWait {
 				return nil, fmt.Errorf("fleet: no live workers for %s with %d shards outstanding", now.Sub(noWorkerSince).Round(time.Millisecond), remaining)
 			}
 		} else {
@@ -475,56 +483,34 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec, obs func(index int, ce
 		case res := <-done:
 			t := inflight[res.shard]
 			delete(inflight, res.shard)
-			c.releaseWorker(res.workerURL)
+			t.cancel()
 			if res.err == nil {
 				remaining--
 				continue
 			}
-			if t.attempts >= c.opts.MaxAttempts {
-				return nil, fmt.Errorf("fleet: shard %d failed %d times, last on %s: %w", res.shard, t.attempts, res.workerURL, res.err)
+			if t.attempts >= c.maxAttempts {
+				return nil, fmt.Errorf("fleet: shard %d failed %d times, last on %s: %w", res.shard, t.attempts, t.worker, res.err)
 			}
-			backoff := c.opts.RetryBackoff << (t.attempts - 1)
-			if backoff > c.opts.MaxBackoff {
-				backoff = c.opts.MaxBackoff
-			}
-			t.readyAt = time.Now().Add(backoff)
 			pending = append(pending, t)
 		case <-ctx.Done():
 			return nil, fmt.Errorf("fleet: run cancelled: %w", ctx.Err())
-		case <-time.After(50 * time.Millisecond):
-			// Re-scan: backoffs expire, workers beat or die, late workers
-			// register and immediately join the dispatch pool.
+		case <-rescan.C:
+			// Re-scan: workers beat or die, late workers register and
+			// immediately join the dispatch pool.
 		}
 	}
 
 	return st.results, nil
 }
 
-// attempt runs one dispatch of one shard to one worker, with a liveness
-// watchdog that abandons the attempt when the worker's heartbeats stop —
-// a hung worker must not hold its shard hostage.
-func (c *Coordinator) attempt(ctx context.Context, workerURL string, spec Spec, shard, shards, want int, st *runState, done chan<- attemptResult) {
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		t := time.NewTicker(100 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if !c.isLive(workerURL) {
-					cancel()
-					return
-				}
-			}
-		}
-	}()
+// attempt runs one dispatch of one shard to one worker under actx, which
+// Run cancels when the worker stops being live. It frees the worker
+// before it reports, retiring it on failure unless runCtx, the whole
+// run, was cancelled.
+func (c *Coordinator) attempt(runCtx, actx context.Context, workerURL string, spec Spec, shard, shards, want int, st *runState, done chan<- attemptResult) {
 	err := c.dispatch(actx, workerURL, spec, shard, shards, want, st)
-	done <- attemptResult{shard: shard, workerURL: workerURL, err: err}
+	c.releaseWorker(workerURL, err != nil && runCtx.Err() == nil)
+	done <- attemptResult{shard: shard, err: err}
 }
 
 // dispatch POSTs one shard to a worker and ingests its NDJSON stream. The

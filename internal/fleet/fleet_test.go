@@ -48,22 +48,20 @@ func localCells(t *testing.T, spec Spec) []experiment.BatchCell {
 	return cells
 }
 
-// fastOptions keeps the failure-path tests quick: tight heartbeats and
-// backoffs, but a generous overall wait.
-func fastOptions() Options {
-	return Options{
-		MaxAttempts:       4,
-		RetryBackoff:      20 * time.Millisecond,
-		MaxBackoff:        100 * time.Millisecond,
-		HeartbeatTimeout:  400 * time.Millisecond,
-		WorkerWaitTimeout: 10 * time.Second,
-	}
+// fastCoordinator keeps the failure-path tests quick: a tight heartbeat
+// timeout for workers beating every 50ms, but a generous overall wait.
+func fastCoordinator(opts Options) *Coordinator {
+	c := NewCoordinator(opts)
+	c.heartbeatTimeout = 400 * time.Millisecond
+	c.workerWait = 10 * time.Second
+	return c
 }
 
 type testFleet struct {
 	coord   *Coordinator
 	url     string
 	workers []*Worker
+	servers []*httptest.Server
 	// beatCancels stops one worker's heartbeat loop (simulating its death
 	// to the liveness tracker without stopping its HTTP server).
 	beatCancels []context.CancelFunc
@@ -73,7 +71,7 @@ type testFleet struct {
 // servers, with every worker registering and heartbeating for real.
 func newTestFleet(t *testing.T, n int, opts Options) *testFleet {
 	t.Helper()
-	tf := &testFleet{coord: NewCoordinator(opts)}
+	tf := &testFleet{coord: fastCoordinator(opts)}
 	cts := httptest.NewServer(tf.coord)
 	t.Cleanup(cts.Close)
 	tf.url = cts.URL
@@ -84,6 +82,7 @@ func newTestFleet(t *testing.T, n int, opts Options) *testFleet {
 		ctx, cancel := context.WithCancel(context.Background())
 		t.Cleanup(cancel)
 		tf.workers = append(tf.workers, w)
+		tf.servers = append(tf.servers, wts)
 		tf.beatCancels = append(tf.beatCancels, cancel)
 		go RegisterAndHeartbeat(ctx, nil, cts.URL, wts.URL, 50*time.Millisecond)
 	}
@@ -145,7 +144,7 @@ func runAndCheck(t *testing.T, tf *testFleet, spec Spec) []Cell {
 
 // A healthy fleet of two workers reproduces the unsharded run exactly.
 func TestFleetMatchesLocalRun(t *testing.T) {
-	tf := newTestFleet(t, 2, fastOptions())
+	tf := newTestFleet(t, 2, Options{})
 	runAndCheck(t, tf, testSpec())
 	ran := 0
 	for _, w := range tf.workers {
@@ -160,9 +159,7 @@ func TestFleetMatchesLocalRun(t *testing.T) {
 
 // More shards than workers queue and drain across the fleet.
 func TestFleetMoreShardsThanWorkers(t *testing.T) {
-	opts := fastOptions()
-	opts.Shards = 4
-	tf := newTestFleet(t, 2, opts)
+	tf := newTestFleet(t, 2, Options{Shards: 4})
 	runAndCheck(t, tf, testSpec())
 }
 
@@ -173,7 +170,7 @@ func TestFleetMoreShardsThanWorkers(t *testing.T) {
 // duplicates must be ingested idempotently; and the merged output must be
 // byte-identical to the unsharded run with every cell delivered once.
 func TestFleetWorkerKilledMidShardIsReassigned(t *testing.T) {
-	tf := newTestFleet(t, 2, fastOptions())
+	tf := newTestFleet(t, 2, Options{})
 	var killed atomic.Bool
 	tf.workers[0].FaultInjector = func(shard, cell int) error {
 		if cell == 2 && killed.CompareAndSwap(false, true) {
@@ -213,7 +210,7 @@ func TestFleetWorkerKilledMidShardIsReassigned(t *testing.T) {
 // A worker that hangs mid-shard and stops heartbeating is declared dead;
 // the in-flight dispatch is abandoned and the shard completes elsewhere.
 func TestFleetHungWorkerIsAbandoned(t *testing.T) {
-	tf := newTestFleet(t, 2, fastOptions())
+	tf := newTestFleet(t, 2, Options{})
 	hang := make(chan struct{})
 	t.Cleanup(func() { close(hang) })
 	var hung atomic.Bool
@@ -230,13 +227,76 @@ func TestFleetHungWorkerIsAbandoned(t *testing.T) {
 	}
 }
 
+// A worker that dies is retired by its first failed dispatch, not only
+// once its heartbeat ages out: while the survivor is busy, the dead
+// worker's shard waits for it instead of spending every attempt on
+// refused connections to the dead worker.
+func TestFleetDeadWorkerDoesNotSpendRetries(t *testing.T) {
+	tf := newTestFleet(t, 2, Options{})
+	var died, held atomic.Bool
+	tf.workers[0].FaultInjector = func(shard, cell int) error {
+		if died.CompareAndSwap(false, true) {
+			tf.servers[0].Listener.Close() // later dispatches are refused
+			tf.beatCancels[0]()
+			return context.Canceled
+		}
+		return nil
+	}
+	tf.workers[1].FaultInjector = func(shard, cell int) error {
+		if held.CompareAndSwap(false, true) {
+			// Busy for longer than a burst of immediate retries to the
+			// dead worker takes, and shorter than the heartbeat timeout,
+			// so only its failed dispatch can retire the dead worker.
+			time.Sleep(300 * time.Millisecond)
+		}
+		return nil
+	}
+	runAndCheck(t, tf, testSpec())
+	if !died.Load() || !held.Load() {
+		t.Fatalf("fault injectors fired: died=%v held=%v, want both", died.Load(), held.Load())
+	}
+}
+
+// A cancelled Run hands its workers back: the next Run on the same
+// coordinator finds them free and live, not held by the abandoned
+// attempts.
+func TestFleetCancelledRunFreesWorkers(t *testing.T) {
+	tf := newTestFleet(t, 2, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int32
+	for _, w := range tf.workers {
+		w.FaultInjector = func(shard, cell int) error {
+			if calls.Add(1) == 2 {
+				cancel() // both shards have been dealt
+			}
+			return nil
+		}
+	}
+	if _, err := tf.coord.Run(ctx, testSpec(), nil); err == nil {
+		t.Fatal("cancelled run succeeded")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := tf.coord.Run(context.Background(), testSpec(), nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after a cancelled one: %v", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatalf("run after a cancelled one still waiting after 3s; workers = %+v", tf.coord.Workers())
+	}
+}
+
 // A worker registering after Run has started joins the dispatch pool: a
-// one-worker fleet that dies is rescued by a late arrival.
+// one-worker fleet that dies is rescued by a late arrival. The dead
+// worker spends no attempt after its first failure, so the default
+// attempt bound holds.
 func TestFleetLateWorkerRescuesRun(t *testing.T) {
-	opts := fastOptions()
-	opts.Shards = 2
-	opts.MaxAttempts = 20 // enough retries to cover the rescuer's arrival
-	tf := newTestFleet(t, 1, opts)
+	tf := newTestFleet(t, 1, Options{Shards: 2})
 	var kills atomic.Int32
 	tf.workers[0].FaultInjector = func(shard, cell int) error {
 		// The sole worker dies on every attempt until the rescuer arrives.
@@ -268,12 +328,11 @@ func TestFleetLateWorkerRescuesRun(t *testing.T) {
 	}
 }
 
-// With no workers at all, Run fails after WorkerWaitTimeout instead of
-// hanging.
+// With no workers at all, Run fails after the worker wait timeout instead
+// of hanging.
 func TestFleetNoWorkersFailsFast(t *testing.T) {
-	opts := fastOptions()
-	opts.WorkerWaitTimeout = 200 * time.Millisecond
-	c := NewCoordinator(opts)
+	c := fastCoordinator(Options{})
+	c.workerWait = 200 * time.Millisecond
 	_, err := c.Run(context.Background(), testSpec(), nil)
 	if err == nil || !strings.Contains(err.Error(), "no live workers") {
 		t.Fatalf("empty fleet must fail fast, got: %v", err)
@@ -283,8 +342,7 @@ func TestFleetNoWorkersFailsFast(t *testing.T) {
 // An invalid spec fails at once with the bad input named, even on an
 // empty fleet: validation comes before the wait for workers.
 func TestFleetRejectsBadSpecBeforeWaiting(t *testing.T) {
-	opts := fastOptions()
-	c := NewCoordinator(opts)
+	c := fastCoordinator(Options{})
 	spec := testSpec()
 	spec.Policies = []string{"nope"}
 	start := time.Now()
@@ -292,17 +350,16 @@ func TestFleetRejectsBadSpecBeforeWaiting(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("unknown policy must be named, got: %v", err)
 	}
-	if took := time.Since(start); took > opts.WorkerWaitTimeout/4 {
-		t.Errorf("rejection took %v, want well inside WorkerWaitTimeout %v", took, opts.WorkerWaitTimeout)
+	if took := time.Since(start); took > c.workerWait/4 {
+		t.Errorf("rejection took %v, want well inside the worker wait timeout %v", took, c.workerWait)
 	}
 }
 
-// A shard that keeps dying exhausts MaxAttempts and fails the run with
+// A shard that keeps dying exhausts its attempts and fails the run with
 // the shard named.
 func TestFleetExhaustedRetriesFailRun(t *testing.T) {
-	opts := fastOptions()
-	opts.MaxAttempts = 2
-	tf := newTestFleet(t, 1, opts)
+	tf := newTestFleet(t, 1, Options{})
+	tf.coord.maxAttempts = 2
 	tf.workers[0].FaultInjector = func(shard, cell int) error { return context.Canceled }
 	_, err := tf.coord.Run(context.Background(), testSpec(), nil)
 	if err == nil || !strings.Contains(err.Error(), "failed 2 times") {
@@ -312,26 +369,34 @@ func TestFleetExhaustedRetriesFailRun(t *testing.T) {
 
 // Registration is idempotent and validated; /workers reports the fleet.
 func TestRegistrationEndpoints(t *testing.T) {
-	c := NewCoordinator(fastOptions())
+	c := fastCoordinator(Options{})
 	cts := httptest.NewServer(c)
 	defer cts.Close()
-	post := func(path, body string) int {
+	post := func(path, body string) (int, string) {
 		resp, err := http.Post(cts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp.StatusCode
+		defer resp.Body.Close()
+		reply, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(reply)
 	}
-	if code := post("/register", `{"url":"not a url"}`); code != http.StatusBadRequest {
-		t.Errorf("bad registration -> %d, want 400", code)
+	if code, _ := post("/register", `not json`); code != http.StatusBadRequest {
+		t.Errorf("malformed registration -> %d, want 400", code)
+	}
+	// Only an http:// or https:// URL with a host can be dispatched to.
+	for _, bad := range []string{"not a url", "httpfoo", "https", "http:/host:8081", "http://", "ftp://host:21"} {
+		code, reply := post("/register", fmt.Sprintf(`{"url":%q}`, bad))
+		if code != http.StatusBadRequest || !strings.Contains(reply, fmt.Sprintf("%q", bad)) {
+			t.Errorf("registration of %q -> %d %q, want 400 quoting the URL", bad, code, reply)
+		}
 	}
 	for i := 0; i < 2; i++ {
-		if code := post("/register", `{"url":"http://127.0.0.1:7777"}`); code != http.StatusOK {
+		if code, _ := post("/register", `{"url":"http://127.0.0.1:7777"}`); code != http.StatusOK {
 			t.Errorf("registration %d -> %d, want 200", i, code)
 		}
 	}
-	if code := post("/heartbeat", `{"url":"http://127.0.0.1:7778"}`); code != http.StatusOK {
+	if code, _ := post("/heartbeat", `{"url":"http://127.0.0.1:7778"}`); code != http.StatusOK {
 		t.Errorf("heartbeat-first registration -> %d, want 200 (heartbeats upsert)", code)
 	}
 	resp, err := http.Get(cts.URL + "/workers")
@@ -345,6 +410,15 @@ func TestRegistrationEndpoints(t *testing.T) {
 	}
 	if len(infos) != 2 || !infos[0].Live || infos[0].URL != "http://127.0.0.1:7777" {
 		t.Errorf("workers = %+v, want the two registered URLs, live", infos)
+	}
+	// A failed dispatch retires a worker until its next beat, and the
+	// registry keeps reporting its true heartbeat age meanwhile.
+	c.releaseWorker("http://127.0.0.1:7777", true)
+	if w := c.Workers()[0]; w.Live || w.LastBeatAge > time.Second {
+		t.Errorf("after a failed dispatch: %+v, want not live with a fresh beat", w)
+	}
+	if code, _ := post("/heartbeat", `{"url":"http://127.0.0.1:7777"}`); code != http.StatusOK || !c.Workers()[0].Live {
+		t.Errorf("heartbeat -> %d, live %v; want 200 and the worker live again", code, c.Workers()[0].Live)
 	}
 }
 

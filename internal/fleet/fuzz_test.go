@@ -1,12 +1,18 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
+
+	"colab/internal/experiment"
 )
 
 // FuzzStreamLine feeds arbitrary lines through the coordinator's
@@ -127,5 +133,76 @@ func FuzzQuery(f *testing.F) {
 			}
 		}
 		t.Fatalf("rejection of %q names no parameter or value: %v", raw, err)
+	})
+}
+
+// FuzzRunRequest feeds arbitrary bytes as a coordinator's POST /run body
+// through the worker's decode step, without running the batch. The decoder
+// must never panic, every rejection must name a field or a value of the
+// body (a body that is not one JSON object is itself the value, named as
+// the run request), and every accepted body must yield a batch whose plan
+// succeeds.
+func FuzzRunRequest(f *testing.F) {
+	spec := testSpec()
+	for _, req := range []runRequest{
+		{Spec: spec},
+		{Spec: spec, ShardIndex: 1, ShardCount: 2},
+		{Spec: spec, ShardIndex: 1, ShardCount: 2, Journal: []experiment.JournalRecord{{Key: "2B2S#0", HANTT: 1.25, HSTP: 0.75}}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, body := range []string{
+		`{"spec":{}}`,
+		`{"spec":{"workloads":["Sync-1"],"machines":["9B9S"],"policies":["linux"],"seeds":[1]}}`,
+		`{"spec":{"workloads":["Sync-1"],"machines":["2B2S"],"policies":["nope"],"seeds":[1]}}`,
+		`{"spec":{"workloads":["Sync-1"],"machines":["2B2S"],"policies":["linux"],"seeds":[1]},"shard_index":3,"shard_count":2}`,
+		`{"spec":{"workloads":["Sync-1"],"machines":["2B2S"],"policies":["linux"],"seeds":[-1]}}`,
+		`{"spec":{"workloads":["dedup:2*2@arrive=tracefile(x)"],"machines":["2B2S"],"policies":["linux"],"seeds":[1]}}`,
+		`{"spec":{"params":{"MaxEvents":"many"}}}`,
+		`{"journal":[{"key":7}]}`,
+		`not json`,
+		`""`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	names := []string{"spec", "workload", "machine", "polic", "seed", "param", "worker", "shard", "journal", "key", "h_antt", "h_stp"}
+	w := NewWorker(nil)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body))
+		r.Header.Set("Content-Type", "application/json")
+		b, _, err := w.decode(r)
+		if err == nil {
+			if _, err := b.Plan(); err != nil {
+				t.Fatalf("accepted body %q does not plan: %v", body, err)
+			}
+			return
+		}
+		msg := err.Error()
+		object := json.Valid(body) && bytes.HasPrefix(bytes.TrimSpace(body), []byte("{"))
+		if !object && strings.Contains(msg, "run request") {
+			return
+		}
+		for _, name := range names {
+			if strings.Contains(msg, name) {
+				return
+			}
+		}
+		var req runRequest
+		json.Unmarshal(body, &req) // what decodes is named, as the worker saw it
+		values := append(append(append([]string{}, req.Spec.Workloads...), req.Spec.Machines...), req.Spec.Policies...)
+		for _, s := range req.Spec.Seeds {
+			values = append(values, strconv.FormatUint(s, 10))
+		}
+		for _, v := range values {
+			if v != "" && strings.Contains(msg, v) {
+				return
+			}
+		}
+		t.Fatalf("rejection of %q names no field or value: %v", body, err)
 	})
 }

@@ -9,11 +9,11 @@
 // baseline-sharing group, cell identity via CellKey, checkpoint journals,
 // the cell cache), while fleet owns only *where* shards run and how
 // failures are survived — worker registration with liveness heartbeats,
-// per-shard retry with exponential backoff, reassignment of a dead
-// worker's shard to a survivor (shipping the coordinator's copy of the
-// failed shard's checkpoint journal so completed cells replay instead of
-// recomputing), and idempotent result ingestion that tolerates duplicate
-// cells from retried shards.
+// one liveness rule (a worker is live until its heartbeat times out or a
+// dispatch to it fails), reassignment of a failed shard to a live worker
+// (shipping the coordinator's copy of the shard's checkpoint journal so
+// completed cells replay instead of recomputing), and idempotent result
+// ingestion that tolerates duplicate cells from retried shards.
 package fleet
 
 import (

@@ -9,7 +9,10 @@
 //	PickNext      ~ pick_next_task_fair   (thread selection)
 //	WakeupPreempt ~ wakeup_preempt_entity (preemption check)
 //	VRuntimeScale ~ the scale-slice vruntime update
-//	Rebalance     ~ the periodic labeler added to __sched__schedule
+//
+// The periodic labeler the paper adds to __sched__schedule is no
+// Scheduler hook: it is Labeler.Label, which a Pipeline calls every
+// LabelInterval.
 package kernel
 
 import (
@@ -32,9 +35,9 @@ import (
 //   - VRuntimeScale multiplies wall-clock execution before it is added to
 //     the thread's vruntime (COLAB's scale-slice equal-progress mechanism).
 //   - WakeupPreempt reports whether newly woken t should preempt c.Current.
-//   - Rebalance-style periodic work (labeling) is scheduled by the policy
-//     itself in Start via m.Engine(); a Pipeline does it for its labeler,
-//     calling Labeler.Label every LabelInterval.
+//   - Periodic work (labeling) is scheduled by the policy itself in Start
+//     via m.Engine(); a Pipeline does it for its labeler, calling
+//     Labeler.Label every LabelInterval.
 type Scheduler interface {
 	Name() string
 	// Start installs the policy on a machine before any thread is admitted.
