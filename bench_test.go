@@ -229,14 +229,18 @@ func benchKernel(b *testing.B, mix string, cfg colab.Config, sched func() colab.
 // benchmarks.
 const bigMix = "ferret:32+bodytrack:32+radix:32+fft:32"
 
-// benchKernelEvents reports simulated events per timed wall second of
-// bigMix on cfg.
-func benchKernelEvents(b *testing.B, cfg colab.Config, sched func(*colab.SpeedupModel) colab.Scheduler) {
+// oversubscribedMix is the 288-thread mix of the oversubscribed NUMA
+// benchmark: more threads than the palette's 256 cores.
+const oversubscribedMix = "radix:96+fft:96+ocean_cp:96"
+
+// benchKernelEvents reports simulated events per timed wall second of mix
+// on cfg.
+func benchKernelEvents(b *testing.B, mix string, cfg colab.Config, sched func(*colab.SpeedupModel) colab.Scheduler) {
 	model, err := colab.TrainSpeedupModel()
 	if err != nil {
 		b.Fatal(err)
 	}
-	events := benchKernel(b, bigMix, cfg, func() colab.Scheduler { return sched(model) })
+	events := benchKernel(b, mix, cfg, func() colab.Scheduler { return sched(model) })
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(events)/s, "events/sec")
 	}
@@ -250,7 +254,7 @@ func benchCOLAB(m *colab.SpeedupModel) colab.Scheduler { return colab.NewCOLAB(m
 // headline number for the mask-set affinity representation — every queue
 // scan and dispatch touches masks wider than one word.
 func BenchmarkKernelEvents128(b *testing.B) {
-	benchKernelEvents(b, colab.Config32B32M64S, benchCOLAB)
+	benchKernelEvents(b, bigMix, colab.Config32B32M64S, benchCOLAB)
 }
 
 // BenchmarkKernelEventsNUMA measures kernel throughput with an active
@@ -258,19 +262,28 @@ func BenchmarkKernelEvents128(b *testing.B) {
 // under COLAB, so every dispatch runs the home-domain allocator, the
 // domain-ranked steal comparator and the migration-penalty charge.
 func BenchmarkKernelEventsNUMA(b *testing.B) {
-	benchKernelEvents(b, colab.Config2x32B32M64S, benchCOLAB)
+	benchKernelEvents(b, bigMix, colab.Config2x32B32M64S, benchCOLAB)
+}
+
+// BenchmarkKernelEventsNUMAOversubscribed is BenchmarkKernelEventsNUMA
+// with more threads than cores: COLAB on oversubscribedMix, whose
+// selector steals and pulls over about twelve times as many candidates
+// per run as on bigMix. This is the mix perfbench's numa-bigmachine
+// workload runs.
+func BenchmarkKernelEventsNUMAOversubscribed(b *testing.B) {
+	benchKernelEvents(b, oversubscribedMix, colab.Config2x32B32M64S, benchCOLAB)
 }
 
 // BenchmarkKernelEventsNUMAFlat is BenchmarkKernelEventsNUMA on the flat
 // twin of the palette (same cores, no topology): the gap between the two
 // is the cost of topology awareness.
 func BenchmarkKernelEventsNUMAFlat(b *testing.B) {
-	benchKernelEvents(b, colab.Config2x32B32M64S.Flat(), benchCOLAB)
+	benchKernelEvents(b, bigMix, colab.Config2x32B32M64S.Flat(), benchCOLAB)
 }
 
 // BenchmarkKernelEventsNUMALinux is the linux (CFS) arm on the NUMA
 // palette: least-loaded placement and the idle-balance steal over 256
 // queues.
 func BenchmarkKernelEventsNUMALinux(b *testing.B) {
-	benchKernelEvents(b, colab.Config2x32B32M64S, func(*colab.SpeedupModel) colab.Scheduler { return colab.NewLinux() })
+	benchKernelEvents(b, bigMix, colab.Config2x32B32M64S, func(*colab.SpeedupModel) colab.Scheduler { return colab.NewLinux() })
 }

@@ -250,11 +250,11 @@ func (m *Machine) DomainDistance(a, b int) int {
 	return m.dist[a][b]
 }
 
-// NextBusy returns the smallest core >= from of the given tier (-1: any
-// tier) that a thread occupies, or -1. Walking it from 0 visits the
-// occupied cores in ascending core order at a cost of the occupied count,
-// not the core count.
-func (m *Machine) NextBusy(tier, from int) int { return next(m.busy, m.busy, 0, m.tierSet(tier), from) }
+// BusyWord returns word w of the given tier's occupancy: bit i is set iff
+// core 64*w+i belongs to the tier and a thread occupies it. Words run from
+// 0 to (len(Cores())+63)/64-1; walking their set bits visits the tier's
+// occupied cores in ascending core order.
+func (m *Machine) BusyWord(tier, w int) uint64 { return m.busy[w] & m.tierSets[tier][w] }
 
 // NextIdle returns the smallest idle core >= from of the given tier (-1:
 // any tier), or -1.

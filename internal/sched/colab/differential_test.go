@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"colab/internal/sched/eas"
 	"colab/internal/sched/gts"
 	"colab/internal/sched/wash"
+	"colab/internal/sim"
 	"colab/internal/task"
 	"colab/internal/workload"
 )
@@ -24,24 +26,36 @@ import (
 // optimised selector, and the CFS allocator's placement, runs next to a
 // reference stage that keeps the plain full-scan search (every core of
 // every tier, in core order), and both must produce identical Results and
-// traces on generated workloads. The reference stages sit here, next to
-// COLAB's unexported criticality order; the CFS family's stages (linux,
-// wash, gts and eas) only need the exported API.
+// traces on generated workloads. The reference stages sit here, inside
+// package colab, because COLAB's reads the selector's unexported
+// configuration and the fold it checks is unexported; the CFS family's
+// stages (linux, wash, gts and eas) only need the exported API.
 
-// refSelector is COLAB's thread selector with the full-scan searches: one
-// scan of the tier's core list per tier in steal order, and a pull over
-// every lower-tier core.
+// refSelector is COLAB's thread selector with the full-scan searches: a
+// local-queue scan, one scan of the tier's core list per tier in steal
+// order, and a pull over every lower-tier core, all ranked by a pointer
+// comparator that re-reads both hints on every comparison. It borrows only
+// the optimised stage's configuration (steal order, fairness window,
+// switched-off features) and its slice hooks.
 type refSelector struct{ *SelectorStage }
 
 func (s refSelector) PickNext(c *kernel.Core) *task.Thread {
-	if t := s.takeMaxBlame(c.ID, c.ID); t != nil {
+	qs := s.pc.Queues()
+	if t := s.foldQueue(nil, c.ID, c.ID); t != nil {
+		qs.Remove(t)
 		return t
 	}
 	m := s.pc.Machine()
 	if s.off&Steal == 0 {
 		for _, tier := range s.stealOrder[int(c.Kind)] {
-			if best := s.scanMaxBlame(m.TierCoreIDs(tier), c); best != nil {
-				s.pc.Queues().Remove(best)
+			var best *task.Thread
+			for _, id := range m.TierCoreIDs(tier) {
+				if id != c.ID {
+					best = s.foldQueue(best, id, c.ID)
+				}
+			}
+			if best != nil {
+				qs.Remove(best)
 				return best
 			}
 		}
@@ -52,18 +66,14 @@ func (s refSelector) PickNext(c *kernel.Core) *task.Thread {
 	return nil
 }
 
-func (s refSelector) scanMaxBlame(ids []int, c *kernel.Core) *task.Thread {
+// foldQueue returns the most critical of best and the threads queued on q
+// that may run on dest, comparing in queue order.
+func (s refSelector) foldQueue(best *task.Thread, q, dest int) *task.Thread {
 	qs := s.pc.Queues()
-	var best *task.Thread
-	for _, id := range ids {
-		if id == c.ID {
-			continue
-		}
-		for i, n := 0, qs.Len(id); i < n; i++ {
-			t := qs.Thread(id, i)
-			if t.AllowedOn(c.ID) && (best == nil || s.moreCritical(t, best)) {
-				best = t
-			}
+	for i, n := 0, qs.Len(q); i < n; i++ {
+		t := qs.Thread(q, i)
+		if t.AllowedOn(dest) && (best == nil || s.moreCritical(t, best)) {
+			best = t
 		}
 	}
 	return best
@@ -84,6 +94,24 @@ func (s refSelector) pullFromLower(c *kernel.Core) *task.Thread {
 		}
 	}
 	return best
+}
+
+// moreCritical is the criticality order written over threads: the fairness
+// window on vruntime, then higher blame, higher predicted speedup, lower
+// vruntime.
+func (s refSelector) moreCritical(a, b *task.Thread) bool {
+	ha, hb := s.pc.Hints().Get(a), s.pc.Hints().Get(b)
+	dv := a.VRuntime - b.VRuntime
+	if dv > s.fairnessWindow || dv < -s.fairnessWindow {
+		return dv < 0
+	}
+	if ha.Crit != hb.Crit {
+		return ha.Crit > hb.Crit
+	}
+	if ha.Pred != hb.Pred {
+		return ha.Pred > hb.Pred
+	}
+	return a.VRuntime < b.VRuntime
 }
 
 // refCFSSelector is the CFS selector whose idle-balance steal ranks an
@@ -357,9 +385,15 @@ func diffRun(t *testing.T, cfg cpu.Config, s kernel.Scheduler, w *task.Workload)
 	return res, fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// oversubscribedMix is 288 threads, more than the 256 cores of the NUMA
+// palette. On it COLAB's steal and pull fold about 800k candidates per
+// run, twelve times as many as on a 128-thread mix.
+const oversubscribedMix = "radix:96+fft:96+ocean_cp:96"
+
 // TestDifferentialSelectors runs every optimised selector, and the CFS
 // allocator, against its full-scan reference: identical Results and trace
-// fingerprints on generated mixes over every machine shape.
+// fingerprints on generated mixes over every machine shape, and on
+// oversubscribedMix over the NUMA palette and its flat twin.
 func TestDifferentialSelectors(t *testing.T) {
 	model, err := perfmodel.Default()
 	if err != nil {
@@ -375,24 +409,164 @@ func TestDifferentialSelectors(t *testing.T) {
 		for k := 0; k < mixes*len(policies); k++ {
 			p := policies[k%len(policies)]
 			mix := genMix(rng, cfg.NumCores())
+			diffCheck(t, cfg, p, mix, rng.Uint64())
+		}
+		if cfg.NumCores() == cpu.Config2x32B32M64S.NumCores() {
 			seed := rng.Uint64()
-			spec, err := workload.ResolveSpec(mix)
-			if err != nil {
-				t.Fatal(err)
+			for _, p := range policies {
+				diffCheck(t, cfg, p, oversubscribedMix, seed)
 			}
-			build := func() *task.Workload {
-				w, err := spec.BuildFor(seed, cfg.AggregateCapacity())
-				if err != nil {
-					t.Fatalf("%s: %v", mix, err)
+		}
+	}
+}
+
+// diffCheck runs mix at seed on cfg under p's optimised and reference
+// builds and fails unless both give identical Results and traces.
+func diffCheck(t *testing.T, cfg cpu.Config, p diffPolicy, mix string, seed uint64) {
+	t.Helper()
+	spec, err := workload.ResolveSpec(mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *task.Workload {
+		w, err := spec.BuildFor(seed, cfg.AggregateCapacity())
+		if err != nil {
+			t.Fatalf("%s: %v", mix, err)
+		}
+		return w
+	}
+	got, gotTrace := diffRun(t, cfg, p.optimised(), build())
+	want, wantTrace := diffRun(t, cfg, p.reference(), build())
+	if !reflect.DeepEqual(got, want) || gotTrace != wantTrace {
+		t.Errorf("%s on %s, %s seed %d: optimised stages diverge from the full-scan reference (events %d vs %d, end %v vs %v, trace %.12s vs %.12s)",
+			p.name, cfg.Name, mix, seed, got.Events, want.Events, got.EndTime, want.EndTime, gotTrace, wantTrace)
+	}
+}
+
+// startedSelector returns sel started by a pipeline on a 2B2S machine, so
+// its hint board is live; the machine never runs.
+func startedSelector(t *testing.T, sel *SelectorStage) *SelectorStage {
+	t.Helper()
+	s, err := kernel.NewPipeline("critkey", nil, NewAllocator(false), sel, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := &task.App{Name: "critkey"}
+	app.Threads = []*task.Thread{{App: app, Name: "critkey", Program: task.Program{task.Compute{Work: 1}}}}
+	m, err := kernel.NewMachine(cpu.Config2B2S, s, &task.Workload{Name: "critkey", Apps: []*task.App{app}}, kernel.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start(m)
+	return sel
+}
+
+// TestDifferentialCritKeyFold checks the selector's cached-key fold
+// against the reference pointer comparator. Named rows pin the order's
+// edge cases; then every ordered pair of a grid of keys (NaN and ±Inf in
+// Crit and Pred, vruntime gaps at and just past ±fairnessWindow, each key
+// twice so equal keys meet) and folds over generated sequences of them
+// must pick the same thread both ways.
+func TestDifferentialCritKeyFold(t *testing.T) {
+	sel := startedSelector(t, NewSelector(0))
+	ref := refSelector{sel}
+	w := sel.fairnessWindow
+	inf, nan := math.Inf(1), math.NaN()
+	var ids int
+	thread := func(k critKey) *task.Thread {
+		th := &task.Thread{ID: ids, VRuntime: k.vr}
+		ids++
+		h := sel.pc.Hints().Get(th)
+		h.Crit, h.Pred = k.crit, k.pred
+		return th
+	}
+	key := func(th *task.Thread) critKey {
+		h := sel.pc.Hints().Get(th)
+		return critKey{th.VRuntime, h.Crit, h.Pred}
+	}
+	foldKeys := func(ths []*task.Thread) *task.Thread {
+		var b critBest
+		for _, th := range ths {
+			sel.fold(&b, th)
+		}
+		return b.t
+	}
+	foldRef := func(ths []*task.Thread) *task.Thread {
+		var best *task.Thread
+		for _, th := range ths {
+			if best == nil || ref.moreCritical(th, best) {
+				best = th
+			}
+		}
+		return best
+	}
+
+	third := w * 3 / 5
+	for _, tc := range []struct {
+		name string
+		keys []critKey
+		want int // index of the winner
+	}{
+		{"higher blame wins", []critKey{{0, 1, 1}, {0, 2, 1}}, 1},
+		{"gap of exactly +window: blame decides", []critKey{{w, 2, 1}, {0, 1, 1}}, 0},
+		{"gap past +window: lower vruntime wins", []critKey{{w + 1, 2, 1}, {0, 1, 1}}, 1},
+		{"gap of exactly -window: blame decides", []critKey{{0, 1, 1}, {w, 2, 1}}, 1},
+		{"gap past -window: the thread ahead loses", []critKey{{0, 1, 1}, {w + 1, 2, 1}}, 0},
+		{"equal blame: higher prediction", []critKey{{0, 1, 1}, {0, 1, 2}}, 1},
+		{"equal blame and prediction: lower vruntime", []critKey{{5, 1, 1}, {3, 1, 1}}, 1},
+		{"equal keys keep the first", []critKey{{5, 1, 1}, {5, 1, 1}}, 0},
+		{"NaN blame does not displace", []critKey{{0, 1, 1}, {0, nan, 9}}, 0},
+		{"NaN blame is not displaced", []critKey{{0, nan, 1}, {0, 1, 9}}, 0},
+		{"NaN blames skip prediction and vruntime", []critKey{{5, nan, 1}, {3, nan, 2}}, 0},
+		{"+Inf blame wins", []critKey{{0, 1, 1}, {0, inf, 1}}, 1},
+		{"-Inf blame loses", []critKey{{0, -inf, 1}, {0, 0, 1}}, 1},
+		{"equal infinite blames: prediction decides", []critKey{{0, inf, 1}, {0, inf, 2}}, 1},
+		{"NaN prediction does not displace", []critKey{{0, 1, 2}, {0, 1, nan}}, 0},
+		{"NaN prediction is not displaced", []critKey{{0, 1, nan}, {0, 1, 2}}, 0},
+		{"+Inf prediction wins", []critKey{{0, 1, 2}, {0, 1, inf}}, 1},
+		{"window outranks infinite blame", []critKey{{0, -inf, nan}, {w + 1, inf, inf}}, 0},
+		{"non-transitive: the visiting order decides (a, b, c)", []critKey{{0, 0, 1}, {third, 1, 1}, {2 * third, 2, 1}}, 2},
+		{"non-transitive: the visiting order decides (c, a, b)", []critKey{{2 * third, 2, 1}, {0, 0, 1}, {third, 1, 1}}, 2},
+	} {
+		ths := make([]*task.Thread, len(tc.keys))
+		for i, k := range tc.keys {
+			ths[i] = thread(k)
+		}
+		want := ths[tc.want]
+		if got := foldKeys(ths); got != want {
+			t.Errorf("%s: key fold picked %+v, want %+v", tc.name, key(got), key(want))
+		}
+		if got := foldRef(ths); got != want {
+			t.Errorf("%s: reference fold picked %+v, want %+v", tc.name, key(got), key(want))
+		}
+	}
+
+	var grid []*task.Thread
+	for copies := 0; copies < 2; copies++ {
+		for _, vr := range []sim.Time{0, 1, w - 1, w, w + 1, -w, -w - 1} {
+			for _, crit := range []float64{0, 1, nan, inf, -inf} {
+				for _, pred := range []float64{1, 2, nan, inf, -inf} {
+					grid = append(grid, thread(critKey{10*w + vr, crit, pred}))
 				}
-				return w
 			}
-			got, gotTrace := diffRun(t, cfg, p.optimised(), build())
-			want, wantTrace := diffRun(t, cfg, p.reference(), build())
-			if !reflect.DeepEqual(got, want) || gotTrace != wantTrace {
-				t.Errorf("%s on %s, %s seed %d: optimised stages diverge from the full-scan reference (events %d vs %d, end %v vs %v, trace %.12s vs %.12s)",
-					p.name, cfg.Name, mix, seed, got.Events, want.Events, got.EndTime, want.EndTime, gotTrace, wantTrace)
+		}
+	}
+	for _, a := range grid {
+		for _, b := range grid {
+			if got, want := sel.beats(key(a), key(b)), ref.moreCritical(a, b); got != want {
+				t.Fatalf("beats(%+v, %+v) = %v, moreCritical = %v", key(a), key(b), got, want)
 			}
+		}
+	}
+	rng := mathx.NewRNG(7)
+	seq := make([]*task.Thread, 0, 8)
+	for i := 0; i < 5000; i++ {
+		seq = seq[:0]
+		for n := 1 + rng.IntN(8); len(seq) < n; {
+			seq = append(seq, grid[rng.IntN(len(grid))])
+		}
+		if got, want := foldKeys(seq), foldRef(seq); got != want {
+			t.Fatalf("fold over %d keys picked %+v, reference %+v", len(seq), key(got), key(want))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package colab
 
 import (
 	"fmt"
+	"math/bits"
 
 	"colab/internal/cpu"
 	"colab/internal/kernel"
@@ -249,8 +250,8 @@ type SelectorStage struct {
 	// in selection order: the core's own tier first, then the remaining
 	// tiers from the top of the machine down.
 	stealOrder [][]int
-	// tierBest is stealMaxBlame's reused per-tier candidate buffer.
-	tierBest []*task.Thread
+	// tierBest is stealMaxBlame's reused per-tier running best.
+	tierBest []critBest
 }
 
 // Features is a set of the selector mechanisms an ablation can switch off.
@@ -285,7 +286,7 @@ func (s *SelectorStage) Start(pc *kernel.PipelineContext) {
 		}
 		s.stealOrder[tier] = order
 	}
-	s.tierBest = make([]*task.Thread, nt)
+	s.tierBest = make([]critBest, nt)
 }
 
 // PickNext implements kernel.Selector.
@@ -314,32 +315,25 @@ func (s *SelectorStage) PickNext(c *kernel.Core) *task.Thread {
 // closure) so the per-dispatch criticality sweep does not allocate.
 func (s *SelectorStage) takeMaxBlame(q, core int) *task.Thread {
 	qs := s.pc.Queues()
-	var best *task.Thread
+	var best critBest
 	for i, n := 0, qs.Len(q); i < n; i++ {
-		t := qs.Thread(q, i)
-		if !t.AllowedOn(core) {
-			continue
-		}
-		if best == nil || s.moreCritical(t, best) {
-			best = t
+		if t := qs.Thread(q, i); t.AllowedOn(core) {
+			s.fold(&best, t)
 		}
 	}
-	if best == nil {
+	if best.t == nil {
 		return nil
 	}
-	if !qs.Remove(best) {
-		panic(fmt.Sprintf("colab: thread %v not found in cpu%d queue", best, q))
+	if !qs.Remove(best.t) {
+		panic(fmt.Sprintf("colab: thread %v not found in cpu%d queue", best.t, q))
 	}
-	return best
+	return best.t
 }
 
 // stealMaxBlame finds (without removing) the most blocking thread allowed
 // on c queued on another core, searching tiers in c's steal order. One pass
 // over the non-empty queues in ascending core order keeps each tier's best
-// candidate; the first tier in steal order that has one wins. Each tier's
-// candidates are compared in ascending core order, then queue order:
-// moreCritical is not transitive (its fairness window can override
-// blame), so the visiting order decides the winner and must not change.
+// candidate; the first tier in steal order that has one wins.
 func (s *SelectorStage) stealMaxBlame(c *kernel.Core) *task.Thread {
 	qs := s.pc.Queues()
 	if qs.Total() == 0 {
@@ -352,31 +346,47 @@ func (s *SelectorStage) stealMaxBlame(c *kernel.Core) *task.Thread {
 		if id == c.ID {
 			continue
 		}
-		tier := cores[id].Kind
-		b := best[tier]
+		b := &best[cores[id].Kind]
 		for i, n := 0, qs.Len(id); i < n; i++ {
-			t := qs.Thread(id, i)
-			if !t.AllowedOn(c.ID) {
-				continue
-			}
-			if b == nil || s.moreCritical(t, b) {
-				b = t
+			if t := qs.Thread(id, i); t.AllowedOn(c.ID) {
+				s.fold(b, t)
 			}
 		}
-		best[tier] = b
 	}
 	for _, tier := range s.stealOrder[int(c.Kind)] {
-		if best[tier] != nil {
-			return best[tier]
+		if best[tier].t != nil {
+			return best[tier].t
 		}
 	}
 	return nil
 }
 
-// moreCritical orders candidates: higher blocking blame first (bottleneck
-// acceleration), then higher predicted speedup (only meaningful when an
-// upper-tier core selects — the §3.1 "empty big core" exception), then
-// lower vruntime.
+// pullFromLower selects the most critical thread currently running on a
+// strictly lower tier for migration onto the idle core c. Lower tiers
+// never pull from higher ones. It walks each lower tier's occupied cores
+// one occupancy word at a time, from the base tier up. Every Current is
+// Running (kernel invariant 1), so only the affinity is tested.
+func (s *SelectorStage) pullFromLower(c *kernel.Core) *task.Thread {
+	var best critBest
+	m := s.pc.Machine()
+	cores := m.Cores()
+	words := (len(cores) + 63) / 64
+	for tier := 0; tier < int(c.Kind); tier++ {
+		for w := 0; w < words; w++ {
+			for word := m.BusyWord(tier, w); word != 0; word &= word - 1 {
+				if t := cores[w*64+bits.TrailingZeros64(word)].Current; t.AllowedOn(c.ID) {
+					s.fold(&best, t)
+				}
+			}
+		}
+	}
+	return best.t
+}
+
+// The selector's criticality order: higher blocking blame first
+// (bottleneck acceleration), then higher predicted speedup (only
+// meaningful when an upper-tier core selects — the §3.1 "empty big core"
+// exception), then lower vruntime.
 //
 // Blame priority only applies within a vruntime fairness window: a thread
 // that is more than fairnessWindow of (scaled) runtime ahead of a candidate
@@ -384,42 +394,49 @@ func (s *SelectorStage) stealMaxBlame(c *kernel.Core) *task.Thread {
 // the whole workload in equal progress without penalizing any individual
 // application" (§3.1): in overloaded systems unbounded blame priority would
 // starve low-blame applications.
-func (s *SelectorStage) moreCritical(a, b *task.Thread) bool {
-	ha, hb := s.pc.Hints().Get(a), s.pc.Hints().Get(b)
-	dv := a.VRuntime - b.VRuntime
+//
+// The window makes the order non-transitive, so no heap or index can stand
+// in for a scan: each scan folds its candidates in a fixed visiting order
+// (tier-major, then ascending core, then queue order), and that order
+// decides the winner. The fold reads a candidate's key once and keeps the
+// running best's key beside it.
+
+// critKey is the part of a thread the criticality order reads.
+type critKey struct {
+	vr         sim.Time
+	crit, pred float64
+}
+
+// critBest is a fold's running best candidate and its key (t nil: none
+// yet).
+type critBest struct {
+	t *task.Thread
+	k critKey
+}
+
+// fold offers t to the running best b: t replaces it when b is empty or t
+// beats it.
+func (s *SelectorStage) fold(b *critBest, t *task.Thread) {
+	h := s.pc.Hints().Get(t)
+	k := critKey{vr: t.VRuntime, crit: h.Crit, pred: h.Pred}
+	if b.t == nil || s.beats(k, b.k) {
+		b.t, b.k = t, k
+	}
+}
+
+// beats reports whether key a is strictly more critical than key b.
+func (s *SelectorStage) beats(a, b critKey) bool {
+	dv := a.vr - b.vr
 	if dv > s.fairnessWindow || dv < -s.fairnessWindow {
 		return dv < 0
 	}
-	if ha.Crit != hb.Crit {
-		return ha.Crit > hb.Crit
+	if a.crit != b.crit {
+		return a.crit > b.crit
 	}
-	if ha.Pred != hb.Pred {
-		return ha.Pred > hb.Pred
+	if a.pred != b.pred {
+		return a.pred > b.pred
 	}
-	return a.VRuntime < b.VRuntime
-}
-
-// pullFromLower selects the most critical thread currently running on a
-// strictly lower tier for migration onto the idle core c. Lower tiers
-// never pull from higher ones. Candidates are compared tier by tier from
-// the base up, in ascending core order within a tier (not global core
-// order: moreCritical is not transitive), visiting occupied cores only.
-func (s *SelectorStage) pullFromLower(c *kernel.Core) *task.Thread {
-	var best *task.Thread
-	m := s.pc.Machine()
-	cores := m.Cores()
-	for tier := 0; tier < int(c.Kind); tier++ {
-		for id := m.NextBusy(tier, 0); id >= 0; id = m.NextBusy(tier, id+1) {
-			t := cores[id].Current
-			if t.State != task.Running || !t.AllowedOn(c.ID) {
-				continue
-			}
-			if best == nil || s.moreCritical(t, best) {
-				best = t
-			}
-		}
-	}
-	return best
+	return a.vr < b.vr
 }
 
 // ---------------------------------------------------------------------------
