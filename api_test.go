@@ -1,6 +1,7 @@
 package colab_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -131,5 +132,44 @@ func TestWorkConservationAcrossSchedulers(t *testing.T) {
 		} else if diff := total/want - 1; diff > 0.0001 || diff < -0.0001 {
 			t.Fatalf("retired work differs across schedulers: %v vs %v", total, want)
 		}
+	}
+}
+
+// Thread counters after a public Run follow the scheduler: a blind
+// built-in synthesises none, a predictor-reading one and any wrapper keep
+// them, and the blind run's Result is the wrapped run's (docs/API.md).
+func TestRunCountersFollowScheduler(t *testing.T) {
+	run := func(s colab.Scheduler) (*colab.Result, bool) {
+		t.Helper()
+		w, err := colab.BuildWorkload("Sync-2", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := colab.Run(colab.Config2B2S, s, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, th := range w.Threads() {
+			for _, v := range th.TotalCounters {
+				if v != 0 {
+					return res, true
+				}
+			}
+		}
+		return res, false
+	}
+	blind, counted := run(colab.NewLinux())
+	if counted {
+		t.Error("linux run synthesised counters")
+	}
+	wrapped, counted := run(struct{ colab.Scheduler }{colab.NewLinux()})
+	if !counted {
+		t.Error("wrapped linux run has no counters")
+	}
+	if !reflect.DeepEqual(blind, wrapped) {
+		t.Error("linux Result differs from the wrapped run's")
+	}
+	if _, counted := run(colab.NewWASH(nil)); !counted {
+		t.Error("wash run has no counters")
 	}
 }

@@ -285,5 +285,15 @@ func BenchmarkKernelEventsNUMAFlat(b *testing.B) {
 // palette: least-loaded placement and the idle-balance steal over 256
 // queues.
 func BenchmarkKernelEventsNUMALinux(b *testing.B) {
-	benchKernelEvents(b, bigMix, colab.Config2x32B32M64S, func(*colab.SpeedupModel) colab.Scheduler { return colab.NewLinux() })
+	benchKernelEvents(b, bigMix, colab.Config2x32B32M64S, benchLinux)
 }
+
+// BenchmarkKernelEventsNUMAOversubscribedLinux is the linux arm of
+// BenchmarkKernelEventsNUMAOversubscribed, the other half of perfbench's
+// numa-bigmachine workload. Linux reads no speedup predictor, so its runs
+// synthesise no counters: this is the counter-synthesis layer's number.
+func BenchmarkKernelEventsNUMAOversubscribedLinux(b *testing.B) {
+	benchKernelEvents(b, oversubscribedMix, colab.Config2x32B32M64S, benchLinux)
+}
+
+func benchLinux(*colab.SpeedupModel) colab.Scheduler { return colab.NewLinux() }

@@ -96,10 +96,11 @@ func (r *Runner) workers() int {
 }
 
 // run is the one place a kernel.Machine is built and run: w on cfg under
-// s, with every scheduling event sent to tracer when it is non-nil, and
-// with the threads' performance counters synthesised only when counters
-// is set.
-func (r *Runner) run(ctx context.Context, cfg cpu.Config, s kernel.Scheduler, w *task.Workload, tracer func(kernel.TraceEvent), counters bool) (*kernel.Result, error) {
+// s, with every scheduling event sent to tracer when it is non-nil. The
+// harness reads nothing of a run but its Result, so it keeps the machine's
+// counter default: no synthesis under a predictor-blind pipeline
+// (kernel.MarkPredictorBlind), whose schedule is the same either way.
+func (r *Runner) run(ctx context.Context, cfg cpu.Config, s kernel.Scheduler, w *task.Workload, tracer func(kernel.TraceEvent)) (*kernel.Result, error) {
 	m, err := kernel.NewMachine(cfg, s, w, r.Params)
 	if err != nil {
 		return nil, err
@@ -107,20 +108,16 @@ func (r *Runner) run(ctx context.Context, cfg cpu.Config, s kernel.Scheduler, w 
 	if tracer != nil {
 		m.SetTracer(tracer)
 	}
-	m.SetCounters(counters)
 	return m.RunContext(ctx)
 }
 
-// runPolicy is run under the registered policy kind. Counters feed only
-// the speedup predictor, and the harness reads nothing of a run but its
-// Result, so a kind that consults no predictor (policy.NeedsSpeedup)
-// runs without counter synthesis: its schedule is the same either way.
+// runPolicy is run under the registered policy kind.
 func (r *Runner) runPolicy(ctx context.Context, cfg cpu.Config, kind string, w *task.Workload, tracer func(kernel.TraceEvent)) (*kernel.Result, error) {
 	s, err := r.NewScheduler(kind)
 	if err != nil {
 		return nil, err
 	}
-	return r.run(ctx, cfg, s, w, tracer, policy.NeedsSpeedup(kind))
+	return r.run(ctx, cfg, s, w, tracer)
 }
 
 // ---------------------------------------------------------------------------

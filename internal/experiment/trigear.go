@@ -8,7 +8,6 @@ import (
 	"colab/internal/kernel"
 	"colab/internal/mathx"
 	"colab/internal/metrics"
-	"colab/internal/policy"
 	"colab/internal/sim"
 	"colab/internal/task"
 	"colab/internal/workload"
@@ -192,7 +191,7 @@ func (r *Runner) OPPSweepTable() (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		res, err := r.run(ctx, cfg, s, w, nil, policy.NeedsSpeedup(kind))
+		res, err := r.run(ctx, cfg, s, w, nil)
 		if err != nil {
 			return row{}, fmt.Errorf("experiment: OPP sweep %s: %w", name, err)
 		}

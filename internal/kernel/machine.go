@@ -33,7 +33,8 @@ type Machine struct {
 	live   int
 	done   bool
 	tracer func(TraceEvent)
-	// noCounters switches counter synthesis off (SetCounters).
+	// noCounters switches counter synthesis off: set for a predictor-blind
+	// pipeline (MarkPredictorBlind), and by SetCounters.
 	noCounters bool
 
 	tiers    []cpu.Tier // the config's palette, ascending capacity
@@ -103,6 +104,9 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 		topTier:  cfg.NumTiers() - 1,
 	}
 	m.governor, _ = sched.(DVFSGovernor)
+	if p := pipelineOf(sched); p != nil {
+		m.noCounters = p.blind
+	}
 	n := cfg.NumCores()
 	m.tierIDs = make([][]int, cfg.NumTiers())
 	m.tierSets = make([]coreSet, cfg.NumTiers())
@@ -302,10 +306,14 @@ func (m *Machine) Kick(core int) {
 }
 
 // SetCounters switches the synthesis of each thread's performance
-// counters on or off; it is on by default and must be set before Run. Only
-// a speedup predictor reads counters, and only counter synthesis draws
-// from the counter RNG, so a run whose policy never consults a predictor
-// schedules identically without them and leaves every counter zero.
+// counters on or off; it must be set before Run, and it overrides the
+// default. The default is on, except for a pipeline marked predictor-blind
+// (MarkPredictorBlind, as policy.New marks every composition of blind
+// stages): then it is off. Only a speedup predictor reads counters, and
+// only counter synthesis draws from the counter RNG, so a run whose policy
+// never consults a predictor schedules identically without them and
+// leaves every counter zero. A caller that reads counters after a run
+// under any scheduler it did not build itself turns them on here.
 func (m *Machine) SetCounters(on bool) { m.noCounters = !on }
 
 // Run admits applications (at time zero, or at their App.Arrival times for
@@ -811,7 +819,7 @@ func (m *Machine) continueBurst(c *Core) {
 
 // accrueExec charges d nanoseconds of execution on c to t: work retired,
 // vruntime growth (policy-scaled), busy time, and synthetic counters
-// unless SetCounters switched them off.
+// unless their synthesis is off (SetCounters).
 func (m *Machine) accrueExec(c *Core, t *task.Thread, d sim.Time) {
 	if d <= 0 {
 		return

@@ -391,6 +391,9 @@ type Pipeline struct {
 	live   []*task.Thread
 	pass   []*task.Thread
 	passFn func()
+
+	// blind is set by MarkPredictorBlind: no stage reads thread counters.
+	blind bool
 }
 
 // governedPipeline adds the DVFSGovernor extension when (and only when) a
@@ -424,6 +427,29 @@ func NewPipeline(name string, lab Labeler, alloc Allocator, sel Selector, gov Go
 		return &governedPipeline{p}, nil
 	}
 	return p, nil
+}
+
+// MarkPredictorBlind records that no stage of s reads a speedup predictor
+// or thread counters, so a Machine built for s starts with counter
+// synthesis off (Machine.SetCounters). Only the composer of the stages can
+// vouch for them: it marks a scheduler NewPipeline built and is a no-op for
+// any other, a wrapper around a pipeline included.
+func MarkPredictorBlind(s Scheduler) {
+	if p := pipelineOf(s); p != nil {
+		p.blind = true
+	}
+}
+
+// pipelineOf returns s as NewPipeline built it, or nil for any other
+// scheduler.
+func pipelineOf(s Scheduler) *Pipeline {
+	switch p := s.(type) {
+	case *Pipeline:
+		return p
+	case *governedPipeline:
+		return p.Pipeline
+	}
+	return nil
 }
 
 // Name implements Scheduler.

@@ -52,7 +52,9 @@ func CollectSamples(opt CollectOptions) ([]Sample, error) {
 }
 
 // runSingleOn executes one benchmark alone on an arbitrary machine under CFS
-// and returns the workload with populated accounting.
+// and returns the workload with populated accounting, counters included:
+// training reads them, so it asks for their synthesis whatever the
+// machine's default for the scheduler.
 func runSingleOn(bench string, threads int, cfg cpu.Config, opt CollectOptions) (*task.Workload, error) {
 	w, err := workload.SingleProgram(bench, threads, opt.Seed)
 	if err != nil {
@@ -62,6 +64,7 @@ func runSingleOn(bench string, threads int, cfg cpu.Config, opt CollectOptions) 
 	if err != nil {
 		return nil, fmt.Errorf("perfmodel: training run %s on %s: %w", bench, cfg.Name, err)
 	}
+	m.SetCounters(true)
 	if _, err := m.Run(); err != nil {
 		return nil, fmt.Errorf("perfmodel: training run %s on %s: %w", bench, cfg.Name, err)
 	}

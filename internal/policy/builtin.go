@@ -33,12 +33,14 @@ const (
 
 // NeedsSpeedup reports whether the named policy's factory consumes
 // Context.Speedup, letting batch drivers skip training the model for
-// sweeps of speedup-blind policies and counter synthesis in their runs
-// (only a speedup predictor reads counters). It answers from the stages of
-// the name's canonical composition (a built-in name through
+// sweeps of speedup-blind policies. It answers from the stages of the
+// name's canonical composition (a built-in name through
 // CanonicalComposition): only the wash, colab and colab-dvfs labelers read
 // a predictor. User-registered policies and stages, and names that do not
-// parse, conservatively report true.
+// parse, conservatively report true. It is the fact New marks pipelines
+// by: a scheduler New builds for a name reported false starts its runs
+// without counter synthesis (kernel.MarkPredictorBlind), as only a
+// speedup predictor reads counters.
 func NeedsSpeedup(name string) bool {
 	comp := Canonical(name)
 	if c, ok := CanonicalComposition(comp); ok {
@@ -50,17 +52,23 @@ func NeedsSpeedup(name string) bool {
 	if err != nil {
 		return true // no policy name at all
 	}
-	for slot, stage := range stages {
-		if !blindStages[stage+"."+string(slot)] {
-			return true
-		}
-	}
-	return false
+	return !blind(stages)
 }
 
 // blindStages holds every built-in stage ("<name>.<slot>") that reads no
 // speedup predictor: all but the wash, colab and colab-dvfs labelers.
 var blindStages = map[string]bool{}
+
+// blind reports whether every stage of a parsed composition is in
+// blindStages.
+func blind(stages map[Slot]string) bool {
+	for slot, stage := range stages {
+		if !blindStages[stage+"."+string(slot)] {
+			return false
+		}
+	}
+	return true
+}
 
 // builtins is the one definition of every built-in policy: each name
 // builds its composition, through the same path as a composition-grammar

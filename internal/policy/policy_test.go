@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -168,56 +169,169 @@ func TestNeedsSpeedup(t *testing.T) {
 	}
 }
 
-// TestNeedsSpeedupIsTruthful holds NeedsSpeedup to what the policies do:
-// the sweep harness trains no model and synthesises no counters for a
-// policy it reports false for, so each such built-in must schedule a Sync
-// and a Rand mix, on the paper shape and the tri-gear palette, without
-// ever calling its context's predictors.
+// runMix runs mix (built at seed 1) on cfg under s, with counter synthesis
+// forced on when on is set and left at the machine's default otherwise. It
+// returns the Result and whether any thread has counters.
+func runMix(t *testing.T, cfg cpu.Config, mix string, s kernel.Scheduler, on bool) (*kernel.Result, bool) {
+	t.Helper()
+	spec, err := workload.ResolveSpec(mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := spec.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := kernel.NewMachine(cfg, s, w, kernel.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on {
+		m.SetCounters(true)
+	}
+	res, err := m.Run()
+	if err != nil {
+		t.Fatalf("%s on %s under %s: %v", mix, cfg.Name, s.Name(), err)
+	}
+	counted := false
+	for _, th := range w.Threads() {
+		if th.TotalCounters != (cpu.Vec{}) || th.IntervalCounters != (cpu.Vec{}) {
+			counted = true
+		}
+	}
+	return res, counted
+}
+
+// TestNeedsSpeedupIsTruthful holds NeedsSpeedup, and so the counter
+// default of the pipelines New builds, to what the stages do. Every stage
+// in blindStages runs in its minimal composition, beside every registered
+// policy reported false, a padded built-in and two compositions of blind
+// stages. Each must schedule a Sync and a Rand mix, on the paper shape and
+// the tri-gear DVFS palette, without calling its context's predictors, and
+// its run without counters (the default) must be deep-equal to a run with
+// them forced on. A stage wrongly listed as blind fails by name.
 func TestNeedsSpeedupIsTruthful(t *testing.T) {
 	ctx := Context{
 		Speedup:     func(*task.Thread) float64 { panic("Speedup called") },
 		TierSpeedup: func(*task.Thread, int) float64 { panic("TierSpeedup called") },
 	}
-	// Beyond the registered names: a padded built-in and two compositions
-	// of blind stages, which NeedsSpeedup answers from their stages.
-	extra := []string{" linux ", "linux.allocator+linux.selector", "gts.labeler+linux.allocator+linux.selector"}
-	for _, name := range extra {
-		if NeedsSpeedup(name) {
-			t.Errorf("NeedsSpeedup(%q) = true, but none of its stages reads a predictor", name)
+	type subject struct{ what, name string }
+	var subjects []subject
+	for _, name := range append(Names(), " linux ", "linux.allocator+linux.selector", "gts.labeler+linux.allocator+linux.selector") {
+		if !NeedsSpeedup(name) {
+			subjects = append(subjects, subject{"policy " + name, name})
 		}
 	}
-	for _, name := range append(Names(), extra...) {
-		if NeedsSpeedup(name) {
-			continue
+	var stages []string
+	for stage := range blindStages {
+		stages = append(stages, stage)
+	}
+	if len(stages) == 0 {
+		t.Fatal("blindStages is empty")
+	}
+	sort.Strings(stages)
+	for _, stage := range stages {
+		if NeedsSpeedup(stage) {
+			t.Errorf("NeedsSpeedup(%q) = true for a stage in blindStages", stage)
 		}
+		subjects = append(subjects, subject{"stage " + stage, stage})
+	}
+	for _, sub := range subjects {
 		for _, cfg := range []cpu.Config{cpu.Config2B2S, cpu.Config2B2M2S} {
 			for _, mix := range []string{"Sync-2", "Rand-7"} {
 				func() {
 					defer func() {
 						if p := recover(); p != nil {
-							t.Errorf("%s on %s under %s: %v, but NeedsSpeedup(%q) is false", mix, cfg.Name, name, p, name)
+							t.Errorf("%s: %s on %s: %v, but it is listed predictor-blind", sub.what, mix, cfg.Name, p)
 						}
 					}()
-					spec, err := workload.ResolveSpec(mix)
-					if err != nil {
-						t.Fatal(err)
+					var res [2]*kernel.Result
+					for i, on := range []bool{false, true} {
+						s, err := New(sub.name, ctx)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var counted bool
+						res[i], counted = runMix(t, cfg, mix, s, on)
+						if counted != on {
+							t.Errorf("%s: %s on %s with counters forced on = %v: threads have counters = %v", sub.what, mix, cfg.Name, on, counted)
+						}
 					}
-					w, err := spec.Build(1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s, err := New(name, ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					m, err := kernel.NewMachine(cfg, s, w, kernel.Params{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := m.Run(); err != nil {
-						t.Fatalf("%s on %s under %s: %v", mix, cfg.Name, name, err)
+					if !reflect.DeepEqual(res[0], res[1]) {
+						t.Errorf("%s: %s on %s schedules differently without counters, but it is listed predictor-blind", sub.what, mix, cfg.Name)
 					}
 				}()
+			}
+		}
+	}
+}
+
+// TestNewSetsCounterDefault holds the machine's counter default, with no
+// SetCounters call, to the schedulers New builds: blind built-ins and
+// compositions of blind stages leave every counter zero with a Result
+// deep-equal to a run with counters forced on, while the predictor-reading
+// policies, a composition with a user stage and a wrapped blind pipeline
+// fill them.
+func TestNewSetsCounterDefault(t *testing.T) {
+	const user = "test-counter-default"
+	if err := registerOnce(user+".selector", func() error {
+		return RegisterStage(SlotSelector, user, func(Context) (kernel.Stage, error) {
+			return cfs.NewSelector(), nil
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// wrapped embeds a scheduler, as a user's wrapper would: the kernel
+	// cannot vouch for what its methods read.
+	type wrapped struct{ kernel.Scheduler }
+	for _, c := range []struct {
+		name     string
+		wrap     bool
+		counters bool
+	}{
+		{Linux, false, false},
+		{GTS, false, false},
+		{EAS, false, false},
+		{COLABOracle, false, false},
+		{"gts.labeler+colab.allocator+colab-noscale.selector+eas.governor", false, false},
+		{"eas.labeler+colab.governor", false, false},
+		{COLAB, false, true},
+		{WASH, false, true},
+		{COLABDVFS, false, true},
+		{"gts.labeler+" + user + ".selector", false, true},
+		{Linux, true, true},
+	} {
+		for _, mix := range []string{"Sync-2", "Rand-7"} {
+			build := func() kernel.Scheduler {
+				s, err := New(c.name, Context{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.wrap {
+					return wrapped{s}
+				}
+				return s
+			}
+			what := c.name
+			if c.wrap {
+				what = "wrapped " + c.name
+			}
+			res, counted := runMix(t, cpu.Config2B2M2S, mix, build(), false)
+			if counted != c.counters {
+				t.Errorf("%s on %s: threads have counters = %v by default, want %v", mix, what, counted, c.counters)
+			}
+			if !c.wrap && counted != NeedsSpeedup(c.name) {
+				t.Errorf("%s on %s: threads have counters = %v by default, but NeedsSpeedup = %v", mix, what, counted, NeedsSpeedup(c.name))
+			}
+			if c.counters {
+				continue
+			}
+			on, counted := runMix(t, cpu.Config2B2M2S, mix, build(), true)
+			if !counted {
+				t.Errorf("%s on %s: no counters with synthesis forced on", mix, what)
+			}
+			if !reflect.DeepEqual(res, on) {
+				t.Errorf("%s on %s: Result differs from a run with counters forced on", mix, what)
 			}
 		}
 	}

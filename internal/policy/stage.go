@@ -197,13 +197,15 @@ func parsePipeline(name string) (map[Slot]string, error) {
 }
 
 // compile parses a composition and resolves its stage factories once,
-// returning the factory of a pipeline called name. Errors quote the
-// composition as given.
+// returning the factory of a pipeline called name, marked predictor-blind
+// when every stage is (blindStages). Errors quote the composition as
+// given.
 func compile(name, composition string) (Factory, error) {
 	comp, err := parsePipeline(composition)
 	if err != nil {
 		return nil, err
 	}
+	predictorBlind := blind(comp)
 	var refs []stageRef
 	for _, slot := range Slots() {
 		stage, ok := comp[slot]
@@ -249,6 +251,9 @@ func compile(name, composition string) (Factory, error) {
 		s, err := kernel.NewPipeline(name, lab, alloc, sel, gov)
 		if err != nil {
 			return nil, fmt.Errorf("policy: building pipeline %q: %w", name, err)
+		}
+		if predictorBlind {
+			kernel.MarkPredictorBlind(s)
 		}
 		return s, nil
 	}, nil
