@@ -250,9 +250,8 @@ func benchCOLAB(m *colab.SpeedupModel) colab.Scheduler { return colab.NewCOLAB(m
 
 // BenchmarkKernelEvents128 measures big-machine kernel throughput: a
 // 128-thread four-program mix saturating the 128-core tri-gear palette
-// under COLAB, reporting simulated events per wall second. This is the
-// headline number for the mask-set affinity representation — every queue
-// scan and dispatch touches masks wider than one word.
+// under COLAB, reporting simulated events per wall second. Every queue
+// scan and dispatch tests admission on cores past 63.
 func BenchmarkKernelEvents128(b *testing.B) {
 	benchKernelEvents(b, bigMix, colab.Config32B32M64S, benchCOLAB)
 }

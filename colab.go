@@ -160,8 +160,8 @@ var (
 	// machine with DVFS ladders on every tier.
 	Config2B2M2S = cpu.Config2B2M2S
 	// Config32B32M64S is the committed big-machine palette: a 128-core
-	// tri-gear server (64 little + 32 medium + 32 big) exercising the
-	// mask-set affinity representation beyond the inline 64-bit word.
+	// tri-gear server (64 little + 32 medium + 32 big), whose affinity
+	// masks reach past core 63.
 	Config32B32M64S = cpu.Config32B32M64S
 	// Config64B64S is the 128-core big.LITTLE shape (64 big + 64 little)
 	// at the paper's fixed-frequency anchors.

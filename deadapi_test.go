@@ -22,6 +22,7 @@ import (
 // files are scanned as non-test references.
 var keptInternalAPI = map[string]string{
 	"mathx.RNG.*":                    "the public colab.RNG authoring API; the counter stream CI step pins every method",
+	"task.Mask.Set":                  "driven by FuzzMaskEquivalence against the reference mask models",
 	"task.Mask.Clear":                "driven by FuzzMaskEquivalence against the reference mask models",
 	"task.Mask.Or":                   "driven by FuzzMaskEquivalence against the reference mask models",
 	"topo.Parse":                     "driven by FuzzTopologyCanonical (Parse/Canonical round trip)",

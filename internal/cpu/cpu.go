@@ -183,12 +183,11 @@ func TriGearTiers() []Tier { return []Tier{TierLittleDVFS, TierMedium, TierBigDV
 // FreqRatio is the big/little clock ratio (2.0 GHz / 1.2 GHz).
 const FreqRatio = 2000.0 / 1200.0
 
-// MaxCores is the largest supported machine. Thread affinity is a
-// task.Mask set (inline fast path below 64 cores, spilled words above), so
-// the bound is no longer a representation limit — it is a sanity guard
-// sized for the largest server palettes worth simulating, and it fixes the
-// universe the mask set's "all cores" value covers. Config.Validate and
-// the config constructors enforce it.
+// MaxCores is the largest supported machine: a sanity guard sized for the
+// largest server palettes worth simulating. It fixes the universe of a
+// thread's affinity, a task.Mask bitset of MaxCores bits whose "all cores"
+// value admits every one. Config.Validate and the config constructors
+// enforce it.
 const MaxCores = 1024
 
 // checkCoreCount guards the constructors against out-of-universe sizes

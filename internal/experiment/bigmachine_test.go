@@ -13,7 +13,7 @@ import (
 // TestBigMachineDeterministicAcrossWorkers is the 128-core acceptance run:
 // the open-system mix on Config32B32M64S must render byte-identical scored
 // cells for worker counts 1, 4 and 8 under all five policies. Mask words
-// beyond the inline 64 bits, parallel cell execution and the event freelist
+// past core 63, parallel cell execution and the event freelist
 // must leave no trace in the results.
 func TestBigMachineDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {

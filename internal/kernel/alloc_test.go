@@ -52,7 +52,7 @@ func (s *selLeftmost) WakeupPreempt(c *Core, t *task.Thread) bool    { return fa
 
 // bigMachineSpin builds a 128-core tri-gear machine running 256 compute-only
 // threads (two per core) with effectively infinite work, half of them pinned
-// to masks spanning the spilled word so the >64-core Allows path is on the
+// to masks spanning cores past 63 so the >64-core Allows path is on the
 // measured loop. Rotation via slice expiry keeps every dispatch mechanism
 // hot forever.
 func bigMachineSpin(t testing.TB) *Machine {
@@ -112,7 +112,7 @@ func TestSteadyStateDispatchDoesNotAllocate(t *testing.T) {
 
 // TestRunQueueInsertionDoesNotAllocate pins the Push/PopMinAllowed cycle at
 // zero allocations once the per-core entry slices have grown to capacity —
-// including threads whose masks spill past the inline 64-bit word.
+// including threads whose masks reach past core 63.
 func TestRunQueueInsertionDoesNotAllocate(t *testing.T) {
 	const depth = 64
 	q := NewRunQueues(2)

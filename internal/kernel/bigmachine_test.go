@@ -14,7 +14,7 @@ import (
 
 // bigOpenWorkload is the 128-core determinism scenario: a wide closed app
 // saturating more than 64 cores at time zero (so run-queue and affinity
-// state live in the spilled mask words from the first dispatch), a
+// state reach mask words past core 63 from the first dispatch), a
 // producer/consumer app arriving mid-run, and a straggler arriving after
 // the first wave thins out.
 func bigOpenWorkload() *task.Workload {
@@ -76,8 +76,8 @@ func TestBigMachineTraceDeterministic(t *testing.T) {
 		if a != b {
 			t.Errorf("%s: 128-core trace differs across identical runs", name)
 		}
-		// More than 64 cores must actually dispatch work, or the spilled
-		// mask words were never on the executed path.
+		// More than 64 cores must actually dispatch work, or the mask
+		// words past core 63 were never on the executed path.
 		seen := map[int]bool{}
 		m, err := kernel.NewMachine(cpu.Config32B32M64S, builtin(name)(), bigOpenWorkload(), kernel.Params{})
 		if err != nil {

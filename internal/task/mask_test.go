@@ -85,7 +85,7 @@ func checkAgainstModel(t *testing.T, mask Mask, model *maskModel) {
 	}
 	// Canonical-form round-trip: rebuilding from the admitted cores must
 	// yield a structurally Equal mask.
-	if rebuilt := MaskOf(maskCores(mask)); !mask.all && !rebuilt.Equal(mask) {
+	if rebuilt := MaskOf(maskCores(mask)); !mask.Equal(MaskAll()) && !rebuilt.Equal(mask) {
 		t.Fatalf("canonical round-trip broke: %v != %v", rebuilt, mask)
 	}
 	if mask.IsEmpty() != (len(model.set) == 0) {
@@ -176,8 +176,8 @@ func FuzzMaskEquivalence(f *testing.F) {
 	})
 }
 
-// Word-boundary edge cases: the inline word ends at 63, the first spilled
-// word covers 64..127, the second begins at 128.
+// Word-boundary edge cases: the first word ends at 63, the second covers
+// 64..127, the third begins at 128, and the last covers 960..1023.
 func TestMaskWordBoundaries(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -189,6 +189,7 @@ func TestMaskWordBoundaries(t *testing.T) {
 		{"end-of-first-spill", []int{127}},
 		{"second-spill", []int{127, 128}},
 		{"sparse-high", []int{0, 512, cpu.MaxCores - 1}},
+		{"last-word", []int{959, 960, cpu.MaxCores - 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := MaskOf(tc.cores)
@@ -228,20 +229,21 @@ func TestMaskWordBoundaries(t *testing.T) {
 func TestMaskAllSemantics(t *testing.T) {
 	m := MaskAll()
 	m.Set(5)
-	if !m.all {
+	if !m.Equal(MaskAll()) {
 		t.Fatalf("Set on all must stay all")
 	}
 	m.Clear(64)
-	if m.all || len(maskCores(m)) != cpu.MaxCores-1 || m.Allows(64) {
+	if m.Equal(MaskAll()) || len(maskCores(m)) != cpu.MaxCores-1 || m.Allows(64) {
 		t.Fatalf("Clear(64) on all: count=%d allows=%v", len(maskCores(m)), m.Allows(64))
 	}
 	m.Set(64)
-	if !m.all {
+	if !m.Equal(MaskAll()) {
 		t.Fatalf("re-setting the cleared core must normalise back to all, got %v cores", len(maskCores(m)))
 	}
 }
 
-// Value semantics: copies must never alias spilled words.
+// Value semantics: mutating a copy never changes the original, nor the
+// bitset every MaskAll shares.
 func TestMaskCopiesDoNotAlias(t *testing.T) {
 	a := MaskOf([]int{10, 100})
 	b := a
@@ -252,6 +254,25 @@ func TestMaskCopiesDoNotAlias(t *testing.T) {
 	}
 	if len(maskCores(a)) != 2 || len(maskCores(b)) != 2 {
 		t.Fatalf("counts: a=%d b=%d", len(maskCores(a)), len(maskCores(b)))
+	}
+	all := MaskAll()
+	c := all
+	c.Clear(0)
+	c.Clear(cpu.MaxCores - 1)
+	if len(maskCores(all)) != cpu.MaxCores || len(maskCores(MaskAll())) != cpu.MaxCores {
+		t.Fatalf("clearing a copy of MaskAll changed the shared mask")
+	}
+}
+
+// MaskOf builds its bitset with one allocation however many cores it
+// lists, those above 63 included.
+func TestMaskOfAllocatesOnce(t *testing.T) {
+	cores := make([]int, 128)
+	for i := range cores {
+		cores[i] = 64 + i*7
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = MaskOf(cores) }); n > 1 {
+		t.Fatalf("MaskOf of %d cores above 63: %v allocs, want at most 1", len(cores), n)
 	}
 }
 
