@@ -26,8 +26,11 @@ func ParseCellKey(s string) (CellKey, error) { return experiment.ParseCellKey(s)
 // overlapping experiment runs (and colab-serve requests) answer common
 // cells without recomputing them. Identical in-flight cells are
 // deduplicated: when two concurrent runs race on one cell, the second
-// waits for the first's result. Hand one cache to many sessions with
-// WithCellCache; Stats exposes the hit/miss counters.
+// waits for the first's result. Beside its cells the cache keeps the
+// big-only-alone baselines they are scored against, so a cell it misses
+// reuses every baseline an earlier run computed. Hand one cache to many
+// sessions with WithCellCache; Stats exposes the hit/miss counters, which
+// count cells only.
 type CellCache = experiment.Cache
 
 // CellCacheOption configures a CellCache at construction.
@@ -36,7 +39,8 @@ type CellCacheOption func(*CellCache)
 // WithCellCacheLimit bounds the cache to at most maxEntries cells with
 // least-recently-used eviction: every hit, store and computed fill
 // refreshes a cell's recency, and inserting past the bound drops the
-// least recently used cell. Evictions are counted in CacheStats.
+// least recently used cell. Evictions are counted in CacheStats. The
+// cache's baselines are bounded separately to maxEntries baselines.
 // maxEntries <= 0 leaves the cache unbounded (the default).
 func WithCellCacheLimit(maxEntries int) CellCacheOption {
 	return func(c *CellCache) { c.SetLimit(maxEntries) }

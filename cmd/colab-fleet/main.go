@@ -63,7 +63,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addr        = fs.String("addr", ":8080", "listen address (coordinator and worker modes)")
 		coordinator = fs.String("coordinator", "", "coordinator base URL to register with (worker mode)")
 		advertise   = fs.String("advertise", "", "externally reachable URL of this worker (default: derived from -addr on 127.0.0.1)")
-		cacheLimit  = fs.Int("cache-limit", 0, "bound the worker cell cache to this many cells, LRU-evicted (0 = unbounded)")
+		cacheLimit  = fs.Int("cache-limit", 0, "bound the worker cell cache to this many cells, LRU-evicted, and its baselines separately to as many (0 = unbounded)")
 		drain       = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget on SIGTERM")
 		compact     = fs.String("compact", "", "compact the checkpoint journal at this path and exit")
 

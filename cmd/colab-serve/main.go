@@ -12,8 +12,9 @@
 // All requests share one content-addressed cell cache keyed by the
 // canonical cell coordinates (see colab.CellKey): a repeated request —
 // or any request overlapping an earlier one, however the workloads and
-// policies were spelled — is answered from cache, and concurrent
-// identical cells are computed once.
+// policies were spelled — is answered from cache, concurrent identical
+// cells are computed once, and a cell missing from the cache reuses the
+// baselines earlier requests ran.
 //
 // Usage:
 //
@@ -23,7 +24,8 @@
 //
 // -max-concurrent bounds simultaneous /run sweeps (excess requests get
 // 429 with Retry-After rather than queueing unboundedly), -cache-limit
-// bounds the cell cache with LRU eviction, and SIGTERM/SIGINT shut down
+// bounds the cell cache with LRU eviction (cells, and the baselines
+// separately to as many), and SIGTERM/SIGINT shut down
 // gracefully: the listener closes, in-flight /run streams drain to
 // completion (up to -drain-timeout), then the process exits 0.
 package main
@@ -45,7 +47,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxConcurrent := flag.Int("max-concurrent", 0, "bound simultaneous /run sweeps; excess requests get 429 (0 = unbounded)")
-	cacheLimit := flag.Int("cache-limit", 0, "bound the cell cache to this many cells, LRU-evicted (0 = unbounded)")
+	cacheLimit := flag.Int("cache-limit", 0, "bound the cell cache to this many cells, LRU-evicted, and its baselines separately to as many (0 = unbounded)")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget for in-flight streams")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

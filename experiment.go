@@ -155,9 +155,9 @@ func WithCheckpoint(path string) ExperimentOption {
 
 // WithCellCache attaches a shared content-addressed cell cache: cells
 // whose CellKey is already cached are answered without simulation, and
-// computed cells are stored for later sessions. Concurrent sessions
-// sharing one cache dedup identical in-flight cells — the layer behind
-// colab-serve.
+// computed cells and their baselines are stored for later sessions.
+// Concurrent sessions sharing one cache dedup identical in-flight cells
+// and baselines — the layer behind colab-serve.
 func WithCellCache(c *CellCache) ExperimentOption {
 	return func(e *Experiment) { e.cache = c }
 }

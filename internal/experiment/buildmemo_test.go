@@ -112,9 +112,11 @@ func narrowed(w *task.Workload) bool {
 }
 
 // A 2-worker matrix must run exactly one baseline per distinct
-// BaselineKey: workers reaching one key at once share its run.
+// BaselineKey: workers reaching one key at once share its run, filed in
+// the batch's Cache.
 func TestBatchRunsEachBaselineOnce(t *testing.T) {
 	r := testRunner(t)
+	cache := NewCache()
 	var specs []workload.Spec
 	for _, idx := range []string{"Sync-1", "Comm-1", "Rand-1"} {
 		specs = append(specs, compByIndex(t, idx).Spec())
@@ -128,23 +130,16 @@ func TestBatchRunsEachBaselineOnce(t *testing.T) {
 		Seeds:     []uint64{r.Seed},
 		Workers:   2,
 		Speedup:   r.Speedup,
-		runners:   map[uint64]*Runner{r.Seed: r},
+		Cache:     cache,
 	}
 	if _, err := b.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	keys := make(map[string]bool)
-	for _, spec := range specs {
-		for _, cfg := range cfgs {
-			for i := 0; i < spec.NumApps(); i++ {
-				keys[BaselineKey(spec, i, cfg.NumCores(), r.Seed, b.Params)] = true
-			}
-		}
+	keys := batchBaselineKeys(b)
+	if cache.baselines.misses != uint64(len(keys)) {
+		t.Errorf("%d baseline runs for %d distinct baseline keys", cache.baselines.misses, len(keys))
 	}
-	if r.baselines.misses != uint64(len(keys)) {
-		t.Errorf("%d baseline runs for %d distinct baseline keys", r.baselines.misses, len(keys))
-	}
-	for k := range r.baselines.items {
+	for k := range cache.baselines.items {
 		if !keys[k] {
 			t.Errorf("baseline filed under %q, which is no BaselineKey of the batch", k)
 		}
@@ -203,8 +198,119 @@ func TestCancelledBaselineLeaderHandsOff(t *testing.T) {
 	if err != nil || v != got {
 		t.Errorf("memoised baseline = %v, %v; want %v", v, err, got)
 	}
-	if r.baselines.misses != 2 {
-		t.Errorf("%d baseline computations, want the cancelled leader's and the waiter's", r.baselines.misses)
+	if r.cache.baselines.misses != 2 {
+		t.Errorf("%d baseline computations, want the cancelled leader's and the waiter's", r.cache.baselines.misses)
+	}
+}
+
+// batchBaselineKeys returns the distinct BaselineKeys of b's cells.
+func batchBaselineKeys(b *Batch) map[string]bool {
+	keys := make(map[string]bool)
+	for _, seed := range b.Seeds {
+		for _, spec := range b.Scenarios {
+			for _, cfg := range b.Configs {
+				for i := 0; i < spec.NumApps(); i++ {
+					keys[BaselineKey(spec, i, cfg.NumCores(), seed, b.Params)] = true
+				}
+			}
+		}
+	}
+	return keys
+}
+
+// smallBatch is a 2-worker batch of two mixes on three machines of two core
+// counts under the paper's schedulers.
+func smallBatch(t *testing.T, cache *Cache) *Batch {
+	t.Helper()
+	r := testRunner(t)
+	return &Batch{
+		Scenarios: []workload.Spec{compByIndex(t, "Sync-1").Spec(), compByIndex(t, "Comm-1").Spec()},
+		Configs:   []cpu.Config{cpu.Config2B2S, cpu.Config2B4S, cpu.Config4B2S},
+		Policies:  PaperSchedulers(),
+		Seeds:     []uint64{r.Seed},
+		Workers:   2,
+		Speedup:   r.Speedup,
+		Cache:     cache,
+	}
+}
+
+// A second batch over a shared Cache whose limit evicts cells but holds
+// every baseline recomputes the evicted cells and runs no baseline again.
+func TestSharedCacheKeepsBaselinesAcrossBatches(t *testing.T) {
+	cache := NewCache()
+	first := smallBatch(t, cache)
+	keys := batchBaselineKeys(first)
+	cells := len(first.Scenarios) * len(first.Configs) * len(first.Policies)
+	if cells <= len(keys) {
+		t.Fatalf("%d cells fit a limit of %d baselines; the test needs evictions", cells, len(keys))
+	}
+	cache.SetLimit(len(keys))
+	want, err := first.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := cache.baselines.misses
+	if runs != uint64(len(keys)) {
+		t.Fatalf("first batch ran %d baselines for %d keys", runs, len(keys))
+	}
+	before := cache.Stats()
+	got, err := smallBatch(t, cache).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := cache.Stats()
+	if after.Misses == before.Misses || after.Evictions == before.Evictions {
+		t.Errorf("second batch recomputed no evicted cell (stats %+v -> %+v)", before, after)
+	}
+	if cache.baselines.misses != runs {
+		t.Errorf("second batch ran %d baselines the first already ran", cache.baselines.misses-runs)
+	}
+	for i := range want {
+		if got[i].Score != want[i].Score {
+			t.Errorf("cell %v: %+v, first batch %+v", got[i].Key, got[i].Score, want[i].Score)
+		}
+	}
+}
+
+// A batch with no Cache still runs each baseline once within its run, and
+// memoises no cell.
+func TestBatchWithoutCacheMemoisesBaselines(t *testing.T) {
+	b := smallBatch(t, nil)
+	memo := NewCache()
+	if _, err := b.run(context.Background(), memo); err != nil {
+		t.Fatal(err)
+	}
+	if keys := batchBaselineKeys(b); memo.baselines.misses != uint64(len(keys)) {
+		t.Errorf("%d baseline runs for %d distinct baseline keys", memo.baselines.misses, len(keys))
+	}
+	if st := memo.Stats(); st.Cells != 0 || st.Misses != 0 {
+		t.Errorf("a batch without a Cache memoised cells: %+v", st)
+	}
+}
+
+// Stats counts cells only: the baselines beside them add no cell, hit,
+// miss or eviction, and a limit bounds them separately.
+func TestCacheStatsCountCellsOnly(t *testing.T) {
+	cache := NewCache()
+	b := smallBatch(t, cache)
+	if _, err := b.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cells := len(b.Scenarios) * len(b.Configs) * len(b.Policies)
+	if len(cache.baselines.items) == 0 {
+		t.Fatal("the batch filed no baseline in its Cache")
+	}
+	want := CacheStats{Cells: cells, Misses: uint64(cells)}
+	if st := cache.Stats(); st != want {
+		t.Errorf("Stats() = %+v, want %+v", st, want)
+	}
+	cache.SetLimit(1)
+	want = CacheStats{Cells: 1, Misses: uint64(cells), Evictions: uint64(cells - 1), Limit: 1}
+	if st := cache.Stats(); st != want {
+		t.Errorf("Stats() under a limit of 1 = %+v, want %+v", st, want)
+	}
+	if n := len(cache.baselines.items); n != 1 {
+		t.Errorf("a limit of 1 left %d baselines", n)
 	}
 }
 

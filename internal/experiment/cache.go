@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"colab/internal/metrics"
+	"colab/internal/sim"
 )
 
 // CacheStats is a point-in-time snapshot of a cell cache's counters.
@@ -33,23 +34,35 @@ type CacheStats struct {
 // recomputing — and a leader failing (its request cancelled, say) promotes
 // a waiter to compute, so one aborted request never poisons another.
 //
+// Beside its cells the cache memoises, by BaselineKey, the big-only-alone
+// turnarounds the cells are scored against, so a cell missing from the
+// cache reuses every baseline an earlier cell, batch or request already
+// ran. Baselines are counted apart from the cells: Stats reports cells
+// only.
+//
 // The cache is unbounded by default; SetLimit bounds it to a maximum
 // number of cells with least-recently-used eviction (every hit, store and
-// computed fill refreshes a cell's recency). In-flight computations are
-// never evicted — only completed cells count against the limit.
+// computed fill refreshes a cell's recency), and bounds the baselines
+// separately to the same number. In-flight computations are never evicted
+// — only completed cells count against the limit.
 type Cache struct {
-	cells store[string, metrics.MixScore]
+	cells     store[string, metrics.MixScore]
+	baselines store[string, sim.Time]
 }
 
 // NewCache returns an empty, unbounded cell cache.
 func NewCache() *Cache { return &Cache{} }
 
-// SetLimit bounds the cache to at most maxEntries cells, evicting the
-// least recently used cells immediately if it already holds more;
-// maxEntries <= 0 removes the bound. Safe to call at any time.
-func (c *Cache) SetLimit(maxEntries int) { c.cells.setLimit(maxEntries) }
+// SetLimit bounds the cache to at most maxEntries cells, and its baselines
+// to at most maxEntries baselines, evicting the least recently used
+// entries immediately if it already holds more; maxEntries <= 0 removes
+// both bounds. Safe to call at any time.
+func (c *Cache) SetLimit(maxEntries int) {
+	c.cells.setLimit(maxEntries)
+	c.baselines.setLimit(maxEntries)
+}
 
-// Stats snapshots the cache counters.
+// Stats snapshots the cell counters; baselines are not counted.
 func (c *Cache) Stats() CacheStats {
 	s := &c.cells
 	s.mu.Lock()
@@ -66,8 +79,9 @@ func (c *Cache) Do(ctx context.Context, key CellKey, compute func() (metrics.Mix
 	return c.cells.Do(ctx, key.String(), compute)
 }
 
-// store is the one single-flight memo of the sweep engine: the cell Cache,
-// Runner's baselines and Batch.Run's closed builds are each an instance.
+// store is the one single-flight memo of the sweep engine: the cell
+// Cache's cells and baselines and Batch.Run's closed builds are each an
+// instance.
 // Concurrent callers of one key share one compute; a leader that fails
 // (its context cancelled, say) stores nothing and hands the key to a
 // waiter, so one aborted caller never poisons another. An optional LRU

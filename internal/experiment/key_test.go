@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -121,20 +122,27 @@ func TestBaselineKeySharedAcrossArrivalVariants(t *testing.T) {
 }
 
 // A baseline key is the CellKey of the closed scenario under linux on the
-// symmetric big machine, suffixed with the app index; the batch's
-// per-group key lists render the same strings.
+// symmetric big machine, suffixed with the app index; the baselines a
+// runner files in its cache are keyed by the same strings.
 func TestBaselineKeyFormat(t *testing.T) {
 	p := kernel.Params{}
 	spec := specFor(t, "Sync-2@arrive=poisson(5ms)")
-	r := &Runner{Seed: 3, Params: p}
-	keys := r.baselineKeys(spec, 6)
-	if len(keys) != spec.NumApps() {
-		t.Fatalf("%d keys for %d apps", len(keys), spec.NumApps())
+	r := &Runner{Seed: 3, Params: p, cache: NewCache()}
+	closed, err := spec.BuildClosed(r.Seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, got := range keys {
+	if _, err := r.specBaselines(context.Background(), spec, closed, cpu.Config2B4S); err != nil {
+		t.Fatal(err)
+	}
+	filed := r.cache.baselines.items
+	if len(filed) != spec.NumApps() {
+		t.Fatalf("%d keys for %d apps", len(filed), spec.NumApps())
+	}
+	for i := 0; i < spec.NumApps(); i++ {
 		want := fmt.Sprintf("%s|app=%d", NewCellKey(spec.Closed(), SchedLinux, cpu.NewSymmetric(cpu.Big, 6), 3, p), i)
-		if got != want || BaselineKey(spec, i, 6, 3, p) != want {
-			t.Errorf("app %d: list key %q, BaselineKey %q, want %q", i, got, BaselineKey(spec, i, 6, 3, p), want)
+		if _, ok := filed[want]; !ok || BaselineKey(spec, i, 6, 3, p) != want {
+			t.Errorf("app %d: filed %v, BaselineKey %q, want %q", i, ok, BaselineKey(spec, i, 6, 3, p), want)
 		}
 	}
 }

@@ -39,7 +39,7 @@ func (r *Runner) NUMASweepTable() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	bases, err := r.specBaselines(ctx, spec, closed, cfg, r.baselineKeys(spec, cfg.NumCores()))
+	bases, err := r.specBaselines(ctx, spec, closed, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 
 	"colab/internal/cpu"
@@ -46,7 +45,9 @@ const (
 func PaperSchedulers() []string { return []string{SchedLinux, SchedWASH, SchedCOLAB} }
 
 // Runner executes and memoises simulations. It is safe for concurrent use;
-// the heavy entry points fan out over a worker pool internally.
+// the heavy entry points fan out over a worker pool internally. Its one
+// memo is a cell Cache, which holds the runner's scored cells and the
+// big-only-alone baselines they are scored against.
 type Runner struct {
 	// Speedup is the online predictor given to the AMP-aware schedulers.
 	// Defaults to the lazily trained standard model.
@@ -59,12 +60,9 @@ type Runner struct {
 	// Workers bounds run parallelism (0 = GOMAXPROCS).
 	Workers int
 
-	// baselines single-flights the big-only-alone turnarounds by
-	// BaselineKey, so workers that reach one key at once run it once.
-	baselines store[string, sim.Time]
 	// cache memoises the runner's scored cells (the matrix methods'
-	// batches). Runners a Batch builds for itself
-	// have none: the batch's own Cache, if any, is their memo.
+	// batches) and their baselines. A Runner that Batch.Run builds for
+	// itself shares the batch's memo; a nil cache memoises nothing.
 	cache *Cache
 }
 
@@ -86,13 +84,6 @@ func NewRunner(seed uint64) (*Runner, error) {
 // registered-policy list.
 func (r *Runner) NewScheduler(kind string) (kernel.Scheduler, error) {
 	return policy.New(kind, policy.Context{Speedup: r.Speedup})
-}
-
-func (r *Runner) workers() int {
-	if r.Workers > 0 {
-		return r.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // run is the one place a kernel.Machine is built and run: w on cfg under
@@ -140,16 +131,17 @@ func specAlone(spec workload.Spec, closed *task.Workload, appIdx int) (*task.Wor
 // specBaselines returns (memoised) the turnaround of every app of spec
 // running alone on an all-big machine with the same core count as cfg;
 // closed is the spec's closed build, which a baseline run instances.
-// Each memo key is the CellKey of the baseline run itself — the closed
-// canonical form of the scenario under linux on the symmetric big machine
-// — plus the app index, so arrival variants of one mix share their
-// baselines and every shard derives the same keys independently. keys
-// holds those memo keys: r.baselineKeys of spec and cfg's core count.
-func (r *Runner) specBaselines(ctx context.Context, spec workload.Spec, closed *task.Workload, cfg cpu.Config, keys []string) ([]sim.Time, error) {
+// Each memo key is the app's BaselineKey — the CellKey of the baseline run
+// itself (the closed canonical form of the scenario under linux on the
+// symmetric big machine) plus the app index — so arrival variants of one
+// mix share their baselines and every shard derives the same keys
+// independently.
+func (r *Runner) specBaselines(ctx context.Context, spec workload.Spec, closed *task.Workload, cfg cpu.Config) ([]sim.Time, error) {
 	n := cfg.NumCores()
+	cellKey := baselineCellKey(spec, n, r.Seed, r.Params)
 	bases := make([]sim.Time, spec.NumApps())
 	for i := range bases {
-		v, err := r.baseline(ctx, keys[i], n, func() (*task.Workload, error) {
+		v, err := r.baseline(ctx, appBaselineKey(cellKey, i), n, func() (*task.Workload, error) {
 			return specAlone(spec, closed, i)
 		})
 		if err != nil {
@@ -160,12 +152,12 @@ func (r *Runner) specBaselines(ctx context.Context, spec workload.Spec, closed *
 	return bases, nil
 }
 
-// baseline is the one baseline memo: it returns the turnaround filed
-// under key, or runs the single-app workload alone builds on the
-// symmetric big machine of the given core count under linux and files it.
-// Concurrent callers of one key share one run.
+// baseline is the one baseline path: it returns the turnaround filed
+// under key in the runner's cache, or runs the single-app workload alone
+// builds on the symmetric big machine of the given core count under linux
+// and files it. Concurrent callers of one key share one run.
 func (r *Runner) baseline(ctx context.Context, key string, cores int, alone func() (*task.Workload, error)) (sim.Time, error) {
-	v, _, err := r.baselines.Do(ctx, key, func() (sim.Time, error) {
+	run := func() (sim.Time, error) {
 		w, err := alone()
 		if err != nil {
 			return 0, err
@@ -175,7 +167,11 @@ func (r *Runner) baseline(ctx context.Context, key string, cores int, alone func
 			return 0, err
 		}
 		return res.Apps[0].Turnaround, nil
-	})
+	}
+	if r.cache == nil {
+		return run()
+	}
+	v, _, err := r.cache.baselines.Do(ctx, key, run)
 	return v, err
 }
 
@@ -202,18 +198,6 @@ func appBaselineKey(cellKey string, appIdx int) string {
 	return cellKey + "|app=" + strconv.Itoa(appIdx)
 }
 
-// baselineKeys returns the BaselineKey of every app of spec on a machine
-// of the given core count at the runner's seed and params, rendering the
-// closed scenario's CellKey once for all of them.
-func (r *Runner) baselineKeys(spec workload.Spec, cores int) []string {
-	k := baselineCellKey(spec, cores, r.Seed, r.Params)
-	keys := make([]string, spec.NumApps())
-	for i := range keys {
-		keys[i] = appBaselineKey(k, i)
-	}
-	return keys
-}
-
 // score is the one scoring of a mix result: H_ANTT / H_STP of res
 // against each app's big-only-alone baseline.
 func score(res *kernel.Result, bases []sim.Time) (metrics.MixScore, error) {
@@ -232,14 +216,13 @@ func mixInstance(spec workload.Spec, closed *task.Workload, seed uint64, cfg cpu
 
 // specScore simulates one cell: both core orders of the mix (§5.1),
 // each an instance of closed (the spec's closed build) with the spec's
-// arrivals for that machine, scored against the (memoised) baselines
-// filed under keys (see specBaselines). The
-// mix runs come first, so a worker whose baselines another worker is
-// running keeps simulating instead of waiting. It memoises nothing itself
+// arrivals for that machine, scored against the (memoised) baselines of
+// specBaselines. The mix runs come first, so a worker whose baselines
+// another worker is running keeps simulating instead of waiting. It memoises nothing itself
 // — callers route it through a Cache. A non-nil tracer receives every
 // scheduling event of the two mix runs (baseline runs are not traced); a
 // non-nil onRun receives each mix run's result.
-func (r *Runner) specScore(ctx context.Context, spec workload.Spec, closed *task.Workload, cfg cpu.Config, kind string, keys []string, tracer func(bigFirst bool, ev kernel.TraceEvent), onRun func(bigFirst bool, res *kernel.Result)) (metrics.MixScore, error) {
+func (r *Runner) specScore(ctx context.Context, spec workload.Spec, closed *task.Workload, cfg cpu.Config, kind string, tracer func(bigFirst bool, ev kernel.TraceEvent), onRun func(bigFirst bool, res *kernel.Result)) (metrics.MixScore, error) {
 	orders := []bool{true, false} // big-first, little-first
 	runs := make([]*kernel.Result, len(orders))
 	for i, bigFirst := range orders {
@@ -259,7 +242,7 @@ func (r *Runner) specScore(ctx context.Context, spec workload.Spec, closed *task
 		}
 		runs[i] = res
 	}
-	bases, err := r.specBaselines(ctx, spec, closed, cfg, keys)
+	bases, err := r.specBaselines(ctx, spec, closed, cfg)
 	if err != nil {
 		return metrics.MixScore{}, err
 	}
@@ -280,8 +263,8 @@ func (r *Runner) specScore(ctx context.Context, spec workload.Spec, closed *task
 
 // runBatch is the one matrix path: it runs specs x cfgs x kinds for the
 // runner's seed through the Batch engine, sharing the runner's
-// predictors, baselines and cell cache, and returns each cell's score by
-// its (spec, config, kind) indexes.
+// predictors and its cache of cells and baselines, and returns each
+// cell's score by its (spec, config, kind) indexes.
 func (r *Runner) runBatch(ctx context.Context, specs []workload.Spec, cfgs []cpu.Config, kinds []string) (func(s, c, k int) metrics.MixScore, error) {
 	b := &Batch{
 		Scenarios: specs,
@@ -289,10 +272,9 @@ func (r *Runner) runBatch(ctx context.Context, specs []workload.Spec, cfgs []cpu
 		Policies:  kinds,
 		Seeds:     []uint64{r.Seed},
 		Params:    r.Params,
-		Workers:   r.workers(),
+		Workers:   r.Workers,
 		Speedup:   r.Speedup,
 		Cache:     r.cache,
-		runners:   map[uint64]*Runner{r.Seed: r},
 	}
 	cells, err := b.Run(ctx)
 	if err != nil {
@@ -350,7 +332,9 @@ type SingleScore struct {
 // over core orders, returning H_NTT. The program is built once; the
 // baseline and both core orders run instances of it. The baseline key
 // stays outside CellKey: workload.SingleProgram seeds its generator
-// without Spec.BuildFor's salt, so it is not a Spec cell.
+// without Spec.BuildFor's salt, so it is not a Spec cell. The key carries
+// the params digest, so a runner whose Params change runs a fresh
+// baseline.
 func (r *Runner) SingleProgram(bench string, threads int, cfg cpu.Config, kind string) (SingleScore, error) {
 	w, err := workload.SingleProgram(bench, threads, r.Seed)
 	if err != nil {
@@ -358,7 +342,7 @@ func (r *Runner) SingleProgram(bench string, threads int, cfg cpu.Config, kind s
 	}
 	ctx := context.Background()
 	cores := cfg.NumCores()
-	key := fmt.Sprintf("single|%s|%d|%d|%d", bench, threads, cores, r.Seed)
+	key := fmt.Sprintf("single|%s|%d|%d|%d|%s", bench, threads, cores, r.Seed, ParamsDigest(r.Params))
 	base, err := r.baseline(ctx, key, cores, func() (*task.Workload, error) { return w.Instance(), nil })
 	if err != nil {
 		return SingleScore{}, err

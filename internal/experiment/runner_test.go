@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"colab/internal/cpu"
+	"colab/internal/kernel"
 	"colab/internal/metrics"
 	"colab/internal/perfmodel"
 	"colab/internal/policy"
+	"colab/internal/sim"
 	"colab/internal/workload"
 )
 
@@ -26,7 +28,7 @@ func (r *Runner) ScenarioScore(spec workload.Spec, cfg cpu.Config, kind string) 
 		if err != nil {
 			return metrics.MixScore{}, err
 		}
-		return r.specScore(ctx, spec, closed, cfg, kind, r.baselineKeys(spec, cfg.NumCores()), nil, nil)
+		return r.specScore(ctx, spec, closed, cfg, kind, nil, nil)
 	})
 	return score, err
 }
@@ -173,6 +175,30 @@ func TestSingleProgramScore(t *testing.T) {
 	}
 	if s.Bench != "swaptions" || s.Sched != SchedLinux {
 		t.Fatalf("labels wrong: %+v", s)
+	}
+}
+
+// A runner whose Params change scores Figure 4 against a baseline run
+// under the new params, exactly as a fresh runner with those params does.
+func TestSingleProgramBaselineFollowsParams(t *testing.T) {
+	r := testRunner(t)
+	if _, err := r.SingleProgram("ferret", 4, cpu.Config2B2S, SchedLinux); err != nil {
+		t.Fatal(err)
+	}
+	p := kernel.Params{ContextSwitchCost: 2 * sim.Millisecond}
+	r.Params = p
+	got, err := r.SingleProgram("ferret", 4, cpu.Config2B2S, SchedLinux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := testRunner(t)
+	fresh.Params = p
+	want, err := fresh.SingleProgram("ferret", 4, cpu.Config2B2S, SchedLinux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("after a params change H_NTT = %v, a fresh runner gives %v", got.HNTT, want.HNTT)
 	}
 }
 

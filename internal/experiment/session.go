@@ -96,12 +96,10 @@ type Batch struct {
 	Journal *Journal
 	// Cache, when set, is the content-addressed cell store consulted
 	// before and filled after every cell computation; overlapping batches
-	// sharing one Cache dedup their common cells (colab-serve's layer).
+	// sharing one Cache dedup their common cells (colab-serve's layer) and
+	// every baseline. Without one, baselines are memoised for this run
+	// only.
 	Cache *Cache
-
-	// runners pre-seeds per-seed runners so callers (Runner.RunMatrix) can
-	// share their baselines with the batch.
-	runners map[uint64]*Runner
 }
 
 // Validate checks the batch is runnable: every axis non-empty, every policy
@@ -157,25 +155,21 @@ func anyNeedsSpeedup(policies []string) bool {
 	return false
 }
 
-// runnerFor returns (building if needed) the runner for one seed; it
-// memoises baselines, while cells are memoised only by b.Cache.
-func (b *Batch) runnerFor(seed uint64, speedup func(*task.Thread) float64) *Runner {
-	if r, ok := b.runners[seed]; ok {
-		return r
-	}
-	r := &Runner{Speedup: speedup, Seed: seed, Params: b.Params}
-	if b.runners == nil {
-		b.runners = make(map[uint64]*Runner)
-	}
-	b.runners[seed] = r
-	return r
-}
-
 // Run executes the batch. It returns one cell per cross-product entry, in
 // deterministic order, or the first error. Cancelling ctx aborts promptly
 // (the kernel run loop itself is context-checked) and surfaces a wrapped
 // ctx.Err().
 func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
+	memo := b.Cache
+	if memo == nil {
+		memo = NewCache() // baselines for this run only
+	}
+	return b.run(ctx, memo)
+}
+
+// run is Run scoring against memo's baselines; cells are memoised by
+// b.Cache alone.
+func (b *Batch) run(ctx context.Context, memo *Cache) ([]BatchCell, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
@@ -195,6 +189,7 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 		rn *Runner
 		planCell
 	}
+	runners := make(map[uint64]*Runner)
 	// The plan (planCells) owns the cross-product enumeration and the
 	// baseline-sharing-group shard assignment; a sharded run executes its
 	// own subsequence of the plan in plan order.
@@ -205,7 +200,12 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 		if b.ShardCount > 1 && cell.shard != b.ShardIndex {
 			continue
 		}
-		jobs = append(jobs, job{b.runnerFor(cell.seed, speedup), cell})
+		rn := runners[cell.seed]
+		if rn == nil {
+			rn = &Runner{Speedup: speedup, Seed: cell.seed, Params: b.Params, cache: memo}
+			runners[cell.seed] = rn
+		}
+		jobs = append(jobs, job{rn, cell})
 	}
 	// builds holds each baseline-sharing group's one closed build
 	// (Spec.BuildClosed of the group's closed scenario at its seed) while
@@ -214,9 +214,6 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 	// this shard; the last one to finish (computed, cached or replayed)
 	// drops the build, so memory holds only the groups in flight.
 	var builds store[int, *task.Workload]
-	// baseKeys holds the BaselineKey list of every (group, core count),
-	// derived by the first cell that needs it and shared by the rest.
-	var baseKeys store[[2]int, []string]
 	left := make([]atomic.Int32, groups)
 	for _, j := range jobs {
 		left[j.group].Add(1)
@@ -299,13 +296,7 @@ func (b *Batch) Run(ctx context.Context) ([]BatchCell, error) {
 						if b.Tracer != nil {
 							tracer = func(bigFirst bool, ev kernel.TraceEvent) { b.Tracer(j.key, bigFirst, ev) }
 						}
-						keys, _, err := baseKeys.Do(runCtx, [2]int{j.group, j.cfg.NumCores()}, func() ([]string, error) {
-							return j.rn.baselineKeys(j.spec, j.cfg.NumCores()), nil
-						})
-						if err != nil {
-							return metrics.MixScore{}, err
-						}
-						return j.rn.specScore(runCtx, j.spec, closed, j.cfg, j.key.Policy, keys, tracer, nil)
+						return j.rn.specScore(runCtx, j.spec, closed, j.cfg, j.key.Policy, tracer, nil)
 					}
 					if b.Cache != nil {
 						score, cached, err = b.Cache.Do(runCtx, j.ck, compute)

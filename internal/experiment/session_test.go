@@ -58,11 +58,13 @@ func TestBatchMatchesGoldenCorpus(t *testing.T) {
 	for _, idx := range []string{"Sync-2", "NSync-2", "Comm-2", "Comp-2", "Rand-7"} {
 		mixes = append(mixes, compByIndex(t, idx).Spec())
 	}
+	cache := NewCache() // shares the memoised baselines, like one session would
 	main := &Batch{
 		Scenarios: mixes,
 		Configs:   cpu.EvaluatedConfigs(),
 		Policies:  []string{SchedLinux, SchedWASH, SchedCOLAB, SchedGTS, SchedEAS},
 		Seeds:     []uint64{1},
+		Cache:     cache,
 	}
 	cells, err := main.Run(context.Background())
 	if err != nil {
@@ -75,8 +77,8 @@ func TestBatchMatchesGoldenCorpus(t *testing.T) {
 		Configs:   []cpu.Config{cpu.Config2B2S},
 		Policies: []string{SchedCOLABNoScale, SchedCOLABLocal, SchedCOLABFlat,
 			SchedCOLABNoPull, SchedCOLABOracle},
-		Seeds:   []uint64{1},
-		runners: main.runners, // share the memoised baselines, like one session would
+		Seeds: []uint64{1},
+		Cache: cache,
 	}
 	cells, err = ablations.Run(context.Background())
 	if err != nil {

@@ -80,9 +80,8 @@ func (r *Runner) TriGearTable() (*Table, error) {
 		}
 		// The scores average both core orders (as the paper does); the
 		// energy columns read the big-first run.
-		keys := r.baselineKeys(spec, cfg.NumCores())
 		eval := func(kind string) (c cell, err error) {
-			c.score, err = r.specScore(ctx, spec, closed, cfg, kind, keys, nil, func(bigFirst bool, res *kernel.Result) {
+			c.score, err = r.specScore(ctx, spec, closed, cfg, kind, nil, func(bigFirst bool, res *kernel.Result) {
 				if bigFirst {
 					c.e, c.edp, c.fnom = res.TotalEnergyJ(), res.EnergyDelayProduct(), nominalResidency(res)
 				}
@@ -162,7 +161,7 @@ func (r *Runner) OPPSweepTable() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	bases, err := r.specBaselines(ctx, spec, closed, cfg, r.baselineKeys(spec, cfg.NumCores()))
+	bases, err := r.specBaselines(ctx, spec, closed, cfg)
 	if err != nil {
 		return nil, err
 	}

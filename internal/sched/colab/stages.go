@@ -133,12 +133,12 @@ type AllocatorStage struct {
 	rrTier  []int
 	rrAll   int
 
-	// Topology-aware targets (populated only when the machine topology is
-	// active): domTierIDs[d][k] is the tier-k cores of LLC domain d, with a
-	// matching round-robin counter, so a labelled thread is placed on its
-	// home domain's slice of the tier band; domIDs[d]/rrDom[d] serve free
-	// threads the same way. Empty intersections fall back tier-wide.
-	topoActive bool
+	// Hierarchical targets: domTierIDs[d][k] is the tier-k cores of LLC
+	// domain d, with a matching round-robin counter, so a labelled thread
+	// is placed on its home domain's slice of the tier band; domIDs[d]/
+	// rrDom[d] serve free threads the same way. Empty intersections fall
+	// back tier-wide. An inactive topology is one domain holding every
+	// core, in core order.
 	domTierIDs [][][]int
 	rrDomTier  [][]int
 	domIDs     [][]int
@@ -173,37 +173,37 @@ func (a *AllocatorStage) Start(pc *kernel.PipelineContext) {
 		a.tierIDs[tier] = ids
 	}
 	a.rrAll = 0
-	a.topoActive = m.TopoActive()
-	a.domTierIDs, a.rrDomTier, a.domIDs, a.rrDom = nil, nil, nil, nil
-	if a.topoActive {
-		nd := m.NumDomains()
-		a.domTierIDs = make([][][]int, nd)
-		a.rrDomTier = make([][]int, nd)
-		a.domIDs = make([][]int, nd)
-		a.rrDom = make([]int, nd)
-		for d := 0; d < nd; d++ {
+	a.domIDs = [][]int{a.allIDs}
+	if m.TopoActive() {
+		a.domIDs = make([][]int, m.NumDomains())
+		for d := range a.domIDs {
 			a.domIDs[d] = m.DomainCoreIDs(d)
-			a.domTierIDs[d] = make([][]int, nt)
-			a.rrDomTier[d] = make([]int, nt)
-			for _, id := range a.domIDs[d] {
-				tier := int(m.Cores()[id].Kind)
-				a.domTierIDs[d][tier] = append(a.domTierIDs[d][tier], id)
-			}
+		}
+	}
+	nd := len(a.domIDs)
+	a.domTierIDs = make([][][]int, nd)
+	a.rrDomTier = make([][]int, nd)
+	a.rrDom = make([]int, nd)
+	for d, ids := range a.domIDs {
+		a.domTierIDs[d] = make([][]int, nt)
+		a.rrDomTier[d] = make([]int, nt)
+		for _, id := range ids {
+			tier := int(m.Cores()[id].Kind)
+			a.domTierIDs[d][tier] = append(a.domTierIDs[d][tier], id)
 		}
 	}
 }
 
-// Enqueue implements kernel.Allocator. On an active topology the
-// hierarchical round-robin narrows each step to the thread's home LLC
-// domain: labelled threads rotate over the home domain's slice of the
-// target tier (tier-wide when the domain has no such cores), free threads
-// rotate over the home domain instead of the whole machine.
+// Enqueue implements kernel.Allocator. The hierarchical round-robin
+// narrows each step to the thread's home LLC domain: labelled threads
+// rotate over the home domain's slice of the target tier (tier-wide when
+// the domain has no such cores), free threads rotate over the home domain,
+// which on an inactive topology is the whole machine.
 func (a *AllocatorStage) Enqueue(t *task.Thread, wakeup bool) int {
 	var core int
-	switch {
-	case a.flat:
+	if a.flat {
 		core = a.rr(a.allIDs, &a.rrAll)
-	case a.topoActive:
+	} else {
 		d := t.HomeDomain
 		if tier := a.pc.Hints().Get(t).TargetTier; tier >= 0 && tier < len(a.tierIDs) {
 			if ids := a.domTierIDs[d][tier]; len(ids) > 0 {
@@ -213,12 +213,6 @@ func (a *AllocatorStage) Enqueue(t *task.Thread, wakeup bool) int {
 			}
 		} else {
 			core = a.rr(a.domIDs[d], &a.rrDom[d])
-		}
-	default:
-		if tier := a.pc.Hints().Get(t).TargetTier; tier >= 0 && tier < len(a.tierIDs) {
-			core = a.rr(a.tierIDs[tier], &a.rrTier[tier])
-		} else {
-			core = a.rr(a.allIDs, &a.rrAll)
 		}
 	}
 	a.pc.Queues().Push(core, t)
