@@ -64,15 +64,18 @@ type Machine struct {
 	// schedulers), registered at Start for CheckInvariants.
 	queues *RunQueues
 
-	// Topology (all derived from config.Topo in NewMachine). Every
-	// topology-aware branch gates on topoActive, so a flat or zero-penalty
-	// topology runs the exact pre-topology code path.
-	topoActive   bool
-	domainOf     []int     // per core, LLC domain index (all zero when flat)
-	domainIDs    [][]int   // per domain, core IDs in core order
-	dist         [][]int   // inter-domain distance in hops
-	migPenaltyNS []float64 // per destination core, penalty ns per hop (PenaltyCycles at nominal freq)
-	nextHome     int       // round-robin cursor for home-domain placement at admission
+	// Geometry, derived once from the config in NewMachine and read by
+	// every stage instead of a copy of its own. NewMachine is the one
+	// reader of Topology.Active: an inactive topology (flat, or zero
+	// penalty) is one domain holding every core, so the topology-aware
+	// paths run on every machine and reduce to the flat one there.
+	tierMasks     []task.Mask // per tier, its cores (empty when unpopulated)
+	domainOf      []int       // per core, LLC domain index
+	domainIDs     [][]int     // per domain, core IDs in core order
+	domTierIDs    [][]int     // per domain×tier (dom*len(tiers)+tier), core IDs in core order
+	dist          [][]int     // inter-domain distance in hops
+	penaltyCycles float64     // migration penalty per hop, in destination-core cycles
+	nextHome      int         // round-robin cursor for home-domain placement at admission
 }
 
 // NewMachine builds a machine. The workload's threads must be freshly
@@ -110,9 +113,14 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 	n := cfg.NumCores()
 	m.tierIDs = make([][]int, cfg.NumTiers())
 	m.tierSets = make([]coreSet, cfg.NumTiers())
+	m.tierMasks = make([]task.Mask, cfg.NumTiers())
 	for tier := range m.tierIDs {
-		m.tierIDs[tier] = cfg.TierIndices(tier)
-		m.tierSets[tier] = coreSetOf(n, m.tierIDs[tier])
+		ids := cfg.TierIndices(tier)
+		m.tierIDs[tier] = ids
+		m.tierSets[tier] = coreSetOf(n, ids)
+		if len(ids) > 0 {
+			m.tierMasks[tier] = task.MaskOf(ids)
+		}
 	}
 	m.busy = newCoreSet(n)
 	m.pending = newCoreSet(n)
@@ -139,28 +147,7 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 		c.preemptFn = func() { m.preemptCheck(c) }
 		m.cores = append(m.cores, c)
 	}
-	tp := cfg.Topology()
-	m.topoActive = tp.Active()
-	m.domainOf = tp.CoreDomains(cfg.NumCores())
-	m.domainIDs = make([][]int, tp.NumDomains())
-	for id, dom := range m.domainOf {
-		m.domainIDs[dom] = append(m.domainIDs[dom], id)
-	}
-	if m.topoActive {
-		nd := tp.NumDomains()
-		m.dist = make([][]int, nd)
-		for a := 0; a < nd; a++ {
-			m.dist[a] = make([]int, nd)
-			for b := 0; b < nd; b++ {
-				m.dist[a][b] = tp.Distance(a, b)
-			}
-		}
-		m.migPenaltyNS = make([]float64, cfg.NumCores())
-		for i, c := range m.cores {
-			// cycles -> ns at the destination core's nominal frequency.
-			m.migPenaltyNS[i] = tp.PenaltyCycles * 1000 / float64(c.Tier.FreqMHz)
-		}
-	}
+	m.deriveDomains(cfg.Topology())
 	m.threads = make([]*task.Thread, 0, w.NumThreads())
 	m.ctrProf = make([]cpu.CounterProfile, w.NumThreads())
 	m.speedup = make([]float64, w.NumThreads()*len(m.tiers))
@@ -189,6 +176,54 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 	}
 	m.futexes = newFutexes(w)
 	return m, nil
+}
+
+// oneDomainDist is the distance matrix of one domain; machines share it
+// read-only.
+var oneDomainDist = [][]int{{0}}
+
+// deriveDomains builds the LLC-domain tables from the topology. An
+// inactive topology is scheduled as the flat one: one domain of every core
+// at distance 0. The domain lists and the domain×tier lists are windows of
+// one backing array.
+func (m *Machine) deriveDomains(tp topo.Topology) {
+	if !tp.Active() {
+		tp = topo.Topology{}
+	}
+	n, nt, nd := len(m.cores), len(m.tiers), tp.NumDomains()
+	m.domainOf, m.dist, m.penaltyCycles = tp.CoreDomains(n), oneDomainDist, tp.PenaltyCycles
+	if nd > 1 {
+		m.dist = make([][]int, nd)
+		for a := range m.dist {
+			m.dist[a] = make([]int, nd)
+			for b := range m.dist[a] {
+				m.dist[a][b] = tp.Distance(a, b)
+			}
+		}
+	}
+	ids := make([]int, 0, 2*n)
+	lists := make([][]int, nd+nd*nt)
+	m.domainIDs, m.domTierIDs = lists[:nd:nd], lists[nd:]
+	for d := range m.domainIDs {
+		start := len(ids)
+		for id, dom := range m.domainOf {
+			if dom == d {
+				ids = append(ids, id)
+			}
+		}
+		m.domainIDs[d] = ids[start:len(ids):len(ids)]
+	}
+	for d, dom := range m.domainIDs {
+		for tier := 0; tier < nt; tier++ {
+			start := len(ids)
+			for _, id := range dom {
+				if int(m.cores[id].Kind) == tier {
+					ids = append(ids, id)
+				}
+			}
+			m.domTierIDs[d*nt+tier] = ids[start:len(ids):len(ids)]
+		}
+	}
 }
 
 // prepare derives t's accrual state from t.Profile.
@@ -222,6 +257,10 @@ func (m *Machine) Tiers() []cpu.Tier { return m.config.Tiers() }
 // (possibly empty: symmetric machines populate a single tier).
 func (m *Machine) TierCoreIDs(tier int) []int { return m.tierIDs[tier] }
 
+// TierMask returns the affinity mask of the given tier's cores (empty when
+// the tier is unpopulated). The machine builds it once; stages share it.
+func (m *Machine) TierMask(tier int) task.Mask { return m.tierMasks[tier] }
+
 // TopTier returns the index of the highest-capacity tier in the palette.
 func (m *Machine) TopTier() int { return m.topTier }
 
@@ -229,30 +268,29 @@ func (m *Machine) TopTier() int { return m.topTier }
 // flat topology on pre-topology configs).
 func (m *Machine) Topology() topo.Topology { return m.config.Topology() }
 
-// TopoActive reports whether topology affects this run: multiple LLC
-// domains with a non-zero migration penalty. Stages gate their
-// topology-aware behaviour on this so zero-penalty topologies schedule
-// bit-identically to the flat machine.
-func (m *Machine) TopoActive() bool { return m.topoActive }
-
-// NumDomains returns the number of LLC domains (1 on flat machines).
+// NumDomains returns the number of LLC domains the machine schedules over:
+// the topology's domains when it is active, otherwise 1. A flat or
+// zero-penalty topology is one domain holding every core.
 func (m *Machine) NumDomains() int { return len(m.domainIDs) }
 
-// DomainOf returns the LLC domain index of a core (0 on flat machines).
+// DomainOf returns the LLC domain index of a core (0 on one-domain
+// machines).
 func (m *Machine) DomainOf(core int) int { return m.domainOf[core] }
 
 // DomainCoreIDs returns the core indices of one LLC domain, in core order
 // (do not mutate).
 func (m *Machine) DomainCoreIDs(dom int) []int { return m.domainIDs[dom] }
 
-// DomainDistance returns the hop count between two LLC domains (0 on flat
-// machines).
-func (m *Machine) DomainDistance(a, b int) int {
-	if m.dist == nil {
-		return 0
-	}
-	return m.dist[a][b]
+// DomainTierCoreIDs returns the core indices of one tier within one LLC
+// domain, in core order (possibly empty; do not mutate). A domain's lists
+// partition its DomainCoreIDs.
+func (m *Machine) DomainTierCoreIDs(dom, tier int) []int {
+	return m.domTierIDs[dom*len(m.tiers)+tier]
 }
+
+// DomainDistance returns the hop count between two LLC domains (0 on
+// one-domain machines).
+func (m *Machine) DomainDistance(a, b int) int { return m.dist[a][b] }
 
 // BusyWord returns word w of the given tier's occupancy: bit i is set iff
 // core 64*w+i belongs to the tier and a thread occupies it. Words run from
@@ -413,12 +451,9 @@ func (m *Machine) start() {
 
 // placeApp assigns the app a home LLC domain — apps round-robin across
 // domains in admission order, threads inherit the app's domain — before
-// the policy sees any of its threads. On flat or zero-penalty machines
-// every thread stays in domain 0 and placement is a no-op.
+// the policy sees any of its threads. On a one-domain machine every
+// thread's home is domain 0.
 func (m *Machine) placeApp(a *task.App) {
-	if !m.topoActive {
-		return
-	}
 	home := m.nextHome % len(m.domainIDs)
 	m.nextHome++
 	for _, t := range a.Threads {
@@ -700,12 +735,11 @@ func (m *Machine) schedule(c *Core) {
 		t.Migrations++
 		// Cross-domain moves additionally pay the cold-cache penalty — every
 		// migration path (Requeue relabeling, idle steal, pull preemption)
-		// funnels through this dispatch point.
-		if m.topoActive {
-			if hops := m.dist[m.domainOf[t.CoreID]][m.domainOf[c.ID]]; hops > 0 {
-				cost += sim.Time(float64(hops) * m.migPenaltyNS[c.ID])
-				t.CrossDomainHops += hops
-			}
+		// funnels through this dispatch point. The penalty is cycles per
+		// hop at the destination core's nominal frequency.
+		if hops := m.dist[m.domainOf[t.CoreID]][m.domainOf[c.ID]]; hops > 0 {
+			cost += sim.Time(float64(hops) * (m.penaltyCycles * 1000 / float64(c.Tier.FreqMHz)))
+			t.CrossDomainHops += hops
 		}
 		m.emitT(TraceMigrate, c.ID, t)
 	}

@@ -1,7 +1,10 @@
 package kernel_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,10 +58,10 @@ func numaPolicies() map[string]func() kernel.Scheduler {
 	}
 }
 
-func traceOf(t *testing.T, cfg cpu.Config, mk func() kernel.Scheduler) (string, *kernel.Result) {
+func traceOf(t *testing.T, cfg cpu.Config, mk func() kernel.Scheduler, w *task.Workload) (string, *kernel.Result) {
 	t.Helper()
 	var sb strings.Builder
-	m, err := kernel.NewMachine(cfg, mk(), numaWorkload(), kernel.Params{})
+	m, err := kernel.NewMachine(cfg, mk(), w, kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,21 +74,41 @@ func traceOf(t *testing.T, cfg cpu.Config, mk func() kernel.Scheduler) (string, 
 }
 
 // TestZeroCostTopologyBitIdentical is the reduction guarantee: a NUMA
-// machine with migration cost zero must schedule bit-identically (full
-// trace and results) to the same core layout with no topology at all.
+// machine with migration cost zero is one domain of every core, so every
+// built-in policy schedules it bit-identically (full trace and Result) to
+// the same core layout with no topology at all.
 func TestZeroCostTopologyBitIdentical(t *testing.T) {
 	zero := cpu.Config2x2B2S.WithMigrationCost(0)
 	flat := cpu.Config2x2B2S.Flat()
-	for name, mk := range numaPolicies() {
-		zt, zres := traceOf(t, zero, mk)
-		ft, fres := traceOf(t, flat, mk)
+	m, err := kernel.NewMachine(zero, cfs.New(), numaWorkload(), kernel.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumDomains() != 1 || m.DomainOf(5) != 0 {
+		t.Fatalf("zero-cost NUMA machine: NumDomains = %d, DomainOf(5) = %d; want one domain", m.NumDomains(), m.DomainOf(5))
+	}
+	for _, name := range policy.Names() {
+		zw := numaWorkload()
+		zt, zres := traceOf(t, zero, builtin(name), zw)
+		ft, fres := traceOf(t, flat, builtin(name), numaWorkload())
 		if zt != ft {
 			t.Errorf("%s: zero-cost NUMA trace differs from flat machine", name)
 		}
-		if zres.EndTime != fres.EndTime || zres.Events != fres.Events ||
-			zres.TotalMigrations != fres.TotalMigrations {
-			t.Errorf("%s: zero-cost NUMA result differs from flat: end %v vs %v, events %d vs %d",
-				name, zres.EndTime, fres.EndTime, zres.Events, fres.Events)
+		zj, err := json.Marshal(zres)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fj, err := json.Marshal(fres)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(zj, fj) {
+			t.Errorf("%s: zero-cost NUMA Result differs from flat machine", name)
+		}
+		for _, th := range zw.Threads() {
+			if th.HomeDomain != 0 {
+				t.Errorf("%s: thread %v placed in home domain %d on a one-domain machine", name, th, th.HomeDomain)
+			}
 		}
 	}
 }
@@ -95,8 +118,8 @@ func TestZeroCostTopologyBitIdentical(t *testing.T) {
 // ranked WASH arm) on an active NUMA palette.
 func TestNUMATraceDeterministic(t *testing.T) {
 	for name, mk := range numaPolicies() {
-		a, _ := traceOf(t, cpu.Config2x2B2S, mk)
-		b, _ := traceOf(t, cpu.Config2x2B2S, mk)
+		a, _ := traceOf(t, cpu.Config2x2B2S, mk, numaWorkload())
+		b, _ := traceOf(t, cpu.Config2x2B2S, mk, numaWorkload())
 		if a != b {
 			t.Errorf("%s: NUMA trace differs across identical runs", name)
 		}
@@ -191,9 +214,6 @@ func TestMachineTopologyAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.TopoActive() {
-		t.Fatalf("TopoActive false on an active NUMA palette")
-	}
 	if m.NumDomains() != 2 {
 		t.Fatalf("NumDomains = %d", m.NumDomains())
 	}
@@ -209,13 +229,48 @@ func TestMachineTopologyAccessors(t *testing.T) {
 	if got := m.DomainCoreIDs(1); len(got) != 4 || got[0] != 4 {
 		t.Fatalf("DomainCoreIDs(1) = %v", got)
 	}
+	top := m.TopTier()
+	if got := m.DomainTierCoreIDs(1, top); !slices.Equal(got, []int{4, 5}) {
+		t.Fatalf("DomainTierCoreIDs(1, big) = %v, want [4 5]", got)
+	}
+	if got := m.TierMask(top).String(); got != "{0,1,4,5}" {
+		t.Fatalf("TierMask(big) = %s, want {0,1,4,5}", got)
+	}
+	for d := 0; d < m.NumDomains(); d++ {
+		var union []int
+		for tier := 0; tier < m.NumTiers(); tier++ {
+			for _, id := range m.DomainTierCoreIDs(d, tier) {
+				if int(m.Cores()[id].Kind) != tier || m.DomainOf(id) != d {
+					t.Fatalf("DomainTierCoreIDs(%d, %d) holds core %d of tier %d, domain %d", d, tier, id, m.Cores()[id].Kind, m.DomainOf(id))
+				}
+			}
+			union = append(union, m.DomainTierCoreIDs(d, tier)...)
+		}
+		slices.Sort(union)
+		if !slices.Equal(union, m.DomainCoreIDs(d)) {
+			t.Fatalf("domain %d: tier lists %v do not partition DomainCoreIDs %v", d, union, m.DomainCoreIDs(d))
+		}
+	}
 
 	// Flat machine: accessors answer the single implicit domain.
 	fm, err := kernel.NewMachine(cpu.Config4B4S, cfs.New(), numaWorkload(), kernel.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fm.TopoActive() || fm.NumDomains() != 1 || fm.DomainOf(3) != 0 || fm.DomainDistance(0, 0) != 0 {
+	if fm.NumDomains() != 1 || fm.DomainOf(3) != 0 || fm.DomainDistance(0, 0) != 0 {
 		t.Fatalf("flat machine topology accessors drifted")
+	}
+
+	// Symmetric all-big machine: the base tier is unpopulated.
+	sm, err := kernel.NewMachine(cpu.NewSymmetric(cpu.Big, 4), cfs.New(), numaWorkload(), kernel.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sm.TierMask(0).IsEmpty() || len(sm.TierCoreIDs(0)) != 0 || len(sm.DomainTierCoreIDs(0, 0)) != 0 {
+		t.Fatalf("symmetric machine base tier: mask %s, ids %v, domain ids %v; want empty",
+			sm.TierMask(0), sm.TierCoreIDs(0), sm.DomainTierCoreIDs(0, 0))
+	}
+	if got := sm.TierMask(sm.TopTier()).String(); got != "{0,1,2,3}" {
+		t.Fatalf("symmetric machine TierMask(top) = %s", got)
 	}
 }

@@ -131,15 +131,14 @@ func (s *SelectorStage) PopLocal(core int) *task.Thread {
 
 // StealInto steals the least-entitled thread runnable on core from the
 // busiest other queue of the given tier (-1: every tier), nil when nothing
-// is stealable. On an active topology the idle balance is LLC-aware:
-// nearer domains are searched first (cheapest migration), busiest-first
-// within one distance band. Exported for selector stages with custom
+// is stealable. The idle balance is LLC-aware: nearer domains are searched
+// first (cheapest migration), busiest-first within one distance band (a
+// one-domain machine has one band). Exported for selector stages with custom
 // stealing rules (EAS).
 func (s *SelectorStage) StealInto(core, tier int) *task.Thread {
 	q := s.pc.Queues()
 	m := s.pc.Machine()
-	cores := m.Cores()
-	topoActive := m.TopoActive()
+	cores, home := m.Cores(), m.DomainOf(core)
 	order := s.scratch[:0]
 	for i := q.NextNonEmpty(0); i >= 0; i = q.NextNonEmpty(i + 1) {
 		if i != core && (tier < 0 || int(cores[i].Kind) == tier) {
@@ -148,10 +147,10 @@ func (s *SelectorStage) StealInto(core, tier int) *task.Thread {
 	}
 	// Stable insertion sort so queues of equal rank keep their core order
 	// (identical to sort.Slice on the small slices it small-sorts) without
-	// allocating a comparator per call. Flat machines rank busiest-first;
-	// an active topology ranks nearest-domain-first, then busiest.
+	// allocating a comparator per call. Sources rank nearest-domain-first,
+	// then busiest; on a one-domain machine every source is at distance 0.
 	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && s.stealBefore(q, m, core, order[j], order[j-1], topoActive); j-- {
+		for j := i; j > 0 && s.stealBefore(q, m, home, order[j], order[j-1]); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
@@ -164,14 +163,13 @@ func (s *SelectorStage) StealInto(core, tier int) *task.Thread {
 	return nil
 }
 
-// stealBefore ranks steal source a strictly ahead of b for the idle core.
-func (s *SelectorStage) stealBefore(q *kernel.RunQueues, m *kernel.Machine, core, a, b int, topoActive bool) bool {
-	if topoActive {
-		da := m.DomainDistance(m.DomainOf(core), m.DomainOf(a))
-		db := m.DomainDistance(m.DomainOf(core), m.DomainOf(b))
-		if da != db {
-			return da < db
-		}
+// stealBefore ranks steal source a strictly ahead of b for an idle core
+// of domain home.
+func (s *SelectorStage) stealBefore(q *kernel.RunQueues, m *kernel.Machine, home, a, b int) bool {
+	da := m.DomainDistance(home, m.DomainOf(a))
+	db := m.DomainDistance(home, m.DomainOf(b))
+	if da != db {
+		return da < db
 	}
 	return q.Len(a) > q.Len(b)
 }

@@ -143,12 +143,10 @@ func (s *refCFSSelector) PickNext(c *kernel.Core) *task.Thread {
 func (s *refCFSSelector) stealFrom(core int, from []int) *task.Thread {
 	q, m := s.pc.Queues(), s.pc.Machine()
 	rank := func(a, b int) bool { // a strictly ahead of b
-		if m.TopoActive() {
-			da := m.DomainDistance(m.DomainOf(core), m.DomainOf(a))
-			db := m.DomainDistance(m.DomainOf(core), m.DomainOf(b))
-			if da != db {
-				return da < db
-			}
+		da := m.DomainDistance(m.DomainOf(core), m.DomainOf(a))
+		db := m.DomainDistance(m.DomainOf(core), m.DomainOf(b))
+		if da != db {
+			return da < db
 		}
 		return q.Len(a) > q.Len(b)
 	}

@@ -126,23 +126,22 @@ type AllocatorStage struct {
 	flat bool
 	pc   *kernel.PipelineContext
 
-	// tierIDs[k] holds the allocation targets for tier k: the tier's own
-	// cores when the cluster is populated, all cores otherwise.
+	// tierIDs[k] holds the fallback targets for tier k when the home
+	// domain has none of its cores: the tier's own cores when the cluster
+	// is populated, all cores otherwise.
 	tierIDs [][]int
 	allIDs  []int
-	rrTier  []int
-	rrAll   int
 
-	// Hierarchical targets: domTierIDs[d][k] is the tier-k cores of LLC
-	// domain d, with a matching round-robin counter, so a labelled thread
-	// is placed on its home domain's slice of the tier band; domIDs[d]/
-	// rrDom[d] serve free threads the same way. Empty intersections fall
-	// back tier-wide. An inactive topology is one domain holding every
-	// core, in core order.
-	domTierIDs [][][]int
-	rrDomTier  [][]int
-	domIDs     [][]int
-	rrDom      []int
+	// Round-robin counters: per tier (the fallback), per domain×tier
+	// (dom*NumTiers()+tier), per domain and over all cores. A labelled
+	// thread rotates over its home domain's slice of the tier band
+	// (Machine.DomainTierCoreIDs), a free thread over its home domain
+	// (Machine.DomainCoreIDs); an inactive topology is one domain holding
+	// every core, in core order.
+	rrTier    []int
+	rrDomTier []int
+	rrDom     []int
+	rrAll     int
 }
 
 // NewAllocator returns the COLAB allocator stage; flat switches off the
@@ -162,36 +161,20 @@ func (a *AllocatorStage) Start(pc *kernel.PipelineContext) {
 	for i := range m.Cores() {
 		a.allIDs = append(a.allIDs, i)
 	}
-	nt := m.NumTiers()
-	a.tierIDs = make([][]int, nt)
-	a.rrTier = make([]int, nt)
-	for tier := 0; tier < nt; tier++ {
-		ids := m.TierCoreIDs(tier)
-		if len(ids) == 0 {
-			ids = a.allIDs // unpopulated cluster: fall back to everything
-		}
-		a.tierIDs[tier] = ids
-	}
 	a.rrAll = 0
-	a.domIDs = [][]int{a.allIDs}
-	if m.TopoActive() {
-		a.domIDs = make([][]int, m.NumDomains())
-		for d := range a.domIDs {
-			a.domIDs[d] = m.DomainCoreIDs(d)
+	if a.flat {
+		return
+	}
+	nt, nd := m.NumTiers(), m.NumDomains()
+	a.tierIDs = make([][]int, nt)
+	for tier := range a.tierIDs {
+		a.tierIDs[tier] = m.TierCoreIDs(tier)
+		if len(a.tierIDs[tier]) == 0 {
+			a.tierIDs[tier] = a.allIDs // unpopulated cluster: fall back to everything
 		}
 	}
-	nd := len(a.domIDs)
-	a.domTierIDs = make([][][]int, nd)
-	a.rrDomTier = make([][]int, nd)
-	a.rrDom = make([]int, nd)
-	for d, ids := range a.domIDs {
-		a.domTierIDs[d] = make([][]int, nt)
-		a.rrDomTier[d] = make([]int, nt)
-		for _, id := range ids {
-			tier := int(m.Cores()[id].Kind)
-			a.domTierIDs[d][tier] = append(a.domTierIDs[d][tier], id)
-		}
-	}
+	rr := make([]int, nt+nd*nt+nd)
+	a.rrTier, a.rrDomTier, a.rrDom = rr[:nt], rr[nt:nt+nd*nt], rr[nt+nd*nt:]
 }
 
 // Enqueue implements kernel.Allocator. The hierarchical round-robin
@@ -204,15 +187,15 @@ func (a *AllocatorStage) Enqueue(t *task.Thread, wakeup bool) int {
 	if a.flat {
 		core = a.rr(a.allIDs, &a.rrAll)
 	} else {
-		d := t.HomeDomain
+		m, d := a.pc.Machine(), t.HomeDomain
 		if tier := a.pc.Hints().Get(t).TargetTier; tier >= 0 && tier < len(a.tierIDs) {
-			if ids := a.domTierIDs[d][tier]; len(ids) > 0 {
-				core = a.rr(ids, &a.rrDomTier[d][tier])
+			if ids := m.DomainTierCoreIDs(d, tier); len(ids) > 0 {
+				core = a.rr(ids, &a.rrDomTier[d*len(a.tierIDs)+tier])
 			} else {
 				core = a.rr(a.tierIDs[tier], &a.rrTier[tier])
 			}
 		} else {
-			core = a.rr(a.domIDs[d], &a.rrDom[d])
+			core = a.rr(m.DomainCoreIDs(d), &a.rrDom[d])
 		}
 	}
 	a.pc.Queues().Push(core, t)

@@ -44,9 +44,10 @@ type LabelerStage struct {
 	pc   *kernel.PipelineContext
 	info []info // load-tracking state, indexed by thread ID
 
-	// tierMask[k] is the affinity mask of tier k's cores; unpopulated
-	// tiers borrow the nearest populated tier's mask (below first, then
-	// above), so symmetric machines degenerate to a single rung.
+	// tierMask[k] is the affinity mask of tier k's cores (the machine's
+	// TierMask); unpopulated tiers borrow the nearest populated tier's
+	// mask (below first, then above), so symmetric machines degenerate to
+	// a single rung.
 	tierMask []task.Mask
 	topTier  int
 }
@@ -71,7 +72,7 @@ func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 	}
 	l.tierMask = make([]task.Mask, m.NumTiers())
 	for tier := range l.tierMask {
-		l.tierMask[tier] = task.MaskOf(m.TierCoreIDs(tier))
+		l.tierMask[tier] = m.TierMask(tier)
 	}
 	for tier := range l.tierMask {
 		if l.tierMask[tier].IsEmpty() {

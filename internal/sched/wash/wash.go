@@ -44,19 +44,13 @@ type LabelerStage struct {
 	speedup func(*task.Thread) float64
 	pc      *kernel.PipelineContext
 
-	bigMask    task.Mask
-	littleMask task.Mask
-
 	// Tier-ranked topology mode (DESIGN.md §3), engaged only on machines
-	// with an active topology; flat machines run the legacy two-armed
-	// heuristic byte-identically. Threads are ranked by the same mixed
-	// score and spread over the full tier ladder proportionally to tier
-	// width, each pinned to its home LLC domain's slice of the tier.
+	// with more than one LLC domain; one-domain machines run the legacy
+	// two-armed heuristic byte-identically. Threads are ranked by the same
+	// mixed score and spread over the full tier ladder proportionally to
+	// tier width, each pinned to its home LLC domain's slice of the tier.
 	ranked       bool
-	tierMasks    []task.Mask
-	tierCount    []int
-	totalCores   int
-	domTierMasks [][]task.Mask // [domain][tier] = tier ∩ domain cores
+	domTierMasks []task.Mask // [dom*NumTiers()+tier] = tier ∩ domain cores
 
 	// The per-pass buffers are reused by every labeling pass so a pass
 	// does not allocate.
@@ -84,31 +78,16 @@ func (l *LabelerStage) Name() string { return "wash.labeler" }
 func (l *LabelerStage) Start(pc *kernel.PipelineContext) {
 	l.pc = pc
 	m := pc.Machine()
-	l.bigMask = task.MaskOf(m.TierCoreIDs(m.TopTier()))
-	l.littleMask = task.MaskOf(m.TierCoreIDs(0))
-	if l.littleMask.IsEmpty() { // symmetric all-big machine: nothing to steer
-		l.littleMask = l.bigMask
-	}
-	l.ranked = m.TopoActive()
-	l.tierMasks, l.tierCount, l.domTierMasks, l.totalCores = nil, nil, nil, 0
+	l.ranked = m.NumDomains() > 1
 	if l.ranked {
-		nt := m.NumTiers()
-		l.tierMasks = make([]task.Mask, nt)
-		l.tierCount = make([]int, nt)
+		nt, nd := m.NumTiers(), m.NumDomains()
 		l.quota = make([]int, nt)
-		for k := 0; k < nt; k++ {
-			ids := m.TierCoreIDs(k)
-			l.tierMasks[k] = task.MaskOf(ids)
-			l.tierCount[k] = len(ids)
-			l.totalCores += len(ids)
-		}
-		nd := m.NumDomains()
-		l.domTierMasks = make([][]task.Mask, nd)
+		l.domTierMasks = make([]task.Mask, nd*nt)
 		for d := 0; d < nd; d++ {
-			domMask := task.MaskOf(m.DomainCoreIDs(d))
-			l.domTierMasks[d] = make([]task.Mask, nt)
 			for k := 0; k < nt; k++ {
-				l.domTierMasks[d][k] = l.tierMasks[k].And(domMask)
+				if ids := m.DomainTierCoreIDs(d, k); len(ids) > 0 {
+					l.domTierMasks[d*nt+k] = task.MaskOf(ids)
+				}
 			}
 		}
 	}
@@ -151,6 +130,11 @@ func (l *LabelerStage) Label(threads []*task.Thread) {
 		l.applyRanked(threads, scores, bottleneck)
 		return
 	}
+	m := l.pc.Machine()
+	bigMask, littleMask := m.TierMask(m.TopTier()), m.TierMask(0)
+	if littleMask.IsEmpty() { // symmetric all-big machine: nothing to steer
+		littleMask = bigMask
+	}
 	for i, t := range threads {
 		// Threads with no clear signal keep full affinity (the heuristic
 		// only *biases* placement; undifferentiated threads are left to the
@@ -158,9 +142,9 @@ func (l *LabelerStage) Label(threads []*task.Thread) {
 		var mask task.Mask
 		switch {
 		case scores[i] > band || bottleneck[i]:
-			mask = l.bigMask
+			mask = bigMask
 		case scores[i] < -band:
-			mask = l.littleMask
+			mask = littleMask
 		default:
 			mask = task.MaskAll()
 		}
@@ -214,16 +198,17 @@ func (l *LabelerStage) applyRanked(threads []*task.Thread, scores []float64, bot
 	})
 	// Integer tier quotas proportional to tier width, remainders handed to
 	// the widest-possible upper tiers first: deterministic, sums to n.
-	n := len(ranked)
+	m := l.pc.Machine()
+	n, nt := len(ranked), len(l.quota)
 	quota := l.quota
 	assigned := 0
 	for k := range quota {
-		quota[k] = n * l.tierCount[k] / l.totalCores
+		quota[k] = n * len(m.TierCoreIDs(k)) / len(m.Cores())
 		assigned += quota[k]
 	}
 	for assigned < n {
 		for k := len(quota) - 1; k >= 0 && assigned < n; k-- {
-			if l.tierCount[k] > 0 {
+			if len(m.TierCoreIDs(k)) > 0 {
 				quota[k]++
 				assigned++
 			}
@@ -234,9 +219,9 @@ func (l *LabelerStage) applyRanked(threads []*task.Thread, scores []float64, bot
 		for q := 0; q < quota[k]; q++ {
 			t := threads[ranked[pos]]
 			pos++
-			mask := l.domTierMasks[t.HomeDomain][k]
+			mask := l.domTierMasks[t.HomeDomain*nt+k]
 			if mask.IsEmpty() {
-				mask = l.tierMasks[k]
+				mask = m.TierMask(k)
 			}
 			l.setMask(t, mask)
 		}

@@ -16,7 +16,7 @@ import (
 // admits no core, and MaskAll shares one package-level all-ones bitset.
 //
 // Mask behaves as a value: copying is one pointer, and no method ever
-// writes a bitset a Mask points at — MaskOf, Set, Clear, And and Or build a
+// writes a bitset a Mask points at — MaskOf, Set, Clear and Or build a
 // fresh one — so copies never alias writable state. Allows, the scheduler
 // hot path, is one bounds check and one indexed load.
 type Mask struct{ w *maskWords }
@@ -89,15 +89,6 @@ func (m *Mask) Clear(c int) {
 		w[c/64] &^= 1 << (uint(c) % 64)
 		m.w = &w
 	}
-}
-
-// And returns the intersection of m and o.
-func (m Mask) And(o Mask) Mask {
-	a, b, out := m.words(), o.words(), new(maskWords)
-	for i := range out {
-		out[i] = a[i] & b[i]
-	}
-	return Mask{out}
 }
 
 // Or returns the union of m and o.

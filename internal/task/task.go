@@ -192,7 +192,7 @@ type Thread struct {
 	// Scheduling state.
 	Affinity   Mask     // allowed-core set; policies may narrow it (WASH)
 	VRuntime   sim.Time // CFS virtual runtime (scale-slice adjusts its growth)
-	HomeDomain int      // LLC domain the thread's app was placed in at admission (0 on flat machines)
+	HomeDomain int      // LLC domain the thread's app was placed in at admission (0 on one-domain machines)
 
 	// Accounting (kernel-owned).
 	SumExec     sim.Time // total time on any core

@@ -7,10 +7,9 @@
 //
 // The zero value is the flat topology: one implicit domain containing
 // every core, zero distance everywhere, exactly the pre-topology machine
-// model. Everything downstream (fingerprints, scheduling behaviour) is
-// gated so a flat topology is byte-identical to having no topology at
-// all, and a topology whose penalty is zero schedules identically to the
-// flat machine.
+// model. A flat topology leaves fingerprints byte-identical to having no
+// topology at all, and the kernel schedules any inactive topology (flat,
+// or zero penalty) as one domain, identically to the flat machine.
 package topo
 
 import (
@@ -53,9 +52,10 @@ type Topology struct {
 func (t Topology) IsFlat() bool { return len(t.Domains) <= 1 }
 
 // Active reports whether the topology affects scheduling: multiple
-// domains and a non-zero migration penalty. Every topology-aware code
-// path gates on this, which is what makes a zero-penalty topology
-// bit-identical to the flat machine.
+// domains and a non-zero migration penalty. kernel.NewMachine is its one
+// reader: it schedules an inactive topology as one domain holding every
+// core, which makes a zero-penalty topology bit-identical to the flat
+// machine.
 func (t Topology) Active() bool { return !t.IsFlat() && t.PenaltyCycles > 0 }
 
 // NumDomains returns the LLC-domain count (1 for flat topologies).
