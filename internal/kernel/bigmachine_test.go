@@ -1,6 +1,8 @@
 package kernel_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"colab/internal/policy"
 	"colab/internal/sim"
 	"colab/internal/task"
+	"colab/internal/workload"
 )
 
 // bigOpenWorkload is the 128-core determinism scenario: a wide closed app
@@ -99,6 +102,58 @@ func TestBigMachineTraceDeterministic(t *testing.T) {
 		}
 		if len(seen) <= 64 || high == 0 {
 			t.Errorf("%s: only %d cores dispatched (%d above core 63); workload does not cover the big machine", name, len(seen), high)
+		}
+	}
+}
+
+// TestEventBudgetBoundary pins the event budget to one event per
+// reschedule although the machine sweeps same-instant reschedules in one
+// engine event: on the oversubscribed 256-core NUMA run, a budget of the
+// reference run's Result.Events completes with an identical Result, and
+// one event less fails on the budget. The reference run must take fewer
+// engine steps than it counts events, or no sweep visited two cores.
+func TestEventBudgetBoundary(t *testing.T) {
+	const oversubscribedMix = "radix:96+fft:96+ocean_cp:96"
+	cfg := cpu.Config2x32B32M64S
+	spec, err := workload.ResolveSpec(oversubscribedMix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{policy.COLAB, policy.Linux} {
+		run := func(maxEvents uint64) (*kernel.Result, uint64, error) {
+			w, err := spec.BuildFor(1, cfg.AggregateCapacity())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := kernel.NewMachine(cfg, builtin(name)(), w, kernel.Params{MaxEvents: maxEvents})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var steps uint64
+			m.Engine().PostStep = func() { steps++ }
+			res, err := m.Run()
+			return res, steps, err
+		}
+		ref, steps, err := run(0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if steps >= ref.Events {
+			t.Errorf("%s: %d engine steps for %d counted events; no sweep coalesced", name, steps, ref.Events)
+		}
+		want, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := run(ref.Events)
+		if err != nil {
+			t.Fatalf("%s: budget of exactly %d events: %v", name, ref.Events, err)
+		}
+		if got, err := json.Marshal(res); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: Result under a budget of exactly %d events differs from the unbudgeted run (%v)", name, ref.Events, err)
+		}
+		if _, _, err := run(ref.Events - 1); err == nil || !strings.Contains(err.Error(), "event budget") {
+			t.Errorf("%s: budget of %d events, one short of the run: got %v, want an event budget error", name, ref.Events-1, err)
 		}
 	}
 }

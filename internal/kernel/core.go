@@ -40,9 +40,9 @@ type Core struct {
 
 	// Pre-bound event callbacks (built once at machine construction) so the
 	// steady-state dispatch loop schedules events without allocating a new
-	// closure per burst, resched or wake-up preemption check.
+	// closure per burst or wake-up preemption check. Reschedules go through
+	// the machine's one sweep callback.
 	burstEndFn func()
-	reschedFn  func()
 	preemptFn  func()
 	// woken holds the IDs of the threads whose wake-up preemption checks
 	// are queued on this core, oldest first from wokenHead: each preemptFn

@@ -28,9 +28,12 @@ import (
 //  9. Every thread's prepared accrual state (counter profile and per-tier
 //     speedups) equals the state derived fresh from its current Profile.
 //  10. The resched-pending index holds only idle cores: only schedule(c)
-//     dispatches onto c, and c's resched event leaves the index before it
+//     dispatches onto c, and the sweep takes c out of the index before it
 //     calls schedule(c). The work-conservation walk relies on this to skip
-//     pending cores as idle ones already kicked.
+//     pending cores as idle ones already kicked. The sweep ring holds
+//     exactly the pending cores, each once: a core joins it when its bit
+//     is set and leaves it when the bit is cleared, so the ring of one
+//     slot per core cannot overflow.
 func (m *Machine) CheckInvariants() []string {
 	var violations []string
 	seen := make(map[*task.Thread]int)
@@ -56,6 +59,7 @@ func (m *Machine) CheckInvariants() []string {
 		}
 		seen[t] = c.ID
 	}
+	violations = append(violations, m.checkSweepRing()...)
 	alive := 0
 	now := m.eng.Now()
 	for _, t := range m.threads {
@@ -88,6 +92,34 @@ func (m *Machine) CheckInvariants() []string {
 	}
 	if m.queues != nil {
 		violations = append(violations, m.queues.checkIndex()...)
+	}
+	return violations
+}
+
+// checkSweepRing checks invariant 10's ring: every entry is a pending,
+// idle core, no core sits in it twice, and every pending core sits in it.
+func (m *Machine) checkSweepRing() []string {
+	var violations []string
+	queued := newCoreSet(len(m.cores))
+	for i := 0; i < m.sweepQ.n; i++ {
+		id := m.sweepQ.at(i)
+		if id < 0 {
+			id = ^id
+		}
+		switch c := m.cores[id]; {
+		case queued.has(c.ID):
+			violations = append(violations, fmt.Sprintf("cpu%d queued twice on the sweep ring", c.ID))
+		case !m.pending.has(c.ID):
+			violations = append(violations, fmt.Sprintf("cpu%d on the sweep ring without a resched pending", c.ID))
+		case c.Current != nil:
+			violations = append(violations, fmt.Sprintf("cpu%d on the sweep ring while running %v", c.ID, c.Current))
+		}
+		queued.add(int(id))
+	}
+	for id := next(m.pending, m.pending, 0, m.allSet, 0); id >= 0; id = next(m.pending, m.pending, 0, m.allSet, id+1) {
+		if !queued.has(id) {
+			violations = append(violations, fmt.Sprintf("cpu%d has a resched pending but is not on the sweep ring", id))
+		}
 	}
 	return violations
 }

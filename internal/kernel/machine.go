@@ -3,6 +3,7 @@ package kernel
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"colab/internal/cpu"
 	"colab/internal/mathx"
@@ -56,9 +57,21 @@ type Machine struct {
 	busy     coreSet
 	tierSets []coreSet
 	allSet   coreSet
-	// pending holds the cores with a resched event queued: resched sets a
-	// core's bit and the event clears it before it runs schedule.
+	// pending holds the cores with a reschedule queued: resched sets a
+	// core's bit and queues the core on sweepQ, and the sweep clears the
+	// bit before it runs schedule.
 	pending coreSet
+	// The reschedule sweep. sweepQ holds the pending cores in kick order,
+	// each queued sweep event owning a contiguous run of it whose first
+	// entry is marked (stored as ^id). sweepSeq is the engine sequence
+	// number of the sweep event pushed last; sweepOpen reports that it has
+	// not finished. A kick joins that sweep while no event has been pushed
+	// since it, because its own reschedule event would have fired right
+	// behind the sweep's cores.
+	sweepQ    coreRing
+	sweepSeq  uint64
+	sweepOpen bool
+	sweepFn   func()
 
 	// queues is the pipeline scheduler's run-queue state (nil for other
 	// schedulers), registered at Start for CheckInvariants.
@@ -69,7 +82,7 @@ type Machine struct {
 	// reader of Topology.Active: an inactive topology (flat, or zero
 	// penalty) is one domain holding every core, so the topology-aware
 	// paths run on every machine and reduce to the flat one there.
-	tierMasks     []task.Mask // per tier, its cores (empty when unpopulated)
+	tierMasks     []task.Mask // per tier, its cores, built on first TierMask call
 	domainOf      []int       // per core, LLC domain index
 	domainIDs     [][]int     // per domain, core IDs in core order
 	domTierIDs    [][]int     // per domain×tier (dom*len(tiers)+tier), core IDs in core order
@@ -113,17 +126,15 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 	n := cfg.NumCores()
 	m.tierIDs = make([][]int, cfg.NumTiers())
 	m.tierSets = make([]coreSet, cfg.NumTiers())
-	m.tierMasks = make([]task.Mask, cfg.NumTiers())
 	for tier := range m.tierIDs {
 		ids := cfg.TierIndices(tier)
 		m.tierIDs[tier] = ids
 		m.tierSets[tier] = coreSetOf(n, ids)
-		if len(ids) > 0 {
-			m.tierMasks[tier] = task.MaskOf(ids)
-		}
 	}
 	m.busy = newCoreSet(n)
 	m.pending = newCoreSet(n)
+	m.sweepQ = newCoreRing(n)
+	m.sweepFn = m.sweep
 	m.allSet = newCoreSet(n)
 	for i := 0; i < n; i++ {
 		m.allSet.add(i)
@@ -140,10 +151,6 @@ func NewMachine(cfg cpu.Config, sched Scheduler, w *task.Workload, params Params
 			wasIdle:   true,
 		}
 		c.burstEndFn = func() { m.onBurstEnd(c) }
-		c.reschedFn = func() {
-			m.pending.remove(c.ID)
-			m.schedule(c)
-		}
 		c.preemptFn = func() { m.preemptCheck(c) }
 		m.cores = append(m.cores, c)
 	}
@@ -258,8 +265,17 @@ func (m *Machine) Tiers() []cpu.Tier { return m.config.Tiers() }
 func (m *Machine) TierCoreIDs(tier int) []int { return m.tierIDs[tier] }
 
 // TierMask returns the affinity mask of the given tier's cores (empty when
-// the tier is unpopulated). The machine builds it once; stages share it.
-func (m *Machine) TierMask(tier int) task.Mask { return m.tierMasks[tier] }
+// the tier is unpopulated). The machine builds it on the first call;
+// stages share it, and runs whose policy never asks build none.
+func (m *Machine) TierMask(tier int) task.Mask {
+	if m.tierMasks == nil {
+		m.tierMasks = make([]task.Mask, len(m.tierIDs))
+	}
+	if ids := m.tierIDs[tier]; len(ids) > 0 && m.tierMasks[tier].IsEmpty() {
+		m.tierMasks[tier] = task.MaskOf(ids)
+	}
+	return m.tierMasks[tier]
+}
 
 // TopTier returns the index of the highest-capacity tier in the palette.
 func (m *Machine) TopTier() int { return m.topTier }
@@ -304,12 +320,6 @@ func (m *Machine) NextIdle(tier, from int) int {
 	return next(m.busy, m.busy, ^uint64(0), m.tierSet(tier), from)
 }
 
-// nextUnkicked returns the smallest idle core >= from with no resched
-// queued, or -1.
-func (m *Machine) nextUnkicked(from int) int {
-	return next(m.busy, m.pending, ^uint64(0), m.allSet, from)
-}
-
 func (m *Machine) tierSet(tier int) coreSet {
 	if tier < 0 {
 		return m.allSet
@@ -339,7 +349,7 @@ func (m *Machine) Done() bool { return m.done }
 // Enqueue path, e.g. on affinity relabeling.
 func (m *Machine) Kick(core int) {
 	if core >= 0 && core < len(m.cores) && m.cores[core].Current == nil {
-		m.resched(m.cores[core])
+		m.resched(core)
 	}
 }
 
@@ -375,6 +385,7 @@ const ctxCheckInterval = 16384
 func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	m.start()
 	remaining := m.params.MaxEvents
+	overrun := false
 	for !m.done && remaining > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("kernel: %q under %s cancelled at %v: %w",
@@ -385,6 +396,11 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 			chunk = remaining
 		}
 		fired := m.eng.Run(chunk)
+		if fired > remaining {
+			// A sweep counted its cores past the budget: the budget ran
+			// out with the sweep's later cores still queued.
+			fired, overrun = remaining, true
+		}
 		remaining -= fired
 		if fired < chunk {
 			// Queue drained (or Stop): no further events will fire.
@@ -392,7 +408,7 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 		}
 	}
 	if !m.done {
-		if m.eng.Pending() == 0 {
+		if m.eng.Pending() == 0 && !overrun {
 			return nil, fmt.Errorf("kernel: deadlock in %q under %s: %d threads alive with no pending events",
 				m.workload.Name, m.sched.Name(), m.live)
 		}
@@ -437,7 +453,7 @@ func (m *Machine) start() {
 		}
 	}
 	for _, c := range m.cores {
-		m.resched(c)
+		m.resched(c.ID)
 	}
 	// Open-system arrivals: each remaining app gets a timestamped admission
 	// event. Until it fires, the app's threads stay New and invisible to the
@@ -621,16 +637,19 @@ func (m *Machine) makeReady(t *task.Thread, wakeup bool) {
 	}
 	tc := m.cores[target]
 	if tc.Current == nil {
-		m.resched(tc)
+		m.resched(target)
 	} else if wakeup {
 		m.deferPreemptCheck(tc, t)
 	}
 	// Work conservation: any idle core the thread may run on gets a chance
-	// to pick it (or anything else) up. Cores with a resched already queued
-	// (the target among them) are skipped; resched is a no-op on them.
-	for id := m.nextUnkicked(0); id >= 0; id = m.nextUnkicked(id + 1) {
-		if t.AllowedOn(id) {
-			m.resched(m.cores[id])
+	// to pick it (or anything else) up, in ascending core order. Cores with
+	// a resched already queued (the target among them) are skipped; resched
+	// is a no-op on them. The walk intersects the idle, unkicked cores with
+	// the thread's mask a word at a time.
+	for w := range m.busy {
+		idle := ^(m.busy[w] | m.pending[w]) & m.allSet[w] & t.Affinity.Word(w)
+		for ; idle != 0; idle &= idle - 1 {
+			m.resched(w*64 + bits.TrailingZeros64(idle))
 		}
 	}
 }
@@ -664,7 +683,7 @@ func (m *Machine) preemptCheck(c *Core) {
 func (m *Machine) preemptCore(c *Core) {
 	t := c.Current
 	if t == nil {
-		m.resched(c)
+		m.resched(c.ID)
 		return
 	}
 	m.stopBurst(c)
@@ -673,18 +692,55 @@ func (m *Machine) preemptCore(c *Core) {
 	t.Preemptions++
 	m.emitT(TracePreempt, c.ID, t)
 	m.makeReady(t, false)
-	m.resched(c)
+	m.resched(c.ID)
 }
 
 // ---------------------------------------------------------------------------
 // Dispatch and burst execution.
 
-func (m *Machine) resched(c *Core) {
-	if m.pending.has(c.ID) || m.done {
+// resched queues core id to re-run thread selection after the current
+// event handler. The kick joins the sweep event pushed last while that
+// sweep is unfinished and no event has been pushed since it; otherwise it
+// pushes a new After(0) sweep event that the core's entry opens. Either
+// way the core is visited exactly where an event of its own would have
+// fired: behind the sweep's earlier cores and ahead of everything pushed
+// after them. It takes the ID, not the Core, so the kick walk over idle
+// cores touches no Core.
+func (m *Machine) resched(id int) {
+	if m.pending.has(id) || m.done {
 		return
 	}
-	m.pending.add(c.ID)
-	m.eng.After(0, c.reschedFn)
+	m.pending.add(id)
+	if m.sweepOpen && m.eng.NextSeq() == m.sweepSeq+1 {
+		m.sweepQ.push(int32(id))
+		return
+	}
+	m.sweepQ.push(^int32(id))
+	m.sweepSeq, m.sweepOpen = m.eng.NextSeq(), true
+	m.eng.After(0, m.sweepFn)
+}
+
+// sweep is the handler of every sweep event. It visits the event's cores in
+// kick order, those that join it while it runs included, and stops at the
+// marked entry that opens the next sweep. Each core after the first counts
+// as one more processed event, as its own reschedule event did, so
+// Result.Events and the event budget are those of one event per core; cores
+// left once the machine is done go uncounted, as their events would have
+// been cut off by Stop.
+func (m *Machine) sweep() {
+	id := ^m.sweepQ.pop()
+	for {
+		m.pending.remove(int(id))
+		m.schedule(m.cores[id])
+		if m.sweepQ.n == 0 || m.sweepQ.at(0) < 0 {
+			break
+		}
+		id = m.sweepQ.pop()
+		if !m.done {
+			m.eng.Processed++
+		}
+	}
+	m.sweepOpen = m.sweepQ.n > 0
 }
 
 func (m *Machine) schedule(c *Core) {
@@ -715,7 +771,7 @@ func (m *Machine) schedule(c *Core) {
 		m.stopBurst(vc)
 		m.setCurrent(vc, nil)
 		t.Preemptions++
-		m.resched(vc)
+		m.resched(vc.ID)
 	case task.Ready:
 		t.AccrueReadyWait(now)
 	default:
@@ -828,10 +884,10 @@ func (m *Machine) onBurstEnd(c *Core) {
 	case statusDone:
 		m.setCurrent(c, nil)
 		m.finishThread(t)
-		m.resched(c)
+		m.resched(c.ID)
 	case statusBlocked:
 		m.setCurrent(c, nil)
-		m.resched(c)
+		m.resched(c.ID)
 	case statusCompute:
 		now := m.eng.Now()
 		if now >= c.sliceEnd {
@@ -840,7 +896,7 @@ func (m *Machine) onBurstEnd(c *Core) {
 			t.State = task.Ready
 			m.emitT(TraceRotate, c.ID, t)
 			m.makeReady(t, false)
-			m.resched(c)
+			m.resched(c.ID)
 			return
 		}
 		m.continueBurst(c)

@@ -63,10 +63,12 @@ type Result struct {
 	Sched    string
 	Config   string
 	EndTime  sim.Time
-	Events   uint64
-	Apps     []AppResult
-	Threads  []ThreadResult
-	Cores    []CoreResult
+	// Events counts the run's fired engine events, each reschedule as one
+	// event, also where one sweep event runs several of them.
+	Events  uint64
+	Apps    []AppResult
+	Threads []ThreadResult
+	Cores   []CoreResult
 
 	TotalMigrations  int
 	TotalPreemptions int

@@ -15,7 +15,10 @@ import (
 // cores pull and queues refill, so the selector's local scan, steal and
 // pull all run. After a warm-up (queue slices and the event slab at
 // capacity) the event loop, labeling passes included, must run
-// allocation-free over the next 201k of the run's 353k events.
+// allocation-free over the next 201k of the run's 353k events. The events
+// are counted by Processed: one engine step may be a reschedule sweep
+// that counts each core it visits, so each measured round steps until
+// Processed has grown by 1000.
 func TestCOLABSelectorDoesNotAllocate(t *testing.T) {
 	const warmup = 100000
 	cfg := cpu.Config2x32B32M64S
@@ -42,7 +45,7 @@ func TestCOLABSelectorDoesNotAllocate(t *testing.T) {
 	}
 	eng := m.Engine()
 	avg := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 1000; i++ {
+		for target := eng.Processed + 1000; eng.Processed < target; {
 			if !eng.Step() {
 				t.Fatal("engine drained during measurement")
 			}

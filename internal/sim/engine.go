@@ -118,10 +118,15 @@ type Engine struct {
 	free    []int32             // fired/collected slots awaiting reuse
 	stopped bool
 	// Processed counts fired (non-cancelled) events, for tests and stats.
+	// A handler that does the work of several events in one may add the
+	// extra ones: the kernel's reschedule sweep counts each core it visits
+	// after the first. Run budgets by Processed.
 	Processed uint64
 	// PostStep, when set, runs after every event handler returns — the
-	// machine is in a consistent between-events state there. Used by
-	// validation harnesses (kernel.CheckInvariants); nil in production.
+	// machine is in a consistent between-events state there. It runs once
+	// per fired event, so once per kernel sweep however many cores the
+	// sweep visits. Used by validation harnesses (kernel.CheckInvariants);
+	// nil in production.
 	PostStep func()
 }
 
@@ -132,6 +137,12 @@ func NewEngine() *Engine {
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
+
+// NextSeq returns the sequence number the next At or After will take.
+// Sequence numbers rise by one per scheduled event, so a caller that
+// recorded an event's number n sees NextSeq() == n+1 exactly while no
+// event has been scheduled since it.
+func (e *Engine) NextSeq() uint64 { return e.seq }
 
 // event returns the slab event at slot.
 func (e *Engine) event(slot int32) *Event {
@@ -262,22 +273,22 @@ func (e *Engine) Step() bool {
 	}
 }
 
-// Run fires events until the queue drains, Stop is called, or the event
-// budget maxEvents is exhausted (0 means unlimited). It returns the number
-// of events fired.
+// Run fires events until the queue drains, Stop is called, or Processed
+// has grown by the event budget maxEvents (0 means unlimited). It returns
+// the growth of Processed, which exceeds maxEvents when the last handler
+// added to it past the budget.
 func (e *Engine) Run(maxEvents uint64) uint64 {
 	e.stopped = false
-	var fired uint64
+	start := e.Processed
 	for !e.stopped {
-		if maxEvents > 0 && fired >= maxEvents {
+		if maxEvents > 0 && e.Processed-start >= maxEvents {
 			break
 		}
 		if !e.Step() {
 			break
 		}
-		fired++
 	}
-	return fired
+	return e.Processed - start
 }
 
 // Pending returns the number of queued (possibly cancelled) events.

@@ -93,6 +93,47 @@ func TestStopAndBudget(t *testing.T) {
 	}
 }
 
+// TestRunBudgetsByProcessed runs handlers that count as several events,
+// as the kernel's reschedule sweep does: Run's budget is Processed growth,
+// it stops at the first event boundary at or past the budget, and it
+// returns the growth, overshoot included.
+func TestRunBudgetsByProcessed(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	var loop func()
+	loop = func() {
+		n++
+		e.Processed += 2 // each handler counts as three events
+		e.After(1, loop)
+	}
+	e.After(1, loop)
+	if fired := e.Run(7); fired != 9 || n != 3 || e.Processed != 9 {
+		t.Fatalf("Run(7) returned %d after %d handlers, Processed %d; want 9, 3, 9", fired, n, e.Processed)
+	}
+	if fired := e.Run(6); fired != 6 || n != 5 || e.Processed != 15 {
+		t.Fatalf("Run(6) returned %d after %d handlers, Processed %d; want 6, 5, 15", fired, n, e.Processed)
+	}
+}
+
+// TestNextSeq checks that NextSeq names the next event scheduled, at the
+// same instant or later, and rises by one per event.
+func TestNextSeq(t *testing.T) {
+	e := NewEngine()
+	if e.NextSeq() != 0 {
+		t.Fatalf("fresh engine NextSeq = %d", e.NextSeq())
+	}
+	e.After(0, func() {})
+	e.After(5, func() {})
+	e.Cancel(e.After(5, func() {}))
+	if e.NextSeq() != 3 {
+		t.Fatalf("NextSeq after 3 events = %d", e.NextSeq())
+	}
+	e.Run(0)
+	if e.NextSeq() != 3 {
+		t.Fatalf("firing events moved NextSeq to %d", e.NextSeq())
+	}
+}
+
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
 	e.At(10, func() {

@@ -71,6 +71,11 @@ func (m Mask) Allows(c int) bool {
 	return uint(c) < cpu.MaxCores && m.w != nil && m.w[c/64]&(1<<(uint(c)%64)) != 0
 }
 
+// Word returns word w of the mask, 0 <= w < cpu.MaxCores/64: bit i is set
+// iff the mask admits core 64*w+i. Scans over core bitsets intersect it
+// a word at a time instead of asking Allows per core.
+func (m Mask) Word(w int) uint64 { return m.words()[w] }
+
 // Set adds core index c to the mask. Out-of-range indices and cores the
 // mask already admits leave it as it is.
 func (m *Mask) Set(c int) {

@@ -70,6 +70,17 @@ func checkAgainstModel(t *testing.T, mask Mask, model *maskModel) {
 			t.Fatalf("Allows(%d) = %v, want %v", c, got, want)
 		}
 	}
+	for w := 0; w < cpu.MaxCores/64; w++ {
+		var want uint64
+		for i := 0; i < 64; i++ {
+			if model.set[w*64+i] {
+				want |= 1 << uint(i)
+			}
+		}
+		if got := mask.Word(w); got != want {
+			t.Fatalf("Word(%d) = %#x, want %#x", w, got, want)
+		}
+	}
 	if model.low() {
 		// On the ≤64-core subset the uint64 shadow must agree bit for bit.
 		var lo uint64
